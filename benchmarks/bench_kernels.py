@@ -3,7 +3,8 @@
 
 Both entry points wrap the same source function, so outputs must agree
 bit for bit; this script checks that while timing them on identical
-cold-start solves across a range of measurement counts.
+cold-start solves across a range of measurement counts. Without numba
+both names run the fallback, so only the fallback is timed.
 
 Run from the repository root:
 
@@ -71,16 +72,21 @@ def bench(fn, cases):
 
 def main():
     rng = np.random.default_rng(2024)
-    print(f"numba enabled: {NUMBA_ENABLED}")
     if NUMBA_ENABLED:
+        print("numba enabled")
         lm_solve(*make_case(rng, 8))  # trigger/load the compilation outside timing
-
-    header = f"{'N':>4}  {'python (ms)':>12}  {'compiled (ms)':>14}  {'speedup':>8}"
+        header = f"{'N':>4}  {'python (ms)':>12}  {'compiled (ms)':>14}  {'speedup':>8}"
+    else:
+        print("numba unavailable: timing the pure-Python fallback only")
+        header = f"{'N':>4}  {'python (ms)':>12}"
     print(header)
     print("-" * len(header))
     for n in (6, 10, 16, 24, 40):
         cases = [make_case(rng, n) for _ in range(REPEATS)]
         t_py, out_py = bench(lm_solve_python, cases)
+        if not NUMBA_ENABLED:
+            print(f"{n:>4}  {t_py * 1e3:>12.3f}")
+            continue
         t_nb, out_nb = bench(lm_solve, cases)
         for (x1, it1, s1, c1), (x2, it2, s2, c2) in zip(out_py, out_nb):
             assert np.array_equal(x1, x2) and it1 == it2 and s1 == s2 and c1 == c2, (

@@ -10,9 +10,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, NonConvergence
-from .geo import ecef_to_geodetic, elevation_azimuth
+from .geo import SPEED_OF_LIGHT, ecef_to_geodetic, elevation_azimuth
 from .model import Epoch
-from .solver import SolverConfig, solve_wls
+from .solver import SolveReport, SolverConfig, equal_weight_fix, jacobian, solve_wls
 
 DEFAULT_ELEVATION_MASK = math.radians(5.0)
 
@@ -140,13 +140,16 @@ def fde_solve(
     params: SotaWeightParams,
     accels=None,
     solver_cfg: SolverConfig | None = None,
+    fix: SolveReport | None = None,
 ) -> FdeResult:
     """Iterative residual-test exclusion, then a parametric-weight solve.
 
     Each round solves the surviving set with equal weights, standardizes
     the post-fit residuals by their linearized variance, and drops the
     worst offender while it exceeds the threshold. Survivors are finally
-    solved with 1/sigma2 weights from the parametric model.
+    solved with 1/sigma2 weights from the parametric model. ``fix`` is the
+    epoch's ``equal_weight_fix`` when the caller already has it; it is the
+    first round, which is solved here otherwise.
     """
     solver_cfg = solver_cfg or SolverConfig()
     n = epoch.n
@@ -158,25 +161,16 @@ def fde_solve(
 
     active = np.ones(n, dtype=bool)
     excluded: list[int] = []
-    state = None
+    rep = fix if fix is not None else equal_weight_fix(epoch, solver_cfg)
     while True:
-        w = active.astype(float)
-        try:
-            rep = solve_wls(epoch, w, cfg=solver_cfg)
-        except NonConvergence as e:
-            if e.report is None:
-                raise
-            rep = e.report
         state = rep.state
         if int(active.sum()) <= min_keep or len(excluded) >= cfg.max_exclusions:
             break
         # leverage of each active row in the equal-weight linear model
-        from .solver import jacobian  # local import avoids a cycle at module load
-
         H = jacobian(state, epoch)[active]
         # normalize the clock columns to meters so the hat matrix is well scaled
         Hs = H.copy()
-        Hs[:, 3:] = Hs[:, 3:] / 299792458.0
+        Hs[:, 3:] = Hs[:, 3:] / SPEED_OF_LIGHT
         hat = Hs @ np.linalg.solve(Hs.T @ Hs, Hs.T)
         lev = np.clip(np.diag(hat), 0.0, 1.0 - 1e-6)
         r = rep.post_fit_residuals[active]
@@ -187,6 +181,7 @@ def fde_solve(
         active_idx = np.flatnonzero(active)
         excluded.append(int(active_idx[worst]))
         active[active_idx[worst]] = False
+        rep = equal_weight_fix(epoch, solver_cfg, active)
 
     # parametric weights on the survivors
     rx_geo = ecef_to_geodetic(state.position)
@@ -204,7 +199,5 @@ def fde_solve(
         # a few steps from there where a cold start can creep for dozens
         final = solve_wls(epoch, w, init=state, cfg=solver_cfg)
     except NonConvergence as e:
-        if e.report is None:
-            raise
         final = e.report
     return FdeResult(report=final, excluded=sorted(excluded))

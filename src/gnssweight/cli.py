@@ -24,7 +24,8 @@ from .evaluation import (
     QUANTILES,
 )
 from .featurize import dataset_samples, fit_normalization, normalized_split, FeatureNormalization
-from .nn import TrainConfig, load_checkpoint, save_checkpoint, train
+from .geo import ecef_to_geodetic, elevation_azimuth
+from .nn import TrainConfig, load_checkpoint, save_checkpoint, train, truth_residuals
 from .sim import generate_campaign
 
 
@@ -45,14 +46,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _collect_samples(data_path, cfg):
-    dataset = read_dataset(data_path)
-    return dataset, dataset_samples(dataset)
-
-
 def _cmd_featurize(args) -> int:
     cfg = load_config(args.config, _seed_override(args))
-    _, splits = _collect_samples(args.data, cfg)
+    splits = dataset_samples(read_dataset(args.data))
     arrays = {}
     index = {}
     i = 0
@@ -101,7 +97,7 @@ def _cmd_train(args) -> int:
     if args.features:
         splits = _load_feature_cache(args.features)
     else:
-        _, splits = _collect_samples(args.data, cfg)
+        splits = dataset_samples(read_dataset(args.data))
     for split in ("train", "val"):
         splits[split] = [s for s in splits[split] if s[1] is not None]
 
@@ -132,21 +128,15 @@ def _cmd_train(args) -> int:
 
 def _calibration_samples(dataset):
     """(theta, cn0, a, error) per train-split measurement, from ground truth."""
-    from .geo import ecef_to_geodetic, elevation_azimuth
-    from .nn import truth_clock_biases
-    from .geo import SPEED_OF_LIGHT
-
     thetas, cn0s, accels, errors = [], [], [], []
     for session in dataset.split_sessions("train"):
         for epoch in session.epochs:
             if epoch.truth is None:
                 continue
             rx_geo = ecef_to_geodetic(epoch.truth)
-            biases = truth_clock_biases(epoch)
-            for m in epoch.measurements:
+            resid, _ = truth_residuals(epoch)
+            for m, err in zip(epoch.measurements, resid):
                 theta, _ = elevation_azimuth(m.sat_pos, rx_geo)
-                rng = np.linalg.norm(epoch.truth.as_array() - m.sat_pos.as_array())
-                err = m.pseudorange - rng - SPEED_OF_LIGHT * biases[m.constellation]
                 thetas.append(theta)
                 cn0s.append(m.cn0)
                 accels.append(0.0)  # no acceleration channel in the dataset format

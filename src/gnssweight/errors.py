@@ -74,7 +74,3 @@ class ParseError(GnssWeightError):
 
 class VersionMismatch(GnssWeightError):
     """Dataset or checkpoint written by an unsupported format version."""
-
-
-class IoError(GnssWeightError):
-    """Filesystem-level failure while reading or writing artifacts."""

@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import FdeConfig, SotaWeightParams, fde_solve
-from .errors import EmptySamples, GnssWeightError, NonConvergence
+from .errors import EmptySamples, GnssWeightError, NonConvergence, NotEnoughMeasurements, SingularGeometry
 from .featurize import EpochFeaturizer, feature_columns
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
-from .solver import SolverConfig, solve_wls
+from .solver import SolveReport, SolverConfig, equal_weight_fix, solve_wls
 
 CSV_COLUMNS = ["session_id", "t", "strategy", "h_err_m", "v_err_m", "converged", "n_sv", "n_zero_weight"]
 
@@ -84,34 +84,36 @@ class StrategyModels:
     fde_cfg: FdeConfig = field(default_factory=FdeConfig)
 
 
-def _solve_record(epoch: Epoch, weights, strategy: str, solver_cfg) -> ErrorRecord:
+def _failed_record(epoch: Epoch, strategy: str, n_zero: int = 0) -> ErrorRecord:
+    nan = float("nan")
+    return ErrorRecord(epoch.session_id, epoch.time, strategy, nan, nan, False, epoch.n, n_zero)
+
+
+def _solve_record(epoch: Epoch, weights, strategy: str, solver_cfg,
+                  fix: SolveReport | None) -> ErrorRecord:
     n_zero = int(np.sum(np.asarray(weights) <= ZERO_WEIGHT_CUTOFF))
+    # two-stage solve: strongly anisotropic weights (spreads of 1e7 and
+    # more) make cold-start damped iteration creep, while the weighted
+    # problem converges in a few steps from the equal-weight fix
+    init = fix.state if fix is not None else None
     try:
-        # two-stage solve: strongly anisotropic weights (spreads of 1e7 and
-        # more) make cold-start damped iteration creep, while the weighted
-        # problem converges in a few steps from the equal-weight fix
-        init = None
-        try:
-            init = solve_wls(epoch, np.ones(epoch.n), cfg=solver_cfg).state
-        except NonConvergence as e:
-            if e.report is not None:
-                init = e.report.state
-        except GnssWeightError:
-            pass
         rep = solve_wls(epoch, weights, init=init, cfg=solver_cfg)
-        h, v = position_errors(rep.state, epoch.truth)
-        return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, True, epoch.n, n_zero)
+        state, converged = rep.state, True
     except NonConvergence as e:
-        if e.report is not None:
-            h, v = position_errors(e.report.state, epoch.truth)
-            return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, False, epoch.n, n_zero)
-        return ErrorRecord(epoch.session_id, epoch.time, strategy, float("nan"), float("nan"), False, epoch.n, n_zero)
+        state, converged = e.report.state, False
     except GnssWeightError:
-        return ErrorRecord(epoch.session_id, epoch.time, strategy, float("nan"), float("nan"), False, epoch.n, n_zero)
+        return _failed_record(epoch, strategy, n_zero)
+    h, v = position_errors(state, epoch.truth)
+    return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero)
 
 
 def evaluate_session(session, strategies, models: StrategyModels, solver_cfg=None):
-    """Error records for every (epoch, strategy) of one session, in order."""
+    """Error records for every (epoch, strategy) of one session, in order.
+
+    Each epoch's equal-weight fix is solved once and shared: it gives the
+    featurizer its rough position, warm-starts every weighted solve and
+    is FDE's first round.
+    """
     solver_cfg = solver_cfg or SolverConfig()
     needs_features = any(s in strategies for s in ("nn_full", "nn_residual"))
     fz = EpochFeaturizer(solver_cfg) if needs_features else None
@@ -120,43 +122,46 @@ def evaluate_session(session, strategies, models: StrategyModels, solver_cfg=Non
     for epoch in session.epochs:
         if epoch.truth is None:
             continue
-        fm = fz.featurize(epoch) if fz is not None else None
+        try:
+            fix = equal_weight_fix(epoch, solver_cfg)
+        except (NotEnoughMeasurements, SingularGeometry):
+            fix = None
+        fm = fz.featurize(epoch, fix) if fz is not None and fix is not None else None
         for strategy in strategies:
             if strategy == "equal":
-                records.append(_solve_record(epoch, np.ones(epoch.n), strategy, solver_cfg))
+                records.append(_solve_record(epoch, np.ones(epoch.n), strategy, solver_cfg, fix))
             elif strategy == "truth":
                 w = quality_to_weights(make_labels(epoch))
-                records.append(_solve_record(epoch, w, strategy, solver_cfg))
+                records.append(_solve_record(epoch, w, strategy, solver_cfg, fix))
             elif strategy in ("nn_full", "nn_residual"):
                 pair = models.nn_full if strategy == "nn_full" else models.nn_residual
                 if pair is None:
                     raise ValueError(f"strategy {strategy} requires a trained model")
                 model, norm = pair
                 if fm is None:
-                    records.append(
-                        ErrorRecord(epoch.session_id, epoch.time, strategy,
-                                    float("nan"), float("nan"), False, epoch.n, 0)
-                    )
+                    records.append(_failed_record(epoch, strategy))
                     continue
                 mode = "full" if strategy == "nn_full" else "residual"
                 x = norm.apply(fm[:, feature_columns(mode)])
                 w = predict_weights(model, x)
-                records.append(_solve_record(epoch, w, strategy, solver_cfg))
+                records.append(_solve_record(epoch, w, strategy, solver_cfg, fix))
             elif strategy == "fde_sota":
                 if models.sota is None:
                     raise ValueError("strategy fde_sota requires calibrated parameters")
+                if fix is None:  # FDE's first round is this same failed solve
+                    records.append(_failed_record(epoch, strategy))
+                    continue
                 try:
-                    res = fde_solve(epoch, models.fde_cfg, models.sota, solver_cfg=solver_cfg)
-                    h, v = position_errors(res.report.state, epoch.truth)
-                    records.append(
-                        ErrorRecord(epoch.session_id, epoch.time, strategy, h, v,
-                                    True, epoch.n, len(res.excluded))
-                    )
+                    res = fde_solve(epoch, models.fde_cfg, models.sota,
+                                    solver_cfg=solver_cfg, fix=fix)
                 except GnssWeightError:
-                    records.append(
-                        ErrorRecord(epoch.session_id, epoch.time, strategy,
-                                    float("nan"), float("nan"), False, epoch.n, 0)
-                    )
+                    records.append(_failed_record(epoch, strategy))
+                    continue
+                h, v = position_errors(res.report.state, epoch.truth)
+                records.append(
+                    ErrorRecord(epoch.session_id, epoch.time, strategy, h, v,
+                                True, epoch.n, len(res.excluded))
+                )
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
     return records

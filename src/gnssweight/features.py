@@ -94,9 +94,3 @@ class TrackingHistory:
                 )
             )
         return out
-
-
-def update_and_extract(
-    history: TrackingHistory, epoch: Epoch, rx_approx: GeodeticPosition
-) -> list[PerLinkFeatures]:
-    return history.update_and_extract(epoch, rx_approx)

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotEnoughMeasurements, NonConvergence, SingularGeometry
+from .errors import EmptySplit, NotEnoughMeasurements, SingularGeometry
 from .features import TrackingHistory
 from .geo import ecef_to_geodetic
 from .model import Epoch
 from .nn import make_labels
 from .residuals import GAMMA, build_residual_matrix, ResidualMatrix
-from .solver import SolverConfig, solve_wls
+from .solver import SolveReport, SolverConfig, equal_weight_fix
+from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 N_RESIDUAL_SUMMARY = 8
 N_FEATURES = N_RESIDUAL_SUMMARY + 6
@@ -85,9 +86,10 @@ class EpochFeaturizer:
     """Stateful per-session featurizer (owns the C/N0 tracking history).
 
     ``featurize`` returns the raw (unnormalized) feature matrix, or None
-    when the epoch cannot support the leave-one-out construction; the
-    tracking window is still advanced so later epochs see a correct
-    history.
+    when the epoch cannot support the leave-one-out construction. When
+    the equal-weight fix fails the tracking window is not advanced, since
+    elevations need a receiver position; when only the leave-one-out
+    matrix fails it is, so later epochs see a correct history.
     """
 
     def __init__(self, solver_cfg: SolverConfig | None = None):
@@ -95,18 +97,16 @@ class EpochFeaturizer:
         self.history = TrackingHistory()
         self.skipped = 0
 
-    def featurize(self, epoch: Epoch) -> np.ndarray | None:
-        try:
-            rough = solve_wls(epoch, np.ones(epoch.n), cfg=self.solver_cfg).state
-        except (NotEnoughMeasurements, SingularGeometry) as _:
-            self.skipped += 1
-            return None
-        except NonConvergence as e:
-            if e.report is None:
+    def featurize(self, epoch: Epoch, fix: SolveReport | None = None) -> np.ndarray | None:
+        """Feature matrix of ``epoch``; ``fix`` is its ``equal_weight_fix``
+        when the caller already has one, and is solved here otherwise."""
+        if fix is None:
+            try:
+                fix = equal_weight_fix(epoch, self.solver_cfg)
+            except (NotEnoughMeasurements, SingularGeometry):
                 self.skipped += 1
                 return None
-            rough = e.report.state
-        rx_geo = ecef_to_geodetic(rough.position)
+        rx_geo = ecef_to_geodetic(fix.state.position)
         per_link = self.history.update_and_extract(epoch, rx_geo)
         try:
             rmat = build_residual_matrix(epoch, self.solver_cfg)
@@ -130,11 +130,15 @@ def session_samples(epochs, solver_cfg=None, with_labels=True):
 
 
 def dataset_samples(dataset, solver_cfg=None, with_labels=True):
-    """Per-split raw samples for a whole campaign: {'train': [...], ...}."""
-    splits = {"train": [], "val": [], "test": []}
+    """Raw samples of the fitting splits: {'train': [...], 'val': [...]}.
+
+    Test sessions are skipped: ``evaluation`` featurizes them itself,
+    sharing each epoch's equal-weight fix with the strategies it runs.
+    """
+    splits = {"train": [], "val": []}
     for session in dataset.sessions:
-        samples = session_samples(session.epochs, solver_cfg, with_labels)
-        splits[session.split].extend(samples)
+        if session.split in splits:
+            splits[session.split].extend(session_samples(session.epochs, solver_cfg, with_labels))
     return splits
 
 
@@ -145,6 +149,8 @@ def normalized_split(samples, norm: FeatureNormalization, mode: str):
 
 
 def fit_normalization(train_samples, mode: str) -> FeatureNormalization:
+    if not train_samples:
+        raise EmptySplit("no featurized training epochs to fit the normalization on")
     cols = feature_columns(mode)
     rows = np.vstack([fm[:, cols] for fm, _, _ in train_samples])
     return FeatureNormalization.fit(rows)

@@ -89,28 +89,32 @@ def _forward_cached(model: LstmModel, fm: np.ndarray):
     H = model.hidden
     caches = []
     layer_in = fm
-    for layer in range(model.n_layers):
-        W, U, b = model.W[layer], model.U[layer], model.b[layer]
-        h = np.zeros(H)
-        c = np.zeros(H)
-        steps = []
-        hs = np.empty((n, H))
-        for t in range(n):
-            x = layer_in[t]
-            z = W @ x + U @ h + b
-            i = _sigmoid(z[:H])
-            f = _sigmoid(z[H : 2 * H])
-            g = np.tanh(z[2 * H : 3 * H])
-            o = _sigmoid(z[3 * H :])
-            c_prev = c
-            h_prev = h
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            hs[t] = h
-            steps.append((x, h_prev, c_prev, i, f, g, o, c, tc))
-        caches.append((layer_in, steps))
-        layer_in = hs
+    # below -709.78 _sigmoid's exp overflows to inf and the gate is exactly
+    # 0, as it should be; the warning is silenced once per pass, because
+    # an errstate per _sigmoid call costs a third of the forward time
+    with np.errstate(over="ignore"):
+        for layer in range(model.n_layers):
+            W, U, b = model.W[layer], model.U[layer], model.b[layer]
+            h = np.zeros(H)
+            c = np.zeros(H)
+            steps = []
+            hs = np.empty((n, H))
+            for t in range(n):
+                x = layer_in[t]
+                z = W @ x + U @ h + b
+                i = _sigmoid(z[:H])
+                f = _sigmoid(z[H : 2 * H])
+                g = np.tanh(z[2 * H : 3 * H])
+                o = _sigmoid(z[3 * H :])
+                c_prev = c
+                h_prev = h
+                c = f * c + i * g
+                tc = np.tanh(c)
+                h = o * tc
+                hs[t] = h
+                steps.append((x, h_prev, c_prev, i, f, g, o, c, tc))
+            caches.append((layer_in, steps))
+            layer_in = hs
     outputs = layer_in @ model.head_w + model.head_b
     return outputs, caches, layer_in
 
@@ -188,41 +192,35 @@ def lstm_backward(
     return sse, grads, int(np.sum(mask > 0))
 
 
-def make_labels(epoch: Epoch) -> np.ndarray:
-    """Per-row log-sigma targets from the ground-truth position.
+def truth_residuals(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudorange errors against the ground truth, meters.
 
     The reference system supplies position only, so the truth clock bias
     per constellation is the equal-weight least-squares fit at the fixed
     true position: the mean of (pseudorange - geometric range) over that
-    constellation's measurements.
+    constellation's measurements. Returns the per-row residuals after
+    removing that bias, and the biases in ``epoch.constellations()``
+    order.
     """
     if epoch.truth is None:
         raise MissingTruth("epoch carries no ground-truth position")
-    sat = epoch.sat_array()
-    rng = np.linalg.norm(epoch.truth.as_array()[None, :] - sat, axis=1)
+    rng = np.linalg.norm(epoch.truth.as_array()[None, :] - epoch.sat_array(), axis=1)
     geo_resid = epoch.pr_array() - rng
     idx = epoch.const_index()
-    targets = np.empty(epoch.n)
-    for k in range(int(idx.max()) + 1):
-        sel = idx == k
-        bias_m = float(np.mean(geo_resid[sel]))
-        targets[sel] = np.log(np.maximum(np.abs(geo_resid[sel] - bias_m), LABEL_EPSILON_M))
-    return targets
+    bias_m = np.array([np.mean(geo_resid[idx == k]) for k in range(len(epoch.constellations()))])
+    return geo_resid - bias_m[idx], bias_m
+
+
+def make_labels(epoch: Epoch) -> np.ndarray:
+    """Per-row log-sigma targets: log |truth residual|, clamped below."""
+    resid, _ = truth_residuals(epoch)
+    return np.log(np.maximum(np.abs(resid), LABEL_EPSILON_M))
 
 
 def truth_clock_biases(epoch: Epoch) -> dict:
     """Equal-weight clock-only fit at the true position, seconds."""
-    if epoch.truth is None:
-        raise MissingTruth("epoch carries no ground-truth position")
-    sat = epoch.sat_array()
-    rng = np.linalg.norm(epoch.truth.as_array()[None, :] - sat, axis=1)
-    geo_resid = epoch.pr_array() - rng
-    idx = epoch.const_index()
-    consts = epoch.constellations()
-    return {
-        c: float(np.mean(geo_resid[idx == k])) / SPEED_OF_LIGHT
-        for k, c in enumerate(consts)
-    }
+    _, bias_m = truth_residuals(epoch)
+    return {c: float(b) / SPEED_OF_LIGHT for c, b in zip(epoch.constellations(), bias_m)}
 
 
 def quality_to_weights(quality: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotEnoughMeasurements, NonConvergence, SingularGeometry
+from .errors import NotEnoughMeasurements, SingularGeometry
 from .model import Epoch, NavState
-from .solver import SolverConfig, predicted_pseudoranges, solve_wls, state_to_vector
+from .solver import SolverConfig, equal_weight_fix, predicted_pseudoranges, state_to_vector
+from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 # Sentinel marking the deliberately excluded measurement (and rows whose
 # subset solve failed). Far above any plausible residual magnitude.
@@ -60,16 +61,10 @@ def build_residual_matrix(epoch: Epoch, cfg: SolverConfig | None = None) -> Resi
     for row in range(n):
         sub = _subset_epoch(epoch, row)
         try:
-            rep = solve_wls(sub, np.ones(n - 1), cfg=cfg)
-            state = rep.state
+            state = equal_weight_fix(sub, cfg).state
         except (SingularGeometry, NotEnoughMeasurements):
             failed.append(row)
             continue
-        except NonConvergence as e:
-            if e.report is None:
-                failed.append(row)
-                continue
-            state = e.report.state
         res = _epoch_residuals(epoch, state)
         values[row, :] = res
         values[row, row] = GAMMA

@@ -147,3 +147,21 @@ def solve_wls(
             f"no convergence in {cfg.max_iterations} iterations", report=report
         )
     return report
+
+
+def equal_weight_fix(
+    epoch: Epoch, cfg: SolverConfig | None = None, active: np.ndarray | None = None
+) -> SolveReport:
+    """Cold-start equal-weight fix over the ``active`` measurements (all by default).
+
+    This is the one solve every consumer of an epoch starts from: the
+    featurizer's rough position, the warm start of each weighted
+    strategy and FDE's rounds; leave-one-out rows solve it on subsets.
+    A NonConvergence report counts as the fix; NotEnoughMeasurements and
+    SingularGeometry propagate.
+    """
+    w = np.ones(epoch.n) if active is None else np.asarray(active, dtype=float)
+    try:
+        return solve_wls(epoch, w, cfg=cfg)
+    except NonConvergence as e:
+        return e.report

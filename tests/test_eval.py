@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from gnssweight import _kernels, solver
 from gnssweight.baselines import SotaWeightParams
 from gnssweight.dataio import Session
 from gnssweight.errors import EmptySamples
@@ -18,7 +20,9 @@ from gnssweight.evaluation import (
     summary_dict,
     write_error_csv,
 )
+from gnssweight.featurize import N_FEATURES, N_RESIDUAL_SUMMARY, FeatureNormalization
 from gnssweight.geo import EcefPosition, GeodeticPosition, enu_rotation, geodetic_to_ecef
+from gnssweight.nn import LstmModel
 from gnssweight.sim import generate_session, profile_config
 from conftest import make_epoch
 
@@ -156,3 +160,33 @@ def test_truth_weight_strategy_uses_labels(rng):
     t = [r.h_err_m for r in records if r.strategy == "truth"]
     e = [r.h_err_m for r in records if r.strategy == "equal"]
     assert np.median(t) < 0.5 * np.median(e)
+
+
+def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
+    # every strategy shares the epoch's equal-weight all-in-view fix, so
+    # the kernel sees exactly one cold-started all-ones solve per epoch;
+    # leave-one-out subsets and FDE's later rounds solve other problems
+    cfg = profile_config("urban_canyon", seed=3, duration_s=1.0)  # N = 12
+    epochs, truth = generate_session(cfg, session_id="u")
+    session = Session("u", "urban_canyon", "test", epochs, truth)
+    net_rng = np.random.default_rng(0)
+    models = StrategyModels(
+        nn_full=(LstmModel.init(N_FEATURES, 4, net_rng),
+                 FeatureNormalization(np.zeros(N_FEATURES), np.ones(N_FEATURES))),
+        nn_residual=(LstmModel.init(N_RESIDUAL_SUMMARY, 4, net_rng),
+                     FeatureNormalization(np.zeros(N_RESIDUAL_SUMMARY), np.ones(N_RESIDUAL_SUMMARY))),
+        sota=SotaWeightParams(1.0, 0.0, 0.0),
+    )
+    cold = solver._DEFAULT_START.as_array()
+    solves = collections.Counter()
+    lm_solve = _kernels.lm_solve
+
+    def counting(sat, pr, w, const_idx, n_clk, x0, *rest):
+        if np.all(w == 1.0) and np.array_equal(x0[:3], cold) and not x0[3:].any():
+            solves[pr.tobytes()] += 1
+        return lm_solve(sat, pr, w, const_idx, n_clk, x0, *rest)
+
+    monkeypatch.setattr(_kernels, "lm_solve", counting)
+    records = evaluate_session(session, ("truth", "nn_full", "nn_residual", "fde_sota", "equal"), models)
+    assert len(records) == 5 * len(epochs)
+    assert [solves[e.pr_array().tobytes()] for e in epochs] == [1] * len(epochs)

@@ -10,7 +10,6 @@ from gnssweight.features import (
     WINDOW_CAPACITY,
     PerLinkFeatures,
     TrackingHistory,
-    update_and_extract,
 )
 from gnssweight.geo import ecef_to_geodetic
 from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
@@ -38,7 +37,7 @@ def _replay(rng, cn0_by_epoch, dt=0.2):
                 )
             )
         ep = Epoch(time=k * dt, measurements=ms)
-        outs.append(update_and_extract(hist, ep, ref))
+        outs.append(hist.update_and_extract(ep, ref))
     return outs
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from gnssweight.dataio import Dataset, Session
+from gnssweight.errors import EmptySplit
 from gnssweight.featurize import (
     N_FEATURES,
     N_RESIDUAL_SUMMARY,
     EpochFeaturizer,
     FeatureNormalization,
+    dataset_samples,
     feature_columns,
     fit_normalization,
     fold_residual_row,
@@ -90,3 +93,27 @@ def test_featurizer_skips_unusable_epochs(rng):
     fz = EpochFeaturizer()
     assert fz.featurize(small) is None
     assert fz.skipped == 1
+
+
+def test_fit_normalization_empty_split_is_named():
+    with pytest.raises(EmptySplit):
+        fit_normalization([], "full")
+
+
+def test_dataset_samples_never_featurizes_test_sessions(rng, monkeypatch):
+    sessions = []
+    for split in ("train", "val", "test"):
+        epochs = [make_epoch(rng, n=8, noise_sigma=1.0, time=0.2 * k)[0] for k in range(2)]
+        sessions.append(Session(split, "suburban", split, epochs))
+    seen = []
+    featurize = EpochFeaturizer.featurize
+
+    def spy(self, epoch, fix=None):
+        seen.append(id(epoch))
+        return featurize(self, epoch, fix)
+
+    monkeypatch.setattr(EpochFeaturizer, "featurize", spy)
+    splits = dataset_samples(Dataset(seed=0, sessions=sessions))
+    assert sorted(splits) == ["train", "val"]
+    assert [len(splits["train"]), len(splits["val"])] == [2, 2]
+    assert seen == [id(e) for s in sessions[:2] for e in s.epochs]

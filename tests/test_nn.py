@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,3 +307,17 @@ def test_variable_length_sequences():
         y = lstm_forward(model, rng.normal(size=(n, 5)))
         assert y.shape == (n,)
         assert np.all(np.isfinite(y))
+
+
+def test_forward_with_saturated_gates_warns_nothing():
+    # gate pre-activations of -800 overflow exp inside the sigmoid; the
+    # gates must come out exactly 0 without a RuntimeWarning
+    model = LstmModel.init(4, 8, np.random.default_rng(0))
+    for layer in range(model.n_layers):
+        model.W[layer][:] = 0.0
+        model.U[layer][:] = 0.0
+        model.b[layer][:] = -800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = lstm_forward(model, np.ones((3, 4)))
+    assert np.array_equal(y, np.full(3, model.head_b))
