@@ -1,10 +1,16 @@
-"""Hot numeric kernels.
+"""The damped Gauss-Newton pseudorange solve.
 
-The damped Gauss-Newton pseudorange solve dominates runtime (the
-leave-one-out residual matrix costs N+1 solves per epoch), so the kernel
-is numba-compiled by default. Set GNSSWEIGHT_NO_NUMBA=1 to select the
-pure-numpy path; both paths share one source function, so results are
-identical. ``benchmarks/bench_kernels.py`` compares the two.
+This is the hot kernel: the leave-one-out residual matrix costs N+1
+solves per epoch. One numpy function, ``_normal_equations``, forms the
+residuals, the Jacobian, the normal matrix, the gradient and the cost at
+a state; the solver calls it wherever it needs any of them.
+
+Every sum over measurements starts at 0.0 and runs through the rows in
+order, one row after another. That fixes the rounding: a row with zero
+weight adds exact zeros, so zeroing a measurement's weight and deleting
+it give bitwise-identical solves (the leave-one-out matrix relies on
+this), and the result does not depend on how a BLAS library blocks or
+vectorizes a dot product.
 
 Kernel state layout: [x, y, z, b_0 .. b_{K-1}] with clock terms in
 meters (c * delta). Parameterizing clocks in meters keeps the normal
@@ -13,12 +19,12 @@ inflating it by c^2.
 """
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("GNSSWEIGHT_NO_NUMBA", "").strip().lower()
-NUMBA_ENABLED = _env not in ("1", "true", "yes")
+# perfbench/run.py records this flag in its environment block; the solve
+# has no compiled variant.
+NUMBA_ENABLED = False
 
 # Status codes returned by lm_solve.
 STATUS_CONVERGED = 0
@@ -26,8 +32,36 @@ STATUS_MAX_ITER = 1
 STATUS_SINGULAR = 2
 
 
-def _lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
-              max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
+def _normal_equations(x, sat_pos, pr, w, const_idx):
+    """(A, g, cost) at state x: A = H^T W H, g = H^T W r, cost = r^T W r.
+
+    H is the Jacobian of the predicted pseudoranges and r = pr - h(x).
+    """
+    n = pr.shape[0]
+    d = x.shape[0]
+    diff = x[:3] - sat_pos
+    rng = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2])
+    rng = np.maximum(rng, 1e-3)
+    J = np.zeros((n, d + 1))
+    J[:, :3] = diff / rng[:, None]
+    J[np.arange(n), 3 + const_idx] = 1.0
+    J[:, d] = pr - (rng + x[3 + const_idx])
+    # Row-ordered products summed over axis 0 from 0.0: M[j, k] is
+    # sum_i (w_i J_ij) J_ik, accumulated measurement by measurement.
+    M = ((J * w[:, None])[:, :, None] * J[:, None, :]).sum(axis=0, initial=0.0)
+    # (w Hj) Hk and (w Hk) Hj round differently; keep A exactly symmetric.
+    A = np.triu(M[:d, :d])
+    A = A + np.triu(A, 1).T
+    return A, M[:d, d], M[d, d]
+
+
+def _sum_sq(v):
+    """sum_j v_j^2 added in index order (np.sum would add pairwise)."""
+    return np.cumsum(v * v)[-1]
+
+
+def lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
+             max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
     """Levenberg-Marquardt minimization of sum_i w_i (rho_i - h_i(x))^2.
 
     Returns (x, iterations, status, cost). Damping multiplies the normal
@@ -47,61 +81,16 @@ def _lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
     the cap; STATUS_SINGULAR when the normal matrix condition number
     exceeds cond_limit.
     """
-    n = pr.shape[0]
     d = 3 + n_const
     x = x0.copy()
     lam = lam0
     status = STATUS_MAX_ITER
     iterations = 0
-
-    r = np.empty(n)
-    H = np.zeros((n, d))
-    rc = np.empty(n)
-    A = np.empty((d, d))
-    g = np.empty(d)
-
-    # cost at the starting point
-    cost = 0.0
-    for i in range(n):
-        dx = x[0] - sat_pos[i, 0]
-        dy = x[1] - sat_pos[i, 1]
-        dz = x[2] - sat_pos[i, 2]
-        rng = math.sqrt(dx * dx + dy * dy + dz * dz)
-        r[i] = pr[i] - (rng + x[3 + const_idx[i]])
-        cost += w[i] * r[i] * r[i]
+    diag = np.diag_indices(d)
+    A, g, cost = _normal_equations(x, sat_pos, pr, w, const_idx)
 
     for it in range(max_iter):
         iterations = it + 1
-        # residuals and Jacobian of h at the current iterate
-        for i in range(n):
-            dx = x[0] - sat_pos[i, 0]
-            dy = x[1] - sat_pos[i, 1]
-            dz = x[2] - sat_pos[i, 2]
-            rng = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if rng < 1e-3:
-                rng = 1e-3
-            r[i] = pr[i] - (rng + x[3 + const_idx[i]])
-            H[i, 0] = dx / rng
-            H[i, 1] = dy / rng
-            H[i, 2] = dz / rng
-            for k in range(n_const):
-                H[i, 3 + k] = 0.0
-            H[i, 3 + const_idx[i]] = 1.0
-
-        # fixed-order accumulation: zero-weight rows contribute exact zeros,
-        # so deleting a row and zeroing its weight give identical problems
-        for j in range(d):
-            for k in range(j, d):
-                acc = 0.0
-                for i in range(n):
-                    acc += w[i] * H[i, j] * H[i, k]
-                A[j, k] = acc
-                A[k, j] = acc
-            acc = 0.0
-            for i in range(n):
-                acc += w[i] * H[i, j] * r[i]
-            g[j] = acc
-
         s = np.linalg.svd(A)[1]
         if s[s.shape[0] - 1] <= 0.0 or s[0] / s[s.shape[0] - 1] > cond_limit:
             status = STATUS_SINGULAR
@@ -111,34 +100,17 @@ def _lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
         step_norm = 0.0
         for _trial in range(64):
             Ad = A.copy()
-            for j in range(d):
-                diag = A[j, j]
-                if diag < 1e-12:
-                    diag = 1e-12
-                Ad[j, j] += lam * diag
+            Ad[diag] += lam * np.maximum(A[diag], 1e-12)
             dxs = np.linalg.solve(Ad, g)
             xc = x + dxs
-            cost_c = 0.0
-            for i in range(n):
-                dx = xc[0] - sat_pos[i, 0]
-                dy = xc[1] - sat_pos[i, 1]
-                dz = xc[2] - sat_pos[i, 2]
-                rng = math.sqrt(dx * dx + dy * dy + dz * dz)
-                rc[i] = pr[i] - (rng + xc[3 + const_idx[i]])
-                cost_c += w[i] * rc[i] * rc[i]
+            A_c, g_c, cost_c = _normal_equations(xc, sat_pos, pr, w, const_idx)
             # Only a strict decrease is progress. An equal cost means the
             # step is lost in rounding: accepting it lets the iterate wander
             # along the flat floor with steps above step_tol and never stop.
             if cost_c < cost:
-                x = xc
-                cost = cost_c
-                lam = lam * lam_down
-                if lam < 1e-12:
-                    lam = 1e-12
-                step_norm = 0.0
-                for j in range(d):
-                    step_norm += dxs[j] * dxs[j]
-                step_norm = math.sqrt(step_norm)
+                x, A, g, cost = xc, A_c, g_c, cost_c
+                lam = max(lam * lam_down, 1e-12)
+                step_norm = math.sqrt(_sum_sq(dxs))
                 accepted = True
                 break
             if cost_c == cost:
@@ -166,64 +138,14 @@ def _lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
         # while the step norm shrinks and stop once it stalls or grows.
         prev2 = 1e300
         for _p in range(10):
-            for i in range(n):
-                dx = x[0] - sat_pos[i, 0]
-                dy = x[1] - sat_pos[i, 1]
-                dz = x[2] - sat_pos[i, 2]
-                rng = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if rng < 1e-3:
-                    rng = 1e-3
-                r[i] = pr[i] - (rng + x[3 + const_idx[i]])
-                H[i, 0] = dx / rng
-                H[i, 1] = dy / rng
-                H[i, 2] = dz / rng
-                for k in range(n_const):
-                    H[i, 3 + k] = 0.0
-                H[i, 3 + const_idx[i]] = 1.0
-            for j in range(d):
-                for k in range(j, d):
-                    acc = 0.0
-                    for i in range(n):
-                        acc += w[i] * H[i, j] * H[i, k]
-                    A[j, k] = acc
-                    A[k, j] = acc
-                acc = 0.0
-                for i in range(n):
-                    acc += w[i] * H[i, j] * r[i]
-                g[j] = acc
             dxs = np.linalg.solve(A, g)
-            step2 = 0.0
-            for j in range(d):
-                step2 += dxs[j] * dxs[j]
+            step2 = _sum_sq(dxs)
             if step2 > 1.0 or step2 > prev2:
                 break
             prev2 = step2
-            for j in range(d):
-                x[j] = x[j] + dxs[j]
+            x = x + dxs
+            A, g, cost = _normal_equations(x, sat_pos, pr, w, const_idx)
             if step2 < 1e-20:
                 break
-        # cost at the polished iterate
-        cost = 0.0
-        for i in range(n):
-            dx = x[0] - sat_pos[i, 0]
-            dy = x[1] - sat_pos[i, 1]
-            dz = x[2] - sat_pos[i, 2]
-            rng = math.sqrt(dx * dx + dy * dy + dz * dz)
-            r[i] = pr[i] - (rng + x[3 + const_idx[i]])
-            cost += w[i] * r[i] * r[i]
 
     return x, iterations, status, cost
-
-
-lm_solve_python = _lm_solve
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-
-        lm_solve = njit(cache=True, fastmath=False)(_lm_solve)
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-        lm_solve = _lm_solve
-else:
-    lm_solve = _lm_solve

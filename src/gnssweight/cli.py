@@ -145,9 +145,12 @@ def _calibration_samples(dataset):
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, _seed_override(args))
+    overrides = _seed_override(args)
+    if args.strategies:
+        overrides["evaluate"] = {"strategies": args.strategies.split(",")}
+    cfg = load_config(args.config, overrides)
     ev = cfg["evaluate"]
-    strategies = args.strategies.split(",") if args.strategies else ev["strategies"]
+    strategies = ev["strategies"]
     dataset = read_dataset(args.data)
 
     models = StrategyModels(

@@ -146,7 +146,7 @@ def pipeline():
 
 
 def test_criterion_01_solver_exactness_and_speed(rng):
-    solve_wls(make_epoch(rng, n=8)[0], np.ones(8))  # warm the compiled kernel
+    solve_wls(make_epoch(rng, n=8)[0], np.ones(8))  # first call outside the timing
     n_cases = 1000
     total = 0.0
     for k in range(n_cases):

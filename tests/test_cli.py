@@ -150,3 +150,19 @@ def test_missing_model_fails_naming_strategy(tiny_config, tiny_dataset, tmp_path
     )
     assert rc == 1
     assert "nn_full" in capsys.readouterr().err
+
+
+def test_unknown_strategy_flag_fails_like_config(tiny_config, tiny_dataset, tmp_path, capsys):
+    rc = main(
+        [
+            "evaluate",
+            "--config", tiny_config,
+            "--data", tiny_dataset,
+            "--out-dir", str(tmp_path / "eval"),
+            "--strategies", "equal,bogus",
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'evaluate.strategies' entry 'bogus'" in err
+    assert not (tmp_path / "eval").exists()

@@ -21,21 +21,25 @@ def test_noise_free_cold_start(rng):
 
 def test_zero_weight_equals_removal(rng):
     epoch, _ = make_epoch(rng, n=9, biases={4: 100.0})
-    w = np.ones(epoch.n)
     # find the corrupted measurement (sv_id = 5) in canonical order
     idx = next(i for i, m in enumerate(epoch.measurements) if m.sv_id == 5)
-    w[idx] = 0.0
-    rep_zero = solve_wls(epoch, w)
-
     reduced = Epoch(
         time=epoch.time,
         measurements=[m for i, m in enumerate(epoch.measurements) if i != idx],
     )
-    rep_removed = solve_wls(reduced, np.ones(reduced.n))
-    d = np.linalg.norm(
-        rep_zero.state.position.as_array() - rep_removed.state.position.as_array()
-    )
-    assert d < 1e-9
+    for w in (np.ones(epoch.n), rng.uniform(0.2, 3.0, size=epoch.n)):
+        w_zero = w.copy()
+        w_zero[idx] = 0.0
+        rep_zero = solve_wls(epoch, w_zero)
+        rep_removed = solve_wls(reduced, np.delete(w, idx))
+        # the kernel sums measurement by measurement from 0.0, so the
+        # zero-weight row adds exact zeros and the solves agree to the last bit
+        assert np.array_equal(
+            rep_zero.state.position.as_array(), rep_removed.state.position.as_array()
+        )
+        assert rep_zero.state.clock_bias == rep_removed.state.clock_bias
+        assert rep_zero.iterations == rep_removed.iterations
+        assert rep_zero.final_cost == rep_removed.final_cost
 
 
 def test_zero_redundancy_rounding_floor():
