@@ -1,24 +1,25 @@
 """The damped Gauss-Newton pseudorange solve.
 
-This is the hot kernel: the leave-one-out residual matrix costs N+1
-solves per epoch. One numpy function, ``_normal_equations``, forms the
-residuals, the Jacobian, the normal matrix, the gradient and the cost at
-a state; the solver calls it wherever it needs any of them.
+This is the hot kernel. ``lm_solve_batch`` runs a stack of solves that
+share one epoch's measurements in lockstep: the leave-one-out residual
+matrix is one such call (weights 1 - I), and a single solve
+(``lm_solve``) is a stack of one. One numpy function,
+``_normal_equations``, forms the residuals, the Jacobian, the normal
+matrix, the gradient and the cost at a stack of states; the solver calls
+it wherever it needs any of them.
 
 Every sum over measurements starts at 0.0 and runs through the rows in
-order, one row after another. That fixes the rounding: a row with zero
-weight adds exact zeros, so zeroing a measurement's weight and deleting
-it give bitwise-identical solves (the leave-one-out matrix relies on
-this), and the result does not depend on how a BLAS library blocks or
-vectorizes a dot product.
+order, one row after another, separately for each state of the stack.
+That fixes the rounding: a row with zero weight adds exact zeros, so
+zeroing a measurement's weight and deleting it give bitwise-identical
+solves (the leave-one-out matrix relies on this), and the result does
+not depend on how a BLAS library blocks or vectorizes a dot product.
 
 Kernel state layout: [x, y, z, b_0 .. b_{K-1}] with clock terms in
 meters (c * delta). Parameterizing clocks in meters keeps the normal
 matrix condition number near the geometry's true DOP instead of
 inflating it by c^2.
 """
-
-import math
 
 import numpy as np
 
@@ -33,41 +34,70 @@ STATUS_SINGULAR = 2
 
 
 def _normal_equations(x, sat_pos, pr, w, const_idx):
-    """(A, g, cost) at state x: A = H^T W H, g = H^T W r, cost = r^T W r.
+    """(A, g, cost) at each state x[b] with weights w[b].
 
-    H is the Jacobian of the predicted pseudoranges and r = pr - h(x).
+    A = H^T W H, g = H^T W r and cost = r^T W r, where H is the Jacobian
+    of the predicted pseudoranges and r = pr - h(x). x is (B, d) and w is
+    (B, N); A is (B, d, d), g is (B, d) and cost is (B,).
     """
+    b, d = x.shape
     n = pr.shape[0]
-    d = x.shape[0]
-    diff = x[:3] - sat_pos
-    rng = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2])
+    diff = x[:, None, :3] - sat_pos
+    rng = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] + diff[..., 2] * diff[..., 2])
     rng = np.maximum(rng, 1e-3)
-    J = np.zeros((n, d + 1))
-    J[:, :3] = diff / rng[:, None]
-    J[np.arange(n), 3 + const_idx] = 1.0
-    J[:, d] = pr - (rng + x[3 + const_idx])
-    # Row-ordered products summed over axis 0 from 0.0: M[j, k] is
-    # sum_i (w_i J_ij) J_ik, accumulated measurement by measurement.
-    M = ((J * w[:, None])[:, :, None] * J[:, None, :]).sum(axis=0, initial=0.0)
-    # (w Hj) Hk and (w Hk) Hj round differently; keep A exactly symmetric.
-    A = np.triu(M[:d, :d])
-    A = A + np.triu(A, 1).T
-    return A, M[:d, d], M[d, d]
+    J = np.zeros((b, n, d + 1))
+    J[..., :3] = diff / rng[..., None]
+    J[:, np.arange(n), 3 + const_idx] = 1.0
+    J[..., d] = pr - (rng + x[:, 3 + const_idx])
+    # Row-ordered products summed over the measurement axis from 0.0:
+    # M[b, j, k] is sum_i (w_bi J_bij) J_bik, accumulated measurement by
+    # measurement (numpy adds the (d+1, d+1) slabs in order; it does not
+    # pairwise-sum over an outer axis).
+    M = ((J * w[..., None])[..., :, None] * J[..., None, :]).sum(axis=1, initial=0.0)
+    # (w Hj) Hk and (w Hk) Hj round differently; keep A exactly symmetric
+    # by mirroring the upper triangle onto the lower.
+    i = np.arange(d)
+    A = np.where(i[:, None] <= i, M[:, :d, :d], M[:, :d, :d].swapaxes(1, 2))
+    return A, M[:, :d, d], M[:, d, d]
 
 
 def _sum_sq(v):
-    """sum_j v_j^2 added in index order (np.sum would add pairwise)."""
-    return np.cumsum(v * v)[-1]
+    """sum_j v[b, j]^2 added in index order (np.sum would add pairwise)."""
+    return np.cumsum(v * v, axis=1)[:, -1]
+
+
+def _solve(A, g):
+    """x[b] = A[b]^-1 g[b] for a stack of systems."""
+    return np.linalg.solve(A, g[..., None])[..., 0]
 
 
 def lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
              max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
-    """Levenberg-Marquardt minimization of sum_i w_i (rho_i - h_i(x))^2.
+    """One solve: ``lm_solve_batch`` on a stack of one.
 
-    Returns (x, iterations, status, cost). Damping multiplies the normal
-    matrix diagonal. A trial step is accepted only if it strictly lowers
-    the cost, and damping is then scaled by lam_down; a trial that raises
-    the cost is retried with damping raised by lam_up.
+    Returns (x, iterations, status, cost) with x of shape (3 + n_const,).
+    """
+    x, iterations, status, cost = lm_solve_batch(
+        sat_pos, pr, w[None], const_idx, n_const, x0[None],
+        max_iter, step_tol, lam0, lam_up, lam_down, cond_limit,
+    )
+    return x[0], int(iterations[0]), int(status[0]), cost[0]
+
+
+def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
+                   max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
+    """Levenberg-Marquardt minimization of sum_i w[b, i] (rho_i - h_i(x))^2, per row b.
+
+    w is (B, N) and x0 is (B, 3 + n_const). Returns arrays (x, iterations,
+    status, cost), one entry per row. Each row runs the algorithm below
+    on its own; the rows only share numpy calls. Every round makes one
+    trial for each row still iterating, and a row leaves the working set
+    when it stops, so row b gets the bits a stack of one would give it.
+
+    Damping multiplies the normal matrix diagonal. A trial step is
+    accepted only if it strictly lowers the cost, and damping is then
+    scaled by lam_down; a trial that raises the cost is retried (up to 64
+    trials per iteration) with damping raised by lam_up.
 
     Stopping rule (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
     Least Squares Problems", DTU 2004):
@@ -79,73 +109,101 @@ def lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
     Gauss-Newton polish. STATUS_MAX_ITER is returned only when all
     max_iter iterations lowered the cost, i.e. it was still falling at
     the cap; STATUS_SINGULAR when the normal matrix condition number
-    exceeds cond_limit.
+    exceeds cond_limit at the start of an iteration.
     """
-    d = 3 + n_const
-    x = x0.copy()
-    lam = lam0
-    status = STATUS_MAX_ITER
-    iterations = 0
-    diag = np.diag_indices(d)
-    A, g, cost = _normal_equations(x, sat_pos, pr, w, const_idx)
+    nb, d = x0.shape[0], 3 + n_const
+    x_out = np.array(x0, dtype=float)
+    A_out, g_out, cost_out = _normal_equations(x_out, sat_pos, pr, w, const_idx)
+    it_out = np.zeros(nb, dtype=np.int64)
+    status_out = np.full(nb, STATUS_MAX_ITER)
 
-    for it in range(max_iter):
-        iterations = it + 1
-        s = np.linalg.svd(A)[1]
-        if s[s.shape[0] - 1] <= 0.0 or s[0] / s[s.shape[0] - 1] > cond_limit:
-            status = STATUS_SINGULAR
+    # The working set: rows still in the damped loop and their state.
+    rows = np.arange(nb) if max_iter > 0 else np.arange(0)
+    x, A, g, cost, wr = x_out, A_out, g_out, cost_out, w
+    lam = np.full(rows.size, float(lam0))
+    iters = np.ones(rows.size, dtype=np.int64)  # the iteration each row is in
+    trials = np.zeros(rows.size, dtype=np.int64)  # rejected trials in it
+    fresh = np.ones(rows.size, dtype=bool)  # at the start of an iteration
+
+    def leave(stop, status):
+        """Retire the rows flagged in ``stop`` with their ``status``."""
+        nonlocal rows, x, A, g, cost, wr, lam, iters, trials, fresh
+        out = rows[stop]
+        x_out[out], A_out[out], g_out[out], cost_out[out] = x[stop], A[stop], g[stop], cost[stop]
+        it_out[out], status_out[out] = iters[stop], status[stop]
+        keep = ~stop
+        rows, x, A, g, cost, wr = rows[keep], x[keep], A[keep], g[keep], cost[keep], wr[keep]
+        lam, iters, trials, fresh = lam[keep], iters[keep], trials[keep], fresh[keep]
+
+    while rows.size:
+        n_fresh = np.count_nonzero(fresh)
+        if n_fresh:
+            all_fresh = n_fresh == rows.size
+            s = np.linalg.svd(A if all_fresh else A[fresh])[1]
+            low = s[:, -1]
+            bad = (low <= 0.0) | (s[:, 0] / np.where(low > 0.0, low, np.inf) > cond_limit)
+            if np.count_nonzero(bad):
+                if not all_fresh:
+                    bad_fresh, bad = bad, np.zeros(rows.size, dtype=bool)
+                    bad[fresh] = bad_fresh
+                leave(bad, np.full(rows.size, STATUS_SINGULAR))
+                if not rows.size:
+                    break
+
+        Ad = A.copy()
+        Ad_diag = Ad.reshape(rows.size, d * d)[:, ::d + 1]  # a view
+        Ad_diag += lam[:, None] * np.maximum(Ad_diag, 1e-12)
+        dx = _solve(Ad, g)
+        xc = x + dx
+        A_c, g_c, cost_c = _normal_equations(xc, sat_pos, pr, wr, const_idx)
+        # Only a strict decrease is progress. An equal cost means the step
+        # is lost in rounding: accepting it lets the iterate wander along
+        # the flat floor with steps above step_tol and never stop.
+        better = cost_c < cost
+        converged = cost_c == cost  # stagnation at the rounding floor
+        trials = np.where(better, 0, trials + 1)
+        lam = np.where(better, np.maximum(lam * lam_down, 1e-12), lam * lam_up)
+        # no trial lowered the cost (saturated damping or all 64 trials
+        # spent): the iterate is a numerical stationary point
+        converged |= (lam > 1e14) & ~better | (trials == 64)
+        converged |= better & (np.sqrt(_sum_sq(dx)) < step_tol)
+        n_better = np.count_nonzero(better)
+        if n_better == rows.size:
+            x, A, g, cost = xc, A_c, g_c, cost_c
+        elif n_better:
+            x = np.where(better[:, None], xc, x)
+            A = np.where(better[:, None, None], A_c, A)
+            g = np.where(better[:, None], g_c, g)
+            cost = np.where(better, cost_c, cost)
+        fresh = better
+        stop = converged | better & (iters == max_iter)
+        if np.count_nonzero(stop):
+            leave(stop, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITER))
+        iters += fresh
+
+    # Undamped Gauss-Newton polish of the converged rows. The damped loop
+    # stops within step_tol of the minimizer, or where no trial lowers the
+    # cost; near the minimizer the computed cost is flat to rounding
+    # (residuals are differences of ~1e7 m quantities, so the cost carries
+    # ~1e-8 relative noise) and cannot gate acceptance. The gradient still
+    # resolves the offset, so take plain GN steps while the step norm
+    # shrinks and stop once it stalls or grows.
+    rows = np.flatnonzero(status_out == STATUS_CONVERGED)
+    A, g, wr = A_out[rows], g_out[rows], w[rows]
+    prev2 = np.full(rows.size, 1e300)
+    for _p in range(10):
+        if not rows.size:
             break
-
-        accepted = False
-        step_norm = 0.0
-        for _trial in range(64):
-            Ad = A.copy()
-            Ad[diag] += lam * np.maximum(A[diag], 1e-12)
-            dxs = np.linalg.solve(Ad, g)
-            xc = x + dxs
-            A_c, g_c, cost_c = _normal_equations(xc, sat_pos, pr, w, const_idx)
-            # Only a strict decrease is progress. An equal cost means the
-            # step is lost in rounding: accepting it lets the iterate wander
-            # along the flat floor with steps above step_tol and never stop.
-            if cost_c < cost:
-                x, A, g, cost = xc, A_c, g_c, cost_c
-                lam = max(lam * lam_down, 1e-12)
-                step_norm = math.sqrt(_sum_sq(dxs))
-                accepted = True
-                break
-            if cost_c == cost:
-                break  # stagnation at the rounding floor
-            lam = lam * lam_up
-            if lam > 1e14:
-                break
-
-        if not accepted:
-            # no trial lowered the cost (stagnation or saturated damping):
-            # the iterate is a numerical stationary point
-            status = STATUS_CONVERGED
+        dx = _solve(A, g)
+        step2 = _sum_sq(dx)
+        go = ~((step2 > 1.0) | (step2 > prev2))
+        rows, dx, step2, wr = rows[go], dx[go], step2[go], wr[go]
+        if not rows.size:
             break
-        if step_norm < step_tol:
-            status = STATUS_CONVERGED
-            break
+        x = x_out[rows] + dx
+        A, g, cost = _normal_equations(x, sat_pos, pr, wr, const_idx)
+        x_out[rows], cost_out[rows] = x, cost
+        more = ~(step2 < 1e-20)
+        rows, A, g, wr, prev2 = rows[more], A[more], g[more], wr[more], step2[more]
 
-    if status == STATUS_CONVERGED:
-        # Undamped Gauss-Newton polish. The damped loop stops within
-        # step_tol of the minimizer, or where no trial lowers the cost;
-        # near the minimizer the computed cost is flat to
-        # rounding (residuals are differences of ~1e7 m quantities, so the
-        # cost carries ~1e-8 relative noise) and cannot gate acceptance.
-        # The gradient still resolves the offset, so take plain GN steps
-        # while the step norm shrinks and stop once it stalls or grows.
-        prev2 = 1e300
-        for _p in range(10):
-            dxs = np.linalg.solve(A, g)
-            step2 = _sum_sq(dxs)
-            if step2 > 1.0 or step2 > prev2:
-                break
-            prev2 = step2
-            x = x + dxs
-            A, g, cost = _normal_equations(x, sat_pos, pr, w, const_idx)
-            if step2 < 1e-20:
-                break
-
-    return x, iterations, status, cost
+    return x_out, it_out, status_out, cost_out

@@ -75,10 +75,14 @@ def jacobian(state: NavState, epoch: Epoch) -> np.ndarray:
 
 
 def predicted_pseudoranges(epoch: Epoch, x: np.ndarray) -> np.ndarray:
-    """Vectorized observation function over the epoch at kernel-layout x."""
+    """Vectorized observation function over the epoch at kernel-layout x.
+
+    x is one state (d,) or a stack of states (B, d); the result is (N,)
+    or (B, N).
+    """
     sat = epoch.sat_array()
-    rng = np.linalg.norm(x[None, :3] - sat, axis=1)
-    return rng + x[3 + epoch.const_index()]
+    rng = np.linalg.norm(x[..., None, :3] - sat, axis=-1)
+    return rng + x[..., 3 + epoch.const_index()]
 
 
 def solve_wls(
@@ -156,7 +160,9 @@ def equal_weight_fix(
 
     This is the one solve every consumer of an epoch starts from: the
     featurizer's rough position, the warm start of each weighted
-    strategy and FDE's rounds; leave-one-out rows solve it on subsets.
+    strategy and FDE's rounds. ``residuals.build_residual_matrix`` gives
+    its rows the bits of this fix on each leave-one-out subset, from one
+    batched kernel call.
     A NonConvergence report counts as the fix; NotEnoughMeasurements and
     SingularGeometry propagate.
     """

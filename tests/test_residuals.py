@@ -1,10 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from gnssweight.errors import NotEnoughMeasurements
-from gnssweight.model import Epoch
+from gnssweight import _kernels
+from gnssweight.errors import NotEnoughMeasurements, SingularGeometry
+from gnssweight.geo import EcefPosition, GeodeticPosition, enu_rotation
+from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 from gnssweight.residuals import GAMMA, build_residual_matrix
-from gnssweight.solver import predicted_pseudoranges, solve_wls, state_to_vector
+from gnssweight.solver import (
+    _DEFAULT_START,
+    SolverConfig,
+    equal_weight_fix,
+    predicted_pseudoranges,
+    solve_wls,
+    state_to_vector,
+)
 from conftest import make_epoch
 
 
@@ -36,9 +47,8 @@ def test_matches_brute_force_subset_solves(rng):
         expect = epoch.pr_array() - predicted_pseudoranges(
             epoch, state_to_vector(epoch, rep.state)
         )
-        mask = np.arange(epoch.n) != row
-        assert np.max(np.abs(M.values[row, mask] - expect[mask])) < 1e-9
-        assert M.values[row, row] == GAMMA
+        expect[row] = GAMMA
+        assert np.array_equal(M.values[row], expect)
 
 
 def test_faulted_measurement_signature(rng):
@@ -138,3 +148,111 @@ def test_single_member_constellation_row(rng):
     assert M.values[idx, idx] == GAMMA
     mask = np.arange(mixed.n) != idx
     assert np.max(np.abs(M.values[idx, mask])) < 1e-6
+
+
+def _subset_row(epoch, row, cfg):
+    """Row ``row`` of the leave-one-out matrix from an independent fix, or None."""
+    sub = Epoch(
+        time=epoch.time,
+        measurements=[m for i, m in enumerate(epoch.measurements) if i != row],
+    )
+    try:
+        rep = equal_weight_fix(sub, cfg)
+    except SingularGeometry:
+        return None
+    res = epoch.pr_array() - predicted_pseudoranges(epoch, state_to_vector(epoch, rep.state))
+    res[row] = GAMMA
+    return res
+
+
+def test_batched_rows_match_single_solves():
+    """Each row of a lockstep batch has the bits of its own solve, and each
+    leave-one-out row the bits of an equal-weight fix on its subset."""
+    rng = np.random.default_rng(515)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
+    statuses = np.zeros(3, dtype=int)
+    dropped_rows = failed_rows = 0
+    for k in range(300):
+        n_const = 1 + k % 3
+        sigma = (0.0, 2.0, 30.0)[k // 3 % 3]
+        splice = k % 4 == 0
+        n = int(rng.integers(n_const + 4, 31 - splice))
+        epoch, _ = make_epoch(rng, n=n, constellations=consts[:n_const], noise_sigma=sigma)
+        if splice:
+            # a one-satellite BeiDou link: its row solves without that clock
+            base = epoch.measurements[int(rng.integers(0, n))]
+            sat = base.sat_pos.as_array() + rng.normal(0.0, 1e6, size=3)
+            one = PseudorangeMeasurement(
+                ConstellationId.BEIDOU, 40, base.band, base.pseudorange + rng.normal(0.0, 50.0),
+                EcefPosition.from_array(sat), 40.0, 1.0,
+            )
+            epoch = Epoch(time=epoch.time, measurements=[*epoch.measurements, one])
+            dropped_rows += 1
+        if k % 10 == 5:
+            # four links on one line of sight: small subsets go singular
+            ms = epoch.measurements
+            ms[1:4] = [
+                PseudorangeMeasurement(m.constellation, m.sv_id, m.band, m.pseudorange,
+                                       ms[0].sat_pos, m.cn0, m.lock_time)
+                for m in ms[1:4]
+            ]
+        n, dim = epoch.n, epoch.state_dim()
+
+        # the kernel: rows of 1 - I, cold-started, some epochs capped early
+        # so that batches mix converged, capped and singular rows
+        cfg = SolverConfig(max_iterations=4 if k % 7 == 3 else 50)
+        args = (cfg.max_iterations, cfg.step_tolerance, cfg.initial_damping,
+                cfg.damping_up, cfg.damping_down, cfg.cond_limit)
+        sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
+        W = 1.0 - np.eye(n)
+        X0 = np.zeros((n, dim))
+        X0[:, :3] = _DEFAULT_START.as_array()
+        X, its, status, cost = _kernels.lm_solve_batch(sat, pr, W, idx, dim - 3, X0, *args)
+        for row in range(n):
+            x, it, st, c = _kernels.lm_solve(sat, pr, W[row], idx, dim - 3, X0[row], *args)
+            assert X[row].tobytes() == x.tobytes(), (k, row)
+            assert (its[row], status[row], cost[row].tobytes()) == (it, st, c.tobytes()), (k, row)
+            statuses[st] += 1
+
+        # the leave-one-out matrix against independent subset fixes
+        M = build_residual_matrix(epoch, cfg)
+        failed = []
+        for row in range(n):
+            expect = _subset_row(epoch, row, cfg)
+            if expect is None:
+                failed.append(row)
+                expect = np.full(n, GAMMA)
+            assert np.array_equal(M.values[row], expect), (k, row)
+        assert M.failed_rows == failed, k
+        failed_rows += len(failed)
+    # the cases reach every status, failed rows and rows that drop a constellation
+    assert np.all(statuses > 0), statuses
+    assert failed_rows > 0
+    assert dropped_rows == 75
+
+
+def test_singular_subset_row_is_gamma_and_listed():
+    """Four satellites on one elevation cone around the receiver make every
+    subset that keeps all four singular (their up and clock columns are
+    proportional), so only the row excluding the fifth satellite fails."""
+    rx_geo = GeodeticPosition(0.0, 0.0, 0.0)  # the cold start, so the first check sees it
+    rx = _DEFAULT_START.as_array()
+    rot = enu_rotation(rx_geo)
+    sky = [(30.0, 20.0), (30.0, 110.0), (30.0, 200.0), (30.0, 290.0), (75.0, 0.0)]
+    ms = []
+    for sv, (el, az) in enumerate(sky, start=1):
+        el, az = math.radians(el), math.radians(az)
+        enu = [math.cos(el) * math.sin(az), math.cos(el) * math.cos(az), math.sin(el)]
+        los = rot.T @ np.array(enu)
+        sat = rx + 2.2e7 * los
+        ms.append(PseudorangeMeasurement(
+            ConstellationId.GPS, sv, Band.L1, float(np.linalg.norm(sat - rx)),
+            EcefPosition.from_array(sat), 45.0, 10.0,
+        ))
+    epoch = Epoch(time=0.0, measurements=ms)
+    M = build_residual_matrix(epoch)
+    assert M.failed_rows == [4]
+    assert np.all(M.values[4] == GAMMA)
+    assert np.max(np.abs(M.values[:4][~np.eye(4, 5, dtype=bool)])) < 1e-6
+    with pytest.raises(SingularGeometry):
+        equal_weight_fix(Epoch(time=0.0, measurements=ms[:4]))

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from gnssweight import _kernels, solver
 from gnssweight.errors import NotEnoughMeasurements, SingularGeometry
 from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition
 from gnssweight.model import ConstellationId, Epoch, NavState
-from gnssweight.solver import jacobian, solve_wls
+from gnssweight.solver import SolverConfig, jacobian, solve_wls, state_to_vector
 from conftest import make_epoch
 
 
@@ -220,3 +223,105 @@ def test_monte_carlo_covariance(rng):
     cov_emp = np.cov(np.array(samples).T)
     rel = np.linalg.norm(cov_emp - cov_lin) / np.linalg.norm(cov_lin)
     assert rel < 0.15
+
+
+def _reference_normal_equations(x, sat_pos, pr, w, const_idx):
+    """One state's (A, g, cost), each sum taken measurement by measurement."""
+    n, d = pr.shape[0], x.shape[0]
+    diff = x[:3] - sat_pos
+    rng = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2])
+    rng = np.maximum(rng, 1e-3)
+    J = np.zeros((n, d + 1))
+    J[:, :3] = diff / rng[:, None]
+    J[np.arange(n), 3 + const_idx] = 1.0
+    J[:, d] = pr - (rng + x[3 + const_idx])
+    M = np.zeros((d + 1, d + 1))
+    for i in range(n):
+        M = M + (J[i] * w[i])[:, None] * J[i][None, :]
+    A = np.triu(M[:d, :d])
+    return A + np.triu(A, 1).T, M[:d, d], M[d, d]
+
+
+def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
+                        max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
+    """The one-problem loop that ``_kernels.lm_solve_batch`` runs per row."""
+    d = 3 + n_const
+    x, lam, status, iterations = x0.copy(), lam0, _kernels.STATUS_MAX_ITER, 0
+    A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
+    sum_sq = lambda v: np.cumsum(v * v)[-1]  # noqa: E731
+    for it in range(max_iter):
+        iterations = it + 1
+        s = np.linalg.svd(A)[1]
+        if s[-1] <= 0.0 or s[0] / s[-1] > cond_limit:
+            status = _kernels.STATUS_SINGULAR
+            break
+        accepted = False
+        for _trial in range(64):
+            Ad = A.copy()
+            Ad[np.diag_indices(d)] += lam * np.maximum(np.diag(A), 1e-12)
+            dx = np.linalg.solve(Ad, g)
+            A_c, g_c, cost_c = _reference_normal_equations(x + dx, sat_pos, pr, w, const_idx)
+            if cost_c < cost:
+                x, A, g, cost = x + dx, A_c, g_c, cost_c
+                lam = max(lam * lam_down, 1e-12)
+                accepted = True
+                break
+            if cost_c == cost:
+                break
+            lam = lam * lam_up
+            if lam > 1e14:
+                break
+        if not accepted or math.sqrt(sum_sq(dx)) < step_tol:
+            status = _kernels.STATUS_CONVERGED
+            break
+    if status == _kernels.STATUS_CONVERGED:
+        prev2 = 1e300
+        for _p in range(10):
+            dx = np.linalg.solve(A, g)
+            step2 = sum_sq(dx)
+            if step2 > 1.0 or step2 > prev2:
+                break
+            prev2 = step2
+            x = x + dx
+            A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
+            if step2 < 1e-20:
+                break
+    return x, iterations, status, cost
+
+
+def test_kernel_matches_reference_loop():
+    """Every row of a batch, and a single solve, has the bits of the
+    one-problem loop: cold and warm starts, random weights with zeros,
+    low iteration caps and singular weightings."""
+    rng = np.random.default_rng(77)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
+    cfg = SolverConfig()
+    statuses = np.zeros(3, dtype=int)
+    for k in range(60):
+        n_const = 1 + k % 3
+        dim = 3 + n_const
+        n = int(rng.integers(dim, 25))
+        epoch, truth = make_epoch(rng, n=n, constellations=consts[:n_const],
+                                  noise_sigma=(0.0, 2.0, 30.0)[k // 3 % 3])
+        sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
+        truth_x = state_to_vector(epoch, truth)
+        rows = 6
+        W = rng.uniform(0.05, 3.0, size=(rows, n))
+        W[0] = 1.0
+        W[1, rng.choice(n, size=n - dim, replace=False)] = 0.0
+        W[2, rng.choice(n, size=n - dim + 1, replace=False)] = 0.0  # too few: singular
+        X0 = np.tile(truth_x, (rows, 1)) + rng.normal(0.0, 1e4, size=(rows, dim))
+        X0[:2, :3] = solver._DEFAULT_START.as_array()
+        X0[:2, 3:] = 0.0
+        args = (3 if k % 5 == 0 else cfg.max_iterations, cfg.step_tolerance, cfg.initial_damping,
+                cfg.damping_up, cfg.damping_down, cfg.cond_limit)
+        X, its, status, cost = _kernels.lm_solve_batch(sat, pr, W, idx, n_const, X0, *args)
+        for row in range(rows):
+            x, it, st, c = _reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], *args)
+            single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], *args)
+            for got in ((X[row], its[row], status[row], cost[row]), single):
+                assert got[0].tobytes() == x.tobytes(), (k, row)
+                got_c = np.float64(got[3]).tobytes()
+                assert (got[1], got[2], got_c) == (it, st, c.tobytes()), (k, row)
+            statuses[st] += 1
+    assert np.all(statuses > 0), statuses
