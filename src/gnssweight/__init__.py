@@ -2,7 +2,7 @@
 
 from .geo import EcefPosition, EnuVector, GeodeticPosition, SPEED_OF_LIGHT
 from .model import Band, ConstellationId, Epoch, NavState, PseudorangeMeasurement
-from .solver import SolveReport, SolverConfig, solve_wls
+from .solver import SolveReport, solve_wls
 
 __version__ = "0.1.0"
 
@@ -17,6 +17,5 @@ __all__ = [
     "PseudorangeMeasurement",
     "SPEED_OF_LIGHT",
     "SolveReport",
-    "SolverConfig",
     "solve_wls",
 ]

@@ -19,6 +19,13 @@ Kernel state layout: [x, y, z, b_0 .. b_{K-1}] with clock terms in
 meters (c * delta). Parameterizing clocks in meters keeps the normal
 matrix condition number near the geometry's true DOP instead of
 inflating it by c^2.
+
+The solver's settings are the module constants below: the iteration cap
+``MAX_ITERATIONS``, the step length ``STEP_TOLERANCE`` (m) that counts as
+converged, the damping schedule ``INITIAL_DAMPING``, ``DAMPING_UP`` and
+``DAMPING_DOWN``, and ``COND_LIMIT``, the normal matrix condition number
+above which a solve is singular. Only the cap is an argument of the
+solve functions, so that a test can lower it.
 """
 
 import numpy as np
@@ -31,6 +38,13 @@ NUMBA_ENABLED = False
 STATUS_CONVERGED = 0
 STATUS_MAX_ITER = 1
 STATUS_SINGULAR = 2
+
+MAX_ITERATIONS = 50
+STEP_TOLERANCE = 1e-6
+INITIAL_DAMPING = 1e-3
+DAMPING_UP = 10.0
+DAMPING_DOWN = 0.1
+COND_LIMIT = 1e12
 
 
 def _normal_equations(x, sat_pos, pr, w, const_idx):
@@ -71,21 +85,18 @@ def _solve(A, g):
     return np.linalg.solve(A, g[..., None])[..., 0]
 
 
-def lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
-             max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
+def lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     """One solve: ``lm_solve_batch`` on a stack of one.
 
     Returns (x, iterations, status, cost) with x of shape (3 + n_const,).
     """
     x, iterations, status, cost = lm_solve_batch(
-        sat_pos, pr, w[None], const_idx, n_const, x0[None],
-        max_iter, step_tol, lam0, lam_up, lam_down, cond_limit,
+        sat_pos, pr, w[None], const_idx, n_const, x0[None], max_iter
     )
     return x[0], int(iterations[0]), int(status[0]), cost[0]
 
 
-def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
-                   max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
+def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     """Levenberg-Marquardt minimization of sum_i w[b, i] (rho_i - h_i(x))^2, per row b.
 
     w is (B, N) and x0 is (B, 3 + n_const). Returns arrays (x, iterations,
@@ -96,12 +107,12 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
 
     Damping multiplies the normal matrix diagonal. A trial step is
     accepted only if it strictly lowers the cost, and damping is then
-    scaled by lam_down; a trial that raises the cost is retried (up to 64
-    trials per iteration) with damping raised by lam_up.
+    scaled by DAMPING_DOWN; a trial that raises the cost is retried (up to
+    64 trials per iteration) with damping raised by DAMPING_UP.
 
     Stopping rule (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
     Least Squares Problems", DTU 2004):
-    - an accepted step shorter than step_tol, or
+    - an accepted step shorter than STEP_TOLERANCE, or
     - no trial lowers the cost: a trial cost exactly equal to the current
       one (the iterate is at the rounding floor, where the computed cost
       is flat), or damping saturating above 1e14.
@@ -109,7 +120,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
     Gauss-Newton polish. STATUS_MAX_ITER is returned only when all
     max_iter iterations lowered the cost, i.e. it was still falling at
     the cap; STATUS_SINGULAR when the normal matrix condition number
-    exceeds cond_limit at the start of an iteration.
+    exceeds COND_LIMIT at the start of an iteration.
     """
     nb, d = x0.shape[0], 3 + n_const
     x_out = np.array(x0, dtype=float)
@@ -120,7 +131,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
     # The working set: rows still in the damped loop and their state.
     rows = np.arange(nb) if max_iter > 0 else np.arange(0)
     x, A, g, cost, wr = x_out, A_out, g_out, cost_out, w
-    lam = np.full(rows.size, float(lam0))
+    lam = np.full(rows.size, INITIAL_DAMPING)
     iters = np.ones(rows.size, dtype=np.int64)  # the iteration each row is in
     trials = np.zeros(rows.size, dtype=np.int64)  # rejected trials in it
     fresh = np.ones(rows.size, dtype=bool)  # at the start of an iteration
@@ -141,7 +152,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
             all_fresh = n_fresh == rows.size
             s = np.linalg.svd(A if all_fresh else A[fresh])[1]
             low = s[:, -1]
-            bad = (low <= 0.0) | (s[:, 0] / np.where(low > 0.0, low, np.inf) > cond_limit)
+            bad = (low <= 0.0) | (s[:, 0] / np.where(low > 0.0, low, np.inf) > COND_LIMIT)
             if np.count_nonzero(bad):
                 if not all_fresh:
                     bad_fresh, bad = bad, np.zeros(rows.size, dtype=bool)
@@ -158,15 +169,15 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
         A_c, g_c, cost_c = _normal_equations(xc, sat_pos, pr, wr, const_idx)
         # Only a strict decrease is progress. An equal cost means the step
         # is lost in rounding: accepting it lets the iterate wander along
-        # the flat floor with steps above step_tol and never stop.
+        # the flat floor with steps above STEP_TOLERANCE and never stop.
         better = cost_c < cost
         converged = cost_c == cost  # stagnation at the rounding floor
         trials = np.where(better, 0, trials + 1)
-        lam = np.where(better, np.maximum(lam * lam_down, 1e-12), lam * lam_up)
+        lam = np.where(better, np.maximum(lam * DAMPING_DOWN, 1e-12), lam * DAMPING_UP)
         # no trial lowered the cost (saturated damping or all 64 trials
         # spent): the iterate is a numerical stationary point
         converged |= (lam > 1e14) & ~better | (trials == 64)
-        converged |= better & (np.sqrt(_sum_sq(dx)) < step_tol)
+        converged |= better & (np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE)
         n_better = np.count_nonzero(better)
         if n_better == rows.size:
             x, A, g, cost = xc, A_c, g_c, cost_c
@@ -182,12 +193,12 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0,
         iters += fresh
 
     # Undamped Gauss-Newton polish of the converged rows. The damped loop
-    # stops within step_tol of the minimizer, or where no trial lowers the
-    # cost; near the minimizer the computed cost is flat to rounding
-    # (residuals are differences of ~1e7 m quantities, so the cost carries
-    # ~1e-8 relative noise) and cannot gate acceptance. The gradient still
-    # resolves the offset, so take plain GN steps while the step norm
-    # shrinks and stop once it stalls or grows.
+    # stops within STEP_TOLERANCE of the minimizer, or where no trial
+    # lowers the cost; near the minimizer the computed cost is flat to
+    # rounding (residuals are differences of ~1e7 m quantities, so the cost
+    # carries ~1e-8 relative noise) and cannot gate acceptance. The
+    # gradient still resolves the offset, so take plain GN steps while the
+    # step norm shrinks and stop once it stalls or grows.
     rows = np.flatnonzero(status_out == STATUS_CONVERGED)
     A, g, wr = A_out[rows], g_out[rows], w[rows]
     prev2 = np.full(rows.size, 1e300)

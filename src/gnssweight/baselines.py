@@ -12,7 +12,7 @@ from scipy.optimize import nnls
 from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, NonConvergence
 from .geo import SPEED_OF_LIGHT, ecef_to_geodetic, elevation_azimuth
 from .model import Epoch
-from .solver import SolveReport, SolverConfig, equal_weight_fix, jacobian, solve_wls
+from .solver import SolveReport, equal_weight_fix, jacobian, solve_wls
 
 DEFAULT_ELEVATION_MASK = math.radians(5.0)
 
@@ -40,34 +40,26 @@ class FdeConfig:
     max_exclusions: int = 8
     min_retained: int = 6
     noise_sigma_m: float = 1.0  # nominal sigma used to standardize residuals
-    elevation_mask: float = DEFAULT_ELEVATION_MASK
 
 
 def cn0_linear(cn0_dbhz) -> float:
     return 10.0 ** (np.asarray(cn0_dbhz, dtype=float) / 10.0)
 
 
-def sota_sigma2(
-    theta: float,
-    cn0_dbhz: float,
-    a: float,
-    p: SotaWeightParams,
-    elevation_mask: float = DEFAULT_ELEVATION_MASK,
-) -> float:
+def sota_sigma2(theta: float, cn0_dbhz: float, a: float, p: SotaWeightParams) -> float:
     """Parametric pseudorange variance, m^2."""
-    if theta <= elevation_mask:
+    if theta <= DEFAULT_ELEVATION_MASK:
         raise HorizonSingularity(f"elevation {theta:.4f} rad at or below the mask")
     s = math.sin(theta)
     return (p.sigma_z2 + p.sigma_c2 / cn0_linear(cn0_dbhz) + p.sigma_a2 * a * a) / (s * s)
 
 
-def sota_weights(thetas, cn0s, accels, p: SotaWeightParams,
-                 elevation_mask: float = DEFAULT_ELEVATION_MASK) -> np.ndarray:
+def sota_weights(thetas, cn0s, accels, p: SotaWeightParams) -> np.ndarray:
     """1/sigma^2 per link; links at or below the mask get weight 0."""
     w = np.zeros(len(thetas))
     for i, (t, c, a) in enumerate(zip(thetas, cn0s, accels)):
-        if t > elevation_mask:
-            w[i] = 1.0 / sota_sigma2(t, c, a, p, elevation_mask)
+        if t > DEFAULT_ELEVATION_MASK:
+            w[i] = 1.0 / sota_sigma2(t, c, a, p)
     return w
 
 
@@ -138,8 +130,6 @@ def fde_solve(
     epoch: Epoch,
     cfg: FdeConfig,
     params: SotaWeightParams,
-    accels=None,
-    solver_cfg: SolverConfig | None = None,
     fix: SolveReport | None = None,
 ) -> FdeResult:
     """Iterative residual-test exclusion, then a parametric-weight solve.
@@ -147,21 +137,19 @@ def fde_solve(
     Each round solves the surviving set with equal weights, standardizes
     the post-fit residuals by their linearized variance, and drops the
     worst offender while it exceeds the threshold. Survivors are finally
-    solved with 1/sigma2 weights from the parametric model. ``fix`` is the
+    solved with ``sota_weights`` from the parametric model, at zero
+    acceleration (the dataset has no acceleration channel). ``fix`` is the
     epoch's ``equal_weight_fix`` when the caller already has it; it is the
     first round, which is solved here otherwise.
     """
-    solver_cfg = solver_cfg or SolverConfig()
     n = epoch.n
     min_keep = max(cfg.min_retained, epoch.state_dim())
     if n < min_keep + 1:
         raise NotEnoughMeasurements(f"N={n} below min retained {min_keep} + 1")
-    if accels is None:
-        accels = np.zeros(n)
 
     active = np.ones(n, dtype=bool)
     excluded: list[int] = []
-    rep = fix if fix is not None else equal_weight_fix(epoch, solver_cfg)
+    rep = fix if fix is not None else equal_weight_fix(epoch)
     while True:
         state = rep.state
         if int(active.sum()) <= min_keep or len(excluded) >= cfg.max_exclusions:
@@ -181,23 +169,20 @@ def fde_solve(
         active_idx = np.flatnonzero(active)
         excluded.append(int(active_idx[worst]))
         active[active_idx[worst]] = False
-        rep = equal_weight_fix(epoch, solver_cfg, active)
+        rep = equal_weight_fix(epoch, active)
 
     # parametric weights on the survivors
     rx_geo = ecef_to_geodetic(state.position)
+    survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
+    thetas = [elevation_azimuth(m.sat_pos, rx_geo)[0] for m in survivors]
     w = np.zeros(n)
-    for i in np.flatnonzero(active):
-        m = epoch.measurements[i]
-        theta, _ = elevation_azimuth(m.sat_pos, rx_geo)
-        if theta <= cfg.elevation_mask:
-            continue
-        w[i] = 1.0 / sota_sigma2(theta, m.cn0, float(accels[i]), params, cfg.elevation_mask)
+    w[active] = sota_weights(thetas, [m.cn0 for m in survivors], np.zeros(len(survivors)), params)
     if int(np.sum(w > 0)) < epoch.state_dim():
         w = active.astype(float)  # degenerate masking: fall back to equal weights
     try:
         # warm start from the survivor fix: anisotropic weights converge in
         # a few steps from there where a cold start can creep for dozens
-        final = solve_wls(epoch, w, init=state, cfg=solver_cfg)
+        final = solve_wls(epoch, w, init=state)
     except NonConvergence as e:
         final = e.report
     return FdeResult(report=final, excluded=sorted(excluded))

@@ -54,7 +54,7 @@ def _cmd_featurize(args) -> int:
     i = 0
     for split, samples in splits.items():
         ids = []
-        for fm, labels, epoch in samples:
+        for fm, labels in samples:
             arrays[f"fm_{i}"] = fm
             if labels is not None:
                 arrays[f"lab_{i}"] = labels
@@ -76,7 +76,7 @@ def _load_feature_cache(path):
             for i in ids:
                 fm = data[f"fm_{i}"].copy()
                 lab = data[f"lab_{i}"].copy() if f"lab_{i}" in data else None
-                samples.append((fm, lab, None))
+                samples.append((fm, lab))
             splits[split] = samples
     return splits
 

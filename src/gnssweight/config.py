@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 
 import yaml
 
@@ -41,6 +42,23 @@ DEFAULTS = {
 }
 
 
+def _check_leaf(where: str, value, default) -> None:
+    """``value`` must have the type of its default: a finite number (an int
+    will do) for a float, an int (not a bool) for an int, a list of strings
+    for a list, a string for a string."""
+    if isinstance(default, float):
+        ok = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        want = "a finite number"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        want = "a list of strings"
+    else:
+        ok = isinstance(value, type(default))
+        want = "an integer" if isinstance(default, int) else "a string"
+    if isinstance(value, bool) or not ok:
+        raise ConfigInvalid(f"'{where}' must be {want}, got {value!r}")
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -52,6 +70,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
                 raise ConfigInvalid(f"'{where}' must be a mapping")
             out[key] = _merge(base[key], value, where)
         else:
+            _check_leaf(where, value, base[key])
             out[key] = value
     return out
 
@@ -59,6 +78,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 def _validate(cfg: dict) -> None:
     if cfg["version"] != CONFIG_VERSION:
         raise ConfigInvalid(f"config version {cfg['version']} unsupported (want {CONFIG_VERSION})")
+    if cfg["seed"] < 0:
+        raise ConfigInvalid("'seed' must be >= 0")
     sim = cfg["simulate"]
     if sim["sessions_per_profile"] < 3:
         raise ConfigInvalid("'simulate.sessions_per_profile' must be >= 3")
@@ -90,8 +111,15 @@ def _validate(cfg: dict) -> None:
     for s in ev["strategies"]:
         if s not in STRATEGIES:
             raise ConfigInvalid(f"'evaluate.strategies' entry {s!r} not one of {STRATEGIES}")
-    if ev["fde"]["threshold"] <= 0:
+    fde = ev["fde"]
+    if fde["threshold"] <= 0:
         raise ConfigInvalid("'evaluate.fde.threshold' must be > 0")
+    if fde["noise_sigma_m"] <= 0:
+        raise ConfigInvalid("'evaluate.fde.noise_sigma_m' must be > 0")
+    if fde["max_exclusions"] < 0:
+        raise ConfigInvalid("'evaluate.fde.max_exclusions' must be >= 0")
+    if fde["min_retained"] < 0:
+        raise ConfigInvalid("'evaluate.fde.min_retained' must be >= 0")
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:

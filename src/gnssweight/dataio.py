@@ -9,6 +9,7 @@ and round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, VersionMismatch
@@ -96,7 +97,27 @@ def write_dataset(dataset: Dataset, path) -> None:
                 fh.write(_epoch_line(epoch) + "\n")
 
 
+def _number(value, line_no: int, name: str) -> float:
+    """``value`` as a float; anything but a finite JSON number is a ParseError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ParseError(line_no, f"{name} must be a finite number, got {value!r}")
+
+
+def _position(value, line_no: int, name: str) -> EcefPosition:
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ParseError(line_no, f"{name} must be a 3-element array")
+    return EcefPosition(*(_number(v, line_no, name) for v in value))
+
+
 def _parse_measurement(obj, line_no: int) -> PseudorangeMeasurement:
+    if not isinstance(obj, dict):
+        raise ParseError(line_no, "a measurement must be an object")
     unknown = set(obj) - _MEAS_KEYS
     if unknown:
         raise ParseError(line_no, f"unknown measurement fields {sorted(unknown)}")
@@ -106,19 +127,19 @@ def _parse_measurement(obj, line_no: int) -> PseudorangeMeasurement:
     try:
         const = ConstellationId[obj["const"]]
         band = Band[obj["band"]]
-    except KeyError as e:
+    except (KeyError, TypeError) as e:  # TypeError: an unhashable value
         raise ParseError(line_no, f"unknown enum value {e}") from None
-    sat = obj["sat_xyz_m"]
-    if not (isinstance(sat, list) and len(sat) == 3):
-        raise ParseError(line_no, "sat_xyz_m must be a 3-element array")
+    sv = obj["sv"]
+    if isinstance(sv, bool) or not isinstance(sv, int):
+        raise ParseError(line_no, f"sv must be an integer, got {sv!r}")
     m = PseudorangeMeasurement(
         constellation=const,
-        sv_id=int(obj["sv"]),
+        sv_id=sv,
         band=band,
-        pseudorange=float(obj["pr_m"]),
-        sat_pos=EcefPosition(float(sat[0]), float(sat[1]), float(sat[2])),
-        cn0=float(obj["cn0_dbhz"]),
-        lock_time=float(obj["lock_s"]),
+        pseudorange=_number(obj["pr_m"], line_no, "pr_m"),
+        sat_pos=_position(obj["sat_xyz_m"], line_no, "sat_xyz_m"),
+        cn0=_number(obj["cn0_dbhz"], line_no, "cn0_dbhz"),
+        lock_time=_number(obj["lock_s"], line_no, "lock_s"),
     )
     if not 1e6 < m.pseudorange < 5e7:
         raise ParseError(line_no, f"pseudorange {m.pseudorange} outside (1e6, 5e7) m")
@@ -159,26 +180,25 @@ def iter_epochs(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(line_no, f"invalid JSON: {e}") from None
+            if not isinstance(obj, dict):
+                raise ParseError(line_no, "an epoch must be an object")
             unknown = set(obj) - _EPOCH_KEYS
             if unknown:
                 raise ParseError(line_no, f"unknown epoch fields {sorted(unknown)}")
             if "session_id" not in obj or "t" not in obj or "measurements" not in obj:
                 raise ParseError(line_no, "epoch needs session_id, t and measurements")
+            if not isinstance(obj["measurements"], list):
+                raise ParseError(line_no, "measurements must be an array")
             measurements = [_parse_measurement(m, line_no) for m in obj["measurements"]]
             keys = [m.key for m in measurements]
             if len(set(keys)) != len(keys):
                 raise ParseError(
                     line_no, "duplicate (constellation, sv, band) violates epoch uniqueness"
                 )
-            truth = None
-            if "truth" in obj:
-                tr = obj["truth"]
-                if not (isinstance(tr, list) and len(tr) == 3):
-                    raise ParseError(line_no, "truth must be a 3-element array")
-                truth = EcefPosition(float(tr[0]), float(tr[1]), float(tr[2]))
+            truth = _position(obj["truth"], line_no, "truth") if "truth" in obj else None
             try:
                 epoch = Epoch(
-                    time=float(obj["t"]),
+                    time=_number(obj["t"], line_no, "t"),
                     measurements=measurements,
                     truth=truth,
                     session_id=str(obj["session_id"]),

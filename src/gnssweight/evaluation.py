@@ -13,7 +13,7 @@ from .featurize import EpochFeaturizer, feature_columns
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
-from .solver import SolveReport, SolverConfig, equal_weight_fix, solve_wls
+from .solver import SolveReport, equal_weight_fix, solve_wls
 
 CSV_COLUMNS = ["session_id", "t", "strategy", "h_err_m", "v_err_m", "converged", "n_sv", "n_zero_weight"]
 
@@ -89,15 +89,14 @@ def _failed_record(epoch: Epoch, strategy: str, n_zero: int = 0) -> ErrorRecord:
     return ErrorRecord(epoch.session_id, epoch.time, strategy, nan, nan, False, epoch.n, n_zero)
 
 
-def _solve_record(epoch: Epoch, weights, strategy: str, solver_cfg,
-                  fix: SolveReport | None) -> ErrorRecord:
+def _solve_record(epoch: Epoch, weights, strategy: str, fix: SolveReport | None) -> ErrorRecord:
     n_zero = int(np.sum(np.asarray(weights) <= ZERO_WEIGHT_CUTOFF))
     # two-stage solve: strongly anisotropic weights (spreads of 1e7 and
     # more) make cold-start damped iteration creep, while the weighted
     # problem converges in a few steps from the equal-weight fix
     init = fix.state if fix is not None else None
     try:
-        rep = solve_wls(epoch, weights, init=init, cfg=solver_cfg)
+        rep = solve_wls(epoch, weights, init=init)
         state, converged = rep.state, True
     except NonConvergence as e:
         state, converged = e.report.state, False
@@ -107,32 +106,31 @@ def _solve_record(epoch: Epoch, weights, strategy: str, solver_cfg,
     return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero)
 
 
-def evaluate_session(session, strategies, models: StrategyModels, solver_cfg=None):
+def evaluate_session(session, strategies, models: StrategyModels):
     """Error records for every (epoch, strategy) of one session, in order.
 
     Each epoch's equal-weight fix is solved once and shared: it gives the
     featurizer its rough position, warm-starts every weighted solve and
     is FDE's first round.
     """
-    solver_cfg = solver_cfg or SolverConfig()
     needs_features = any(s in strategies for s in ("nn_full", "nn_residual"))
-    fz = EpochFeaturizer(solver_cfg) if needs_features else None
+    fz = EpochFeaturizer() if needs_features else None
 
     records = []
     for epoch in session.epochs:
         if epoch.truth is None:
             continue
         try:
-            fix = equal_weight_fix(epoch, solver_cfg)
+            fix = equal_weight_fix(epoch)
         except (NotEnoughMeasurements, SingularGeometry):
             fix = None
         fm = fz.featurize(epoch, fix) if fz is not None and fix is not None else None
         for strategy in strategies:
             if strategy == "equal":
-                records.append(_solve_record(epoch, np.ones(epoch.n), strategy, solver_cfg, fix))
+                records.append(_solve_record(epoch, np.ones(epoch.n), strategy, fix))
             elif strategy == "truth":
                 w = quality_to_weights(make_labels(epoch))
-                records.append(_solve_record(epoch, w, strategy, solver_cfg, fix))
+                records.append(_solve_record(epoch, w, strategy, fix))
             elif strategy in ("nn_full", "nn_residual"):
                 pair = models.nn_full if strategy == "nn_full" else models.nn_residual
                 if pair is None:
@@ -144,7 +142,7 @@ def evaluate_session(session, strategies, models: StrategyModels, solver_cfg=Non
                 mode = "full" if strategy == "nn_full" else "residual"
                 x = norm.apply(fm[:, feature_columns(mode)])
                 w = predict_weights(model, x)
-                records.append(_solve_record(epoch, w, strategy, solver_cfg, fix))
+                records.append(_solve_record(epoch, w, strategy, fix))
             elif strategy == "fde_sota":
                 if models.sota is None:
                     raise ValueError("strategy fde_sota requires calibrated parameters")
@@ -152,8 +150,7 @@ def evaluate_session(session, strategies, models: StrategyModels, solver_cfg=Non
                     records.append(_failed_record(epoch, strategy))
                     continue
                 try:
-                    res = fde_solve(epoch, models.fde_cfg, models.sota,
-                                    solver_cfg=solver_cfg, fix=fix)
+                    res = fde_solve(epoch, models.fde_cfg, models.sota, fix=fix)
                 except GnssWeightError:
                     records.append(_failed_record(epoch, strategy))
                     continue
@@ -168,7 +165,7 @@ def evaluate_session(session, strategies, models: StrategyModels, solver_cfg=Non
 
 
 def compare_strategies(dataset, strategies, models: StrategyModels,
-                       split: str = "test", solver_cfg=None, jobs: int = 1):
+                       split: str = "test", jobs: int = 1):
     """Run every strategy over the split; returns (records, summaries).
 
     Sessions evaluate independently; aggregation is ordered by session id
@@ -182,11 +179,11 @@ def compare_strategies(dataset, strategies, models: StrategyModels,
             chunks = list(
                 pool.map(
                     _evaluate_session_star,
-                    [(s, strategies, models, solver_cfg) for s in sessions],
+                    [(s, strategies, models) for s in sessions],
                 )
             )
     else:
-        chunks = [evaluate_session(s, strategies, models, solver_cfg) for s in sessions]
+        chunks = [evaluate_session(s, strategies, models) for s in sessions]
     records = [r for chunk in chunks for r in chunk]
     summaries = {
         strat: CdfSummary.from_records(strat, [r for r in records if r.strategy == strat])

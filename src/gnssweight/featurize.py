@@ -18,7 +18,7 @@ from .geo import ecef_to_geodetic
 from .model import Epoch
 from .nn import make_labels
 from .residuals import GAMMA, build_residual_matrix, ResidualMatrix
-from .solver import SolveReport, SolverConfig, equal_weight_fix
+from .solver import SolveReport, equal_weight_fix
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 N_RESIDUAL_SUMMARY = 8
@@ -104,8 +104,7 @@ class EpochFeaturizer:
     matrix fails it is, so later epochs see a correct history.
     """
 
-    def __init__(self, solver_cfg: SolverConfig | None = None):
-        self.solver_cfg = solver_cfg or SolverConfig()
+    def __init__(self):
         self.history = TrackingHistory()
         self.skipped = 0
 
@@ -114,34 +113,36 @@ class EpochFeaturizer:
         when the caller already has one, and is solved here otherwise."""
         if fix is None:
             try:
-                fix = equal_weight_fix(epoch, self.solver_cfg)
+                fix = equal_weight_fix(epoch)
             except (NotEnoughMeasurements, SingularGeometry):
                 self.skipped += 1
                 return None
         rx_geo = ecef_to_geodetic(fix.state.position)
         per_link = self.history.update_and_extract(epoch, rx_geo)
         try:
-            rmat = build_residual_matrix(epoch, self.solver_cfg)
+            rmat = build_residual_matrix(epoch)
         except NotEnoughMeasurements:
             self.skipped += 1
             return None
         return assemble_feature_matrix(rmat, per_link)
 
 
-def session_samples(epochs, solver_cfg=None, with_labels=True):
-    """Raw (feature_matrix, labels, epoch) triples for one session, in order."""
-    fz = EpochFeaturizer(solver_cfg)
+def session_samples(epochs):
+    """Raw (feature_matrix, labels) pairs for one session, in order.
+
+    ``labels`` is None for an epoch without a truth position.
+    """
+    fz = EpochFeaturizer()
     out = []
     for epoch in epochs:
         fm = fz.featurize(epoch)
         if fm is None:
             continue
-        labels = make_labels(epoch) if with_labels and epoch.truth is not None else None
-        out.append((fm, labels, epoch))
+        out.append((fm, make_labels(epoch) if epoch.truth is not None else None))
     return out
 
 
-def dataset_samples(dataset, solver_cfg=None, with_labels=True):
+def dataset_samples(dataset):
     """Raw samples of the fitting splits: {'train': [...], 'val': [...]}.
 
     Test sessions are skipped: ``evaluation`` featurizes them itself,
@@ -150,19 +151,19 @@ def dataset_samples(dataset, solver_cfg=None, with_labels=True):
     splits = {"train": [], "val": []}
     for session in dataset.sessions:
         if session.split in splits:
-            splits[session.split].extend(session_samples(session.epochs, solver_cfg, with_labels))
+            splits[session.split].extend(session_samples(session.epochs))
     return splits
 
 
 def normalized_split(samples, norm: FeatureNormalization, mode: str):
     """(fm, labels) pairs restricted to the mode's columns and z-scored."""
     cols = feature_columns(mode)
-    return [(norm.apply(fm[:, cols]), labels) for fm, labels, _ in samples]
+    return [(norm.apply(fm[:, cols]), labels) for fm, labels in samples]
 
 
 def fit_normalization(train_samples, mode: str) -> FeatureNormalization:
     if not train_samples:
         raise EmptySplit("no featurized training epochs to fit the normalization on")
     cols = feature_columns(mode)
-    rows = np.vstack([fm[:, cols] for fm, _, _ in train_samples])
+    rows = np.vstack([fm[:, cols] for fm, _ in train_samples])
     return FeatureNormalization.fit(rows)

@@ -10,7 +10,7 @@ from . import _kernels
 from .errors import NotEnoughMeasurements
 from .geo import SPEED_OF_LIGHT
 from .model import Epoch
-from .solver import _DEFAULT_START, SolverConfig, predicted_pseudoranges
+from .solver import _DEFAULT_START, predicted_pseudoranges
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 # Sentinel marking the deliberately excluded measurement (and rows whose
@@ -34,7 +34,7 @@ class ResidualMatrix:
         return self.values.shape[0]
 
 
-def build_residual_matrix(epoch: Epoch, cfg: SolverConfig | None = None) -> ResidualMatrix:
+def build_residual_matrix(epoch: Epoch) -> ResidualMatrix:
     """Solve each N-1 subset with equal weights and tabulate residuals.
 
     Row n is ``solver.equal_weight_fix`` on the epoch without measurement
@@ -45,8 +45,6 @@ def build_residual_matrix(epoch: Epoch, cfg: SolverConfig | None = None) -> Resi
     consumers see a consistent sentinel instead of a hard failure; a row
     whose solve hits the iteration cap keeps its iterate, as the fix does.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     n = epoch.n
     if n < epoch.state_dim() + 1:
         raise NotEnoughMeasurements(
@@ -77,9 +75,7 @@ def build_residual_matrix(epoch: Epoch, cfg: SolverConfig | None = None) -> Resi
         x0 = np.zeros((rows.size, 3 + kept.size))
         x0[:, :3] = _DEFAULT_START.as_array()
         x, _, status, _ = _kernels.lm_solve_batch(
-            sat, pr, weights[rows], sub_idx, kept.size, x0,
-            cfg.max_iterations, cfg.step_tolerance, cfg.initial_damping,
-            cfg.damping_up, cfg.damping_down, cfg.cond_limit,
+            sat, pr, weights[rows], sub_idx, kept.size, x0, _kernels.MAX_ITERATIONS
         )
         ok = status != _kernels.STATUS_SINGULAR
         failed.extend(rows[~ok].tolist())

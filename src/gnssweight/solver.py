@@ -16,16 +16,6 @@ from .model import Epoch, NavState
 _DEFAULT_START = geodetic_to_ecef(GeodeticPosition(0.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iterations: int = 50
-    step_tolerance: float = 1e-6
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
-    cond_limit: float = 1e12
-
-
 @dataclass
 class SolveReport:
     state: NavState
@@ -85,24 +75,18 @@ def predicted_pseudoranges(epoch: Epoch, x: np.ndarray) -> np.ndarray:
     return rng + x[..., 3 + epoch.const_index()]
 
 
-def solve_wls(
-    epoch: Epoch,
-    weights,
-    init: NavState | None = None,
-    cfg: SolverConfig | None = None,
-) -> SolveReport:
+def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveReport:
     """Minimize the weighted sum of squared pseudorange residuals.
 
     Raises NotEnoughMeasurements when the positive-weight rows cannot
     determine the state, SingularGeometry on an ill-conditioned normal
     matrix, and NonConvergence (carrying the best iterate, with
     ``converged`` False) when the cost is still falling after
-    ``cfg.max_iterations`` iterations. A solve that stops because no step
-    lowers the cost any further (the rounding floor) has converged and
-    returns normally.
+    ``_kernels.MAX_ITERATIONS`` iterations. A solve that stops because no
+    step lowers the cost any further (the rounding floor) has converged
+    and returns normally. The kernel's other settings are the constants
+    next to ``MAX_ITERATIONS`` in ``_kernels``.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     w = np.asarray(weights, dtype=float)
     if w.shape != (epoch.n,):
         raise ValueError(f"weight vector length {w.shape} != N={epoch.n}")
@@ -120,19 +104,9 @@ def solve_wls(
         x0 = np.zeros(dim)
         x0[:3] = _DEFAULT_START.as_array()
 
+    max_iter = _kernels.MAX_ITERATIONS
     x, iterations, status, cost = _kernels.lm_solve(
-        epoch.sat_array(),
-        epoch.pr_array(),
-        w,
-        epoch.const_index(),
-        dim - 3,
-        x0,
-        cfg.max_iterations,
-        cfg.step_tolerance,
-        cfg.initial_damping,
-        cfg.damping_up,
-        cfg.damping_down,
-        cfg.cond_limit,
+        epoch.sat_array(), epoch.pr_array(), w, epoch.const_index(), dim - 3, x0, max_iter
     )
 
     if status == _kernels.STATUS_SINGULAR:
@@ -147,15 +121,11 @@ def solve_wls(
         post_fit_residuals=post_fit,
     )
     if status == _kernels.STATUS_MAX_ITER:
-        raise NonConvergence(
-            f"no convergence in {cfg.max_iterations} iterations", report=report
-        )
+        raise NonConvergence(f"no convergence in {max_iter} iterations", report=report)
     return report
 
 
-def equal_weight_fix(
-    epoch: Epoch, cfg: SolverConfig | None = None, active: np.ndarray | None = None
-) -> SolveReport:
+def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveReport:
     """Cold-start equal-weight fix over the ``active`` measurements (all by default).
 
     This is the one solve every consumer of an epoch starts from: the
@@ -168,6 +138,6 @@ def equal_weight_fix(
     """
     w = np.ones(epoch.n) if active is None else np.asarray(active, dtype=float)
     try:
-        return solve_wls(epoch, w, cfg=cfg)
+        return solve_wls(epoch, w)
     except NonConvergence as e:
         return e.report

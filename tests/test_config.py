@@ -37,6 +37,29 @@ def test_value_validation():
         load_config(None, {"evaluate": {"strategies": ["magic"]}})
     with pytest.raises(ConfigInvalid, match="version"):
         load_config(None, {"version": 2})
+    # wrong-typed leaves name their dotted key
+    for overrides, key in (
+        ({"simulate": {"rate_hz": "fast"}}, "simulate.rate_hz"),
+        ({"simulate": {"noise_sigma_m": float("nan")}}, "simulate.noise_sigma_m"),
+        ({"simulate": {"epochs_per_session": 2.5}}, "simulate.epochs_per_session"),
+        ({"train": {"hidden": "big"}}, "train.hidden"),
+        ({"train": {"patience": True}}, "train.patience"),
+        ({"seed": "x"}, "seed"),
+        ({"evaluate": {"fde": {"threshold": None}}}, "evaluate.fde.threshold"),
+    ):
+        with pytest.raises(ConfigInvalid, match=f"'{key}'"):
+            load_config(None, overrides)
+    # out-of-range values
+    for overrides, key in (
+        ({"seed": -1}, "seed"),
+        ({"evaluate": {"fde": {"noise_sigma_m": 0}}}, "evaluate.fde.noise_sigma_m"),
+        ({"evaluate": {"fde": {"max_exclusions": -1}}}, "evaluate.fde.max_exclusions"),
+        ({"evaluate": {"fde": {"min_retained": -5}}}, "evaluate.fde.min_retained"),
+    ):
+        with pytest.raises(ConfigInvalid, match=f"'{key}'"):
+            load_config(None, overrides)
+    # an int where a float is expected is fine
+    assert load_config(None, {"simulate": {"rate_hz": 2}})["simulate"]["rate_hz"] == 2
 
 
 def test_non_mapping_rejected(tmp_path):

@@ -80,7 +80,7 @@ def test_session_samples_and_split(rng):
         epochs.append(ep)
     samples = session_samples(epochs)
     assert len(samples) == 5
-    for fm, labels, ep in samples:
+    for fm, labels in samples:
         assert fm.shape == (8, N_FEATURES)
         assert labels.shape == (8,)
     norm = fit_normalization(samples, "residual")

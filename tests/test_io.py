@@ -128,10 +128,27 @@ def test_invariant_validation_on_read(tmp_path):
         _meas(const="COMPASS"),
         _meas(sat_xyz_m=[1.0, 2.0]),
     ]
-    for bad in cases:
-        _write_lines(path, [_valid_header(), _epoch_line([bad])])
-        with pytest.raises(ParseError):
+    # non-numeric, null and non-finite values of every numeric field
+    nan = float("nan")
+    for field, bad in (("pr_m", None), ("pr_m", "2.2e7"), ("cn0_dbhz", None),
+                       ("lock_s", "abc"), ("lock_s", nan), ("lock_s", float("inf"))):
+        cases.append(_meas(**{field: bad}))
+    for bad in ("abc", None, 3.5, True):
+        cases.append(_meas(sv=bad))
+    for bad in (None, "x", nan, float("-inf"), 10**400):
+        cases.append(_meas(sat_xyz_m=[2.6e7, bad, 0.0]))
+    lines = [_epoch_line([bad]) for bad in cases]
+    for bad in ([6.4e6, 0.0, None], [6.4e6, "0", 0.0], [6.4e6, 0.0, nan]):
+        lines.append(json.dumps({"session_id": "s", "t": 0.0, "truth": bad,
+                                 "measurements": [_meas()]}))
+    for bad in (None, nan, "0"):
+        lines.append(json.dumps({"session_id": "s", "t": bad, "measurements": [_meas()]}))
+    lines += [json.dumps({"session_id": "s", "t": 0.0, "measurements": None}), "7"]
+    for line in lines:
+        _write_lines(path, [_valid_header(), _epoch_line([_meas(sv=2)]), line])
+        with pytest.raises(ParseError) as e:
             list(iter_epochs(path))
+        assert e.value.line == 3, line
 
 
 def test_missing_measurement_field(tmp_path):

@@ -10,7 +10,6 @@ from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasuremen
 from gnssweight.residuals import GAMMA, build_residual_matrix
 from gnssweight.solver import (
     _DEFAULT_START,
-    SolverConfig,
     equal_weight_fix,
     predicted_pseudoranges,
     solve_wls,
@@ -150,14 +149,14 @@ def test_single_member_constellation_row(rng):
     assert np.max(np.abs(M.values[idx, mask])) < 1e-6
 
 
-def _subset_row(epoch, row, cfg):
+def _subset_row(epoch, row):
     """Row ``row`` of the leave-one-out matrix from an independent fix, or None."""
     sub = Epoch(
         time=epoch.time,
         measurements=[m for i, m in enumerate(epoch.measurements) if i != row],
     )
     try:
-        rep = equal_weight_fix(sub, cfg)
+        rep = equal_weight_fix(sub)
     except SingularGeometry:
         return None
     res = epoch.pr_array() - predicted_pseudoranges(epoch, state_to_vector(epoch, rep.state))
@@ -165,10 +164,11 @@ def _subset_row(epoch, row, cfg):
     return res
 
 
-def test_batched_rows_match_single_solves():
+def test_batched_rows_match_single_solves(monkeypatch):
     """Each row of a lockstep batch has the bits of its own solve, and each
     leave-one-out row the bits of an equal-weight fix on its subset."""
     rng = np.random.default_rng(515)
+    full_cap = _kernels.MAX_ITERATIONS
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
     statuses = np.zeros(3, dtype=int)
     dropped_rows = failed_rows = 0
@@ -200,25 +200,24 @@ def test_batched_rows_match_single_solves():
 
         # the kernel: rows of 1 - I, cold-started, some epochs capped early
         # so that batches mix converged, capped and singular rows
-        cfg = SolverConfig(max_iterations=4 if k % 7 == 3 else 50)
-        args = (cfg.max_iterations, cfg.step_tolerance, cfg.initial_damping,
-                cfg.damping_up, cfg.damping_down, cfg.cond_limit)
+        max_iter = 4 if k % 7 == 3 else full_cap
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", max_iter)
         sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
         W = 1.0 - np.eye(n)
         X0 = np.zeros((n, dim))
         X0[:, :3] = _DEFAULT_START.as_array()
-        X, its, status, cost = _kernels.lm_solve_batch(sat, pr, W, idx, dim - 3, X0, *args)
+        X, its, status, cost = _kernels.lm_solve_batch(sat, pr, W, idx, dim - 3, X0, max_iter)
         for row in range(n):
-            x, it, st, c = _kernels.lm_solve(sat, pr, W[row], idx, dim - 3, X0[row], *args)
+            x, it, st, c = _kernels.lm_solve(sat, pr, W[row], idx, dim - 3, X0[row], max_iter)
             assert X[row].tobytes() == x.tobytes(), (k, row)
             assert (its[row], status[row], cost[row].tobytes()) == (it, st, c.tobytes()), (k, row)
             statuses[st] += 1
 
         # the leave-one-out matrix against independent subset fixes
-        M = build_residual_matrix(epoch, cfg)
+        M = build_residual_matrix(epoch)
         failed = []
         for row in range(n):
-            expect = _subset_row(epoch, row, cfg)
+            expect = _subset_row(epoch, row)
             if expect is None:
                 failed.append(row)
                 expect = np.full(n, GAMMA)

@@ -7,7 +7,7 @@ from gnssweight import _kernels, solver
 from gnssweight.errors import NotEnoughMeasurements, SingularGeometry
 from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition
 from gnssweight.model import ConstellationId, Epoch, NavState
-from gnssweight.solver import SolverConfig, jacobian, solve_wls, state_to_vector
+from gnssweight.solver import jacobian, solve_wls, state_to_vector
 from conftest import make_epoch
 
 
@@ -242,8 +242,8 @@ def _reference_normal_equations(x, sat_pos, pr, w, const_idx):
     return A + np.triu(A, 1).T, M[:d, d], M[d, d]
 
 
-def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0,
-                        max_iter, step_tol, lam0, lam_up, lam_down, cond_limit):
+def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, step_tol=1e-6,
+                        lam0=1e-3, lam_up=10.0, lam_down=0.1, cond_limit=1e12):
     """The one-problem loop that ``_kernels.lm_solve_batch`` runs per row."""
     d = 3 + n_const
     x, lam, status, iterations = x0.copy(), lam0, _kernels.STATUS_MAX_ITER, 0
@@ -295,7 +295,6 @@ def test_kernel_matches_reference_loop():
     low iteration caps and singular weightings."""
     rng = np.random.default_rng(77)
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
-    cfg = SolverConfig()
     statuses = np.zeros(3, dtype=int)
     for k in range(60):
         n_const = 1 + k % 3
@@ -313,12 +312,11 @@ def test_kernel_matches_reference_loop():
         X0 = np.tile(truth_x, (rows, 1)) + rng.normal(0.0, 1e4, size=(rows, dim))
         X0[:2, :3] = solver._DEFAULT_START.as_array()
         X0[:2, 3:] = 0.0
-        args = (3 if k % 5 == 0 else cfg.max_iterations, cfg.step_tolerance, cfg.initial_damping,
-                cfg.damping_up, cfg.damping_down, cfg.cond_limit)
-        X, its, status, cost = _kernels.lm_solve_batch(sat, pr, W, idx, n_const, X0, *args)
+        max_iter = 3 if k % 5 == 0 else _kernels.MAX_ITERATIONS
+        X, its, status, cost = _kernels.lm_solve_batch(sat, pr, W, idx, n_const, X0, max_iter)
         for row in range(rows):
-            x, it, st, c = _reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], *args)
-            single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], *args)
+            x, it, st, c = _reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
+            single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
             for got in ((X[row], its[row], status[row], cost[row]), single):
                 assert got[0].tobytes() == x.tobytes(), (k, row)
                 got_c = np.float64(got[3]).tobytes()
