@@ -152,6 +152,21 @@ def _parse_measurement(obj, line_no: int) -> PseudorangeMeasurement:
     return m
 
 
+def _check_header(header: dict) -> None:
+    """The seed and session table that ``read_dataset`` relies on."""
+    seed = header.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParseError(1, f"seed must be an integer, not {seed!r}")
+    sessions = header.get("sessions", {})
+    if not isinstance(sessions, dict):
+        raise ParseError(1, "sessions must be an object")
+    for sid, info in sessions.items():
+        if not isinstance(info, dict) or not all(
+            isinstance(info.get(key), str) for key in ("profile", "split")
+        ):
+            raise ParseError(1, f"session {sid!r} needs a string profile and split")
+
+
 def iter_epochs(path):
     """Stream (header, epoch) pairs without holding the file in memory.
 
@@ -166,10 +181,13 @@ def iter_epochs(path):
             header = json.loads(first)
         except json.JSONDecodeError as e:
             raise ParseError(1, f"header is not valid JSON: {e}") from None
+        if not isinstance(header, dict):
+            raise ParseError(1, "the header must be an object")
         if header.get("format") != FORMAT_NAME:
             raise ParseError(1, f"unexpected format tag {header.get('format')!r}")
         if header.get("version") != FORMAT_VERSION:
             raise VersionMismatch(f"dataset version {header.get('version')} unsupported")
+        _check_header(header)
         yield "header", header
 
         for line_no, line in enumerate(fh, start=2):

@@ -4,8 +4,11 @@ The model consumes an epoch's feature matrix as a sequence of N rows and
 emits one quality factor (log of the predicted pseudorange error sigma,
 in log-meters) per row. Weights follow as exp(-2 * quality).
 
-Everything is plain float64 numpy so that training is bit-reproducible
-under a fixed seed on any platform.
+Everything is plain float64 numpy. Forward and backward passes run a whole
+mini-batch at once: its sequences are sorted by length, longest first,
+and laid out time-major, so each step updates the sequences still live
+with one matrix product. Training is bit-reproducible for a fixed seed on
+the same machine; BLAS products may round differently on another CPU.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ LABEL_EPSILON_M = 0.01
 
 WEIGHT_FLOOR = 1e-8
 WEIGHT_CEIL = 1e4
+
+# samples per packed forward pass when computing a split's loss
+_LOSS_CHUNK = 256
 
 
 def _sigmoid(x):
@@ -79,50 +85,89 @@ class LstmModel:
         return copy.deepcopy(self)
 
 
-def _forward_cached(model: LstmModel, fm: np.ndarray):
-    """Run the recurrence, keeping every intermediate needed by BPTT."""
+def _layout(n_rows: int, lengths):
+    """Time-major order of packed rows, longest sequence first.
+
+    ``lengths`` splits the R packed rows into consecutive sequences (None:
+    one sequence). Sorted by length, the sequences still live at step t
+    are a prefix of the batch, ``active[t]`` long. Returns (active,
+    order): ``order`` lists the packed rows step by step, each step's
+    live prefix in sorted order, so step t is the contiguous block of
+    ``order`` that starts at ``sum(active[:t])``. This is the padded
+    (T, B) grid with the cells past each sequence's end left out.
+    """
+    if lengths is None:  # one sequence, as predict_weights runs per epoch: nothing to sort
+        return [1] * n_rows, np.arange(n_rows)
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or np.any(lengths < 0) or int(np.sum(lengths)) != n_rows:
+        raise ShapeMismatch(f"lengths {lengths.tolist()} do not partition {n_rows} rows")
+    by_length = np.argsort(-lengths, kind="stable")
+    lens = lengths[by_length]
+    starts = (np.cumsum(lengths) - lengths)[by_length]
+    live = np.arange(lens.max(initial=0))[:, None] < lens[None, :]
+    t, b = np.nonzero(live)
+    return np.count_nonzero(live, axis=1).tolist(), starts[b] + t
+
+
+def _forward(model: LstmModel, fm: np.ndarray, lengths, keep: bool):
+    """Run the recurrence over every sequence of a packed batch at once.
+
+    Step t updates only the sequences still live, so no step ever sees
+    another sequence's rows or a step past a sequence's end. Returns
+    (outputs, active, order, caches): outputs are packed like ``fm``;
+    when ``keep``, caches hold per layer the time-major input, hidden
+    states, gates and cells that BPTT needs, and are otherwise empty.
+    """
     if fm.ndim != 2 or fm.shape[1] != model.input_dim:
         raise ShapeMismatch(
             f"input shape {fm.shape} incompatible with input_dim {model.input_dim}"
         )
-    n = fm.shape[0]
+    active, order = _layout(fm.shape[0], lengths)
     H = model.hidden
+    layer_in = fm[order]
     caches = []
-    layer_in = fm
     # below -709.78 _sigmoid's exp overflows to inf and the gate is exactly
     # 0, as it should be; the warning is silenced once per pass, because
     # an errstate per _sigmoid call costs a third of the forward time
     with np.errstate(over="ignore"):
         for layer in range(model.n_layers):
             W, U, b = model.W[layer], model.U[layer], model.b[layer]
-            h = np.zeros(H)
-            c = np.zeros(H)
-            steps = []
-            hs = np.empty((n, H))
-            for t in range(n):
-                x = layer_in[t]
-                z = W @ x + U @ h + b
-                i = _sigmoid(z[:H])
-                f = _sigmoid(z[H : 2 * H])
-                g = np.tanh(z[2 * H : 3 * H])
-                o = _sigmoid(z[3 * H :])
-                c_prev = c
-                h_prev = h
-                c = f * c + i * g
-                tc = np.tanh(c)
-                h = o * tc
-                hs[t] = h
-                steps.append((x, h_prev, c_prev, i, f, g, o, c, tc))
-            caches.append((layer_in, steps))
+            xp = layer_in @ W.T
+            xp += b  # in place: a second (R, 4H) temporary costs more than the product
+            xp = xp.reshape(-1, 4, H)
+            UT = np.ascontiguousarray(U.T)  # a transposed view multiplies slower
+            hs = np.empty((len(order), H))
+            if keep:
+                gates = np.empty((len(order), 4, H))
+                cells = np.empty((len(order), H))
+            h = c = np.zeros((active[0] if active else 0, H))
+            s = 0
+            for n in active:
+                z = xp[s : s + n] + (h[:n] @ UT).reshape(n, 4, H)
+                a = _sigmoid(z)
+                a[:, 2] = np.tanh(z[:, 2])
+                c = a[:, 1] * c[:n] + a[:, 0] * a[:, 2]
+                h = a[:, 3] * np.tanh(c)
+                hs[s : s + n] = h
+                if keep:
+                    gates[s : s + n] = a
+                    cells[s : s + n] = c
+                s += n
+            if keep:
+                caches.append((layer_in, hs, gates, cells))
             layer_in = hs
-    outputs = layer_in @ model.head_w + model.head_b
-    return outputs, caches, layer_in
+    outputs = np.empty(fm.shape[0])
+    outputs[order] = layer_in @ model.head_w + model.head_b
+    return outputs, active, order, caches
 
 
-def lstm_forward(model: LstmModel, fm: np.ndarray) -> np.ndarray:
-    """Quality factors (log-sigma, log-meters) for each of the N rows."""
-    outputs, _, _ = _forward_cached(model, fm)
-    return outputs
+def lstm_forward(model: LstmModel, fm: np.ndarray, lengths=None) -> np.ndarray:
+    """Quality factors (log-sigma, log-meters) for each packed row.
+
+    ``fm`` holds the rows of consecutive sequences of ``lengths`` rows
+    each (default: one sequence of N rows).
+    """
+    return _forward(model, fm, lengths, keep=False)[0]
 
 
 def lstm_backward(
@@ -130,66 +175,74 @@ def lstm_backward(
     fm: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray | None = None,
+    lengths=None,
 ):
     """Exact gradients of the summed squared error via BPTT.
 
-    Returns (sse, grads, n_rows) where sse = sum_t mask_t (y_t - label_t)^2
-    and grads maps parameter names (as in ``param_items`` plus "head_b")
-    to arrays. Callers divide by row counts to get mean-loss gradients.
+    Rows are packed as in ``lstm_forward``; all sequences run backward
+    together. Returns (sse, grads, n_rows) where sse = sum_r mask_r
+    (y_r - label_r)^2 over every row of every sequence and grads maps
+    parameter names (as in ``param_items`` plus "head_b") to arrays.
+    Callers divide by row counts to get mean-loss gradients.
     """
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (fm.shape[0],):
         raise ShapeMismatch(f"labels shape {labels.shape} != ({fm.shape[0]},)")
-    outputs, caches, top_h = _forward_cached(model, fm)
-    n = fm.shape[0]
+    outputs, active, order, caches = _forward(model, fm, lengths, keep=True)
     H = model.hidden
-    if mask is None:
-        mask = np.ones(n)
-    err = (outputs - labels) * mask
+    err = outputs - labels
+    if mask is not None:
+        err *= mask
     sse = float(np.sum(err * err))
-    dy = 2.0 * err
+    dy = 2.0 * err[order]  # time-major, like the caches
 
-    grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
-    grads["head_b"] = np.zeros(())
-    grads["head_w"] += top_h.T @ dy
-    grads["head_b"] += np.sum(dy)
+    grads = {name: None for name, _ in model.param_items()}
+    grads["head_w"] = caches[-1][1].T @ dy
+    grads["head_b"] = np.array(np.sum(dy))
 
+    # for each cell after the first step, the cell one step earlier in the
+    # same sequence: active[t - 1] cells back, as each sequence keeps its
+    # place in the live prefix
+    first = active[0] if active else 0
+    prev = np.arange(first, len(order)) - np.repeat(np.array(active[:-1], dtype=int), active[1:])
     # dh flowing into each timestep of the top layer from the head
-    dh_above = dy[:, None] * model.head_w[None, :]
-
+    dh_above = dy[:, None] * model.head_w
     for layer in range(model.n_layers - 1, -1, -1):
-        layer_in, steps = caches[layer]
-        W, U = model.W[layer], model.U[layer]
-        dW = grads[f"W{layer}"]
-        dU = grads[f"U{layer}"]
-        db = grads[f"b{layer}"]
-        dx_below = np.zeros_like(layer_in)
-        dh_next = np.zeros(H)
-        dc_next = np.zeros(H)
-        for t in range(n - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, c, tc = steps[t]
-            dh = dh_above[t] + dh_next
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ]
-            )
-            dW += np.outer(dz, x)
-            dU += np.outer(dz, h_prev)
-            db += dz
-            dx_below[t] = W.T @ dz
-            dh_next = U.T @ dz
-        dh_above = dx_below
-    return sse, grads, int(np.sum(mask > 0))
+        layer_in, hs, gates, cells = caches[layer]
+        i, f, g, o = (gates[:, k] for k in range(4))
+        tc = np.tanh(cells)
+        dc_dh = o * (1.0 - tc * tc)
+        # each gate's pre-activation gradient is dc (input, forget and cell
+        # gates) or dh (output gate) times a factor; the loop scales these
+        # factors in place into dz
+        dz = 1.0 - gates
+        dz *= gates
+        dz[:, 0] *= g
+        dz[:first, 1] = 0.0
+        dz[first:, 1] *= cells[prev]
+        dz[:, 2] = i * (1.0 - g * g)
+        dz[:, 3] *= tc
+        U = model.U[layer]
+        dh_next = np.zeros((first, H))
+        dc_next = np.zeros((first, H))
+        s = len(order)
+        for n in reversed(active):
+            s -= n
+            dh = dh_above[s : s + n] + dh_next[:n]
+            dc = dh * dc_dh[s : s + n] + dc_next[:n]
+            dz_t = dz[s : s + n]
+            dz_t[:, :3] *= dc[:, None]
+            dz_t[:, 3] *= dh
+            dh_next[:n] = dz_t.reshape(n, 4 * H) @ U
+            dc_next[:n] = dc * f[s : s + n]
+        dz = dz.reshape(-1, 4 * H)
+        grads[f"W{layer}"] = dz.T @ layer_in
+        grads[f"U{layer}"] = dz[first:].T @ hs[prev]
+        grads[f"b{layer}"] = dz.sum(axis=0)
+        if layer:
+            dh_above = dz @ model.W[layer]
+    n_rows = fm.shape[0] if mask is None else int(np.sum(np.asarray(mask) > 0))
+    return sse, grads, n_rows
 
 
 def truth_residuals(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +293,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     hidden: int = 64
-    split: tuple = (0.60, 0.20, 0.20)
     feature_mode: str = "full"  # "full" or "residual"
 
 
@@ -278,11 +330,21 @@ def _model_params(model: LstmModel) -> dict:
     return params
 
 
+def _pack(samples):
+    """(feature_matrix, labels) samples as packed rows, labels and lengths."""
+    fms = [fm for fm, _ in samples]
+    labels = np.concatenate([lab for _, lab in samples])
+    return np.concatenate(fms), labels, [fm.shape[0] for fm in fms]
+
+
 def _mean_loss(model: LstmModel, samples) -> float:
+    # packed forward passes of at most _LOSS_CHUNK samples: as fast as one
+    # pass over the split, with memory that does not grow with it
     total = 0.0
     rows = 0
-    for fm, labels in samples:
-        y = lstm_forward(model, fm)
+    for start in range(0, len(samples), _LOSS_CHUNK):
+        fm, labels, lengths = _pack(samples[start : start + _LOSS_CHUNK])
+        y = lstm_forward(model, fm, lengths)
         total += float(np.sum((y - labels) ** 2))
         rows += fm.shape[0]
     return total / max(rows, 1)
@@ -325,22 +387,15 @@ def train(
         ep_rows = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            acc = {k: np.zeros_like(v) for k, v in params.items()}
-            acc["head_b"] = np.zeros(())
-            rows = 0
-            for j in batch:  # fixed order: deterministic reduction
-                fm, labels = train_samples[j]
-                sse, grads, _ = lstm_backward(model, fm, labels)
-                for k in acc:
-                    acc[k] += grads[k]
-                rows += fm.shape[0]
-                ep_sse += sse
-                ep_rows += fm.shape[0]
-            for k in acc:
-                acc[k] /= max(rows, 1)
+            fm, labels, lengths = _pack([train_samples[j] for j in batch])
+            sse, grads, _ = lstm_backward(model, fm, labels, lengths=lengths)
+            ep_sse += sse
+            ep_rows += fm.shape[0]
+            for k in grads:
+                grads[k] /= max(fm.shape[0], 1)
             full = dict(params)
             full["head_b"] = head_b
-            opt.step(full, acc)
+            opt.step(full, grads)
             model.head_b = float(head_b)
         report.train_losses.append(ep_sse / max(ep_rows, 1))
 
@@ -376,7 +431,6 @@ def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfi
             "patience": cfg.patience,
             "seed": cfg.seed,
             "hidden": cfg.hidden,
-            "split": list(cfg.split),
             "feature_mode": cfg.feature_mode,
         },
         "extra": extra or {},
@@ -412,7 +466,6 @@ def load_checkpoint(path):
             patience=c["patience"],
             seed=c["seed"],
             hidden=c["hidden"],
-            split=tuple(c["split"]),
             feature_mode=c["feature_mode"],
         )
         return model, data["norm_mean"].copy(), data["norm_std"].copy(), cfg, meta["extra"]

@@ -150,6 +150,25 @@ def test_invariant_validation_on_read(tmp_path):
             list(iter_epochs(path))
         assert e.value.line == 3, line
 
+    # headers whose seed or session table read_dataset cannot use
+    headers = [{"seed": bad} for bad in ("x", 1.5, None, True, False)]
+    headers += [{"sessions": bad} for bad in ([], "a", None, 7)]
+    headers += [{"sessions": {"a": bad}} for bad in (
+        {}, {"profile": "urban_canyon"}, {"split": "train"}, [],
+        {"profile": "urban_canyon", "split": None},
+    )]
+    headers.append({"seed": "x", "sessions": {"a": {}}})
+    for fields in headers:
+        header = {**json.loads(_valid_header()), **fields}
+        _write_lines(path, [json.dumps(header), _epoch_line([_meas(sv=2)])])
+        for read in (lambda: list(iter_epochs(path)), lambda: read_dataset(path)):
+            with pytest.raises(ParseError) as e:
+                read()
+            assert e.value.line == 1, fields
+    _write_lines(path, ["[1, 2]"])
+    with pytest.raises(ParseError):
+        list(iter_epochs(path))
+
 
 def test_missing_measurement_field(tmp_path):
     path = tmp_path / "bad.jsonl"

@@ -50,6 +50,99 @@ def _naive_forward(model, fm):
     return np.array([model.head_w @ h + model.head_b for h in layer_in])
 
 
+def _reference_backward(model, fm, labels, mask=None):
+    """The per-sample, per-step BPTT loop that the packed trainer replaced:
+    (4H, D) matrix-vector products and one outer product per step."""
+    n = fm.shape[0]
+    H = model.hidden
+    caches = []
+    layer_in = fm
+    for layer in range(model.n_layers):
+        W, U, b = model.W[layer], model.U[layer], model.b[layer]
+        h = np.zeros(H)
+        c = np.zeros(H)
+        steps = []
+        hs = np.empty((n, H))
+        for t in range(n):
+            x = layer_in[t]
+            z = W @ x + U @ h + b
+            i = _sigmoid(z[:H])
+            f = _sigmoid(z[H : 2 * H])
+            g = np.tanh(z[2 * H : 3 * H])
+            o = _sigmoid(z[3 * H :])
+            c_prev = c
+            h_prev = h
+            c = f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            hs[t] = h
+            steps.append((x, h_prev, c_prev, i, f, g, o, c, tc))
+        caches.append((layer_in, steps))
+        layer_in = hs
+    outputs = layer_in @ model.head_w + model.head_b
+    if mask is None:
+        mask = np.ones(n)
+    err = (outputs - labels) * mask
+    sse = float(np.sum(err * err))
+    dy = 2.0 * err
+
+    grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
+    grads["head_b"] = np.zeros(())
+    grads["head_w"] += layer_in.T @ dy
+    grads["head_b"] += np.sum(dy)
+    dh_above = dy[:, None] * model.head_w[None, :]
+    for layer in range(model.n_layers - 1, -1, -1):
+        layer_in, steps = caches[layer]
+        W, U = model.W[layer], model.U[layer]
+        dW = grads[f"W{layer}"]
+        dU = grads[f"U{layer}"]
+        db = grads[f"b{layer}"]
+        dx_below = np.zeros_like(layer_in)
+        dh_next = np.zeros(H)
+        dc_next = np.zeros(H)
+        for t in range(n - 1, -1, -1):
+            x, h_prev, c_prev, i, f, g, o, c, tc = steps[t]
+            dh = dh_above[t] + dh_next
+            do = dh * tc
+            dc = dh * o * (1.0 - tc * tc) + dc_next
+            di = dc * g
+            df = dc * c_prev
+            dg = dc * i
+            dc_next = dc * f
+            dz = np.concatenate(
+                [
+                    di * i * (1.0 - i),
+                    df * f * (1.0 - f),
+                    dg * (1.0 - g * g),
+                    do * o * (1.0 - o),
+                ]
+            )
+            dW += np.outer(dz, x)
+            dU += np.outer(dz, h_prev)
+            db += dz
+            dx_below[t] = W.T @ dz
+            dh_next = U.T @ dz
+        dh_above = dx_below
+    return sse, grads, int(np.sum(mask > 0))
+
+
+def _packed_problem(rng, lengths, dim, masked=False):
+    fm = rng.normal(size=(int(np.sum(lengths)), dim))
+    labels = rng.normal(size=fm.shape[0])
+    mask = (rng.uniform(size=fm.shape[0]) < 0.7).astype(float) if masked else None
+    return fm, labels, mask
+
+
+def _segments(lengths):
+    ends = np.cumsum(lengths)
+    return [slice(e - n, e) for n, e in zip(lengths, ends)]
+
+
+def _assert_rel(got, want, tol=1e-12):
+    scale = max(np.max(np.abs(want)), 1e-300)
+    assert np.max(np.abs(got - want)) <= tol * scale
+
+
 def test_zero_parameter_forward():
     model = LstmModel.init(4, 3, np.random.default_rng(0))
     for layer in range(model.n_layers):
@@ -300,6 +393,23 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_retired_split_key_loads(tmp_path):
+    import json
+
+    model = LstmModel.init(4, 3, np.random.default_rng(5))
+    cfg = TrainConfig(seed=3, hidden=3)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, np.zeros(4), np.ones(4), cfg)
+    data = dict(np.load(path))
+    meta = json.loads(bytes(data["meta"]))
+    assert "split" not in meta["config"]
+    meta["config"]["split"] = [0.6, 0.2, 0.2]
+    data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **data)
+    _, _, _, loaded_cfg, _ = load_checkpoint(path)
+    assert loaded_cfg == cfg
+
+
 def test_variable_length_sequences():
     rng = np.random.default_rng(8)
     model = LstmModel.init(5, 4, rng)
@@ -321,3 +431,97 @@ def test_forward_with_saturated_gates_warns_nothing():
         warnings.simplefilter("error")
         y = lstm_forward(model, np.ones((3, 4)))
     assert np.array_equal(y, np.full(3, model.head_b))
+
+
+# lengths 1..17 in shuffled order, with ties (5, 5, 5 and 17, 17)
+_LENGTHS = [9, 5, 17, 1, 12, 5, 3, 16, 2, 14, 5, 7, 17, 4, 11, 6, 15, 8, 10, 13]
+
+
+@pytest.mark.parametrize("hidden", [3, 8, 64])
+@pytest.mark.parametrize("masked", [False, True])
+def test_packed_backward_matches_per_sample_reference(hidden, masked):
+    rng = np.random.default_rng(100 + hidden)
+    model = LstmModel.init(6, hidden, rng)
+    model.head_b = 0.3
+    fm, labels, mask = _packed_problem(rng, _LENGTHS, 6, masked)
+    sse, grads, n_rows = lstm_backward(model, fm, labels, mask=mask, lengths=_LENGTHS)
+    ref_sse = 0.0
+    ref_rows = 0
+    ref = {k: np.zeros_like(v) for k, v in grads.items()}
+    for seg in _segments(_LENGTHS):
+        s_i, g_i, r_i = _reference_backward(
+            model, fm[seg], labels[seg], None if mask is None else mask[seg]
+        )
+        ref_sse += s_i
+        ref_rows += r_i
+        for k in ref:
+            ref[k] += g_i[k]
+    assert n_rows == ref_rows
+    assert sse == pytest.approx(ref_sse, rel=1e-12)
+    assert set(grads) == set(ref)
+    for k in ref:
+        assert grads[k].shape == ref[k].shape
+        _assert_rel(grads[k], ref[k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_batch_of_one_matches_reference(n):
+    rng = np.random.default_rng(n)
+    model = LstmModel.init(5, 8, rng)
+    fm, labels, _ = _packed_problem(rng, [n], 5)
+    ref_sse, ref, ref_rows = _reference_backward(model, fm, labels)
+    for lengths in (None, [n]):
+        sse, grads, n_rows = lstm_backward(model, fm, labels, lengths=lengths)
+        assert n_rows == ref_rows
+        assert sse == pytest.approx(ref_sse, rel=1e-12)
+        for k in ref:
+            _assert_rel(grads[k], ref[k])
+
+
+@pytest.mark.parametrize("hidden", [3, 8, 64])
+def test_packed_forward_matches_naive_per_sequence(hidden):
+    rng = np.random.default_rng(200 + hidden)
+    model = LstmModel.init(6, hidden, rng)
+    model.head_b = -0.2
+    fm, _, _ = _packed_problem(rng, _LENGTHS, 6)
+    y = lstm_forward(model, fm, _LENGTHS)
+    assert y.shape == (fm.shape[0],)
+    for seg in _segments(_LENGTHS):
+        assert np.max(np.abs(y[seg] - _naive_forward(model, fm[seg]))) < 1e-12
+
+
+def test_padding_never_reaches_another_sample():
+    rng = np.random.default_rng(31)
+    model = LstmModel.init(6, 8, rng)
+    fm, labels, _ = _packed_problem(rng, _LENGTHS, 6)
+    segs = _segments(_LENGTHS)
+    y = lstm_forward(model, fm, _LENGTHS)
+    mask = np.ones(fm.shape[0])
+    for k in (0, 2, 3, 12):  # mid-length, longest, length 1, tied longest
+        seg = segs[k]
+        fm2, labels2 = fm.copy(), labels.copy()
+        fm2[seg] = rng.normal(scale=50.0, size=fm2[seg].shape)
+        labels2[seg] += 1e3
+        y2 = lstm_forward(model, fm2, _LENGTHS)
+        others = np.ones(fm.shape[0], dtype=bool)
+        others[seg] = False
+        assert np.array_equal(y2[others], y[others])
+        # with sample k masked out, nothing it holds reaches the gradients
+        mask_k = mask.copy()
+        mask_k[seg] = 0.0
+        sse1, g1, rows1 = lstm_backward(model, fm, labels, mask=mask_k, lengths=_LENGTHS)
+        sse2, g2, rows2 = lstm_backward(model, fm2, labels2, mask=mask_k, lengths=_LENGTHS)
+        assert sse1 == sse2
+        assert rows1 == rows2 == fm.shape[0] - _LENGTHS[k]
+        for name in g1:
+            assert np.array_equal(g1[name], g2[name])
+
+
+def test_lengths_must_partition_the_rows():
+    model = LstmModel.init(4, 3, np.random.default_rng(0))
+    fm = np.zeros((6, 4))
+    for lengths in ([2, 3], [4, 3], [7, -1], [[3, 3]]):
+        with pytest.raises(ShapeMismatch):
+            lstm_forward(model, fm, lengths)
+    # zero-length sequences are allowed and hold no rows
+    assert lstm_forward(model, fm, [0, 6, 0]).shape == (6,)
