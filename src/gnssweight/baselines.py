@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, NonConvergence
-from .geo import SPEED_OF_LIGHT, ecef_to_geodetic, elevation_azimuth
+from .geo import ecef_to_geodetic, elevation_azimuth
 from .model import Epoch
 from .solver import SolveReport, equal_weight_fix, jacobian, solve_wls
 
@@ -24,14 +24,12 @@ _CHI2_MEDIAN = 0.4549364231195724
 class SotaWeightParams:
     """Coefficients of the parametric variance model.
 
-    sigma2(theta, cn0, a) = (z + c / cn0_linear + a2 * accel^2) / sin^2(theta)
+    sigma2(theta, cn0) = (z + c / cn0_linear) / sin^2(theta)
     with cn0 as a linear power ratio (10^(dBHz/10)).
     """
 
     sigma_z2: float
     sigma_c2: float
-    sigma_a2: float
-    accel_identifiable: bool = True
 
 
 @dataclass(frozen=True)
@@ -46,78 +44,61 @@ def cn0_linear(cn0_dbhz) -> float:
     return 10.0 ** (np.asarray(cn0_dbhz, dtype=float) / 10.0)
 
 
-def sota_sigma2(theta: float, cn0_dbhz: float, a: float, p: SotaWeightParams) -> float:
+def sota_sigma2(theta: float, cn0_dbhz: float, p: SotaWeightParams) -> float:
     """Parametric pseudorange variance, m^2."""
     if theta <= DEFAULT_ELEVATION_MASK:
         raise HorizonSingularity(f"elevation {theta:.4f} rad at or below the mask")
     s = math.sin(theta)
-    return (p.sigma_z2 + p.sigma_c2 / cn0_linear(cn0_dbhz) + p.sigma_a2 * a * a) / (s * s)
+    return (p.sigma_z2 + p.sigma_c2 / cn0_linear(cn0_dbhz)) / (s * s)
 
 
-def sota_weights(thetas, cn0s, accels, p: SotaWeightParams) -> np.ndarray:
+def sota_weights(thetas, cn0s, p: SotaWeightParams) -> np.ndarray:
     """1/sigma^2 per link; links at or below the mask get weight 0."""
     w = np.zeros(len(thetas))
-    for i, (t, c, a) in enumerate(zip(thetas, cn0s, accels)):
+    for i, (t, c) in enumerate(zip(thetas, cn0s)):
         if t > DEFAULT_ELEVATION_MASK:
-            w[i] = 1.0 / sota_sigma2(t, c, a, p)
+            w[i] = 1.0 / sota_sigma2(t, c, p)
     return w
 
 
-def calibrate_sota(thetas, cn0s, accels, errors_m) -> SotaWeightParams:
+def calibrate_sota(thetas, cn0s, errors_m) -> SotaWeightParams:
     """Fit the variance model to observed true-position residuals.
 
-    Samples are binned over (elevation, C/N0, acceleration); each bin
-    contributes its median squared error (rescaled to a variance, which
-    keeps heavy NLOS tails from inflating the fit) and the model is
-    solved by nonnegative least squares on sin^2(theta) * sigma2.
+    Samples are binned over (elevation, C/N0); each bin contributes its
+    median squared error (rescaled to a variance, which keeps heavy NLOS
+    tails from inflating the fit) and the model is solved by nonnegative
+    least squares on sin^2(theta) * sigma2, one row per populated bin in
+    sorted (elevation bin, C/N0 bin) order.
     """
     thetas = np.asarray(thetas, dtype=float)
     cn0s = np.asarray(cn0s, dtype=float)
-    accels = np.asarray(accels, dtype=float)
     errors = np.asarray(errors_m, dtype=float)
     if thetas.size == 0:
         raise EmptySplit("no samples to calibrate on")
 
-    accel_ok = bool(np.any(np.abs(accels) > 1e-9))
-
     t_edges = np.linspace(DEFAULT_ELEVATION_MASK, math.pi / 2, 7)
     c_edges = np.quantile(cn0s, np.linspace(0, 1, 7))
-    a_edges = np.quantile(np.abs(accels), np.linspace(0, 1, 4)) if accel_ok else None
-
     ti = np.clip(np.digitize(thetas, t_edges) - 1, 0, 5)
     ci = np.clip(np.digitize(cn0s, c_edges) - 1, 0, 5)
-    ai = np.clip(np.digitize(np.abs(accels), a_edges) - 1, 0, 2) if accel_ok else np.zeros(len(thetas), dtype=int)
 
     rows = []
     targets = []
     counts = []
-    for key in set(zip(ti, ci, ai)):
-        sel = (ti == key[0]) & (ci == key[1]) & (ai == key[2])
+    for t_bin, c_bin in sorted(set(zip(ti.tolist(), ci.tolist()))):
+        sel = (ti == t_bin) & (ci == c_bin)
         if np.sum(sel) < 5:
             continue
         var = np.median(errors[sel] ** 2) / _CHI2_MEDIAN
         s2 = np.sin(thetas[sel]) ** 2
-        # regress sin^2(theta) * sigma2 = z + c/cn0 + a2 * a^2
-        y = var * float(np.mean(s2))
-        rows.append(
-            [1.0, float(np.mean(1.0 / cn0_linear(cn0s[sel]))), float(np.mean(accels[sel] ** 2))]
-        )
-        targets.append(y)
+        # regress sin^2(theta) * sigma2 = z + c/cn0
+        targets.append(var * float(np.mean(s2)))
+        rows.append([1.0, float(np.mean(1.0 / cn0_linear(cn0s[sel])))])
         counts.append(float(np.sum(sel)))
     if not rows:
         raise EmptySplit("not enough populated bins for calibration")
-    A = np.array(rows)
-    y = np.array(targets)
     w = np.sqrt(np.array(counts))
-    if not accel_ok:
-        A = A[:, :2]
-    coef, _ = nnls(A * w[:, None], y * w)
-    if accel_ok:
-        z, c, a2 = coef
-    else:
-        z, c = coef
-        a2 = 0.0
-    return SotaWeightParams(float(z), float(c), float(a2), accel_identifiable=accel_ok)
+    (z, c), _ = nnls(np.array(rows) * w[:, None], np.array(targets) * w)
+    return SotaWeightParams(float(z), float(c))
 
 
 @dataclass
@@ -137,8 +118,7 @@ def fde_solve(
     Each round solves the surviving set with equal weights, standardizes
     the post-fit residuals by their linearized variance, and drops the
     worst offender while it exceeds the threshold. Survivors are finally
-    solved with ``sota_weights`` from the parametric model, at zero
-    acceleration (the dataset has no acceleration channel). ``fix`` is the
+    solved with ``sota_weights`` from the parametric model. ``fix`` is the
     epoch's ``equal_weight_fix`` when the caller already has it; it is the
     first round, which is solved here otherwise.
     """
@@ -156,10 +136,7 @@ def fde_solve(
             break
         # leverage of each active row in the equal-weight linear model
         H = jacobian(state, epoch)[active]
-        # normalize the clock columns to meters so the hat matrix is well scaled
-        Hs = H.copy()
-        Hs[:, 3:] = Hs[:, 3:] / SPEED_OF_LIGHT
-        hat = Hs @ np.linalg.solve(Hs.T @ Hs, Hs.T)
+        hat = H @ np.linalg.solve(H.T @ H, H.T)
         lev = np.clip(np.diag(hat), 0.0, 1.0 - 1e-6)
         r = rep.post_fit_residuals[active]
         std = r / (cfg.noise_sigma_m * np.sqrt(1.0 - lev))
@@ -176,7 +153,7 @@ def fde_solve(
     survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
     thetas = [elevation_azimuth(m.sat_pos, rx_geo)[0] for m in survivors]
     w = np.zeros(n)
-    w[active] = sota_weights(thetas, [m.cn0 for m in survivors], np.zeros(len(survivors)), params)
+    w[active] = sota_weights(thetas, [m.cn0 for m in survivors], params)
     if int(np.sum(w > 0)) < epoch.state_dim():
         w = active.astype(float)  # degenerate masking: fall back to equal weights
     try:

@@ -7,13 +7,14 @@ import csv
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
 from .baselines import FdeConfig, calibrate_sota
 from .config import load_config
 from .dataio import read_dataset, write_dataset
-from .errors import GnssWeightError
+from .errors import GnssWeightError, ShapeMismatch
 from .evaluation import (
     CdfSummary,
     StrategyModels,
@@ -67,6 +68,23 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
+def _read_npz(loader, path, what: str):
+    """``loader(path)``, failing with a GnssWeightError when ``path`` is not a
+    readable npz file of ``what``."""
+    try:
+        return loader(path)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
+        raise GnssWeightError(f"{path} is not a readable {what}: {e}") from e
+
+
+def _load_model(path, mode: str):
+    """(model, normalization) from a checkpoint trained on ``mode`` features."""
+    model, mean, std, cfg, _ = _read_npz(load_checkpoint, path, "checkpoint")
+    if cfg.feature_mode != mode:
+        raise ShapeMismatch(f"{path} holds a '{cfg.feature_mode}' model where '{mode}' is needed")
+    return model, FeatureNormalization(mean, std)
+
+
 def _load_feature_cache(path):
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
@@ -85,17 +103,9 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config, _seed_override(args))
     tr = cfg["train"]
     mode = args.mode or tr["feature_mode"]
-    tcfg = TrainConfig(
-        learning_rate=tr["learning_rate"],
-        batch_size=tr["batch_size"],
-        max_epochs=tr["max_epochs"],
-        patience=tr["patience"],
-        seed=cfg["seed"],
-        hidden=tr["hidden"],
-        feature_mode=mode,
-    )
+    tcfg = TrainConfig(**{**tr, "seed": cfg["seed"], "feature_mode": mode})
     if args.features:
-        splits = _load_feature_cache(args.features)
+        splits = _read_npz(_load_feature_cache, args.features, "feature cache")
     else:
         splits = dataset_samples(read_dataset(args.data))
     for split in ("train", "val"):
@@ -103,8 +113,7 @@ def _cmd_train(args) -> int:
 
     init_model = None
     if args.resume:
-        init_model, mean, std, _, _ = load_checkpoint(args.resume)
-        norm = FeatureNormalization(mean, std)
+        init_model, norm = _load_model(args.resume, mode)
     else:
         norm = fit_normalization(splits["train"], mode)
     train_s = normalized_split(splits["train"], norm, mode)
@@ -127,8 +136,8 @@ def _cmd_train(args) -> int:
 
 
 def _calibration_samples(dataset):
-    """(theta, cn0, a, error) per train-split measurement, from ground truth."""
-    thetas, cn0s, accels, errors = [], [], [], []
+    """(theta, cn0, error) per train-split measurement, from ground truth."""
+    thetas, cn0s, errors = [], [], []
     for session in dataset.split_sessions("train"):
         for epoch in session.epochs:
             if epoch.truth is None:
@@ -139,9 +148,8 @@ def _calibration_samples(dataset):
                 theta, _ = elevation_azimuth(m.sat_pos, rx_geo)
                 thetas.append(theta)
                 cn0s.append(m.cn0)
-                accels.append(0.0)  # no acceleration channel in the dataset format
                 errors.append(err)
-    return thetas, cn0s, accels, errors
+    return thetas, cn0s, errors
 
 
 def _cmd_evaluate(args) -> int:
@@ -153,26 +161,17 @@ def _cmd_evaluate(args) -> int:
     strategies = ev["strategies"]
     dataset = read_dataset(args.data)
 
-    models = StrategyModels(
-        fde_cfg=FdeConfig(
-            threshold=ev["fde"]["threshold"],
-            max_exclusions=ev["fde"]["max_exclusions"],
-            min_retained=ev["fde"]["min_retained"],
-            noise_sigma_m=ev["fde"]["noise_sigma_m"],
-        )
-    )
-    for strategy, path in (("nn_full", args.model_full), ("nn_residual", args.model_residual)):
+    models = StrategyModels(fde_cfg=FdeConfig(**ev["fde"]))
+    for strategy, mode, path in (
+        ("nn_full", "full", args.model_full),
+        ("nn_residual", "residual", args.model_residual),
+    ):
         if strategy not in strategies:
             continue
         if not path or not os.path.exists(path or ""):
             print(f"error: strategy '{strategy}' needs a model file (got {path!r})", file=sys.stderr)
             return 1
-        model, mean, std, _, _ = load_checkpoint(path)
-        pair = (model, FeatureNormalization(mean, std))
-        if strategy == "nn_full":
-            models.nn_full = pair
-        else:
-            models.nn_residual = pair
+        setattr(models, strategy, _load_model(path, mode))
     if "fde_sota" in strategies:
         models.sota = calibrate_sota(*_calibration_samples(dataset))
 

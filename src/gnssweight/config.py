@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
 import yaml
 
+from .baselines import FdeConfig
 from .errors import ConfigInvalid
+from .evaluation import STRATEGIES
+from .nn import TrainConfig
+from .sim import PROFILES, ScenarioConfig
 
 CONFIG_VERSION = 1
 
+# Run settings that have a dataclass take their defaults from it; the
+# training seed is the run's top-level ``seed``.
 DEFAULTS = {
     "version": CONFIG_VERSION,
     "seed": 42,
@@ -18,26 +25,14 @@ DEFAULTS = {
         "profiles": ["urban_canyon", "suburban", "open_sky"],
         "sessions_per_profile": 10,
         "epochs_per_session": 200,
-        "rate_hz": 5.0,
-        "noise_sigma_m": 1.0,
-        "nlos_bias_mean_m": 30.0,
+        "rate_hz": ScenarioConfig.rate_hz,
+        "noise_sigma_m": ScenarioConfig.noise_sigma_m,
+        "nlos_bias_mean_m": ScenarioConfig.nlos_bias_mean_m,
     },
-    "train": {
-        "hidden": 64,
-        "learning_rate": 3e-3,
-        "batch_size": 16,
-        "max_epochs": 60,
-        "patience": 8,
-        "feature_mode": "full",
-    },
+    "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items() if k != "seed"},
     "evaluate": {
-        "strategies": ["truth", "nn_full", "nn_residual", "fde_sota", "equal"],
-        "fde": {
-            "threshold": 3.0,
-            "max_exclusions": 8,
-            "min_retained": 6,
-            "noise_sigma_m": 1.0,
-        },
+        "strategies": list(STRATEGIES),
+        "fde": dataclasses.asdict(FdeConfig()),
     },
 }
 
@@ -91,8 +86,6 @@ def _validate(cfg: dict) -> None:
         raise ConfigInvalid("'simulate.noise_sigma_m' must be >= 0")
     if sim["nlos_bias_mean_m"] < 0:
         raise ConfigInvalid("'simulate.nlos_bias_mean_m' must be >= 0")
-    from .sim import PROFILES
-
     for p in sim["profiles"]:
         if p not in PROFILES:
             raise ConfigInvalid(f"'simulate.profiles' entry {p!r} not one of {PROFILES}")
@@ -106,8 +99,6 @@ def _validate(cfg: dict) -> None:
     if tr["learning_rate"] <= 0:
         raise ConfigInvalid("'train.learning_rate' must be > 0")
     ev = cfg["evaluate"]
-    from .evaluation import STRATEGIES
-
     for s in ev["strategies"]:
         if s not in STRATEGIES:
             raise ConfigInvalid(f"'evaluate.strategies' entry {s!r} not one of {STRATEGIES}")

@@ -40,10 +40,6 @@ class Dataset:
     def split_sessions(self, split: str):
         return [s for s in self.sessions if s.split == split]
 
-    def epochs(self):
-        for s in self.sessions:
-            yield from s.epochs
-
     @property
     def n_epochs(self) -> int:
         return sum(len(s.epochs) for s in self.sessions)

@@ -40,7 +40,6 @@ class ErrorRecord:
 @dataclass
 class CdfSummary:
     strategy: str
-    samples: np.ndarray  # sorted horizontal errors of converged epochs
     quantiles: dict
     count: int
     failures: int
@@ -50,7 +49,7 @@ class CdfSummary:
         errs = sorted(r.h_err_m for r in records if r.converged)
         failures = sum(1 for r in records if not r.converged)
         q = {p: empirical_quantile(errs, p) for p in QUANTILES} if errs else {}
-        return CdfSummary(strategy, np.array(errs), q, len(errs), failures)
+        return CdfSummary(strategy, q, len(errs), failures)
 
 
 def position_errors(estimate, truth: EcefPosition) -> tuple[float, float]:

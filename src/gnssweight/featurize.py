@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySplit, NotEnoughMeasurements, SingularGeometry
-from .features import TrackingHistory
+from .features import N_PER_LINK_FEATURES, TrackingHistory
 from .geo import ecef_to_geodetic
 from .model import Epoch
 from .nn import make_labels
@@ -22,7 +22,7 @@ from .solver import SolveReport, equal_weight_fix
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 N_RESIDUAL_SUMMARY = 8
-N_FEATURES = N_RESIDUAL_SUMMARY + 6
+N_FEATURES = N_RESIDUAL_SUMMARY + N_PER_LINK_FEATURES
 
 
 def fold_residual_row(row: np.ndarray, exclude: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -289,8 +289,8 @@ def predict_weights(model: LstmModel, fm: np.ndarray) -> np.ndarray:
 class TrainConfig:
     learning_rate: float = 3e-3
     batch_size: int = 16
-    max_epochs: int = 100
-    patience: int = 10
+    max_epochs: int = 60
+    patience: int = 8
     seed: int = 0
     hidden: int = 64
     feature_mode: str = "full"  # "full" or "residual"
@@ -319,15 +319,12 @@ class _Adam:
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            p -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
-
-
-def _model_params(model: LstmModel) -> dict:
-    params = {name: arr for name, arr in model.param_items()}
-    return params
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def _pack(samples):
@@ -371,7 +368,7 @@ def train(
     if model.input_dim != input_dim:
         raise ShapeMismatch("init model input width differs from the data")
 
-    params = _model_params(model)
+    params = dict(model.param_items())
     head_b = np.array(model.head_b)
     opt = _Adam(
         {**{k: v.shape for k, v in params.items()}, "head_b": ()}, cfg.learning_rate
@@ -424,15 +421,7 @@ def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfi
         "hidden": model.hidden,
         "n_layers": model.n_layers,
         "head_b": model.head_b,
-        "config": {
-            "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size,
-            "max_epochs": cfg.max_epochs,
-            "patience": cfg.patience,
-            "seed": cfg.seed,
-            "hidden": cfg.hidden,
-            "feature_mode": cfg.feature_mode,
-        },
+        "config": asdict(cfg),
         "extra": extra or {},
     }
     arrays = {name: arr for name, arr in model.param_items()}
@@ -458,14 +447,7 @@ def load_checkpoint(path):
             head_w=data["head_w"].copy(),
             head_b=float(meta["head_b"]),
         )
-        c = meta["config"]
-        cfg = TrainConfig(
-            learning_rate=c["learning_rate"],
-            batch_size=c["batch_size"],
-            max_epochs=c["max_epochs"],
-            patience=c["patience"],
-            seed=c["seed"],
-            hidden=c["hidden"],
-            feature_mode=c["feature_mode"],
-        )
+        # stored keys that are no longer TrainConfig fields, such as ``split``, are ignored
+        names = {f.name for f in fields(TrainConfig)}
+        cfg = TrainConfig(**{k: v for k, v in meta["config"].items() if k in names})
         return model, data["norm_mean"].copy(), data["norm_std"].copy(), cfg, meta["extra"]

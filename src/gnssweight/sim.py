@@ -47,6 +47,17 @@ _NLOS_CURVES = {
     "urban_canyon": [(math.radians(5.0), 0.45), (math.radians(90.0), 0.05)],
 }
 
+# Signal and clock settings shared by every scenario. Every session
+# tracks the one L1 band.
+NLOS_CN0_PENALTY_DB = 10.0
+MP_CN0_VAR_INFLATION_DB2 = 4.0  # extra C/N0 variance in urban multipath
+CN0_BASE_DBHZ = 50.0
+CN0_ELEV_LOSS_DB = 8.0
+CN0_NOISE_SIGMA_DB = 0.5
+ELEVATION_MASK = math.radians(5.0)
+CLOCK_INIT_SPAN_S = 1e-4
+CLOCK_WALK_SIGMA_S = 1e-8
+
 _DEFAULT_WAYPOINTS = [
     GeodeticPosition(math.radians(45.19), math.radians(5.72), 220.0),
     GeodeticPosition(math.radians(45.21), math.radians(5.74), 235.0),
@@ -66,18 +77,9 @@ class ScenarioConfig:
             ConstellationId.GLONASS: 8,
         }
     )
-    bands: tuple = (Band.L1,)
     noise_sigma_m: float = 1.0  # zenith-equivalent; scales with 1/sin(elevation)
     nlos_prob_curve: tuple = tuple(_NLOS_CURVES["urban_canyon"])
     nlos_bias_mean_m: float = 30.0
-    nlos_cn0_penalty_db: float = 10.0
-    mp_cn0_var_inflation_db2: float = 4.0
-    cn0_base_dbhz: float = 50.0
-    cn0_elev_loss_db: float = 8.0
-    cn0_noise_sigma_db: float = 0.5
-    elevation_mask: float = math.radians(5.0)
-    clock_init_span_s: float = 1e-4
-    clock_walk_sigma_s: float = 1e-8
     profile: str = "urban_canyon"
     waypoints: tuple = tuple(_DEFAULT_WAYPOINTS)
 
@@ -95,7 +97,7 @@ class ScenarioConfig:
                 raise ConfigInvalid("nlos_prob_curve elevation outside [0, pi/2]")
         if self.noise_sigma_m < 0 or self.nlos_bias_mean_m < 0:
             raise ConfigInvalid("noise/bias magnitudes must be nonnegative")
-        if sum(self.sv_counts.values()) * len(self.bands) < 16:
+        if sum(self.sv_counts.values()) < 16:
             raise ConfigInvalid("too few satellites for a typical N >= 6 visible")
         if len(self.waypoints) < 2:
             raise ConfigInvalid("need at least two trajectory waypoints")
@@ -106,7 +108,6 @@ class SessionTruth:
     """Per-epoch ground truth and fault bookkeeping, aligned 1:1 with epochs."""
 
     positions: list = field(default_factory=list)  # EcefPosition
-    velocities: list = field(default_factory=list)  # np.ndarray (3,), m/s
     fault_flags: list = field(default_factory=list)  # list[bool] per epoch, canonical order
     fault_biases: list = field(default_factory=list)  # list[float] per epoch, canonical order
 
@@ -127,18 +128,16 @@ def nlos_probability(curve, elevation: float) -> float:
 
 
 def _trajectory(cfg: ScenarioConfig, times: np.ndarray):
-    """Piecewise-linear ECEF positions and velocities along the waypoints."""
+    """Piecewise-linear ECEF positions along the waypoints."""
     pts = np.array([geodetic_to_ecef(w).as_array() for w in cfg.waypoints])
     n_seg = len(pts) - 1
     seg_T = cfg.duration_s / n_seg
     positions = np.empty((len(times), 3))
-    velocities = np.empty((len(times), 3))
     for k, t in enumerate(times):
         s = min(int(t / seg_T), n_seg - 1)
         f = (t - s * seg_T) / seg_T
         positions[k] = pts[s] + f * (pts[s + 1] - pts[s])
-        velocities[k] = (pts[s + 1] - pts[s]) / seg_T
-    return positions, velocities
+    return positions
 
 
 def _init_orbits(cfg: ScenarioConfig, rng: np.random.Generator):
@@ -172,11 +171,11 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
     dt = 1.0 / cfg.rate_hz
     n_epochs = int(round(cfg.duration_s * cfg.rate_hz))
     times = np.arange(n_epochs) * dt
-    positions, velocities = _trajectory(cfg, times)
+    positions = _trajectory(cfg, times)
     orbits = _init_orbits(cfg, rng)
 
     consts = sorted(cfg.sv_counts.keys())
-    clock = {c: float(rng.uniform(-cfg.clock_init_span_s, cfg.clock_init_span_s)) for c in consts}
+    clock = {c: float(rng.uniform(-CLOCK_INIT_SPAN_S, CLOCK_INIT_SPAN_S)) for c in consts}
 
     lock_time: dict = {}
     epochs = []
@@ -185,54 +184,53 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
         rx = EcefPosition.from_array(positions[k])
         rx_geo = ecef_to_geodetic(rx)
         for c in consts:
-            clock[c] += float(rng.normal(0.0, cfg.clock_walk_sigma_s))
+            clock[c] += float(rng.normal(0.0, CLOCK_WALK_SIGMA_S))
 
         raw = []
         for const, sv, u, v, phase in orbits:
             sat = EcefPosition.from_array(_sat_position(const, u, v, phase, float(t)))
             elev, _ = elevation_azimuth(sat, rx_geo)
-            for band in cfg.bands:
-                key = (const, sv, band)
-                if elev < cfg.elevation_mask:
-                    lock_time.pop(key, None)
-                    continue
-                lt = lock_time.get(key, -dt) + dt
-                lock_time[key] = lt
+            key = (const, sv)
+            if elev < ELEVATION_MASK:
+                lock_time.pop(key, None)
+                continue
+            lt = lock_time.get(key, -dt) + dt
+            lock_time[key] = lt
 
-                p_nlos = nlos_probability(cfg.nlos_prob_curve, elev)
-                is_nlos = bool(rng.random() < p_nlos)
-                bias = float(rng.exponential(cfg.nlos_bias_mean_m)) if is_nlos else 0.0
+            p_nlos = nlos_probability(cfg.nlos_prob_curve, elev)
+            is_nlos = bool(rng.random() < p_nlos)
+            bias = float(rng.exponential(cfg.nlos_bias_mean_m)) if is_nlos else 0.0
 
-                sigma = cfg.noise_sigma_m / max(math.sin(elev), math.sin(cfg.elevation_mask))
-                noise = float(rng.normal(0.0, sigma)) if cfg.noise_sigma_m > 0 else 0.0
-                rng_m = float(np.linalg.norm(rx.as_array() - sat.as_array()))
-                pr = rng_m + SPEED_OF_LIGHT * clock[const] + noise + bias
+            sigma = cfg.noise_sigma_m / max(math.sin(elev), math.sin(ELEVATION_MASK))
+            noise = float(rng.normal(0.0, sigma)) if cfg.noise_sigma_m > 0 else 0.0
+            rng_m = float(np.linalg.norm(rx.as_array() - sat.as_array()))
+            pr = rng_m + SPEED_OF_LIGHT * clock[const] + noise + bias
 
-                cn0_sigma2 = cfg.cn0_noise_sigma_db**2
-                if cfg.profile == "urban_canyon":
-                    cn0_sigma2 += cfg.mp_cn0_var_inflation_db2
-                cn0 = (
-                    cfg.cn0_base_dbhz
-                    - cfg.cn0_elev_loss_db * (1.0 - math.sin(elev))
-                    - (cfg.nlos_cn0_penalty_db if is_nlos else 0.0)
-                    + (float(rng.normal(0.0, math.sqrt(cn0_sigma2))) if cn0_sigma2 > 0 else 0.0)
+            cn0_sigma2 = CN0_NOISE_SIGMA_DB**2
+            if cfg.profile == "urban_canyon":
+                cn0_sigma2 += MP_CN0_VAR_INFLATION_DB2
+            cn0 = (
+                CN0_BASE_DBHZ
+                - CN0_ELEV_LOSS_DB * (1.0 - math.sin(elev))
+                - (NLOS_CN0_PENALTY_DB if is_nlos else 0.0)
+                + (float(rng.normal(0.0, math.sqrt(cn0_sigma2))) if cn0_sigma2 > 0 else 0.0)
+            )
+            cn0 = float(np.clip(cn0, 0.0, 60.0))
+            raw.append(
+                (
+                    PseudorangeMeasurement(
+                        constellation=const,
+                        sv_id=sv,
+                        band=Band.L1,
+                        pseudorange=pr,
+                        sat_pos=sat,
+                        cn0=cn0,
+                        lock_time=lt,
+                    ),
+                    is_nlos,
+                    bias,
                 )
-                cn0 = float(np.clip(cn0, 0.0, 60.0))
-                raw.append(
-                    (
-                        PseudorangeMeasurement(
-                            constellation=const,
-                            sv_id=sv,
-                            band=band,
-                            pseudorange=pr,
-                            sat_pos=sat,
-                            cn0=cn0,
-                            lock_time=lt,
-                        ),
-                        is_nlos,
-                        bias,
-                    )
-                )
+            )
         raw.sort(key=lambda item: item[0].key)  # canonical order, same as Epoch's
         epoch = Epoch(
             time=float(t),
@@ -242,7 +240,6 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
         )
         epochs.append(epoch)
         truth.positions.append(rx)
-        truth.velocities.append(velocities[k])
         truth.fault_flags.append([f for _, f, _ in raw])
         truth.fault_biases.append([b for _, _, b in raw])
     return epochs, truth
@@ -275,7 +272,7 @@ def generate_campaign(
     sessions_per_profile: int,
     seed: int,
     epochs_per_session: int = 200,
-    rate_hz: float = 5.0,
+    rate_hz: float = ScenarioConfig.rate_hz,
     **overrides,
 ):
     """Multi-session campaign with a session-level 60/20/20 split.

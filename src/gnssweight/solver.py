@@ -47,8 +47,9 @@ def jacobian(state: NavState, epoch: Epoch) -> np.ndarray:
     """Analytic Jacobian of the stacked observation functions.
 
     Row i: unit line-of-sight (receiver minus satellite, normalized) on
-    the position columns, the speed of light on the measurement's clock
-    column, zero elsewhere. Shape N x (3 + #constellations).
+    the position columns, 1 on the measurement's clock column, zero
+    elsewhere. Shape N x (3 + #constellations); the clock columns are in
+    meters (c * delta_k), the kernel's state layout.
     """
     consts = epoch.constellations()
     sat = epoch.sat_array()
@@ -60,7 +61,7 @@ def jacobian(state: NavState, epoch: Epoch) -> np.ndarray:
     J = np.zeros((epoch.n, 3 + len(consts)))
     J[:, :3] = diff / rng[:, None]
     idx = epoch.const_index()
-    J[np.arange(epoch.n), 3 + idx] = SPEED_OF_LIGHT
+    J[np.arange(epoch.n), 3 + idx] = 1.0
     return J
 
 

@@ -104,7 +104,7 @@ def pipeline():
         )
         models[mode] = (model, norm, report)
 
-    thetas, cn0s, accels, errors = [], [], [], []
+    thetas, cn0s, errors = [], [], []
     for session in dataset.split_sessions("train"):
         for epoch in session.epochs:
             rx_geo = ecef_to_geodetic(epoch.truth)
@@ -117,9 +117,8 @@ def pipeline():
                 theta, _ = elevation_azimuth(m.sat_pos, rx_geo)
                 thetas.append(theta)
                 cn0s.append(m.cn0)
-                accels.append(0.0)
                 errors.append(e)
-    sota = calibrate_sota(thetas, cn0s, accels, errors)
+    sota = calibrate_sota(thetas, cn0s, errors)
 
     strategy_models = StrategyModels(
         nn_full=models["full"][:2],
@@ -171,7 +170,7 @@ def test_criterion_02_jacobian_finite_differences(rng):
     probes = 0
     worst = 0.0
     h_pos = 1.0  # meters; curvature ~1/range makes truncation negligible
-    h_clk = 1e-6  # seconds
+    h_clk = 1e-6  # seconds; the Jacobian's clock columns are per meter (c * delta)
     while probes < 1000:
         epoch, truth = make_epoch(rng, n=8, constellations=_CONSTS[: 1 + probes % 3])
         J = jacobian(truth, epoch)
@@ -194,7 +193,7 @@ def test_criterion_02_jacobian_finite_differences(rng):
             fd = (
                 observation_function(NavState(truth.position, bp), m)
                 - observation_function(NavState(truth.position, bm), m)
-            ) / (2 * h_clk)
+            ) / (2 * h_clk * SPEED_OF_LIGHT)
             worst = max(worst, abs(fd - J[i, 3 + k]) / abs(J[i, 3 + k]))
             probes += 1
     assert worst < 1e-6
@@ -432,7 +431,7 @@ def test_criterion_09_learned_weighting_gain(pipeline):
 
 
 def test_criterion_10_fde_single_fault_exclusion(rng):
-    params = SotaWeightParams(sigma_z2=1.0, sigma_c2=0.0, sigma_a2=0.0)
+    params = SotaWeightParams(sigma_z2=1.0, sigma_c2=0.0)
     cfg = FdeConfig(noise_sigma_m=1.0)
     hits = 0
     trials = 1000
@@ -470,8 +469,8 @@ def test_criterion_11_unit_examples():
     assert quality_to_weights(np.array([math.log(2.0)]))[0] == pytest.approx(0.25)
     assert quality_to_weights(np.array([20.0]))[0] == 1e-8
     # parametric variance ratios
-    p5 = SotaWeightParams(1.0, 0.0, 0.0)
-    ratio = sota_sigma2(math.pi / 6, 45.0, 0.0, p5) / sota_sigma2(math.pi / 2, 45.0, 0.0, p5)
+    p5 = SotaWeightParams(1.0, 0.0)
+    ratio = sota_sigma2(math.pi / 6, 45.0, p5) / sota_sigma2(math.pi / 2, 45.0, p5)
     assert ratio == pytest.approx(4.0, rel=1e-12)
     # quantiles
     assert empirical_quantile([3.0, 3.0, 3.0], 0.31) == 3.0

@@ -24,65 +24,61 @@ def test_cn0_linear():
 
 
 def test_sigma2_zenith_trivial():
-    p = SotaWeightParams(sigma_z2=4.0, sigma_c2=0.0, sigma_a2=0.0)
-    assert sota_sigma2(math.pi / 2, 45.0, 0.0, p) == pytest.approx(4.0)
+    p = SotaWeightParams(sigma_z2=4.0, sigma_c2=0.0)
+    assert sota_sigma2(math.pi / 2, 45.0, p) == pytest.approx(4.0)
 
 
 def test_sigma2_elevation_scaling():
     # sin(30 deg) = 1/2, so the variance quadruples versus zenith
-    p = SotaWeightParams(sigma_z2=1.0, sigma_c2=0.0, sigma_a2=0.0)
-    assert sota_sigma2(math.radians(30.0), 45.0, 0.0, p) == pytest.approx(4.0)
+    p = SotaWeightParams(sigma_z2=1.0, sigma_c2=0.0)
+    assert sota_sigma2(math.radians(30.0), 45.0, p) == pytest.approx(4.0)
 
 
 def test_sigma2_term_composition():
-    p = SotaWeightParams(sigma_z2=1.0, sigma_c2=100.0, sigma_a2=0.25)
-    got = sota_sigma2(math.pi / 2, 10.0, 2.0, p)
-    assert got == pytest.approx(1.0 + 100.0 / 10.0 + 0.25 * 4.0)
+    p = SotaWeightParams(sigma_z2=1.0, sigma_c2=100.0)
+    got = sota_sigma2(math.pi / 2, 10.0, p)
+    assert got == pytest.approx(1.0 + 100.0 / 10.0)
 
 
 def test_sigma2_monotone_in_elevation_and_cn0():
-    p = SotaWeightParams(sigma_z2=1.0, sigma_c2=1e4, sigma_a2=0.0)
+    p = SotaWeightParams(sigma_z2=1.0, sigma_c2=1e4)
     thetas = np.linspace(math.radians(6), math.pi / 2, 50)
-    s = [sota_sigma2(t, 40.0, 0.0, p) for t in thetas]
+    s = [sota_sigma2(t, 40.0, p) for t in thetas]
     assert all(a >= b for a, b in zip(s, s[1:]))
     cn0s = np.linspace(20, 55, 50)
-    s = [sota_sigma2(math.pi / 4, c, 0.0, p) for c in cn0s]
+    s = [sota_sigma2(math.pi / 4, c, p) for c in cn0s]
     assert all(a >= b for a, b in zip(s, s[1:]))
 
 
 def test_horizon_guard():
-    p = SotaWeightParams(1.0, 0.0, 0.0)
+    p = SotaWeightParams(1.0, 0.0)
     with pytest.raises(HorizonSingularity):
-        sota_sigma2(DEFAULT_ELEVATION_MASK, 45.0, 0.0, p)
-    w = sota_weights([DEFAULT_ELEVATION_MASK / 2, math.pi / 4], [45.0, 45.0], [0.0, 0.0], p)
+        sota_sigma2(DEFAULT_ELEVATION_MASK, 45.0, p)
+    w = sota_weights([DEFAULT_ELEVATION_MASK / 2, math.pi / 4], [45.0, 45.0], p)
     assert w[0] == 0.0
     assert w[1] > 0.0
 
 
 def test_calibration_recovers_known_model():
     rng = np.random.default_rng(2)
-    truth = SotaWeightParams(sigma_z2=0.8, sigma_c2=3e4, sigma_a2=0.05)
+    truth = SotaWeightParams(sigma_z2=0.8, sigma_c2=3e4)
     n = 60_000
     thetas = rng.uniform(math.radians(10), math.radians(88), n)
     cn0s = rng.uniform(25, 55, n)
-    accels = rng.uniform(0, 4, n)
-    sig = np.array([math.sqrt(sota_sigma2(t, c, a, truth)) for t, c, a in zip(thetas, cn0s, accels)])
+    sig = np.array([math.sqrt(sota_sigma2(t, c, truth)) for t, c in zip(thetas, cn0s)])
     errors = rng.normal(0, sig)
-    est = calibrate_sota(thetas, cn0s, accels, errors)
-    assert est.accel_identifiable
+    est = calibrate_sota(thetas, cn0s, errors)
     # weights from the fitted model reproduce the generating weights
     probe_t = rng.uniform(math.radians(15), math.radians(80), 200)
     probe_c = rng.uniform(28, 52, 200)
-    probe_a = rng.uniform(0.2, 3.5, 200)
-    w_true = sota_weights(probe_t, probe_c, probe_a, truth)
-    w_est = sota_weights(probe_t, probe_c, probe_a, est)
+    w_true = sota_weights(probe_t, probe_c, truth)
+    w_est = sota_weights(probe_t, probe_c, est)
     ratio = w_est / w_true
     assert np.median(np.abs(ratio - 1.0)) < 0.25
 
 
 def test_calibration_is_outlier_robust():
     rng = np.random.default_rng(3)
-    truth = SotaWeightParams(sigma_z2=1.0, sigma_c2=0.0, sigma_a2=0.0)
     n = 40_000
     thetas = rng.uniform(math.radians(10), math.radians(88), n)
     cn0s = rng.uniform(25, 55, n)
@@ -92,27 +88,19 @@ def test_calibration_is_outlier_robust():
     # around 1.5 here) where a mean-of-squares fit would inflate by ~250x
     faulty = rng.random(n) < 0.15
     errors[faulty] += rng.exponential(30.0, int(faulty.sum()))
-    est = calibrate_sota(thetas, cn0s, np.zeros(n), errors)
+    est = calibrate_sota(thetas, cn0s, errors)
     assert 0.5 < est.sigma_z2 < 3.0
     mean_based = float(np.mean((errors * np.sin(thetas)) ** 2))
     assert mean_based > 50.0
 
 
-def test_calibration_degenerate_acceleration():
-    rng = np.random.default_rng(4)
-    n = 5000
-    thetas = rng.uniform(math.radians(10), math.radians(88), n)
-    cn0s = rng.uniform(25, 55, n)
-    errors = rng.normal(0, 1.0 / np.sin(thetas))
-    est = calibrate_sota(thetas, cn0s, np.zeros(n), errors)
-    assert not est.accel_identifiable
-    assert est.sigma_a2 == 0.0
+def test_calibration_rejects_empty_input():
     with pytest.raises(EmptySplit):
-        calibrate_sota([], [], [], [])
+        calibrate_sota([], [], [])
 
 
 def _bland_params():
-    return SotaWeightParams(sigma_z2=1.0, sigma_c2=0.0, sigma_a2=0.0)
+    return SotaWeightParams(sigma_z2=1.0, sigma_c2=0.0)
 
 
 def test_fde_noise_free_excludes_nothing(rng):

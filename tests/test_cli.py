@@ -166,3 +166,53 @@ def test_unknown_strategy_flag_fails_like_config(tiny_config, tiny_dataset, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'evaluate.strategies' entry 'bogus'" in err
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.fixture(scope="module")
+def residual_model(tiny_config, tiny_dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model") / "residual.npz"
+    assert main(["train", "--config", tiny_config, "--data", tiny_dataset, "--out", str(out), "--mode", "residual"]) == 0
+    return str(out)
+
+
+def test_checkpoint_of_other_mode_fails_with_modes(tiny_config, tiny_dataset, residual_model, tmp_path, capsys):
+    rc = main(
+        [
+            "evaluate",
+            "--config", tiny_config,
+            "--data", tiny_dataset,
+            "--out-dir", str(tmp_path / "eval"),
+            "--strategies", "nn_full,equal",
+            "--model-full", residual_model,
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'residual'" in err and "'full'" in err
+    rc = main(
+        ["train", "--config", tiny_config, "--data", tiny_dataset, "--out", str(tmp_path / "m.npz"),
+         "--mode", "full", "--resume", residual_model]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'residual'" in err and "'full'" in err
+
+
+def test_file_that_is_not_npz_fails_with_path(tiny_config, tiny_dataset, tmp_path, capsys):
+    rc = main(
+        [
+            "evaluate",
+            "--config", tiny_config,
+            "--data", tiny_dataset,
+            "--out-dir", str(tmp_path / "eval"),
+            "--strategies", "nn_full,equal",
+            "--model-full", tiny_dataset,
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and tiny_dataset in err and "checkpoint" in err
+    rc = main(["train", "--config", tiny_config, "--features", tiny_dataset, "--out", str(tmp_path / "m.npz")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and tiny_dataset in err and "feature cache" in err

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gnssweight import _kernels, solver
+from gnssweight import _kernels, sim, solver
 from gnssweight.baselines import SotaWeightParams
 from gnssweight.dataio import Session
 from gnssweight.errors import EmptySamples
@@ -68,23 +68,23 @@ def test_cdf_summary_skips_failures():
     assert s.quantiles[0.50] == pytest.approx(2.0)
 
 
-def _noise_free_session():
+def _noise_free_session(monkeypatch):
+    monkeypatch.setattr(sim, "CLOCK_WALK_SIGMA_S", 0.0)
+    monkeypatch.setattr(sim, "CN0_NOISE_SIGMA_DB", 0.0)
     cfg = profile_config(
         "open_sky",
         seed=4,
         duration_s=2.0,
         noise_sigma_m=0.0,
         nlos_prob_curve=((math.radians(5.0), 0.0), (math.radians(90.0), 0.0)),
-        clock_walk_sigma_s=0.0,
-        cn0_noise_sigma_db=0.0,
     )
     epochs, truth = generate_session(cfg, session_id="clean")
     return Session(session_id="clean", profile="open_sky", split="test", epochs=epochs, truth=truth)
 
 
-def test_strategies_agree_on_noise_free_data():
-    session = _noise_free_session()
-    models = StrategyModels(sota=SotaWeightParams(1.0, 0.0, 0.0))
+def test_strategies_agree_on_noise_free_data(monkeypatch):
+    session = _noise_free_session(monkeypatch)
+    models = StrategyModels(sota=SotaWeightParams(1.0, 0.0))
     records = evaluate_session(session, ("equal", "truth", "fde_sota"), models)
     assert len(records) == 3 * len(session.epochs)
     for r in records:
@@ -93,8 +93,8 @@ def test_strategies_agree_on_noise_free_data():
         assert r.v_err_m < 1e-5
 
 
-def test_missing_model_raises():
-    session = _noise_free_session()
+def test_missing_model_raises(monkeypatch):
+    session = _noise_free_session(monkeypatch)
     with pytest.raises(ValueError, match="nn_full"):
         evaluate_session(session, ("nn_full",), StrategyModels())
     with pytest.raises(ValueError, match="fde_sota"):
@@ -112,7 +112,7 @@ def test_compare_strategies_deterministic_across_jobs():
         epochs, truth = generate_session(cfg, session_id=f"s{k}")
         sessions.append(Session(f"s{k}", "suburban", "test", epochs, truth))
     ds = Dataset(seed=0, sessions=sessions)
-    models = StrategyModels(sota=SotaWeightParams(1.0, 0.0, 0.0))
+    models = StrategyModels(sota=SotaWeightParams(1.0, 0.0))
     r1, sum1 = compare_strategies(ds, ("equal", "fde_sota"), models, jobs=1)
     r2, sum2 = compare_strategies(ds, ("equal", "fde_sota"), models, jobs=2)
     assert [(r.session_id, r.t, r.strategy, r.h_err_m) for r in r1] == [
@@ -175,7 +175,7 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
                  FeatureNormalization(np.zeros(N_FEATURES), np.ones(N_FEATURES))),
         nn_residual=(LstmModel.init(N_RESIDUAL_SUMMARY, 4, net_rng),
                      FeatureNormalization(np.zeros(N_RESIDUAL_SUMMARY), np.ones(N_RESIDUAL_SUMMARY))),
-        sota=SotaWeightParams(1.0, 0.0, 0.0),
+        sota=SotaWeightParams(1.0, 0.0),
     )
     cold = solver._DEFAULT_START.as_array()
     solves = collections.Counter()

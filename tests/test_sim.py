@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gnssweight import sim
 from gnssweight.errors import ConfigInvalid
 from gnssweight.geo import SPEED_OF_LIGHT, ecef_to_geodetic, elevation_azimuth
 from gnssweight.model import ConstellationId
@@ -25,12 +26,17 @@ def _quiet_cfg(seed=0, **kw):
         rate_hz=5.0,
         noise_sigma_m=0.0,
         nlos_prob_curve=((math.radians(5.0), 0.0), (math.radians(90.0), 0.0)),
-        cn0_noise_sigma_db=0.0,
-        clock_walk_sigma_s=0.0,
         profile="open_sky",
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+@pytest.fixture
+def quiet(monkeypatch):
+    """No C/N0 noise and no receiver clock walk in the sessions a test generates."""
+    monkeypatch.setattr(sim, "CN0_NOISE_SIGMA_DB", 0.0)
+    monkeypatch.setattr(sim, "CLOCK_WALK_SIGMA_S", 0.0)
 
 
 def test_nlos_probability_interpolation():
@@ -53,7 +59,7 @@ def test_config_validation():
         _quiet_cfg(sv_counts={ConstellationId.GPS: 4}).validate()
 
 
-def test_noise_free_session_is_self_consistent():
+def test_noise_free_session_is_self_consistent(quiet):
     """Every pseudorange must equal range + c*clock exactly as constructed."""
     epochs, truth = generate_session(_quiet_cfg(seed=3))
     assert len(epochs) == 20
@@ -69,14 +75,14 @@ def test_noise_free_session_is_self_consistent():
         assert not any(truth.fault_flags[k])
 
 
-def test_satellites_on_their_shells():
+def test_satellites_on_their_shells(quiet):
     epochs, _ = generate_session(_quiet_cfg(seed=1))
     for m in epochs[0].measurements:
         r = np.linalg.norm(m.sat_pos.as_array())
         assert r == pytest.approx(SHELL_RADIUS_M[m.constellation], rel=1e-12)
 
 
-def test_visible_satellites_above_mask():
+def test_visible_satellites_above_mask(quiet):
     cfg = _quiet_cfg(seed=2)
     epochs, truth = generate_session(cfg)
     for k, epoch in enumerate(epochs):
@@ -84,12 +90,11 @@ def test_visible_satellites_above_mask():
         ref = ecef_to_geodetic(truth.positions[k])
         for m in epoch.measurements:
             elev, _ = elevation_azimuth(m.sat_pos, ref)
-            assert elev >= cfg.elevation_mask - 1e-9
+            assert elev >= sim.ELEVATION_MASK - 1e-9
 
 
-def test_fault_bookkeeping_matches_bias_construction():
-    cfg = profile_config("urban_canyon", seed=11, duration_s=20.0, noise_sigma_m=0.0,
-                         cn0_noise_sigma_db=0.0, clock_walk_sigma_s=0.0)
+def test_fault_bookkeeping_matches_bias_construction(quiet):
+    cfg = profile_config("urban_canyon", seed=11, duration_s=20.0, noise_sigma_m=0.0)
     epochs, truth = generate_session(cfg)
     n_flagged = 0
     for k, epoch in enumerate(epochs):
@@ -117,7 +122,7 @@ def test_fault_bookkeeping_matches_bias_construction():
     assert truth.epochs_with_fault() > 0
 
 
-def test_nlos_rate_tracks_curve():
+def test_nlos_rate_tracks_curve(quiet):
     p_flat = 0.25
     cfg = _quiet_cfg(
         seed=5,
@@ -159,7 +164,7 @@ def test_determinism_and_seed_sensitivity():
     )
 
 
-def test_lock_time_resets_on_visibility_loss():
+def test_lock_time_resets_on_visibility_loss(quiet):
     cfg = _quiet_cfg(seed=13, duration_s=240.0, rate_hz=1.0)
     epochs, _ = generate_session(cfg)
     seen = {}
