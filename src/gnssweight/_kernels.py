@@ -2,8 +2,9 @@
 
 This is the hot kernel. ``lm_solve_batch`` runs a stack of solves that
 share one epoch's measurements in lockstep: the leave-one-out residual
-matrix is one such call (weights 1 - I), and a single solve
-(``lm_solve``) is a stack of one. One numpy function,
+matrix and the epoch's equal-weight fix are one such call (weights
+[1; 1 - I]), the weighted strategies of an evaluated epoch another, and
+a single solve (``lm_solve``) is a stack of one. One numpy function,
 ``_normal_equations``, forms the residuals, the Jacobian, the normal
 matrix, the gradient and the cost at a stack of states; the solver calls
 it wherever it needs any of them.

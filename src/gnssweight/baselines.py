@@ -12,7 +12,8 @@ from scipy.optimize import nnls
 from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, NonConvergence
 from .geo import ecef_to_geodetic, elevation_azimuth
 from .model import Epoch
-from .solver import SolveReport, equal_weight_fix, jacobian, solve_wls
+from .residuals import ResidualMatrix
+from .solver import SolveReport, equal_weight_fix, fix_from_row, jacobian, solve_wls
 
 DEFAULT_ELEVATION_MASK = math.radians(5.0)
 
@@ -112,6 +113,7 @@ def fde_solve(
     cfg: FdeConfig,
     params: SotaWeightParams,
     fix: SolveReport | None = None,
+    loo: ResidualMatrix | None = None,
 ) -> FdeResult:
     """Iterative residual-test exclusion, then a parametric-weight solve.
 
@@ -120,7 +122,12 @@ def fde_solve(
     worst offender while it exceeds the threshold. Survivors are finally
     solved with ``sota_weights`` from the parametric model. ``fix`` is the
     epoch's ``equal_weight_fix`` when the caller already has it; it is the
-    first round, which is solved here otherwise.
+    first round, which is solved here otherwise. ``loo`` is the epoch's
+    leave-one-out matrix when the caller has one: the round after the
+    first exclusion is then its row for the excluded link, which has the
+    bits of that round's ``equal_weight_fix``, whenever the row keeps every
+    constellation's clock and is not singular (``ResidualMatrix.row``).
+    Otherwise, and for every later round, the round is solved here.
     """
     n = epoch.n
     min_keep = max(cfg.min_retained, epoch.state_dim())
@@ -146,7 +153,8 @@ def fde_solve(
         active_idx = np.flatnonzero(active)
         excluded.append(int(active_idx[worst]))
         active[active_idx[worst]] = False
-        rep = equal_weight_fix(epoch, active)
+        row = loo.row(excluded[0]) if loo is not None and len(excluded) == 1 else None
+        rep = fix_from_row(epoch, row) if row is not None else equal_weight_fix(epoch, active)
 
     # parametric weights on the survivors
     rx_geo = ecef_to_geodetic(state.position)

@@ -114,6 +114,10 @@ def _cmd_train(args) -> int:
     init_model = None
     if args.resume:
         init_model, norm = _load_model(args.resume, mode)
+        if init_model.hidden != tcfg.hidden:
+            raise ShapeMismatch(
+                f"{args.resume} holds a {init_model.hidden}-unit model where 'train.hidden' is {tcfg.hidden}"
+            )
     else:
         norm = fit_normalization(splits["train"], mode)
     train_s = normalized_split(splits["train"], norm, mode)

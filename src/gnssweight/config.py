@@ -12,7 +12,7 @@ from .baselines import FdeConfig
 from .errors import ConfigInvalid
 from .evaluation import STRATEGIES
 from .nn import TrainConfig
-from .sim import PROFILES, ScenarioConfig
+from .sim import EPOCHS_PER_SESSION, PROFILES, ScenarioConfig
 
 CONFIG_VERSION = 1
 
@@ -24,7 +24,7 @@ DEFAULTS = {
     "simulate": {
         "profiles": ["urban_canyon", "suburban", "open_sky"],
         "sessions_per_profile": 10,
-        "epochs_per_session": 200,
+        "epochs_per_session": EPOCHS_PER_SESSION,
         "rate_hz": ScenarioConfig.rate_hz,
         "noise_sigma_m": ScenarioConfig.noise_sigma_m,
         "nlos_bias_mean_m": ScenarioConfig.nlos_bias_mean_m,

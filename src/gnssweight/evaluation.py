@@ -13,7 +13,8 @@ from .featurize import EpochFeaturizer, feature_columns
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
-from .solver import SolveReport, equal_weight_fix, solve_wls
+from .solver import SolveReport, equal_weight_fix, solve_wls_stack
+from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 CSV_COLUMNS = ["session_id", "t", "strategy", "h_err_m", "v_err_m", "converged", "n_sv", "n_zero_weight"]
 
@@ -88,21 +89,40 @@ def _failed_record(epoch: Epoch, strategy: str, n_zero: int = 0) -> ErrorRecord:
     return ErrorRecord(epoch.session_id, epoch.time, strategy, nan, nan, False, epoch.n, n_zero)
 
 
-def _solve_record(epoch: Epoch, weights, strategy: str, fix: SolveReport | None) -> ErrorRecord:
-    n_zero = int(np.sum(np.asarray(weights) <= ZERO_WEIGHT_CUTOFF))
-    # two-stage solve: strongly anisotropic weights (spreads of 1e7 and
-    # more) make cold-start damped iteration creep, while the weighted
-    # problem converges in a few steps from the equal-weight fix
+def _weighted_records(epoch: Epoch, weights: dict, fix: SolveReport | None) -> dict:
+    """strategy -> ErrorRecord for each (strategy, weight vector) in ``weights``.
+
+    The weighted solves run as one stack (``solve_wls_stack``), each
+    warm-started from the equal-weight fix: strongly anisotropic weights
+    (spreads of 1e7 and more) make cold-start damped iteration creep,
+    while the weighted problem converges in a few steps from the fix.
+    """
     init = fix.state if fix is not None else None
+    reports = solve_wls_stack(epoch, list(weights.values()), init=init)
+    records = {}
+    for (strategy, w), rep in zip(weights.items(), reports):
+        n_zero = int(np.sum(np.asarray(w) <= ZERO_WEIGHT_CUTOFF))
+        if isinstance(rep, NonConvergence):
+            state, converged = rep.report.state, False
+        elif isinstance(rep, GnssWeightError):
+            records[strategy] = _failed_record(epoch, strategy, n_zero)
+            continue
+        else:
+            state, converged = rep.state, True
+        h, v = position_errors(state, epoch.truth)
+        records[strategy] = ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero)
+    return records
+
+
+def _fde_record(epoch: Epoch, models: StrategyModels, fix: SolveReport | None, loo) -> ErrorRecord:
+    if fix is None:  # FDE's first round is this same failed solve
+        return _failed_record(epoch, "fde_sota")
     try:
-        rep = solve_wls(epoch, weights, init=init)
-        state, converged = rep.state, True
-    except NonConvergence as e:
-        state, converged = e.report.state, False
+        res = fde_solve(epoch, models.fde_cfg, models.sota, fix=fix, loo=loo)
     except GnssWeightError:
-        return _failed_record(epoch, strategy, n_zero)
-    h, v = position_errors(state, epoch.truth)
-    return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero)
+        return _failed_record(epoch, "fde_sota")
+    h, v = position_errors(res.report.state, epoch.truth)
+    return ErrorRecord(epoch.session_id, epoch.time, "fde_sota", h, v, True, epoch.n, len(res.excluded))
 
 
 def evaluate_session(session, strategies, models: StrategyModels):
@@ -110,7 +130,10 @@ def evaluate_session(session, strategies, models: StrategyModels):
 
     Each epoch's equal-weight fix is solved once and shared: it gives the
     featurizer its rough position, warm-starts every weighted solve and
-    is FDE's first round.
+    is FDE's first round. When a learned strategy runs, the epoch is
+    featurized and the fix is the all-ones row of its leave-one-out batch;
+    FDE then also takes its first exclusion round from that batch. The
+    weighted strategies (all but ``fde_sota``) solve as one stack.
     """
     needs_features = any(s in strategies for s in ("nn_full", "nn_residual"))
     fz = EpochFeaturizer() if needs_features else None
@@ -119,47 +142,42 @@ def evaluate_session(session, strategies, models: StrategyModels):
     for epoch in session.epochs:
         if epoch.truth is None:
             continue
-        try:
-            fix = equal_weight_fix(epoch)
-        except (NotEnoughMeasurements, SingularGeometry):
-            fix = None
-        fm = fz.featurize(epoch, fix) if fz is not None and fix is not None else None
+        if fz is not None:
+            fm = fz.featurize(epoch)
+            fix, loo = fz.fix, fz.matrix
+        else:
+            fm = loo = None
+            try:
+                fix = equal_weight_fix(epoch)
+            except (NotEnoughMeasurements, SingularGeometry):
+                fix = None
+        weights = {}  # the weighted strategies' weights, solved as one stack
         for strategy in strategies:
             if strategy == "equal":
-                records.append(_solve_record(epoch, np.ones(epoch.n), strategy, fix))
+                weights[strategy] = np.ones(epoch.n)
             elif strategy == "truth":
-                w = quality_to_weights(make_labels(epoch))
-                records.append(_solve_record(epoch, w, strategy, fix))
+                weights[strategy] = quality_to_weights(make_labels(epoch))
             elif strategy in ("nn_full", "nn_residual"):
                 pair = models.nn_full if strategy == "nn_full" else models.nn_residual
                 if pair is None:
                     raise ValueError(f"strategy {strategy} requires a trained model")
-                model, norm = pair
-                if fm is None:
-                    records.append(_failed_record(epoch, strategy))
-                    continue
-                mode = "full" if strategy == "nn_full" else "residual"
-                x = norm.apply(fm[:, feature_columns(mode)])
-                w = predict_weights(model, x)
-                records.append(_solve_record(epoch, w, strategy, fix))
+                if fm is not None:
+                    model, norm = pair
+                    mode = "full" if strategy == "nn_full" else "residual"
+                    weights[strategy] = predict_weights(model, norm.apply(fm[:, feature_columns(mode)]))
             elif strategy == "fde_sota":
                 if models.sota is None:
                     raise ValueError("strategy fde_sota requires calibrated parameters")
-                if fix is None:  # FDE's first round is this same failed solve
-                    records.append(_failed_record(epoch, strategy))
-                    continue
-                try:
-                    res = fde_solve(epoch, models.fde_cfg, models.sota, fix=fix)
-                except GnssWeightError:
-                    records.append(_failed_record(epoch, strategy))
-                    continue
-                h, v = position_errors(res.report.state, epoch.truth)
-                records.append(
-                    ErrorRecord(epoch.session_id, epoch.time, strategy, h, v,
-                                True, epoch.n, len(res.excluded))
-                )
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
+        solved = _weighted_records(epoch, weights, fix) if weights else {}
+        for strategy in strategies:
+            if strategy in solved:
+                records.append(solved[strategy])
+            elif strategy == "fde_sota":
+                records.append(_fde_record(epoch, models, fix, loo))
+            else:  # a learned strategy on an epoch without features
+                records.append(_failed_record(epoch, strategy))
     return records
 
 

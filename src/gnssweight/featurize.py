@@ -98,30 +98,42 @@ class EpochFeaturizer:
     """Stateful per-session featurizer (owns the C/N0 tracking history).
 
     ``featurize`` returns the raw (unnormalized) feature matrix, or None
-    when the epoch cannot support the leave-one-out construction. When
-    the equal-weight fix fails the tracking window is not advanced, since
-    elevations need a receiver position; when only the leave-one-out
-    matrix fails it is, so later epochs see a correct history.
+    when the epoch cannot support the leave-one-out construction. The
+    epoch's equal-weight fix is the all-ones row of its leave-one-out
+    batch (``build_residual_matrix``); an epoch with too few links for
+    the matrix (N <= state dimension) still gets its fix from
+    ``equal_weight_fix``. When the fix fails the tracking window is not
+    advanced, since elevations need a receiver position; when only the
+    leave-one-out matrix fails it is, so later epochs see a correct
+    history. After each call ``fix`` and ``matrix`` hold that epoch's fix
+    and ResidualMatrix, each None when it could not be formed, so that a
+    caller can reuse them.
     """
 
     def __init__(self):
         self.history = TrackingHistory()
         self.skipped = 0
+        self.fix: SolveReport | None = None
+        self.matrix: ResidualMatrix | None = None
 
-    def featurize(self, epoch: Epoch, fix: SolveReport | None = None) -> np.ndarray | None:
-        """Feature matrix of ``epoch``; ``fix`` is its ``equal_weight_fix``
-        when the caller already has one, and is solved here otherwise."""
-        if fix is None:
+    def featurize(self, epoch: Epoch) -> np.ndarray | None:
+        """Feature matrix of ``epoch``, or None when it is skipped."""
+        if epoch.n > epoch.state_dim():
+            rmat = build_residual_matrix(epoch)
+            fix = rmat.fix
+        else:  # too few links for a leave-one-out matrix
+            rmat = None
             try:
                 fix = equal_weight_fix(epoch)
             except (NotEnoughMeasurements, SingularGeometry):
-                self.skipped += 1
-                return None
+                fix = None
+        self.fix, self.matrix = fix, rmat
+        if fix is None:
+            self.skipped += 1
+            return None
         rx_geo = ecef_to_geodetic(fix.state.position)
         per_link = self.history.update_and_extract(epoch, rx_geo)
-        try:
-            rmat = build_residual_matrix(epoch)
-        except NotEnoughMeasurements:
+        if rmat is None:
             self.skipped += 1
             return None
         return assemble_feature_matrix(rmat, per_link)

@@ -267,11 +267,16 @@ def _jitter_waypoints(base, rng: np.random.Generator):
     )
 
 
+# Epochs per campaign session, the default of ``generate_campaign`` and of
+# the run configuration's ``simulate.epochs_per_session``.
+EPOCHS_PER_SESSION = 200
+
+
 def generate_campaign(
     profiles,
     sessions_per_profile: int,
     seed: int,
-    epochs_per_session: int = 200,
+    epochs_per_session: int = EPOCHS_PER_SESSION,
     rate_hz: float = ScenarioConfig.rate_hz,
     **overrides,
 ):

@@ -155,3 +155,73 @@ def test_fde_idempotent_after_exclusion(rng):
         res.report.state.position.as_array() - res2.report.state.position.as_array()
     )
     assert d < 1e-6
+
+
+def _assert_same_fde(a, b):
+    assert a.excluded == b.excluded
+    ra, rb = a.report, b.report
+    assert ra.state.position.as_array().tobytes() == rb.state.position.as_array().tobytes()
+    assert ra.state.clock_bias == rb.state.clock_bias
+    assert (ra.iterations, ra.converged, ra.final_cost) == (rb.iterations, rb.converged, rb.final_cost)
+    assert ra.post_fit_residuals.tobytes() == rb.post_fit_residuals.tobytes()
+
+
+def test_fde_round_from_loo_matrix_is_bitwise(rng, monkeypatch):
+    """The first exclusion round taken from the leave-one-out batch gives
+    FDE the bits of the round it would solve itself, and saves that solve."""
+    from gnssweight import baselines
+    from gnssweight.residuals import build_residual_matrix
+
+    calls = []
+    fix_solve = baselines.equal_weight_fix
+
+    def counting(epoch, active=None):
+        calls.append(active is not None)
+        return fix_solve(epoch, active)
+
+    monkeypatch.setattr(baselines, "equal_weight_fix", counting)
+    taken = 0
+    for k in range(20):
+        biases = {5: 80.0, 9: -60.0} if k % 2 else {5: 80.0}
+        epoch, _ = make_epoch(rng, n=12, noise_sigma=1.0, biases=biases)
+        M = build_residual_matrix(epoch)
+        cfg = FdeConfig(noise_sigma_m=1.0)
+        calls.clear()
+        plain = fde_solve(epoch, cfg, _bland_params(), fix=M.fix)
+        rounds = len(calls)
+        calls.clear()
+        fast = fde_solve(epoch, cfg, _bland_params(), fix=M.fix, loo=M)
+        _assert_same_fde(fast, plain)
+        if plain.excluded:
+            assert M.row(plain.excluded[0]) is not None
+            assert len(calls) == rounds - 1
+            taken += 1
+    assert taken >= 15
+
+
+def test_fde_one_link_constellation_round_is_solved(rng):
+    """When the first excluded link is its constellation's only link, the
+    leave-one-out row solved without that clock cannot stand in for the
+    round: FDE solves it and fails as it does without the matrix."""
+    from dataclasses import replace
+
+    from gnssweight.errors import SingularGeometry
+    from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
+    from gnssweight.residuals import build_residual_matrix
+
+    epoch, _ = make_epoch(rng, n=11, constellations=(ConstellationId.GPS,), noise_sigma=1.0)
+    base = epoch.measurements[0]
+    one = PseudorangeMeasurement(ConstellationId.GALILEO, 30, base.band, base.pseudorange + 5.0,
+                                 epoch.measurements[3].sat_pos, 40.0, 1.0)
+    epoch = Epoch(time=0.0, measurements=[*epoch.measurements, one], truth=epoch.truth)
+    link = next(i for i, m in enumerate(epoch.measurements) if m.constellation == ConstellationId.GALILEO)
+    M = build_residual_matrix(epoch)
+    assert M.row(link) is None
+    # the link's own clock absorbs its residual, so a fix whose residual
+    # there is large is what makes FDE exclude it first
+    r = M.fix.post_fit_residuals.copy()
+    r[link] = 1e3
+    fix = replace(M.fix, post_fit_residuals=r)
+    for loo in (None, M):
+        with pytest.raises(SingularGeometry):
+            fde_solve(epoch, FdeConfig(noise_sigma_m=1.0), _bland_params(), fix=fix, loo=loo)

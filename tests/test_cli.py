@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ def test_checkpoint_of_other_mode_fails_with_modes(tiny_config, tiny_dataset, re
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'residual'" in err and "'full'" in err
+
+
+def test_resume_with_other_hidden_size_fails_with_sizes(tiny_config, tiny_dataset, residual_model, tmp_path, capsys):
+    wider = tmp_path / "wider.yaml"
+    wider.write_text(Path(tiny_config).read_text(encoding="utf-8").replace("hidden: 4", "hidden: 8"), encoding="utf-8")
+    out = tmp_path / "m.npz"
+    rc = main(
+        ["train", "--config", str(wider), "--data", tiny_dataset, "--out", str(out),
+         "--mode", "residual", "--resume", residual_model]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4-unit" in err and "'train.hidden' is 8" in err
+    assert not out.exists()
 
 
 def test_file_that_is_not_npz_fails_with_path(tiny_config, tiny_dataset, tmp_path, capsys):

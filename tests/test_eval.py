@@ -9,6 +9,7 @@ from gnssweight.baselines import SotaWeightParams
 from gnssweight.dataio import Session
 from gnssweight.errors import EmptySamples
 from gnssweight.evaluation import (
+    STRATEGIES,
     CdfSummary,
     ErrorRecord,
     StrategyModels,
@@ -68,6 +69,19 @@ def test_cdf_summary_skips_failures():
     assert s.quantiles[0.50] == pytest.approx(2.0)
 
 
+def _tiny_models():
+    """Untrained four-unit LSTMs for both learned strategies, identity
+    normalization, and a flat parametric model for FDE."""
+    net_rng = np.random.default_rng(0)
+    return StrategyModels(
+        nn_full=(LstmModel.init(N_FEATURES, 4, net_rng),
+                 FeatureNormalization(np.zeros(N_FEATURES), np.ones(N_FEATURES))),
+        nn_residual=(LstmModel.init(N_RESIDUAL_SUMMARY, 4, net_rng),
+                     FeatureNormalization(np.zeros(N_RESIDUAL_SUMMARY), np.ones(N_RESIDUAL_SUMMARY))),
+        sota=SotaWeightParams(1.0, 0.0),
+    )
+
+
 def _noise_free_session(monkeypatch):
     monkeypatch.setattr(sim, "CLOCK_WALK_SIGMA_S", 0.0)
     monkeypatch.setattr(sim, "CN0_NOISE_SIGMA_DB", 0.0)
@@ -112,14 +126,19 @@ def test_compare_strategies_deterministic_across_jobs():
         epochs, truth = generate_session(cfg, session_id=f"s{k}")
         sessions.append(Session(f"s{k}", "suburban", "test", epochs, truth))
     ds = Dataset(seed=0, sessions=sessions)
-    models = StrategyModels(sota=SotaWeightParams(1.0, 0.0))
-    r1, sum1 = compare_strategies(ds, ("equal", "fde_sota"), models, jobs=1)
-    r2, sum2 = compare_strategies(ds, ("equal", "fde_sota"), models, jobs=2)
-    assert [(r.session_id, r.t, r.strategy, r.h_err_m) for r in r1] == [
-        (r.session_id, r.t, r.strategy, r.h_err_m) for r in r2
-    ]
-    for strat in ("equal", "fde_sota"):
-        assert sum1[strat].quantiles == sum2[strat].quantiles
+    models = _tiny_models()
+    r1, sum1 = compare_strategies(ds, STRATEGIES, models, jobs=1)
+    r2, sum2 = compare_strategies(ds, STRATEGIES, models, jobs=2)
+    assert len(r1) == 5 * sum(len(s.epochs) for s in sessions)
+    # whole records, NaN failures included (dataclass equality would fail on NaN)
+    assert [_record_bytes(r) for r in r1] == [_record_bytes(r) for r in r2]
+    for strat in STRATEGIES:
+        assert sum1[strat] == sum2[strat]
+
+
+def _record_bytes(r):
+    return (r.session_id, r.t, r.strategy, np.float64(r.h_err_m).tobytes(),
+            np.float64(r.v_err_m).tobytes(), r.converged, r.n_sv, r.n_zero_weight)
 
 
 def test_error_csv_round_trip(tmp_path):
@@ -164,29 +183,143 @@ def test_truth_weight_strategy_uses_labels(rng):
 
 def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     # every strategy shares the epoch's equal-weight all-in-view fix, so
-    # the kernel sees exactly one cold-started all-ones solve per epoch;
-    # leave-one-out subsets and FDE's later rounds solve other problems
+    # the kernel sees exactly one cold-started all-ones solve per epoch,
+    # whether as a single solve or as a row of a batch (the fix rides in
+    # the leave-one-out batch); leave-one-out subsets and FDE's later
+    # rounds solve other problems
     cfg = profile_config("urban_canyon", seed=3, duration_s=1.0)  # N = 12
     epochs, truth = generate_session(cfg, session_id="u")
     session = Session("u", "urban_canyon", "test", epochs, truth)
-    net_rng = np.random.default_rng(0)
-    models = StrategyModels(
-        nn_full=(LstmModel.init(N_FEATURES, 4, net_rng),
-                 FeatureNormalization(np.zeros(N_FEATURES), np.ones(N_FEATURES))),
-        nn_residual=(LstmModel.init(N_RESIDUAL_SUMMARY, 4, net_rng),
-                     FeatureNormalization(np.zeros(N_RESIDUAL_SUMMARY), np.ones(N_RESIDUAL_SUMMARY))),
-        sota=SotaWeightParams(1.0, 0.0),
-    )
+    models = _tiny_models()
     cold = solver._DEFAULT_START.as_array()
     solves = collections.Counter()
-    lm_solve = _kernels.lm_solve
+    lm_solve, lm_solve_batch = _kernels.lm_solve, _kernels.lm_solve_batch
+    in_single = []  # lm_solve may run as a stack of one; count it once
 
-    def counting(sat, pr, w, const_idx, n_clk, x0, *rest):
+    def count(pr, w, x0):
         if np.all(w == 1.0) and np.array_equal(x0[:3], cold) and not x0[3:].any():
             solves[pr.tobytes()] += 1
-        return lm_solve(sat, pr, w, const_idx, n_clk, x0, *rest)
+
+    def counting(sat, pr, w, const_idx, n_clk, x0, *rest):
+        count(pr, w, x0)
+        in_single.append(True)
+        try:
+            return lm_solve(sat, pr, w, const_idx, n_clk, x0, *rest)
+        finally:
+            in_single.pop()
+
+    def counting_batch(sat, pr, w, const_idx, n_clk, x0, *rest):
+        if not in_single:
+            for wb, xb in zip(w, x0):
+                count(pr, wb, xb)
+        return lm_solve_batch(sat, pr, w, const_idx, n_clk, x0, *rest)
 
     monkeypatch.setattr(_kernels, "lm_solve", counting)
-    records = evaluate_session(session, ("truth", "nn_full", "nn_residual", "fde_sota", "equal"), models)
+    monkeypatch.setattr(_kernels, "lm_solve_batch", counting_batch)
+    records = evaluate_session(session, STRATEGIES, models)
     assert len(records) == 5 * len(epochs)
     assert [solves[e.pr_array().tobytes()] for e in epochs] == [1] * len(epochs)
+
+
+def _reference_records(session, strategies, models):
+    """``evaluate_session`` with every solve its own: the shared fix from
+    ``equal_weight_fix``, one ``solve_wls`` per weighted strategy, and FDE
+    solving each of its rounds."""
+    from gnssweight.baselines import fde_solve
+    from gnssweight.errors import GnssWeightError, NonConvergence, NotEnoughMeasurements, SingularGeometry
+    from gnssweight.evaluation import ZERO_WEIGHT_CUTOFF
+    from gnssweight.features import TrackingHistory
+    from gnssweight.featurize import assemble_feature_matrix, feature_columns
+    from gnssweight.geo import ecef_to_geodetic
+    from gnssweight.nn import make_labels, predict_weights, quality_to_weights
+    from gnssweight.residuals import build_residual_matrix
+
+    history = TrackingHistory()
+    out = []
+    for epoch in session.epochs:
+        nan = float("nan")
+
+        def failed(strategy, n_zero=0):
+            return ErrorRecord(epoch.session_id, epoch.time, strategy, nan, nan, False, epoch.n, n_zero)
+
+        try:
+            fix = solver.equal_weight_fix(epoch)
+        except (NotEnoughMeasurements, SingularGeometry):
+            fix = None
+        fm = None
+        if fix is not None:
+            per_link = history.update_and_extract(epoch, ecef_to_geodetic(fix.state.position))
+            try:
+                fm = assemble_feature_matrix(build_residual_matrix(epoch), per_link)
+            except NotEnoughMeasurements:
+                pass
+        for strategy in strategies:
+            if strategy == "fde_sota":
+                try:
+                    if fix is None:
+                        raise SingularGeometry("no fix")
+                    res = fde_solve(epoch, models.fde_cfg, models.sota, fix=fix)
+                except GnssWeightError:
+                    out.append(failed(strategy))
+                    continue
+                h, v = position_errors(res.report.state, epoch.truth)
+                out.append(ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, True, epoch.n,
+                                       len(res.excluded)))
+                continue
+            if strategy == "equal":
+                w = np.ones(epoch.n)
+            elif strategy == "truth":
+                w = quality_to_weights(make_labels(epoch))
+            elif fm is None:
+                out.append(failed(strategy))
+                continue
+            else:
+                model, norm = getattr(models, strategy)
+                mode = "full" if strategy == "nn_full" else "residual"
+                w = predict_weights(model, norm.apply(fm[:, feature_columns(mode)]))
+            n_zero = int(np.sum(w <= ZERO_WEIGHT_CUTOFF))
+            try:
+                rep = solver.solve_wls(epoch, w, init=fix.state if fix is not None else None)
+                state, converged = rep.state, True
+            except NonConvergence as e:
+                state, converged = e.report.state, False
+            except GnssWeightError:
+                out.append(failed(strategy, n_zero))
+                continue
+            h, v = position_errors(state, epoch.truth)
+            out.append(ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero))
+    return out
+
+
+def test_batched_records_match_per_strategy_solves():
+    """The stacked weighted solves, the fix taken from the leave-one-out
+    batch and FDE's first round taken from it give every record the bits
+    of solving each on its own: on epochs with N < d, N = d, a one-link
+    constellation and FDE exclusions."""
+    from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
+
+    rng = np.random.default_rng(909)
+    epochs = []
+    for k in range(24):
+        kind = k % 6
+        n = {0: 3, 1: 5}.get(kind, 12)  # N < d and N = d (two clocks: d = 5)
+        biases = {5: 80.0, 9: -60.0} if kind >= 3 else None
+        ep, _ = make_epoch(rng, n=n, noise_sigma=1.0, biases=biases, time=0.2 * k)
+        ms = list(ep.measurements)
+        if kind in (2, 5):
+            # a one-satellite BeiDou link
+            base = ms[int(rng.integers(0, n))]
+            sat = base.sat_pos.as_array() + rng.normal(0.0, 1e6, size=3)
+            ms.append(PseudorangeMeasurement(
+                ConstellationId.BEIDOU, 40, base.band, base.pseudorange + rng.normal(0.0, 50.0),
+                EcefPosition.from_array(sat), 40.0, 1.0,
+            ))
+        epochs.append(Epoch(time=ep.time, measurements=ms, truth=ep.truth, session_id="m"))
+    session = Session("m", "urban_canyon", "test", epochs, None)
+    models = _tiny_models()
+    got = evaluate_session(session, STRATEGIES, models)
+    expect = _reference_records(session, STRATEGIES, models)
+    assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in expect]
+    fde = [r for r in got if r.strategy == "fde_sota"]
+    assert sum(r.n_zero_weight > 0 for r in fde) >= 4  # FDE excluded links
+    assert sum(not r.converged for r in got) >= 8  # the sparse epochs fail

@@ -108,9 +108,9 @@ def test_dataset_samples_never_featurizes_test_sessions(rng, monkeypatch):
     seen = []
     featurize = EpochFeaturizer.featurize
 
-    def spy(self, epoch, fix=None):
+    def spy(self, epoch):
         seen.append(id(epoch))
-        return featurize(self, epoch, fix)
+        return featurize(self, epoch)
 
     monkeypatch.setattr(EpochFeaturizer, "featurize", spy)
     splits = dataset_samples(Dataset(seed=0, sessions=sessions))

@@ -164,6 +164,28 @@ def _subset_row(epoch, row):
     return res
 
 
+def _fix_or_none(epoch):
+    try:
+        return equal_weight_fix(epoch)
+    except SingularGeometry:
+        return None
+
+
+def assert_same_fix(got, expect, where=None):
+    """Two SolveReports (or Nones) with the same bits in every field."""
+    if expect is None:
+        assert got is None, where
+        return
+    assert got is not None, where
+    a, b = got.state, expect.state
+    assert a.position.as_array().tobytes() == b.position.as_array().tobytes(), where
+    assert list(a.clock_bias) == list(b.clock_bias), where
+    assert np.array(list(a.clock_bias.values())).tobytes() == np.array(list(b.clock_bias.values())).tobytes(), where
+    assert (got.iterations, got.converged) == (expect.iterations, expect.converged), where
+    assert np.float64(got.final_cost).tobytes() == np.float64(expect.final_cost).tobytes(), where
+    assert got.post_fit_residuals.tobytes() == expect.post_fit_residuals.tobytes(), where
+
+
 def test_batched_rows_match_single_solves(monkeypatch):
     """Each row of a lockstep batch has the bits of its own solve, and each
     leave-one-out row the bits of an equal-weight fix on its subset."""
@@ -171,7 +193,7 @@ def test_batched_rows_match_single_solves(monkeypatch):
     full_cap = _kernels.MAX_ITERATIONS
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
     statuses = np.zeros(3, dtype=int)
-    dropped_rows = failed_rows = 0
+    dropped_rows = failed_rows = capped_fixes = 0
     for k in range(300):
         n_const = 1 + k % 3
         sigma = (0.0, 2.0, 30.0)[k // 3 % 3]
@@ -224,10 +246,16 @@ def test_batched_rows_match_single_solves(monkeypatch):
             assert np.array_equal(M.values[row], expect), (k, row)
         assert M.failed_rows == failed, k
         failed_rows += len(failed)
-    # the cases reach every status, failed rows and rows that drop a constellation
+
+        # the fix row against the epoch's own equal-weight fix
+        assert_same_fix(M.fix, _fix_or_none(epoch), k)
+        capped_fixes += M.fix is not None and not M.fix.converged
+    # the cases reach every status, failed rows, rows that drop a
+    # constellation and fixes stopped by the cap
     assert np.all(statuses > 0), statuses
     assert failed_rows > 0
     assert dropped_rows == 75
+    assert capped_fixes > 0
 
 
 def test_singular_subset_row_is_gamma_and_listed():
@@ -255,3 +283,28 @@ def test_singular_subset_row_is_gamma_and_listed():
     assert np.max(np.abs(M.values[:4][~np.eye(4, 5, dtype=bool)])) < 1e-6
     with pytest.raises(SingularGeometry):
         equal_weight_fix(Epoch(time=0.0, measurements=ms[:4]))
+
+
+def test_singular_fix_row_is_none():
+    """Six satellites on one elevation cone around the cold start make the
+    all-in-view fix singular, and every subset with it: the matrix then
+    has no fix and every row failed, as ``equal_weight_fix`` raises."""
+    rx_geo = GeodeticPosition(0.0, 0.0, 0.0)
+    rx = _DEFAULT_START.as_array()
+    rot = enu_rotation(rx_geo)
+    ms = []
+    for sv in range(1, 7):
+        el, az = math.radians(30.0), math.radians(60.0 * sv)
+        enu = [math.cos(el) * math.sin(az), math.cos(el) * math.cos(az), math.sin(el)]
+        sat = rx + 2.2e7 * (rot.T @ np.array(enu))
+        ms.append(PseudorangeMeasurement(
+            ConstellationId.GPS, sv, Band.L1, float(np.linalg.norm(sat - rx)),
+            EcefPosition.from_array(sat), 45.0, 10.0,
+        ))
+    epoch = Epoch(time=0.0, measurements=ms)
+    M = build_residual_matrix(epoch)
+    with pytest.raises(SingularGeometry):
+        equal_weight_fix(epoch)
+    assert M.fix is None
+    assert M.failed_rows == list(range(6))
+    assert all(M.row(link) is None for link in range(6))
