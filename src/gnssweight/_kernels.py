@@ -1,13 +1,23 @@
 """The damped Gauss-Newton pseudorange solve.
 
-This is the hot kernel. ``lm_solve_batch`` runs a stack of solves that
-share one epoch's measurements in lockstep: the leave-one-out residual
-matrix and the epoch's equal-weight fix are one such call (weights
-[1; 1 - I]), the weighted strategies of an evaluated epoch another, and
-a single solve (``lm_solve``) is a stack of one. One numpy function,
+This is the hot kernel. ``lm_solve_batch`` runs a stack of solves in
+lockstep. Its measurement arrays (satellite positions, pseudoranges and
+clock column indices) carry a leading row axis of length 1 or B:
+- length 1: every row shares one epoch's measurements, as the weighted
+  strategies of an evaluated epoch do (one call, one row per strategy)
+- length B: row b solves its own problem, so the leave-one-out rows and
+  equal-weight fixes of many epochs run as one call
+  (``residuals.solve_rows``)
+A single solve (``lm_solve``) is a stack of one. One numpy function,
 ``_normal_equations``, forms the residuals, the Jacobian, the normal
 matrix, the gradient and the cost at a stack of states; the solver calls
 it wherever it needs any of them.
+
+Rows of one call share the measurement count N and the state dimension.
+A problem with fewer links is padded to the call's N with zero-weight
+links, each repeating one of its own satellites so that every range
+stays nonzero; a zero-weight link adds exact zeros (below), so padding
+leaves the row's bits unchanged.
 
 Every sum over measurements starts at 0.0 and runs through the rows in
 order, one row after another, separately for each state of the stack.
@@ -48,22 +58,29 @@ DAMPING_DOWN = 0.1
 COND_LIMIT = 1e12
 
 
-def _normal_equations(x, sat_pos, pr, w, const_idx):
+def _normal_equations(x, w, sat_pos, pr, const_idx):
     """(A, g, cost) at each state x[b] with weights w[b].
 
     A = H^T W H, g = H^T W r and cost = r^T W r, where H is the Jacobian
     of the predicted pseudoranges and r = pr - h(x). x is (B, d) and w is
-    (B, N); A is (B, d, d), g is (B, d) and cost is (B,).
+    (B, N); sat_pos (1 or B, N, 3), pr and const_idx (1 or B, N) are
+    shared by every row or given per row. A is (B, d, d), g is (B, d) and
+    cost is (B,).
     """
     b, d = x.shape
-    n = pr.shape[0]
+    n = pr.shape[1]
     diff = x[:, None, :3] - sat_pos
     rng = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] + diff[..., 2] * diff[..., 2])
     rng = np.maximum(rng, 1e-3)
+    clock = 3 + const_idx  # each measurement's clock column
+    if clock.shape[0] == 1:  # shared by every row
+        row, clock = slice(None), clock[0]
+    else:
+        row = np.arange(b)[:, None]
     J = np.zeros((b, n, d + 1))
     J[..., :3] = diff / rng[..., None]
-    J[:, np.arange(n), 3 + const_idx] = 1.0
-    J[..., d] = pr - (rng + x[:, 3 + const_idx])
+    J[row, np.arange(n), clock] = 1.0
+    J[..., d] = pr - (rng + x[row, clock])
     # Row-ordered products summed over the measurement axis from 0.0:
     # M[b, j, k] is sum_i (w_bi J_bij) J_bik, accumulated measurement by
     # measurement (numpy adds the (d+1, d+1) slabs in order; it does not
@@ -89,10 +106,11 @@ def _solve(A, g):
 def lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     """One solve: ``lm_solve_batch`` on a stack of one.
 
-    Returns (x, iterations, status, cost) with x of shape (3 + n_const,).
+    sat_pos is (N, 3); pr, w and const_idx are (N,). Returns (x,
+    iterations, status, cost) with x of shape (3 + n_const,).
     """
     x, iterations, status, cost = lm_solve_batch(
-        sat_pos, pr, w[None], const_idx, n_const, x0[None], max_iter
+        sat_pos[None], pr[None], w[None], const_idx[None], n_const, x0[None], max_iter
     )
     return x[0], int(iterations[0]), int(status[0]), cost[0]
 
@@ -100,11 +118,14 @@ def lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
 def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     """Levenberg-Marquardt minimization of sum_i w[b, i] (rho_i - h_i(x))^2, per row b.
 
-    w is (B, N) and x0 is (B, 3 + n_const). Returns arrays (x, iterations,
-    status, cost), one entry per row. Each row runs the algorithm below
-    on its own; the rows only share numpy calls. Every round makes one
-    trial for each row still iterating, and a row leaves the working set
-    when it stops, so row b gets the bits a stack of one would give it.
+    w is (B, N) and x0 is (B, 3 + n_const); sat_pos is (1 or B, N, 3) and
+    pr and const_idx are (1 or B, N): one epoch's measurements for every
+    row, or each row's own. Returns arrays (x, iterations, status, cost),
+    one entry per row. Each row runs the algorithm below on its own; the
+    rows only share numpy calls. Every round makes one trial for each row
+    still iterating, and a row leaves the working set (with its
+    measurements, when they are per row) when it stops, so row b gets the
+    bits a stack of one would give it.
 
     Damping multiplies the normal matrix diagonal. A trial step is
     accepted only if it strictly lowers the cost, and damping is then
@@ -124,14 +145,20 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     exceeds COND_LIMIT at the start of an iteration.
     """
     nb, d = x0.shape[0], 3 + n_const
+    per_row = pr.shape[0] != 1  # measurements given per row, sliced with it
+
+    def take(keep, meas):
+        return tuple(a[keep] for a in meas) if per_row else meas
+
+    meas_out = (sat_pos, pr, const_idx)
     x_out = np.array(x0, dtype=float)
-    A_out, g_out, cost_out = _normal_equations(x_out, sat_pos, pr, w, const_idx)
+    A_out, g_out, cost_out = _normal_equations(x_out, w, *meas_out)
     it_out = np.zeros(nb, dtype=np.int64)
     status_out = np.full(nb, STATUS_MAX_ITER)
 
     # The working set: rows still in the damped loop and their state.
     rows = np.arange(nb) if max_iter > 0 else np.arange(0)
-    x, A, g, cost, wr = x_out, A_out, g_out, cost_out, w
+    x, A, g, cost, wr, meas = x_out, A_out, g_out, cost_out, w, meas_out
     lam = np.full(rows.size, INITIAL_DAMPING)
     iters = np.ones(rows.size, dtype=np.int64)  # the iteration each row is in
     trials = np.zeros(rows.size, dtype=np.int64)  # rejected trials in it
@@ -139,12 +166,13 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
 
     def leave(stop, status):
         """Retire the rows flagged in ``stop`` with their ``status``."""
-        nonlocal rows, x, A, g, cost, wr, lam, iters, trials, fresh
+        nonlocal rows, x, A, g, cost, wr, meas, lam, iters, trials, fresh
         out = rows[stop]
         x_out[out], A_out[out], g_out[out], cost_out[out] = x[stop], A[stop], g[stop], cost[stop]
         it_out[out], status_out[out] = iters[stop], status[stop]
         keep = ~stop
         rows, x, A, g, cost, wr = rows[keep], x[keep], A[keep], g[keep], cost[keep], wr[keep]
+        meas = take(keep, meas)
         lam, iters, trials, fresh = lam[keep], iters[keep], trials[keep], fresh[keep]
 
     while rows.size:
@@ -167,7 +195,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         Ad_diag += lam[:, None] * np.maximum(Ad_diag, 1e-12)
         dx = _solve(Ad, g)
         xc = x + dx
-        A_c, g_c, cost_c = _normal_equations(xc, sat_pos, pr, wr, const_idx)
+        A_c, g_c, cost_c = _normal_equations(xc, wr, *meas)
         # Only a strict decrease is progress. An equal cost means the step
         # is lost in rounding: accepting it lets the iterate wander along
         # the flat floor with steps above STEP_TOLERANCE and never stop.
@@ -201,7 +229,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     # gradient still resolves the offset, so take plain GN steps while the
     # step norm shrinks and stop once it stalls or grows.
     rows = np.flatnonzero(status_out == STATUS_CONVERGED)
-    A, g, wr = A_out[rows], g_out[rows], w[rows]
+    A, g, wr, meas = A_out[rows], g_out[rows], w[rows], take(rows, meas_out)
     prev2 = np.full(rows.size, 1e300)
     for _p in range(10):
         if not rows.size:
@@ -209,13 +237,14 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         dx = _solve(A, g)
         step2 = _sum_sq(dx)
         go = ~((step2 > 1.0) | (step2 > prev2))
-        rows, dx, step2, wr = rows[go], dx[go], step2[go], wr[go]
+        rows, dx, step2, wr, meas = rows[go], dx[go], step2[go], wr[go], take(go, meas)
         if not rows.size:
             break
         x = x_out[rows] + dx
-        A, g, cost = _normal_equations(x, sat_pos, pr, wr, const_idx)
+        A, g, cost = _normal_equations(x, wr, *meas)
         x_out[rows], cost_out[rows] = x, cost
         more = ~(step2 < 1e-20)
         rows, A, g, wr, prev2 = rows[more], A[more], g[more], wr[more], step2[more]
+        meas = take(more, meas)
 
     return x_out, it_out, status_out, cost_out

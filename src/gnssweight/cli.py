@@ -14,7 +14,7 @@ import numpy as np
 from .baselines import FdeConfig, calibrate_sota
 from .config import load_config
 from .dataio import read_dataset, write_dataset
-from .errors import GnssWeightError, ShapeMismatch
+from .errors import ConfigInvalid, GnssWeightError, ShapeMismatch
 from .evaluation import (
     CdfSummary,
     StrategyModels,
@@ -157,6 +157,8 @@ def _calibration_samples(dataset):
 
 
 def _cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigInvalid(f"--jobs must be at least 1, got {args.jobs}")
     overrides = _seed_override(args)
     if args.strategies:
         overrides["evaluate"] = {"strategies": args.strategies.split(",")}
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-full", help="checkpoint for the full feature-matrix model")
     p.add_argument("--model-residual", help="checkpoint for the residual-only model")
     p.add_argument("--strategies", help="comma-separated subset of strategies")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over sessions")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes over sessions (at least 1)")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_evaluate)
 

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .baselines import FdeConfig, SotaWeightParams, fde_solve
-from .errors import EmptySamples, GnssWeightError, NonConvergence, NotEnoughMeasurements, SingularGeometry
+from .errors import (
+    ConfigInvalid, EmptySamples, GnssWeightError, NonConvergence, NotEnoughMeasurements, SingularGeometry,
+)
 from .featurize import EpochFeaturizer, feature_columns
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
+from .residuals import solve_rows
 from .solver import SolveReport, equal_weight_fix, solve_wls_stack
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
@@ -24,6 +28,9 @@ QUANTILES = (0.50, 0.68, 0.95)
 ZERO_WEIGHT_CUTOFF = 1e-6
 
 STRATEGIES = ("truth", "nn_full", "nn_residual", "fde_sota", "equal")
+
+# The strategies that featurize the epochs they score.
+LEARNED = ("nn_full", "nn_residual")
 
 
 @dataclass
@@ -125,7 +132,16 @@ def _fde_record(epoch: Epoch, models: StrategyModels, fix: SolveReport | None, l
     return ErrorRecord(epoch.session_id, epoch.time, "fde_sota", h, v, True, epoch.n, len(res.excluded))
 
 
-def evaluate_session(session, strategies, models: StrategyModels):
+def _scored_rows(sessions) -> list:
+    """Per session, each epoch's entry of ``residuals.solve_rows``: the
+    epochs ``evaluate_session`` scores (those with a truth position) are
+    solved as one call, the others get None."""
+    scored = [e for s in sessions for e in s.epochs if e.truth is not None]
+    solved = iter(solve_rows(scored))
+    return [[next(solved) if e.truth is not None else None for e in s.epochs] for s in sessions]
+
+
+def evaluate_session(session, strategies, models: StrategyModels, rows=None):
     """Error records for every (epoch, strategy) of one session, in order.
 
     Each epoch's equal-weight fix is solved once and shared: it gives the
@@ -133,17 +149,22 @@ def evaluate_session(session, strategies, models: StrategyModels):
     is FDE's first round. When a learned strategy runs, the epoch is
     featurized and the fix is the all-ones row of its leave-one-out batch;
     FDE then also takes its first exclusion round from that batch. The
-    weighted strategies (all but ``fde_sota``) solve as one stack.
+    leave-one-out rows are ``rows``, one ``residuals.solve_rows`` entry
+    per epoch of the session, solved here for the whole session when not
+    given. The weighted strategies (all but ``fde_sota``) solve as one
+    stack.
     """
-    needs_features = any(s in strategies for s in ("nn_full", "nn_residual"))
+    needs_features = any(s in strategies for s in LEARNED)
     fz = EpochFeaturizer() if needs_features else None
+    if needs_features and rows is None:
+        rows = _scored_rows([session])[0]
 
     records = []
-    for epoch in session.epochs:
+    for k, epoch in enumerate(session.epochs):
         if epoch.truth is None:
             continue
         if fz is not None:
-            fm = fz.featurize(epoch)
+            fm = fz.featurize(epoch, rows[k])
             fix, loo = fz.fix, fz.matrix
         else:
             fm = loo = None
@@ -157,7 +178,7 @@ def evaluate_session(session, strategies, models: StrategyModels):
                 weights[strategy] = np.ones(epoch.n)
             elif strategy == "truth":
                 weights[strategy] = quality_to_weights(make_labels(epoch))
-            elif strategy in ("nn_full", "nn_residual"):
+            elif strategy in LEARNED:
                 pair = models.nn_full if strategy == "nn_full" else models.nn_residual
                 if pair is None:
                     raise ValueError(f"strategy {strategy} requires a trained model")
@@ -185,22 +206,23 @@ def compare_strategies(dataset, strategies, models: StrategyModels,
                        split: str = "test", jobs: int = 1):
     """Run every strategy over the split; returns (records, summaries).
 
-    Sessions evaluate independently; aggregation is ordered by session id
-    so the output is identical for any job count.
+    The sessions, sorted by id, are split into ``min(jobs, sessions)``
+    contiguous groups (``session_groups``), one worker process each when
+    there are several. When a learned strategy runs, a group solves the
+    leave-one-out rows of all its epochs in a few kernel calls before
+    evaluating its sessions in order. Each row has the bits of its own
+    solve and sessions evaluate independently, so the output is identical
+    for any job count. ``jobs`` below 1 raises ConfigInvalid.
     """
     sessions = sorted(dataset.split_sessions(split), key=lambda s: s.session_id)
-    if jobs > 1:
+    groups = session_groups(sessions, jobs)
+    if len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(
-                pool.map(
-                    _evaluate_session_star,
-                    [(s, strategies, models) for s in sessions],
-                )
-            )
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            chunks = list(pool.map(_evaluate_group, groups, repeat(strategies), repeat(models)))
     else:
-        chunks = [evaluate_session(s, strategies, models) for s in sessions]
+        chunks = [_evaluate_group(g, strategies, models) for g in groups]
     records = [r for chunk in chunks for r in chunk]
     summaries = {
         strat: CdfSummary.from_records(strat, [r for r in records if r.strategy == strat])
@@ -209,8 +231,22 @@ def compare_strategies(dataset, strategies, models: StrategyModels,
     return records, summaries
 
 
-def _evaluate_session_star(args):
-    return evaluate_session(*args)
+def session_groups(sessions, jobs: int) -> list:
+    """``sessions`` cut into ``min(jobs, len(sessions))`` contiguous groups
+    whose sizes differ by at most one; raises ConfigInvalid when ``jobs``
+    is below 1."""
+    if jobs < 1:
+        raise ConfigInvalid(f"jobs must be at least 1, got {jobs}")
+    k = min(jobs, len(sessions))
+    return [sessions[i * len(sessions) // k:(i + 1) * len(sessions) // k] for i in range(k)]
+
+
+def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
+    """The records of ``sessions`` in order, their leave-one-out rows solved
+    together when a learned strategy runs."""
+    needs_features = any(s in strategies for s in LEARNED)
+    rows = _scored_rows(sessions) if needs_features else [None] * len(sessions)
+    return [r for s, s_rows in zip(sessions, rows) for r in evaluate_session(s, strategies, models, s_rows)]
 
 
 def write_error_csv(records, path) -> None:

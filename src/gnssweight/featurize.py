@@ -17,7 +17,7 @@ from .features import N_PER_LINK_FEATURES, TrackingHistory
 from .geo import ecef_to_geodetic
 from .model import Epoch
 from .nn import make_labels
-from .residuals import GAMMA, build_residual_matrix, ResidualMatrix
+from .residuals import GAMMA, build_residual_matrix, ResidualMatrix, solve_rows
 from .solver import SolveReport, equal_weight_fix
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
@@ -98,16 +98,18 @@ class EpochFeaturizer:
     """Stateful per-session featurizer (owns the C/N0 tracking history).
 
     ``featurize`` returns the raw (unnormalized) feature matrix, or None
-    when the epoch cannot support the leave-one-out construction. The
-    epoch's equal-weight fix is the all-ones row of its leave-one-out
-    batch (``build_residual_matrix``); an epoch with too few links for
-    the matrix (N <= state dimension) still gets its fix from
-    ``equal_weight_fix``. When the fix fails the tracking window is not
-    advanced, since elevations need a receiver position; when only the
-    leave-one-out matrix fails it is, so later epochs see a correct
-    history. After each call ``fix`` and ``matrix`` hold that epoch's fix
-    and ResidualMatrix, each None when it could not be formed, so that a
-    caller can reuse them.
+    when the epoch cannot support the leave-one-out construction. It
+    takes the epoch's entry of ``residuals.solve_rows`` when the caller
+    solved the leave-one-out rows of many epochs at once, and solves the
+    epoch's rows itself otherwise. The epoch's equal-weight fix is the
+    all-ones row of its leave-one-out batch (``build_residual_matrix``);
+    an epoch with too few links for the matrix (N <= state dimension)
+    still gets its fix from ``equal_weight_fix``. When the fix fails the
+    tracking window is not advanced, since elevations need a receiver
+    position; when only the leave-one-out matrix fails it is, so later
+    epochs see a correct history. After each call ``fix`` and ``matrix``
+    hold that epoch's fix and ResidualMatrix, each None when it could not
+    be formed, so that a caller can reuse them.
     """
 
     def __init__(self):
@@ -116,10 +118,10 @@ class EpochFeaturizer:
         self.fix: SolveReport | None = None
         self.matrix: ResidualMatrix | None = None
 
-    def featurize(self, epoch: Epoch) -> np.ndarray | None:
+    def featurize(self, epoch: Epoch, rows=None) -> np.ndarray | None:
         """Feature matrix of ``epoch``, or None when it is skipped."""
         if epoch.n > epoch.state_dim():
-            rmat = build_residual_matrix(epoch)
+            rmat = build_residual_matrix(epoch, rows)
             fix = rmat.fix
         else:  # too few links for a leave-one-out matrix
             rmat = None
@@ -139,15 +141,18 @@ class EpochFeaturizer:
         return assemble_feature_matrix(rmat, per_link)
 
 
-def session_samples(epochs):
+def session_samples(epochs, rows=None):
     """Raw (feature_matrix, labels) pairs for one session, in order.
 
-    ``labels`` is None for an epoch without a truth position.
+    ``rows`` is ``residuals.solve_rows(epochs)``, solved here when not
+    given. ``labels`` is None for an epoch without a truth position.
     """
+    if rows is None:
+        rows = solve_rows(epochs)
     fz = EpochFeaturizer()
     out = []
-    for epoch in epochs:
-        fm = fz.featurize(epoch)
+    for epoch, epoch_rows in zip(epochs, rows):
+        fm = fz.featurize(epoch, epoch_rows)
         if fm is None:
             continue
         out.append((fm, make_labels(epoch) if epoch.truth is not None else None))
@@ -157,13 +162,19 @@ def session_samples(epochs):
 def dataset_samples(dataset):
     """Raw samples of the fitting splits: {'train': [...], 'val': [...]}.
 
-    Test sessions are skipped: ``evaluation`` featurizes them itself,
-    sharing each epoch's equal-weight fix with the strategies it runs.
+    The leave-one-out rows of every fitting epoch are solved first, as
+    one ``residuals.solve_rows`` call over all of them (a few kernel
+    calls: one per clock count and ``residuals.MAX_ROWS_PER_CALL``
+    rows); then each session is featurized in order. Test sessions are
+    skipped: ``evaluation`` featurizes them itself, sharing each epoch's
+    equal-weight fix with the strategies it runs.
     """
     splits = {"train": [], "val": []}
-    for session in dataset.sessions:
-        if session.split in splits:
-            splits[session.split].extend(session_samples(session.epochs))
+    sessions = [s for s in dataset.sessions if s.split in splits]
+    rows = iter(solve_rows([e for s in sessions for e in s.epochs]))
+    for session in sessions:
+        session_rows = [next(rows) for _ in session.epochs]
+        splits[session.split].extend(session_samples(session.epochs, session_rows))
     return splits
 
 

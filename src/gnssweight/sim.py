@@ -140,6 +140,23 @@ def _trajectory(cfg: ScenarioConfig, times: np.ndarray):
     return positions
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b with np.cross's arithmetic, without its per-call axis handling."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _orbit_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (u, v) of the orbit plane with unit ``normal``."""
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(normal @ ref) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    u = _cross(normal, ref)
+    u /= np.linalg.norm(u)
+    return u, _cross(normal, u)
+
+
 def _init_orbits(cfg: ScenarioConfig, rng: np.random.Generator):
     """Random circular orbit (plane basis + phase) per satellite."""
     orbits = []
@@ -147,12 +164,7 @@ def _init_orbits(cfg: ScenarioConfig, rng: np.random.Generator):
         for sv in range(1, count + 1):
             normal = rng.normal(size=3)
             normal /= np.linalg.norm(normal)
-            ref = np.array([1.0, 0.0, 0.0])
-            if abs(normal @ ref) > 0.9:
-                ref = np.array([0.0, 1.0, 0.0])
-            u = np.cross(normal, ref)
-            u /= np.linalg.norm(u)
-            v = np.cross(normal, u)
+            u, v = _orbit_basis(normal)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             orbits.append((const, sv, u, v, phase))
     return orbits

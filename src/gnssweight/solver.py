@@ -165,7 +165,7 @@ def solve_wls_stack(epoch: Epoch, weights, init: NavState | None = None) -> list
     if rows:
         x0 = np.tile(_start(epoch, init), (len(rows), 1))
         batch = _kernels.lm_solve_batch(
-            epoch.sat_array(), epoch.pr_array(), np.array(ws), epoch.const_index(),
+            epoch.sat_array()[None], epoch.pr_array()[None], np.array(ws), epoch.const_index()[None],
             epoch.state_dim() - 3, x0, _kernels.MAX_ITERATIONS,
         )
         for i, k in enumerate(rows):

@@ -169,6 +169,16 @@ def test_unknown_strategy_flag_fails_like_config(tiny_config, tiny_dataset, tmp_
     assert not (tmp_path / "eval").exists()
 
 
+def test_jobs_below_one_fails_before_reading_data(tmp_path, capsys):
+    for jobs in ("0", "-2"):
+        rc = main(["evaluate", "--data", str(tmp_path / "missing.jsonl"),
+                   "--out-dir", str(tmp_path / "eval"), "--jobs", jobs])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"--jobs must be at least 1, got {jobs}" in err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.fixture(scope="module")
 def residual_model(tiny_config, tiny_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("model") / "residual.npz"

@@ -6,8 +6,8 @@ import pytest
 
 from gnssweight import _kernels, sim, solver
 from gnssweight.baselines import SotaWeightParams
-from gnssweight.dataio import Session
-from gnssweight.errors import EmptySamples
+from gnssweight.dataio import Dataset, Session
+from gnssweight.errors import ConfigInvalid, EmptySamples
 from gnssweight.evaluation import (
     STRATEGIES,
     CdfSummary,
@@ -18,6 +18,7 @@ from gnssweight.evaluation import (
     evaluate_session,
     position_errors,
     read_error_csv,
+    session_groups,
     summary_dict,
     write_error_csv,
 )
@@ -118,8 +119,6 @@ def test_missing_model_raises(monkeypatch):
 
 
 def test_compare_strategies_deterministic_across_jobs():
-    from gnssweight.dataio import Dataset
-
     sessions = []
     for k, seed in enumerate((100, 101, 102)):
         cfg = profile_config("suburban", seed=seed, duration_s=2.0)
@@ -128,12 +127,29 @@ def test_compare_strategies_deterministic_across_jobs():
     ds = Dataset(seed=0, sessions=sessions)
     models = _tiny_models()
     r1, sum1 = compare_strategies(ds, STRATEGIES, models, jobs=1)
-    r2, sum2 = compare_strategies(ds, STRATEGIES, models, jobs=2)
     assert len(r1) == 5 * sum(len(s.epochs) for s in sessions)
-    # whole records, NaN failures included (dataclass equality would fail on NaN)
-    assert [_record_bytes(r) for r in r1] == [_record_bytes(r) for r in r2]
-    for strat in STRATEGIES:
-        assert sum1[strat] == sum2[strat]
+    # two groups of sessions, then one session per group (three workers)
+    for jobs in (2, 4):
+        r2, sum2 = compare_strategies(ds, STRATEGIES, models, jobs=jobs)
+        # whole records, NaN failures included (dataclass equality would fail on NaN)
+        assert [_record_bytes(r) for r in r1] == [_record_bytes(r) for r in r2]
+        for strat in STRATEGIES:
+            assert sum1[strat] == sum2[strat]
+
+
+def test_session_groups_split_contiguously_and_reject_jobs_below_one():
+    sessions = [f"s{k}" for k in range(7)]
+    assert session_groups(sessions, 1) == [sessions]
+    assert session_groups(sessions, 3) == [sessions[:2], sessions[2:4], sessions[4:]]
+    # never more groups (worker processes) than sessions
+    assert session_groups(sessions[:2], 4) == [sessions[:1], sessions[1:2]]
+    assert session_groups([], 2) == []
+    for jobs in (0, -3):
+        with pytest.raises(ConfigInvalid, match="at least 1"):
+            session_groups(sessions, jobs)
+    ds = Dataset(seed=0, sessions=[])
+    with pytest.raises(ConfigInvalid):
+        compare_strategies(ds, ("equal",), StrategyModels(), jobs=0)
 
 
 def _record_bytes(r):
@@ -186,7 +202,10 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     # the kernel sees exactly one cold-started all-ones solve per epoch,
     # whether as a single solve or as a row of a batch (the fix rides in
     # the leave-one-out batch); leave-one-out subsets and FDE's later
-    # rounds solve other problems
+    # rounds solve other problems. A batch's measurements are shared by
+    # its rows or given per row; a per-row problem may be padded to the
+    # call's N with zero-weight links, so a row counts for the pr of its
+    # all-ones prefix.
     cfg = profile_config("urban_canyon", seed=3, duration_s=1.0)  # N = 12
     epochs, truth = generate_session(cfg, session_id="u")
     session = Session("u", "urban_canyon", "test", epochs, truth)
@@ -197,8 +216,9 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     in_single = []  # lm_solve may run as a stack of one; count it once
 
     def count(pr, w, x0):
-        if np.all(w == 1.0) and np.array_equal(x0[:3], cold) and not x0[3:].any():
-            solves[pr.tobytes()] += 1
+        m = np.count_nonzero(w)
+        if np.all(w[:m] == 1.0) and np.array_equal(x0[:3], cold) and not x0[3:].any():
+            solves[pr[:m].tobytes()] += 1
 
     def counting(sat, pr, w, const_idx, n_clk, x0, *rest):
         count(pr, w, x0)
@@ -210,8 +230,8 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
 
     def counting_batch(sat, pr, w, const_idx, n_clk, x0, *rest):
         if not in_single:
-            for wb, xb in zip(w, x0):
-                count(pr, wb, xb)
+            for b, (wb, xb) in enumerate(zip(w, x0)):
+                count(pr[b if len(pr) > 1 else 0], wb, xb)
         return lm_solve_batch(sat, pr, w, const_idx, n_clk, x0, *rest)
 
     monkeypatch.setattr(_kernels, "lm_solve", counting)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gnssweight import residuals
 from gnssweight.dataio import Dataset, Session
 from gnssweight.errors import EmptySplit
+from gnssweight.nn import make_labels
 from gnssweight.featurize import (
     N_FEATURES,
     N_RESIDUAL_SUMMARY,
@@ -16,6 +18,7 @@ from gnssweight.featurize import (
     session_samples,
 )
 from gnssweight.residuals import GAMMA, build_residual_matrix
+from gnssweight.sim import generate_session, profile_config
 from conftest import make_epoch
 
 
@@ -108,12 +111,44 @@ def test_dataset_samples_never_featurizes_test_sessions(rng, monkeypatch):
     seen = []
     featurize = EpochFeaturizer.featurize
 
-    def spy(self, epoch):
+    def spy(self, epoch, rows=None):
         seen.append(id(epoch))
-        return featurize(self, epoch)
+        return featurize(self, epoch, rows)
 
     monkeypatch.setattr(EpochFeaturizer, "featurize", spy)
     splits = dataset_samples(Dataset(seed=0, sessions=sessions))
     assert sorted(splits) == ["train", "val"]
     assert [len(splits["train"]), len(splits["val"])] == [2, 2]
     assert seen == [id(e) for s in sessions[:2] for e in s.epochs]
+
+
+def test_dataset_samples_matches_per_epoch_featurization(monkeypatch):
+    # urban sessions mix N, clock counts, one-link constellations and
+    # epochs with N <= d; a row cap of 7 makes call boundaries split
+    # sessions and row groups
+    sessions = []
+    plan = ((40, "train"), (46, "val"), (50, "train"), (41, "test"), (48, "val"), (42, "train"))
+    for k, (seed, split) in enumerate(plan):
+        cfg = profile_config("urban_canyon", seed=seed, duration_s=2.0)
+        epochs, truth = generate_session(cfg, session_id=f"u{k}")
+        sessions.append(Session(f"u{k}", "urban_canyon", split, epochs, truth))
+    fitting = [e for s in sessions if s.split != "test" for e in s.epochs]
+    assert len({e.state_dim() for e in fitting}) > 1
+    assert any(1 in np.bincount(e.const_index()) for e in fitting if e.n > e.state_dim())
+    expect = {"train": [], "val": []}
+    skipped = 0
+    for session in sessions:
+        if session.split in expect:
+            fz = EpochFeaturizer()
+            for epoch in session.epochs:
+                fm = fz.featurize(epoch)
+                if fm is not None:
+                    expect[session.split].append((fm, make_labels(epoch)))
+            skipped += fz.skipped
+    assert skipped > 0 and len(expect["train"]) > 0
+
+    monkeypatch.setattr(residuals, "MAX_ROWS_PER_CALL", 7)
+    got = dataset_samples(Dataset(seed=0, sessions=sessions))
+    for split in expect:
+        assert [(fm.tobytes(), lab.tobytes()) for fm, lab in got[split]] == \
+            [(fm.tobytes(), lab.tobytes()) for fm, lab in expect[split]]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnssweight import _kernels
+from gnssweight import _kernels, residuals
 from gnssweight.errors import NotEnoughMeasurements, SingularGeometry
 from gnssweight.geo import EcefPosition, GeodeticPosition, enu_rotation
 from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
@@ -186,14 +186,15 @@ def assert_same_fix(got, expect, where=None):
     assert got.post_fit_residuals.tobytes() == expect.post_fit_residuals.tobytes(), where
 
 
-def test_batched_rows_match_single_solves(monkeypatch):
-    """Each row of a lockstep batch has the bits of its own solve, and each
-    leave-one-out row the bits of an equal-weight fix on its subset."""
+def _corpus():
+    """300 (k, epoch, iteration cap) cases with 1-3 constellations, N from
+    n_const + 4 to 30 and three noise levels. Every fourth epoch has a
+    one-link BeiDou constellation, every tenth four links on one line of
+    sight, and every seventh is capped at 4 iterations, so that batches
+    mix converged, capped and singular rows."""
     rng = np.random.default_rng(515)
     full_cap = _kernels.MAX_ITERATIONS
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
-    statuses = np.zeros(3, dtype=int)
-    dropped_rows = failed_rows = capped_fixes = 0
     for k in range(300):
         n_const = 1 + k % 3
         sigma = (0.0, 2.0, 30.0)[k // 3 % 3]
@@ -209,7 +210,6 @@ def test_batched_rows_match_single_solves(monkeypatch):
                 EcefPosition.from_array(sat), 40.0, 1.0,
             )
             epoch = Epoch(time=epoch.time, measurements=[*epoch.measurements, one])
-            dropped_rows += 1
         if k % 10 == 5:
             # four links on one line of sight: small subsets go singular
             ms = epoch.measurements
@@ -218,17 +218,26 @@ def test_batched_rows_match_single_solves(monkeypatch):
                                        ms[0].sat_pos, m.cn0, m.lock_time)
                 for m in ms[1:4]
             ]
+        yield k, epoch, 4 if k % 7 == 3 else full_cap
+
+
+def test_batched_rows_match_single_solves(monkeypatch):
+    """Each row of a lockstep batch has the bits of its own solve, and each
+    leave-one-out row the bits of an equal-weight fix on its subset."""
+    statuses = np.zeros(3, dtype=int)
+    dropped_rows = failed_rows = capped_fixes = 0
+    for k, epoch, max_iter in _corpus():
         n, dim = epoch.n, epoch.state_dim()
+        dropped_rows += ConstellationId.BEIDOU in epoch.constellations()
 
         # the kernel: rows of 1 - I, cold-started, some epochs capped early
         # so that batches mix converged, capped and singular rows
-        max_iter = 4 if k % 7 == 3 else full_cap
         monkeypatch.setattr(_kernels, "MAX_ITERATIONS", max_iter)
         sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
         W = 1.0 - np.eye(n)
         X0 = np.zeros((n, dim))
         X0[:, :3] = _DEFAULT_START.as_array()
-        X, its, status, cost = _kernels.lm_solve_batch(sat, pr, W, idx, dim - 3, X0, max_iter)
+        X, its, status, cost = _kernels.lm_solve_batch(sat[None], pr[None], W, idx[None], dim - 3, X0, max_iter)
         for row in range(n):
             x, it, st, c = _kernels.lm_solve(sat, pr, W[row], idx, dim - 3, X0[row], max_iter)
             assert X[row].tobytes() == x.tobytes(), (k, row)
@@ -256,6 +265,39 @@ def test_batched_rows_match_single_solves(monkeypatch):
     assert failed_rows > 0
     assert dropped_rows == 75
     assert capped_fixes > 0
+
+
+def test_rows_across_epochs_match_per_epoch_calls(monkeypatch):
+    """``solve_rows`` over the whole corpus (mixed N padded into per-row
+    calls, several calls per clock count) gives every epoch the bits of
+    its own ``solve_rows([epoch])`` call."""
+    cases = list(_corpus())
+    batch = _kernels.lm_solve_batch
+    padded = []  # rows of per-row calls padded with zero-weight links
+
+    def spy(sat, pr, w, const_idx, *rest):
+        if pr.shape[0] > 1:
+            padded.append(int(np.sum((w[:, -1] == 0.0) & (pr[:, -1] == pr[:, -2]))))
+        return batch(sat, pr, w, const_idx, *rest)
+
+    statuses = np.zeros(3, dtype=int)
+    for cap in sorted({c for _, _, c in cases}):
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
+        epochs = [epoch for _, epoch, c in cases if c == cap]
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "lm_solve_batch", spy)
+            together = residuals.solve_rows(epochs)
+        for epoch, got in zip(epochs, together):
+            expect = residuals.solve_rows([epoch])[0]
+            assert len(got) == len(expect)
+            for (links, kept, g), (e_links, e_kept, e) in zip(got, expect):
+                assert (links.tobytes(), kept.tobytes()) == (e_links.tobytes(), e_kept.tobytes())
+                assert [a.tobytes() for a in g] == [a.tobytes() for a in e]
+                statuses += np.bincount(g[2], minlength=3)
+            M = build_residual_matrix(epoch, got)
+            assert M.values.tobytes() == build_residual_matrix(epoch).values.tobytes()
+    assert np.all(statuses > 0), statuses
+    assert sum(padded) > 0
 
 
 def test_singular_subset_row_is_gamma_and_listed():

@@ -205,3 +205,25 @@ def test_campaign_split_arithmetic():
 def test_campaign_minimum_sessions():
     with pytest.raises(ConfigInvalid):
         generate_campaign(PROFILES, sessions_per_profile=2, seed=0)
+
+
+def test_orbit_basis_is_bitwise_np_cross():
+    # the written-out cross products reproduce np.cross bit for bit,
+    # signed zeros included, for normals on either reference axis
+    rng = np.random.default_rng(9)
+    normals = rng.normal(size=(4000, 3))
+    normals[:1000, 1:] *= 0.1  # near the x axis: these take [0, 1, 0]
+    normals[1000:1100] = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]] * 25)
+    refs = 0
+    for normal in normals:
+        normal = normal / np.linalg.norm(normal)
+        ref = np.array([1.0, 0.0, 0.0])
+        if abs(normal @ ref) > 0.9:
+            ref = np.array([0.0, 1.0, 0.0])
+            refs += 1
+        u = np.cross(normal, ref)
+        u /= np.linalg.norm(u)
+        v = np.cross(normal, u)
+        got_u, got_v = sim._orbit_basis(normal)
+        assert (got_u.tobytes(), got_v.tobytes()) == (u.tobytes(), v.tobytes()), normal
+    assert 1000 <= refs < 4000
