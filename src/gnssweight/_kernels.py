@@ -3,12 +3,11 @@
 This is the hot kernel. ``lm_solve_batch`` runs a stack of solves in
 lockstep. Its measurement arrays (satellite positions, pseudoranges and
 clock column indices) carry a leading row axis of length 1 or B:
-- length 1: every row shares one epoch's measurements, as the weighted
-  strategies of an evaluated epoch do (one call, one row per strategy)
-- length B: row b solves its own problem, so the leave-one-out rows and
-  equal-weight fixes of many epochs run as one call
-  (``residuals.solve_rows``)
-A single solve (``lm_solve``) is a stack of one. One numpy function,
+- length 1: every row shares one epoch's measurements
+- length B: row b solves its own problem
+``solver.solve_batch`` makes every batched call: the leave-one-out rows
+and fixes, and the weighted strategies, of many epochs. A single solve
+(``lm_solve``) is a stack of one. One numpy function,
 ``_normal_equations``, forms the residuals, the Jacobian, the normal
 matrix, the gradient and the cost at a stack of states; the solver calls
 it wherever it needs any of them.

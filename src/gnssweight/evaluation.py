@@ -9,15 +9,13 @@ from itertools import repeat
 import numpy as np
 
 from .baselines import FdeConfig, SotaWeightParams, fde_solve
-from .errors import (
-    ConfigInvalid, EmptySamples, GnssWeightError, NonConvergence, NotEnoughMeasurements, SingularGeometry,
-)
+from .errors import ConfigInvalid, EmptySamples, GnssWeightError, NonConvergence
 from .featurize import EpochFeaturizer, feature_columns
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
 from .residuals import solve_rows
-from .solver import SolveReport, equal_weight_fix, solve_wls_stack
+from .solver import SolveReport, epoch_problem, fix_from_row, row_report, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 CSV_COLUMNS = ["session_id", "t", "strategy", "h_err_m", "v_err_m", "converged", "n_sv", "n_zero_weight"]
@@ -91,129 +89,68 @@ class StrategyModels:
     fde_cfg: FdeConfig = field(default_factory=FdeConfig)
 
 
-def _failed_record(epoch: Epoch, strategy: str, n_zero: int = 0) -> ErrorRecord:
-    nan = float("nan")
-    return ErrorRecord(epoch.session_id, epoch.time, strategy, nan, nan, False, epoch.n, n_zero)
-
-
-def _weighted_records(epoch: Epoch, weights: dict, fix: SolveReport | None) -> dict:
-    """strategy -> ErrorRecord for each (strategy, weight vector) in ``weights``.
-
-    The weighted solves run as one stack (``solve_wls_stack``), each
-    warm-started from the equal-weight fix: strongly anisotropic weights
-    (spreads of 1e7 and more) make cold-start damped iteration creep,
-    while the weighted problem converges in a few steps from the fix.
-    """
-    init = fix.state if fix is not None else None
-    reports = solve_wls_stack(epoch, list(weights.values()), init=init)
-    records = {}
-    for (strategy, w), rep in zip(weights.items(), reports):
-        n_zero = int(np.sum(np.asarray(w) <= ZERO_WEIGHT_CUTOFF))
-        if isinstance(rep, NonConvergence):
-            state, converged = rep.report.state, False
-        elif isinstance(rep, GnssWeightError):
-            records[strategy] = _failed_record(epoch, strategy, n_zero)
-            continue
-        else:
-            state, converged = rep.state, True
+def _record(epoch: Epoch, strategy: str, state: NavState | None = None, converged: bool = False,
+            n_zero: int = 0) -> ErrorRecord:
+    """``strategy``'s record of ``state``, or of a failed solve (NaN errors) without one."""
+    h = v = float("nan")
+    if state is not None:
         h, v = position_errors(state, epoch.truth)
-        records[strategy] = ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero)
-    return records
+    return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero)
+
+
+def _weighted_record(epoch: Epoch, strategy: str, w: np.ndarray, row) -> ErrorRecord:
+    """``strategy``'s record of its solve with weights ``w``, from its kernel row."""
+    n_zero = int(np.sum(w <= ZERO_WEIGHT_CUTOFF))
+    try:
+        return _record(epoch, strategy, row_report(epoch, *row).state, True, n_zero)
+    except NonConvergence as e:
+        return _record(epoch, strategy, e.report.state, False, n_zero)
+    except GnssWeightError:
+        return _record(epoch, strategy, n_zero=n_zero)
 
 
 def _fde_record(epoch: Epoch, models: StrategyModels, fix: SolveReport | None, loo) -> ErrorRecord:
     if fix is None:  # FDE's first round is this same failed solve
-        return _failed_record(epoch, "fde_sota")
+        return _record(epoch, "fde_sota")
     try:
         res = fde_solve(epoch, models.fde_cfg, models.sota, fix=fix, loo=loo)
     except GnssWeightError:
-        return _failed_record(epoch, "fde_sota")
-    h, v = position_errors(res.report.state, epoch.truth)
-    return ErrorRecord(epoch.session_id, epoch.time, "fde_sota", h, v, True, epoch.n, len(res.excluded))
+        return _record(epoch, "fde_sota")
+    return _record(epoch, "fde_sota", res.report.state, True, len(res.excluded))
 
 
-def _scored_rows(sessions) -> list:
-    """Per session, each epoch's entry of ``residuals.solve_rows``: the
-    epochs ``evaluate_session`` scores (those with a truth position) are
-    solved as one call, the others get None."""
-    scored = [e for s in sessions for e in s.epochs if e.truth is not None]
-    solved = iter(solve_rows(scored))
-    return [[next(solved) if e.truth is not None else None for e in s.epochs] for s in sessions]
+def _check_strategies(strategies, models: StrategyModels) -> None:
+    """Raise ValueError for an unknown strategy, or one whose model or
+    calibrated parameters are missing."""
+    for strategy in strategies:
+        if strategy in LEARNED and getattr(models, strategy) is None:
+            raise ValueError(f"strategy {strategy} requires a trained model")
+        if strategy == "fde_sota" and models.sota is None:
+            raise ValueError("strategy fde_sota requires calibrated parameters")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def evaluate_session(session, strategies, models: StrategyModels, rows=None):
-    """Error records for every (epoch, strategy) of one session, in order.
-
-    Each epoch's equal-weight fix is solved once and shared: it gives the
-    featurizer its rough position, warm-starts every weighted solve and
-    is FDE's first round. When a learned strategy runs, the epoch is
-    featurized and the fix is the all-ones row of its leave-one-out batch;
-    FDE then also takes its first exclusion round from that batch. The
-    leave-one-out rows are ``rows``, one ``residuals.solve_rows`` entry
-    per epoch of the session, solved here for the whole session when not
-    given. The weighted strategies (all but ``fde_sota``) solve as one
-    stack.
-    """
-    needs_features = any(s in strategies for s in LEARNED)
-    fz = EpochFeaturizer() if needs_features else None
-    if needs_features and rows is None:
-        rows = _scored_rows([session])[0]
-
-    records = []
-    for k, epoch in enumerate(session.epochs):
-        if epoch.truth is None:
-            continue
-        if fz is not None:
-            fm = fz.featurize(epoch, rows[k])
-            fix, loo = fz.fix, fz.matrix
-        else:
-            fm = loo = None
-            try:
-                fix = equal_weight_fix(epoch)
-            except (NotEnoughMeasurements, SingularGeometry):
-                fix = None
-        weights = {}  # the weighted strategies' weights, solved as one stack
-        for strategy in strategies:
-            if strategy == "equal":
-                weights[strategy] = np.ones(epoch.n)
-            elif strategy == "truth":
-                weights[strategy] = quality_to_weights(make_labels(epoch))
-            elif strategy in LEARNED:
-                pair = models.nn_full if strategy == "nn_full" else models.nn_residual
-                if pair is None:
-                    raise ValueError(f"strategy {strategy} requires a trained model")
-                if fm is not None:
-                    model, norm = pair
-                    mode = "full" if strategy == "nn_full" else "residual"
-                    weights[strategy] = predict_weights(model, norm.apply(fm[:, feature_columns(mode)]))
-            elif strategy == "fde_sota":
-                if models.sota is None:
-                    raise ValueError("strategy fde_sota requires calibrated parameters")
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
-        solved = _weighted_records(epoch, weights, fix) if weights else {}
-        for strategy in strategies:
-            if strategy in solved:
-                records.append(solved[strategy])
-            elif strategy == "fde_sota":
-                records.append(_fde_record(epoch, models, fix, loo))
-            else:  # a learned strategy on an epoch without features
-                records.append(_failed_record(epoch, strategy))
-    return records
+def evaluate_session(session, strategies, models: StrategyModels):
+    """Error records for every (epoch, strategy) of one session, in order:
+    ``compare_strategies``'s phases (``_evaluate_group``) on this session
+    alone."""
+    return _evaluate_group([session], strategies, models)
 
 
 def compare_strategies(dataset, strategies, models: StrategyModels,
                        split: str = "test", jobs: int = 1):
     """Run every strategy over the split; returns (records, summaries).
 
-    The sessions, sorted by id, are split into ``min(jobs, sessions)``
+    The strategies and models are checked first (ValueError). The
+    sessions, sorted by id, are then split into ``min(jobs, sessions)``
     contiguous groups (``session_groups``), one worker process each when
-    there are several. When a learned strategy runs, a group solves the
-    leave-one-out rows of all its epochs in a few kernel calls before
-    evaluating its sessions in order. Each row has the bits of its own
-    solve and sessions evaluate independently, so the output is identical
-    for any job count. ``jobs`` below 1 raises ConfigInvalid.
+    there are several, and each group is evaluated in cross-epoch phases
+    (``_evaluate_group``). Each kernel row has the bits of its own solve
+    and sessions featurize independently, so the output is identical for
+    any job count. ``jobs`` below 1 raises ConfigInvalid.
     """
+    _check_strategies(strategies, models)
     sessions = sorted(dataset.split_sessions(split), key=lambda s: s.session_id)
     groups = session_groups(sessions, jobs)
     if len(groups) > 1:
@@ -242,11 +179,69 @@ def session_groups(sessions, jobs: int) -> list:
 
 
 def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
-    """The records of ``sessions`` in order, their leave-one-out rows solved
-    together when a learned strategy runs."""
-    needs_features = any(s in strategies for s in LEARNED)
-    rows = _scored_rows(sessions) if needs_features else [None] * len(sessions)
-    return [r for s, s_rows in zip(sessions, rows) for r in evaluate_session(s, strategies, models, s_rows)]
+    """The records of every scored epoch (one with a truth position) of
+    ``sessions``, in (session, epoch, strategy) order, in phases:
+
+    0. the strategies and models are checked
+    1. each epoch's equal-weight fix, shared by every strategy: the
+       all-ones row of one ``residuals.solve_rows`` call over all epochs
+       when a learned strategy runs, else one ``solver.solve_batch``
+    2. each session is featurized in order from those rows, then the
+       network predicts each epoch's weights
+    3. the weighted strategies (all but ``fde_sota``) of every epoch, as
+       one ``solver.solve_batch``, each row warm-started from its epoch's
+       fix: strongly anisotropic weights (spreads of 1e7 and more) make
+       cold-start damped iteration creep, while the weighted problem
+       converges in a few steps from the fix
+    4. FDE per epoch from the fix, its first exclusion round taken from
+       the epoch's leave-one-out rows when it has them
+    """
+    _check_strategies(strategies, models)
+    scored = [[e for e in s.epochs if e.truth is not None] for s in sessions]
+    epochs = [e for s in scored for e in s]
+    if any(s in LEARNED for s in strategies):
+        rows = iter(solve_rows(epochs))
+        fms, fixes, loos = [], [], []
+        for session_epochs in scored:
+            fz = EpochFeaturizer()
+            for epoch in session_epochs:
+                fms.append(fz.featurize(epoch, next(rows)))
+                fixes.append(fz.fix)
+                loos.append(fz.matrix)
+    else:
+        solved = solve_batch([epoch_problem(e, np.ones((1, e.n))) for e in epochs])
+        fixes = [fix_from_row(e, tuple(a[0] for a in row)) for e, row in zip(epochs, solved)]
+        fms = loos = [None] * len(epochs)
+
+    weights = []  # per epoch, strategy -> weights of its weighted strategies
+    for epoch, fm in zip(epochs, fms):
+        ws = {}
+        for strategy in strategies:
+            if strategy == "equal":
+                ws[strategy] = np.ones(epoch.n)
+            elif strategy == "truth":
+                ws[strategy] = quality_to_weights(make_labels(epoch))
+            elif strategy in LEARNED and fm is not None:
+                model, norm = getattr(models, strategy)
+                mode = "full" if strategy == "nn_full" else "residual"
+                ws[strategy] = predict_weights(model, norm.apply(fm[:, feature_columns(mode)]))
+        weights.append(ws)
+    solved = solve_batch([
+        epoch_problem(e, np.reshape(list(ws.values()), (len(ws), e.n)), fix.state if fix is not None else None)
+        for e, ws, fix in zip(epochs, weights, fixes)
+    ])
+
+    records = []
+    for epoch, ws, kernel, fix, loo in zip(epochs, weights, solved, fixes, loos):
+        kernel_rows = dict(zip(ws, zip(*kernel)))
+        for strategy in strategies:
+            if strategy in ws:
+                records.append(_weighted_record(epoch, strategy, ws[strategy], kernel_rows[strategy]))
+            elif strategy == "fde_sota":
+                records.append(_fde_record(epoch, models, fix, loo))
+            else:  # a learned strategy on an epoch without features
+                records.append(_record(epoch, strategy))
+    return records
 
 
 def write_error_csv(records, path) -> None:

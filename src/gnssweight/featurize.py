@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySplit, NotEnoughMeasurements, SingularGeometry
+from .errors import EmptySplit
 from .features import N_PER_LINK_FEATURES, TrackingHistory
 from .geo import ecef_to_geodetic
 from .model import Epoch
 from .nn import make_labels
-from .residuals import GAMMA, build_residual_matrix, ResidualMatrix, solve_rows
-from .solver import SolveReport, equal_weight_fix
+from .residuals import GAMMA, build_residual_matrix, ResidualMatrix, rows_fix, solve_rows
+from .solver import SolveReport
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 N_RESIDUAL_SUMMARY = 8
@@ -100,11 +100,10 @@ class EpochFeaturizer:
     ``featurize`` returns the raw (unnormalized) feature matrix, or None
     when the epoch cannot support the leave-one-out construction. It
     takes the epoch's entry of ``residuals.solve_rows`` when the caller
-    solved the leave-one-out rows of many epochs at once, and solves the
-    epoch's rows itself otherwise. The epoch's equal-weight fix is the
-    all-ones row of its leave-one-out batch (``build_residual_matrix``);
-    an epoch with too few links for the matrix (N <= state dimension)
-    still gets its fix from ``equal_weight_fix``. When the fix fails the
+    solved the rows of many epochs at once, and solves the epoch's rows
+    itself otherwise. The epoch's equal-weight fix is the all-ones row of
+    those rows (``residuals.rows_fix``), also for an epoch with too few
+    links for the matrix (N <= state dimension). When the fix fails the
     tracking window is not advanced, since elevations need a receiver
     position; when only the leave-one-out matrix fails it is, so later
     epochs see a correct history. After each call ``fix`` and ``matrix``
@@ -120,16 +119,11 @@ class EpochFeaturizer:
 
     def featurize(self, epoch: Epoch, rows=None) -> np.ndarray | None:
         """Feature matrix of ``epoch``, or None when it is skipped."""
-        if epoch.n > epoch.state_dim():
-            rmat = build_residual_matrix(epoch, rows)
-            fix = rmat.fix
-        else:  # too few links for a leave-one-out matrix
-            rmat = None
-            try:
-                fix = equal_weight_fix(epoch)
-            except (NotEnoughMeasurements, SingularGeometry):
-                fix = None
-        self.fix, self.matrix = fix, rmat
+        if rows is None:
+            rows = solve_rows([epoch])[0]
+        rmat = build_residual_matrix(epoch, rows) if epoch.n > epoch.state_dim() else None
+        self.fix = fix = rmat.fix if rmat is not None else rows_fix(epoch, rows)
+        self.matrix = rmat
         if fix is None:
             self.skipped += 1
             return None
@@ -162,9 +156,9 @@ def session_samples(epochs, rows=None):
 def dataset_samples(dataset):
     """Raw samples of the fitting splits: {'train': [...], 'val': [...]}.
 
-    The leave-one-out rows of every fitting epoch are solved first, as
-    one ``residuals.solve_rows`` call over all of them (a few kernel
-    calls: one per clock count and ``residuals.MAX_ROWS_PER_CALL``
+    The leave-one-out rows and fixes of every fitting epoch are solved
+    first, as one ``residuals.solve_rows`` call over all of them (a few
+    kernel calls: one per clock count and ``solver.MAX_ROWS_PER_CALL``
     rows); then each session is featurized in order. Test sessions are
     skipped: ``evaluation`` featurizes them itself, sharing each epoch's
     equal-weight fix with the strategies it runs.

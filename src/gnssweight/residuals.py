@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from . import _kernels
-from .errors import NotEnoughMeasurements, SingularGeometry
+from .errors import NotEnoughMeasurements
 from .geo import SPEED_OF_LIGHT
 from .model import Epoch
-from .solver import _DEFAULT_START, SolveReport, fix_from_row, predicted_pseudoranges
+from .solver import SolveReport, _start, fix_from_row, predicted_pseudoranges, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 # Sentinel marking the deliberately excluded measurement (and rows whose
@@ -29,7 +27,7 @@ class ResidualMatrix:
     ``fix`` is the epoch's ``solver.equal_weight_fix``, or None where that
     raises SingularGeometry. ``links`` and ``kernel`` hold the batch of
     rows that drop no constellation's only link: ``kernel`` is its
-    ``_kernels.lm_solve_batch`` output (x, iterations, status, cost) in
+    ``solver.solve_batch`` output (x, iterations, status, cost) in
     kernel layout, and entry k is the row excluding link ``links[k]``.
     """
 
@@ -55,12 +53,6 @@ class ResidualMatrix:
         return None if row[2] == _kernels.STATUS_SINGULAR else row
 
 
-# The most rows one kernel call solves. It bounds the call's
-# (rows, N, d + 1, d + 1) product of the normal equations to tens of MB
-# at N near 30.
-MAX_ROWS_PER_CALL = 1024
-
-
 def _row_groups(epoch: Epoch) -> list:
     """(links, kept, sub_idx) of each group of the epoch's leave-one-out rows.
 
@@ -70,10 +62,14 @@ def _row_groups(epoch: Epoch) -> list:
     constellation they drop, in ascending order with "none" first: group
     k holds the rows excluding ``links``, solved with the clock columns
     ``kept`` and the measurements' columns ``sub_idx``. With N > 3 +
-    n_const at least one row drops none, so group 0 drops none.
+    n_const at least one row drops none, so group 0 drops none. An epoch
+    with N <= 3 + n_const has no leave-one-out rows: its one group has no
+    links and keeps every clock.
     """
     n_const = epoch.state_dim() - 3
     const_idx = epoch.const_index()
+    if epoch.n <= epoch.state_dim():
+        return [(np.arange(0), np.arange(n_const), const_idx)]
     members = np.bincount(const_idx, minlength=n_const)
     drops = np.where(members[const_idx] == 1, const_idx, -1)
     groups = []
@@ -86,86 +82,41 @@ def _row_groups(epoch: Epoch) -> list:
 
 
 def solve_rows(epochs) -> list:
-    """The kernel outputs of every epoch's leave-one-out rows, solved across epochs.
+    """The kernel outputs of every epoch's leave-one-out rows and fix, solved across epochs.
 
-    Entry e is None when ``epochs[e]`` has too few links for the matrix
-    (N <= state dimension). Otherwise it is the epoch's rows for
-    ``build_residual_matrix``: one (links, kept, kernel) per row group of
-    ``_row_groups``, where ``kernel`` is the group's ``lm_solve_batch``
+    Entry e is the rows of ``epochs[e]`` for ``build_residual_matrix``
+    and ``rows_fix``: one (links, kept, kernel) per row group of
+    ``_row_groups``, where ``kernel`` is the group's ``solver.solve_batch``
     output (x, iterations, status, cost). The first group holds the rows
     that drop no constellation's only link (weights 1 - I) and, last,
     the all-ones row of the equal-weight fix; then comes one group per
-    constellation whose only link a row drops. Every row is cold-started
-    from ``solver._DEFAULT_START``.
-
-    Rows are grouped by clock count and sorted by N; each kernel call
-    takes at most ``MAX_ROWS_PER_CALL`` of them, with per-row
-    measurements padded to the call's N. A call whose rows all come from
-    one group shares that group's measurements instead. Row b of a call
-    has the bits of a stack of one, so the output does not depend on how
-    the epochs are split into calls.
+    constellation whose only link a row drops. An epoch with too few
+    links for the matrix (N <= state dimension) has the fix row alone.
+    Every row is cold-started from ``solver._DEFAULT_START``, and all of
+    them go through one ``solver.solve_batch`` call, so the output does
+    not depend on how the epochs are split into calls.
     """
-    groups = [_row_groups(epoch) if epoch.n > epoch.state_dim() else None for epoch in epochs]
-    problems: dict = {}  # clock count -> [((epoch, group), sat, pr, sub_idx, w)]
-    for e, epoch in enumerate(epochs):
-        if groups[e] is None:
-            continue
+    groups = [_row_groups(epoch) for epoch in epochs]
+    problems = []
+    for epoch, epoch_groups in zip(epochs, groups):
         n, sat, pr = epoch.n, epoch.sat_array(), epoch.pr_array()
         weights = 1.0 - np.eye(n)
-        for k, (links, kept, sub_idx) in enumerate(groups[e]):
+        for k, (links, kept, sub_idx) in enumerate(epoch_groups):
             w = weights[links] if k else np.vstack([weights[links], np.ones(n)])
-            problems.setdefault(kept.size, []).append(((e, k), sat, pr, sub_idx, w))
-    solved = {}  # (epoch, group) -> kernel output
-    for n_clk, probs in problems.items():
-        probs.sort(key=lambda p: p[1].shape[0])
-        starts = list(accumulate((p[4].shape[0] for p in probs), initial=0))
-        # Subset solves are cold-started on purpose: row n then depends only
-        # on the N-1 retained measurements, so perturbing measurement n
-        # cannot move its own row even at the last ulp. A warm start from
-        # the all-in-view fix would leak the excluded measurement into the
-        # iteration path.
-        total = starts[-1]
-        x0 = np.zeros((total, 3 + n_clk))
-        x0[:, :3] = _DEFAULT_START.as_array()
-        X, its = np.empty_like(x0), np.empty(total, dtype=np.int64)
-        status, cost = np.empty_like(its), np.empty(total)
-        for lo in range(0, total, MAX_ROWS_PER_CALL):
-            hi = min(lo + MAX_ROWS_PER_CALL, total)
-            # (problem, its rows in this call) for each problem in the call
-            parts = [(probs[j], slice(max(lo, starts[j]) - starts[j], min(hi, starts[j + 1]) - starts[j]))
-                     for j in range(bisect_right(starts, lo) - 1, bisect_left(starts, hi))]
-            sat, pr, w, sub_idx = _call_arrays(parts)
-            X[lo:hi], its[lo:hi], status[lo:hi], cost[lo:hi] = _kernels.lm_solve_batch(
-                sat, pr, w, sub_idx, n_clk, x0[lo:hi], _kernels.MAX_ITERATIONS
-            )
-        for (key, *_), a, b in zip(probs, starts[:-1], starts[1:]):
-            solved[key] = (X[a:b], its[a:b], status[a:b], cost[a:b])
-    return [None if g is None else [(links, kept, solved[e, k]) for k, (links, kept, _) in enumerate(g)]
-            for e, g in enumerate(groups)]
+            # Subset solves are cold-started on purpose: row n then depends
+            # only on the N-1 retained measurements, so perturbing
+            # measurement n cannot move its own row even at the last ulp. A
+            # warm start from the all-in-view fix would leak the excluded
+            # measurement into the iteration path.
+            problems.append((sat, pr, sub_idx, w, np.tile(_start(epoch, None)[:3 + kept.size], (len(w), 1))))
+    solved = iter(solve_batch(problems))
+    return [[(links, kept, next(solved)) for links, kept, _ in g] for g in groups]
 
 
-def _call_arrays(parts):
-    """(sat, pr, w, sub_idx) of one kernel call over ``parts``.
-
-    One part shares its measurements (a leading axis of length 1).
-    Several get per-row measurements, padded to the longest part's N with
-    zero-weight repeats of their own last link.
-    """
-    if len(parts) == 1:
-        (_, sat, pr, sub_idx, w), rows = parts[0]
-        return sat[None], pr[None], w[rows], sub_idx[None]
-    n = max(p[1].shape[0] for p, _ in parts)
-    sats, prs, idxs, ws = [], [], [], []
-    for (_, sat, pr, sub_idx, w), rows in parts:
-        pad = np.minimum(np.arange(n), sat.shape[0] - 1)
-        b = rows.stop - rows.start
-        sats.append(np.broadcast_to(sat[pad], (b, n, 3)))
-        prs.append(np.broadcast_to(pr[pad], (b, n)))
-        idxs.append(np.broadcast_to(sub_idx[pad], (b, n)))
-        wp = np.zeros((b, n))
-        wp[:, :sat.shape[0]] = w[rows]
-        ws.append(wp)
-    return np.concatenate(sats), np.concatenate(prs), np.concatenate(ws), np.concatenate(idxs)
+def rows_fix(epoch: Epoch, rows) -> SolveReport | None:
+    """The epoch's equal-weight fix from its ``solve_rows`` entry ``rows``:
+    the all-ones row, by ``solver.fix_from_row``'s rule."""
+    return fix_from_row(epoch, tuple(a[-1] for a in rows[0][2]))
 
 
 def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
@@ -192,13 +143,7 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     pr = epoch.pr_array()
     values = np.full((n, n), GAMMA)
     failed: list[int] = []
-    for k, (links, kept, out) in enumerate(rows):
-        if k == 0:
-            try:
-                fix = fix_from_row(epoch, tuple(a[-1] for a in out))
-            except SingularGeometry:
-                fix = None
-            fix_links, kernel = links, tuple(a[:-1] for a in out)
+    for links, kept, out in rows:
         x, status = out[0][:links.size], out[2][:links.size]
         ok = status != _kernels.STATUS_SINGULAR
         failed.extend(links[~ok].tolist())
@@ -210,4 +155,6 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
         full[:, 3 + kept] = SPEED_OF_LIGHT * (x[ok, 3:] / SPEED_OF_LIGHT)
         values[links[ok]] = pr - predicted_pseudoranges(epoch, full)
     np.fill_diagonal(values, GAMMA)
-    return ResidualMatrix(values=values, failed_rows=sorted(failed), fix=fix, links=fix_links, kernel=kernel)
+    links, _, out = rows[0]
+    return ResidualMatrix(values=values, failed_rows=sorted(failed), fix=rows_fix(epoch, rows), links=links,
+                          kernel=tuple(a[:-1] for a in out))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,19 +78,12 @@ def predicted_pseudoranges(epoch: Epoch, x: np.ndarray) -> np.ndarray:
     return rng + x[..., 3 + epoch.const_index()]
 
 
-def _checked_weights(epoch: Epoch, weights) -> np.ndarray:
-    """``weights`` as a float vector, after ``solve_wls``'s pre-checks."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (epoch.n,):
-        raise ValueError(f"weight vector length {w.shape} != N={epoch.n}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+def _positive_enough(weights, dim: int) -> np.ndarray:
+    """Which rows of ``weights`` (k, N) have ``dim`` or more positive entries;
+    ValueError for a negative or non-finite weight."""
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("weights must be finite and nonnegative")
-    dim = epoch.state_dim()
-    if int(np.sum(w > 0.0)) < dim:
-        raise NotEnoughMeasurements(
-            f"{int(np.sum(w > 0.0))} positive-weight measurements for {dim} unknowns"
-        )
-    return w
+    return np.count_nonzero(weights > 0.0, axis=1) >= dim
 
 
 def _start(epoch: Epoch, init: NavState | None) -> np.ndarray:
@@ -103,11 +98,14 @@ def _start(epoch: Epoch, init: NavState | None) -> np.ndarray:
 def row_report(epoch: Epoch, x, iterations, status, cost) -> SolveReport:
     """The SolveReport of one kernel row, or the error ``solve_wls`` raises for it.
 
-    ``(x, iterations, status, cost)`` is one entry of the
-    ``_kernels.lm_solve_batch`` arrays (or the ``lm_solve`` tuple) for the
-    full epoch. Raises SingularGeometry for a singular row and
-    NonConvergence, carrying the iterate's report, for a capped one.
+    ``(x, iterations, status, cost)`` is one entry of a problem's
+    ``solve_batch`` arrays (or the ``lm_solve`` tuple) for the full epoch.
+    Raises NotEnoughMeasurements for a row ``solve_batch`` did not solve,
+    SingularGeometry for a singular row and NonConvergence, carrying the
+    iterate's report, for a capped one.
     """
+    if status == STATUS_NOT_ENOUGH:
+        raise NotEnoughMeasurements(f"fewer positive-weight measurements than {epoch.state_dim()} unknowns")
     if status == _kernels.STATUS_SINGULAR:
         raise SingularGeometry("weighted normal matrix condition number above limit")
     report = SolveReport(
@@ -134,46 +132,108 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     and returns normally. The kernel's other settings are the constants
     next to ``MAX_ITERATIONS`` in ``_kernels``.
     """
-    w = _checked_weights(epoch, weights)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (epoch.n,):
+        raise ValueError(f"weight vector length {w.shape} != N={epoch.n}")
+    dim = epoch.state_dim()
+    if not _positive_enough(w[None], dim)[0]:
+        raise NotEnoughMeasurements(f"{int(np.sum(w > 0.0))} positive-weight measurements for {dim} unknowns")
     row = _kernels.lm_solve(
-        epoch.sat_array(), epoch.pr_array(), w, epoch.const_index(), epoch.state_dim() - 3,
+        epoch.sat_array(), epoch.pr_array(), w, epoch.const_index(), dim - 3,
         _start(epoch, init), _kernels.MAX_ITERATIONS,
     )
     return row_report(epoch, *row)
 
 
-def solve_wls_stack(epoch: Epoch, weights, init: NavState | None = None) -> list:
-    """``solve_wls(epoch, w, init)`` for each ``w`` in ``weights``, as one kernel call.
+# The most rows one kernel call solves. It bounds the call's
+# (rows, N, d + 1, d + 1) product of the normal equations to tens of MB
+# at N near 30.
+MAX_ROWS_PER_CALL = 1024
 
-    Entry k is weights[k]'s SolveReport, or the GnssWeightError that
-    ``solve_wls`` would raise for it (NotEnoughMeasurements,
-    SingularGeometry, or NonConvergence with its report), returned rather
-    than raised. A weight vector of the wrong shape or with a negative or
-    non-finite entry raises ValueError, as in ``solve_wls``. Every entry
-    has the bits of its own ``solve_wls``: the rows run in lockstep in
-    ``_kernels.lm_solve_batch``, which gives each row the bits of a stack
-    of one.
+# The status ``solve_batch`` gives a row with fewer positive weights than
+# unknowns, which it does not solve.
+STATUS_NOT_ENOUGH = 3
+
+
+def epoch_problem(epoch: Epoch, weights, init: NavState | None = None) -> tuple:
+    """The ``solve_batch`` problem of the rows ``weights`` (k, N) on
+    ``epoch``, each started as ``solve_wls(epoch, w, init)`` starts it."""
+    w = np.asarray(weights, dtype=float)
+    return epoch.sat_array(), epoch.pr_array(), epoch.const_index(), w, np.tile(_start(epoch, init), (len(w), 1))
+
+
+def solve_batch(problems) -> list:
+    """The kernel rows of every problem, solved in lockstep across problems.
+
+    A problem is (sat, pr, clock, weights, starts): rows on one set of
+    measurements, with the satellite positions (N, 3), the pseudoranges
+    and each measurement's clock column (N,) shared by its rows; row r
+    has the weights ``weights[r]`` (N,) and starts from ``starts[r]``
+    (3 + clocks,), in kernel layout. Entry j of the result is problem j's
+    (x, iterations, status, cost): arrays with one entry per row, as
+    ``_kernels.lm_solve_batch`` returns them. A row with fewer positive
+    weights than unknowns is not solved: it keeps its start, 0 iterations,
+    NaN cost and the status ``STATUS_NOT_ENOUGH``, for which
+    ``row_report`` raises NotEnoughMeasurements. A negative or non-finite
+    weight raises ValueError.
+
+    Rows are grouped by clock count and sorted by N; each kernel call
+    takes at most ``MAX_ROWS_PER_CALL`` of them. A call whose rows all
+    come from one problem shares its measurements. Otherwise each row
+    carries its problem's, padded to the call's N with zero-weight
+    repeats of the problem's last link. Row b of a call has the bits of a
+    stack of one, so the output does not depend on how the problems are
+    split into calls.
     """
-    out: list = [None] * len(weights)
-    rows, ws = [], []
-    for k, weight in enumerate(weights):
-        try:
-            ws.append(_checked_weights(epoch, weight))
-            rows.append(k)
-        except NotEnoughMeasurements as e:
-            out[k] = e
-    if rows:
-        x0 = np.tile(_start(epoch, init), (len(rows), 1))
-        batch = _kernels.lm_solve_batch(
-            epoch.sat_array()[None], epoch.pr_array()[None], np.array(ws), epoch.const_index()[None],
-            epoch.state_dim() - 3, x0, _kernels.MAX_ITERATIONS,
-        )
-        for i, k in enumerate(rows):
-            try:
-                out[k] = row_report(epoch, *(a[i] for a in batch))
-            except (SingularGeometry, NonConvergence) as e:
-                out[k] = e
+    out, groups = [], {}  # groups: clock count -> [(problem, its solvable rows)]
+    for j, (_, pr, _, w, x0) in enumerate(problems):
+        k, d = x0.shape
+        out.append((x0.copy(), np.zeros(k, dtype=np.int64), np.full(k, STATUS_NOT_ENOUGH), np.full(k, np.nan)))
+        rows = np.flatnonzero(_positive_enough(w, d))
+        if rows.size:
+            groups.setdefault(d - 3, []).append((j, rows))
+    for n_clk, parts in groups.items():
+        parts.sort(key=lambda part: problems[part[0]][1].size)
+        starts = list(accumulate((rows.size for _, rows in parts), initial=0))
+        for lo in range(0, starts[-1], MAX_ROWS_PER_CALL):
+            hi = min(lo + MAX_ROWS_PER_CALL, starts[-1])
+            # (problem, its rows in this call) for each problem in the call
+            call = [(parts[i][0], parts[i][1][max(lo, starts[i]) - starts[i]:min(hi, starts[i + 1]) - starts[i]])
+                    for i in range(bisect_right(starts, lo) - 1, bisect_left(starts, hi))]
+            sat, pr, w, clock, x0 = _call_arrays(problems, call)
+            solved = _kernels.lm_solve_batch(sat, pr, w, clock, n_clk, x0, _kernels.MAX_ITERATIONS)
+            b = 0
+            for j, rows in call:
+                for dst, src in zip(out[j], solved):
+                    dst[rows] = src[b:b + rows.size]
+                b += rows.size
     return out
+
+
+def _call_arrays(problems, call):
+    """(sat, pr, w, clock) and the starts of one kernel call over ``call``.
+
+    One problem shares its measurements (a leading axis of length 1).
+    Several give each row its own, padded to the longest problem's N with
+    zero-weight repeats of their own last link.
+    """
+    x0 = np.concatenate([problems[j][4][rows] for j, rows in call])
+    if len(call) == 1:
+        (j, rows), = call
+        sat, pr, clock, w, _ = problems[j]
+        return sat[None], pr[None], w[rows], clock[None], x0
+    n = max(problems[j][1].size for j, _ in call)
+    sats, prs, ws, clocks = [], [], [], []
+    for j, rows in call:
+        sat, pr, clock, w, _ = problems[j]
+        pad = np.minimum(np.arange(n), pr.size - 1)
+        sats.append(np.broadcast_to(sat[pad], (rows.size, n, 3)))
+        prs.append(np.broadcast_to(pr[pad], (rows.size, n)))
+        clocks.append(np.broadcast_to(clock[pad], (rows.size, n)))
+        wp = np.zeros((rows.size, n))
+        wp[:, :pr.size] = w[rows]
+        ws.append(wp)
+    return np.concatenate(sats), np.concatenate(prs), np.concatenate(ws), np.concatenate(clocks), x0
 
 
 def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveReport:
@@ -184,10 +244,11 @@ def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveRep
     strategy and FDE's first round. A NonConvergence report counts as the
     fix; NotEnoughMeasurements and SingularGeometry propagate.
 
-    ``residuals.build_residual_matrix`` solves this fix, and the fix on
-    each leave-one-out subset, in its batched kernel call, with the same
-    bits and the same rule (``fix_from_row``); this function is the fix
-    of an epoch without a leave-one-out matrix and of FDE's later rounds.
+    ``residuals.solve_rows`` solves the all-in-view fix of every epoch as
+    the all-ones row of its batch, and the fix on each leave-one-out
+    subset, with the same bits and the same rule (``fix_from_row``); so
+    does ``evaluation`` when no learned strategy runs. This function is
+    the fix of FDE's later rounds and of a caller without those rows.
     """
     w = np.ones(epoch.n) if active is None else np.asarray(active, dtype=float)
     try:
@@ -196,10 +257,13 @@ def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveRep
         return e.report
 
 
-def fix_from_row(epoch: Epoch, row) -> SolveReport:
+def fix_from_row(epoch: Epoch, row) -> SolveReport | None:
     """``equal_weight_fix``'s rule on a kernel row: a capped row counts as the
-    fix; a singular row raises SingularGeometry."""
+    fix; None where ``equal_weight_fix`` raises NotEnoughMeasurements or
+    SingularGeometry."""
     try:
         return row_report(epoch, *row)
     except NonConvergence as e:
         return e.report
+    except (NotEnoughMeasurements, SingularGeometry):
+        return None

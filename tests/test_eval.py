@@ -116,6 +116,15 @@ def test_missing_model_raises(monkeypatch):
         evaluate_session(session, ("fde_sota",), StrategyModels())
     with pytest.raises(ValueError, match="unknown"):
         evaluate_session(session, ("bogus",), StrategyModels())
+    # checked before any solve: also with nothing to score
+    unscored = Session("none", "open_sky", "test", [], None)
+    with pytest.raises(ValueError, match="nn_full"):
+        evaluate_session(unscored, ("nn_full",), StrategyModels())
+    with pytest.raises(ValueError, match="fde_sota"):
+        compare_strategies(Dataset(seed=0, sessions=[]), ("nn_full", "fde_sota"),
+                           StrategyModels(nn_full=_tiny_models().nn_full))
+    with pytest.raises(ValueError, match="nn_full"):
+        compare_strategies(Dataset(seed=0, sessions=[]), ("nn_full", "fde_sota"), StrategyModels(), jobs=2)
 
 
 def test_compare_strategies_deterministic_across_jobs():
@@ -236,9 +245,13 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
 
     monkeypatch.setattr(_kernels, "lm_solve", counting)
     monkeypatch.setattr(_kernels, "lm_solve_batch", counting_batch)
-    records = evaluate_session(session, STRATEGIES, models)
-    assert len(records) == 5 * len(epochs)
-    assert [solves[e.pr_array().tobytes()] for e in epochs] == [1] * len(epochs)
+    # with a learned strategy the fix is a row of the leave-one-out batch;
+    # without one, a row of the batch of fixes
+    for strategies in (STRATEGIES, ("equal", "fde_sota")):
+        solves.clear()
+        records = evaluate_session(session, strategies, models)
+        assert len(records) == len(strategies) * len(epochs)
+        assert [solves[e.pr_array().tobytes()] for e in epochs] == [1] * len(epochs)
 
 
 def _reference_records(session, strategies, models):
@@ -311,11 +324,9 @@ def _reference_records(session, strategies, models):
     return out
 
 
-def test_batched_records_match_per_strategy_solves():
-    """The stacked weighted solves, the fix taken from the leave-one-out
-    batch and FDE's first round taken from it give every record the bits
-    of solving each on its own: on epochs with N < d, N = d, a one-link
-    constellation and FDE exclusions."""
+def _mixed_epochs():
+    """24 epochs with N < d, N = d, a one-link BeiDou constellation and
+    faults that FDE excludes."""
     from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
 
     rng = np.random.default_rng(909)
@@ -335,7 +346,15 @@ def test_batched_records_match_per_strategy_solves():
                 EcefPosition.from_array(sat), 40.0, 1.0,
             ))
         epochs.append(Epoch(time=ep.time, measurements=ms, truth=ep.truth, session_id="m"))
-    session = Session("m", "urban_canyon", "test", epochs, None)
+    return epochs
+
+
+def test_batched_records_match_per_strategy_solves():
+    """The batched weighted solves, the fix taken from the leave-one-out
+    batch and FDE's first round taken from it give every record the bits
+    of solving each on its own: on epochs with N < d, N = d, a one-link
+    constellation and FDE exclusions."""
+    session = Session("m", "urban_canyon", "test", _mixed_epochs(), None)
     models = _tiny_models()
     got = evaluate_session(session, STRATEGIES, models)
     expect = _reference_records(session, STRATEGIES, models)
@@ -343,3 +362,26 @@ def test_batched_records_match_per_strategy_solves():
     fde = [r for r in got if r.strategy == "fde_sota"]
     assert sum(r.n_zero_weight > 0 for r in fde) >= 4  # FDE excluded links
     assert sum(not r.converged for r in got) >= 8  # the sparse epochs fail
+
+
+def test_cross_epoch_records_match_per_session_reference(monkeypatch):
+    """``compare_strategies`` solves the rows of all sessions' epochs
+    together, with kernel calls of at most 7 rows that split sessions,
+    epochs and strategies; each session's records keep the bits of
+    solving every epoch on its own, with and without a learned strategy."""
+    from gnssweight.model import Epoch
+
+    epochs = _mixed_epochs()
+    cuts = ((0, 7), (7, 15), (15, 24))
+    sessions = [
+        Session(f"m{k}", "urban_canyon", "test",
+                [Epoch(time=e.time, measurements=e.measurements, truth=e.truth, session_id=f"m{k}")
+                 for e in epochs[a:b]], None)
+        for k, (a, b) in enumerate(cuts)
+    ]
+    models = _tiny_models()
+    monkeypatch.setattr(solver, "MAX_ROWS_PER_CALL", 7)
+    for strategies in (STRATEGIES, ("equal", "truth", "fde_sota")):
+        got, _ = compare_strategies(Dataset(seed=0, sessions=sessions), strategies, models)
+        expect = [r for s in sessions for r in _reference_records(s, strategies, models)]
+        assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in expect]

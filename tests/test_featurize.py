@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnssweight import residuals
+from gnssweight import solver
 from gnssweight.dataio import Dataset, Session
 from gnssweight.errors import EmptySplit
 from gnssweight.nn import make_labels
@@ -147,7 +147,7 @@ def test_dataset_samples_matches_per_epoch_featurization(monkeypatch):
             skipped += fz.skipped
     assert skipped > 0 and len(expect["train"]) > 0
 
-    monkeypatch.setattr(residuals, "MAX_ROWS_PER_CALL", 7)
+    monkeypatch.setattr(solver, "MAX_ROWS_PER_CALL", 7)
     got = dataset_samples(Dataset(seed=0, sessions=sessions))
     for split in expect:
         assert [(fm.tobytes(), lab.tobytes()) for fm, lab in got[split]] == \
