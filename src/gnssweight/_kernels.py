@@ -1,16 +1,14 @@
 """The damped Gauss-Newton pseudorange solve.
 
-This is the hot kernel. ``lm_solve_batch`` runs a stack of solves in
-lockstep. Its measurement arrays (satellite positions, pseudoranges and
-clock column indices) carry a leading row axis of length 1 or B:
-- length 1: every row shares one epoch's measurements
-- length B: row b solves its own problem
-``solver.solve_batch`` makes every batched call: the leave-one-out rows
-and fixes, and the weighted strategies, of many epochs. A single solve
-(``lm_solve``) is a stack of one. One numpy function,
-``_normal_equations``, forms the residuals, the Jacobian, the normal
-matrix, the gradient and the cost at a stack of states; the solver calls
-it wherever it needs any of them.
+This is the hot kernel. ``lm_solve_batch`` runs a stack of B solves in
+lockstep, and row b solves its own problem: every measurement array
+(satellite positions, pseudoranges and clock column indices) carries a
+leading row axis of length B. ``solver.solve_batch`` makes every batched
+call: the leave-one-out rows and fixes, and the weighted strategies, of
+many epochs. A single solve (``lm_solve``) is a stack of one. One numpy
+function, ``_normal_equations``, forms the residuals, the Jacobian, the
+normal matrix, the gradient and the cost at a stack of states; the
+solver calls it wherever it needs any of them.
 
 Rows of one call share the measurement count N and the state dimension.
 A problem with fewer links is padded to the call's N with zero-weight
@@ -62,9 +60,8 @@ def _normal_equations(x, w, sat_pos, pr, const_idx):
 
     A = H^T W H, g = H^T W r and cost = r^T W r, where H is the Jacobian
     of the predicted pseudoranges and r = pr - h(x). x is (B, d) and w is
-    (B, N); sat_pos (1 or B, N, 3), pr and const_idx (1 or B, N) are
-    shared by every row or given per row. A is (B, d, d), g is (B, d) and
-    cost is (B,).
+    (B, N); sat_pos (B, N, 3), pr and const_idx (B, N) are row b's
+    measurements. A is (B, d, d), g is (B, d) and cost is (B,).
     """
     b, d = x.shape
     n = pr.shape[1]
@@ -72,10 +69,7 @@ def _normal_equations(x, w, sat_pos, pr, const_idx):
     rng = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] + diff[..., 2] * diff[..., 2])
     rng = np.maximum(rng, 1e-3)
     clock = 3 + const_idx  # each measurement's clock column
-    if clock.shape[0] == 1:  # shared by every row
-        row, clock = slice(None), clock[0]
-    else:
-        row = np.arange(b)[:, None]
+    row = np.arange(b)[:, None]
     J = np.zeros((b, n, d + 1))
     J[..., :3] = diff / rng[..., None]
     J[row, np.arange(n), clock] = 1.0
@@ -117,14 +111,13 @@ def lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
 def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     """Levenberg-Marquardt minimization of sum_i w[b, i] (rho_i - h_i(x))^2, per row b.
 
-    w is (B, N) and x0 is (B, 3 + n_const); sat_pos is (1 or B, N, 3) and
-    pr and const_idx are (1 or B, N): one epoch's measurements for every
-    row, or each row's own. Returns arrays (x, iterations, status, cost),
-    one entry per row. Each row runs the algorithm below on its own; the
-    rows only share numpy calls. Every round makes one trial for each row
-    still iterating, and a row leaves the working set (with its
-    measurements, when they are per row) when it stops, so row b gets the
-    bits a stack of one would give it.
+    Row b has the measurements sat_pos[b] (N, 3), pr[b] and const_idx[b]
+    (N,), the weights w[b] (N,) and the start x0[b] (3 + n_const,).
+    Returns arrays (x, iterations, status, cost), one entry per row. Each
+    row runs the algorithm below on its own; the rows only share numpy
+    calls. Every round makes one trial for each row still iterating, and a
+    row leaves the working set, with its measurements, when it stops, so
+    row b gets the bits a stack of one would give it.
 
     Damping multiplies the normal matrix diagonal. A trial step is
     accepted only if it strictly lowers the cost, and damping is then
@@ -144,10 +137,6 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     exceeds COND_LIMIT at the start of an iteration.
     """
     nb, d = x0.shape[0], 3 + n_const
-    per_row = pr.shape[0] != 1  # measurements given per row, sliced with it
-
-    def take(keep, meas):
-        return tuple(a[keep] for a in meas) if per_row else meas
 
     meas_out = (sat_pos, pr, const_idx)
     x_out = np.array(x0, dtype=float)
@@ -166,13 +155,15 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     def leave(stop, status):
         """Retire the rows flagged in ``stop`` with their ``status``."""
         nonlocal rows, x, A, g, cost, wr, meas, lam, iters, trials, fresh
-        out = rows[stop]
-        x_out[out], A_out[out], g_out[out], cost_out[out] = x[stop], A[stop], g[stop], cost[stop]
-        it_out[out], status_out[out] = iters[stop], status[stop]
-        keep = ~stop
-        rows, x, A, g, cost, wr = rows[keep], x[keep], A[keep], g[keep], cost[keep], wr[keep]
-        meas = take(keep, meas)
-        lam, iters, trials, fresh = lam[keep], iters[keep], trials[keep], fresh[keep]
+        # take() by index is a few times cheaper than a boolean mask on
+        # these small stacks; a row's measurements leave with it
+        gone, keep = stop.nonzero()[0], (~stop).nonzero()[0]
+        out = rows[gone]
+        x_out[out], A_out[out], g_out[out], cost_out[out], it_out[out], status_out[out] = (
+            a.take(gone, axis=0) for a in (x, A, g, cost, iters, status))
+        rows, x, A, g, cost, wr, lam, iters, trials, fresh = (
+            a.take(keep, axis=0) for a in (rows, x, A, g, cost, wr, lam, iters, trials, fresh))
+        meas = tuple(a.take(keep, axis=0) for a in meas)
 
     while rows.size:
         n_fresh = np.count_nonzero(fresh)
@@ -228,7 +219,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     # gradient still resolves the offset, so take plain GN steps while the
     # step norm shrinks and stop once it stalls or grows.
     rows = np.flatnonzero(status_out == STATUS_CONVERGED)
-    A, g, wr, meas = A_out[rows], g_out[rows], w[rows], take(rows, meas_out)
+    A, g = A_out[rows], g_out[rows]
     prev2 = np.full(rows.size, 1e300)
     for _p in range(10):
         if not rows.size:
@@ -236,14 +227,13 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         dx = _solve(A, g)
         step2 = _sum_sq(dx)
         go = ~((step2 > 1.0) | (step2 > prev2))
-        rows, dx, step2, wr, meas = rows[go], dx[go], step2[go], wr[go], take(go, meas)
+        rows, dx, step2 = rows[go], dx[go], step2[go]
         if not rows.size:
             break
         x = x_out[rows] + dx
-        A, g, cost = _normal_equations(x, wr, *meas)
+        A, g, cost = _normal_equations(x, w.take(rows, axis=0), *(a.take(rows, axis=0) for a in meas_out))
         x_out[rows], cost_out[rows] = x, cost
         more = ~(step2 < 1e-20)
-        rows, A, g, wr, prev2 = rows[more], A[more], g[more], wr[more], step2[more]
-        meas = take(more, meas)
+        rows, A, g, prev2 = rows[more], A[more], g[more], step2[more]
 
     return x_out, it_out, status_out, cost_out

@@ -100,6 +100,8 @@ def _load_feature_cache(path):
 
 
 def _cmd_train(args) -> int:
+    if not args.features and not args.data:
+        raise ConfigInvalid("train needs --data or --features")
     cfg = load_config(args.config, _seed_override(args))
     tr = cfg["train"]
     mode = args.mode or tr["feature_mode"]
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GnssWeightError as e:
+    except (GnssWeightError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -114,11 +114,19 @@ def _validate(cfg: dict) -> None:
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Merge file + overrides onto defaults, validating every key."""
+    """Merge file + overrides onto defaults, validating every key.
+
+    A config file that cannot be read or parsed as YAML raises
+    ConfigInvalid naming the file.
+    """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = yaml.safe_load(fh) or {}
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
+            detail = " ".join(str(e).split())  # yaml's messages span lines
+            raise ConfigInvalid(f"cannot read config file {path}: {detail}") from e
         if not isinstance(data, dict):
             raise ConfigInvalid("config file must contain a mapping")
         cfg = _merge(cfg, data)

@@ -9,12 +9,11 @@ from itertools import repeat
 import numpy as np
 
 from .baselines import FdeConfig, SotaWeightParams, fde_solve
-from .errors import ConfigInvalid, EmptySamples, GnssWeightError, NonConvergence
-from .featurize import EpochFeaturizer, feature_columns
+from .errors import ConfigInvalid, EmptySamples, GnssWeightError, NonConvergence, ParseError
+from .featurize import feature_columns, featurize_sessions
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
-from .residuals import solve_rows
 from .solver import SolveReport, epoch_problem, fix_from_row, row_report, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
@@ -183,11 +182,13 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
     ``sessions``, in (session, epoch, strategy) order, in phases:
 
     0. the strategies and models are checked
-    1. each epoch's equal-weight fix, shared by every strategy: the
-       all-ones row of one ``residuals.solve_rows`` call over all epochs
-       when a learned strategy runs, else one ``solver.solve_batch``
-    2. each session is featurized in order from those rows, then the
-       network predicts each epoch's weights
+    1. each epoch's equal-weight fix, shared by every strategy: when a
+       learned strategy runs, ``featurize.featurize_sessions`` solves
+       every epoch's leave-one-out rows and fix at once, the fix as the
+       all-ones row; else one ``solver.solve_batch`` of the fixes alone
+    2. when a learned strategy runs, ``featurize_sessions`` then
+       featurizes each session in order from those rows, and the network
+       predicts each epoch's weights
     3. the weighted strategies (all but ``fde_sota``) of every epoch, as
        one ``solver.solve_batch``, each row warm-started from its epoch's
        fix: strongly anisotropic weights (spreads of 1e7 and more) make
@@ -200,21 +201,13 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
     scored = [[e for e in s.epochs if e.truth is not None] for s in sessions]
     epochs = [e for s in scored for e in s]
     if any(s in LEARNED for s in strategies):
-        rows = iter(solve_rows(epochs))
-        fms, fixes, loos = [], [], []
-        for session_epochs in scored:
-            fz = EpochFeaturizer()
-            for epoch in session_epochs:
-                fms.append(fz.featurize(epoch, next(rows)))
-                fixes.append(fz.fix)
-                loos.append(fz.matrix)
+        featurized = featurize_sessions(scored)  # (fm, fix, loo) per epoch
     else:
         solved = solve_batch([epoch_problem(e, np.ones((1, e.n))) for e in epochs])
-        fixes = [fix_from_row(e, tuple(a[0] for a in row)) for e, row in zip(epochs, solved)]
-        fms = loos = [None] * len(epochs)
+        featurized = [(None, fix_from_row(e, tuple(a[0] for a in row)), None) for e, row in zip(epochs, solved)]
 
     weights = []  # per epoch, strategy -> weights of its weighted strategies
-    for epoch, fm in zip(epochs, fms):
+    for epoch, (fm, _, _) in zip(epochs, featurized):
         ws = {}
         for strategy in strategies:
             if strategy == "equal":
@@ -228,11 +221,11 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
         weights.append(ws)
     solved = solve_batch([
         epoch_problem(e, np.reshape(list(ws.values()), (len(ws), e.n)), fix.state if fix is not None else None)
-        for e, ws, fix in zip(epochs, weights, fixes)
+        for e, ws, (_, fix, _) in zip(epochs, weights, featurized)
     ])
 
     records = []
-    for epoch, ws, kernel, fix, loo in zip(epochs, weights, solved, fixes, loos):
+    for epoch, ws, kernel, (_, fix, loo) in zip(epochs, weights, solved, featurized):
         kernel_rows = dict(zip(ws, zip(*kernel)))
         for strategy in strategies:
             if strategy in ws:
@@ -264,22 +257,30 @@ def write_error_csv(records, path) -> None:
 
 
 def read_error_csv(path):
+    """The records of an ``errors.csv``; ParseError, with the 1-based line
+    number, for a missing column or a malformed value."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(1, f"{path} lacks the columns {', '.join(missing)}")
         for row in reader:
-            records.append(
-                ErrorRecord(
-                    session_id=row["session_id"],
-                    t=float(row["t"]),
-                    strategy=row["strategy"],
-                    h_err_m=float(row["h_err_m"]),
-                    v_err_m=float(row["v_err_m"]),
-                    converged=bool(int(row["converged"])),
-                    n_sv=int(row["n_sv"]),
-                    n_zero_weight=int(row["n_zero_weight"]),
+            try:
+                records.append(
+                    ErrorRecord(
+                        session_id=row["session_id"],
+                        t=float(row["t"]),
+                        strategy=row["strategy"],
+                        h_err_m=float(row["h_err_m"]),
+                        v_err_m=float(row["v_err_m"]),
+                        converged=bool(int(row["converged"])),
+                        n_sv=int(row["n_sv"]),
+                        n_zero_weight=int(row["n_zero_weight"]),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as e:
+                raise ParseError(reader.line_num, f"{path}: {e}") from e
     return records
 
 

@@ -100,15 +100,16 @@ class EpochFeaturizer:
     ``featurize`` returns the raw (unnormalized) feature matrix, or None
     when the epoch cannot support the leave-one-out construction. It
     takes the epoch's entry of ``residuals.solve_rows`` when the caller
-    solved the rows of many epochs at once, and solves the epoch's rows
-    itself otherwise. The epoch's equal-weight fix is the all-ones row of
-    those rows (``residuals.rows_fix``), also for an epoch with too few
-    links for the matrix (N <= state dimension). When the fix fails the
-    tracking window is not advanced, since elevations need a receiver
-    position; when only the leave-one-out matrix fails it is, so later
-    epochs see a correct history. After each call ``fix`` and ``matrix``
-    hold that epoch's fix and ResidualMatrix, each None when it could not
-    be formed, so that a caller can reuse them.
+    solved the rows of many epochs at once (``featurize_sessions``), and
+    solves the epoch's rows itself otherwise. The epoch's equal-weight fix
+    is always the all-ones row of those rows (``residuals.rows_fix``),
+    also for an epoch with too few links for the matrix (N <= state
+    dimension). When the fix fails the tracking window is not advanced,
+    since elevations need a receiver position; when only the
+    leave-one-out matrix fails it is, so later epochs see a correct
+    history. After each call ``fix`` and ``matrix`` hold that epoch's fix
+    and ResidualMatrix, each None when it could not be formed, so that a
+    caller can reuse them.
     """
 
     def __init__(self):
@@ -121,9 +122,8 @@ class EpochFeaturizer:
         """Feature matrix of ``epoch``, or None when it is skipped."""
         if rows is None:
             rows = solve_rows([epoch])[0]
-        rmat = build_residual_matrix(epoch, rows) if epoch.n > epoch.state_dim() else None
-        self.fix = fix = rmat.fix if rmat is not None else rows_fix(epoch, rows)
-        self.matrix = rmat
+        self.fix = fix = rows_fix(epoch, rows)
+        self.matrix = rmat = build_residual_matrix(epoch, rows) if epoch.n > epoch.state_dim() else None
         if fix is None:
             self.skipped += 1
             return None
@@ -135,40 +135,43 @@ class EpochFeaturizer:
         return assemble_feature_matrix(rmat, per_link)
 
 
-def session_samples(epochs, rows=None):
-    """Raw (feature_matrix, labels) pairs for one session, in order.
+def featurize_sessions(sessions) -> list:
+    """(feature matrix, fix, ResidualMatrix) of every epoch of ``sessions``, in order.
 
-    ``rows`` is ``residuals.solve_rows(epochs)``, solved here when not
-    given. ``labels`` is None for an epoch without a truth position.
+    ``sessions`` is a list of epoch sequences. The leave-one-out rows and
+    fixes of all their epochs are solved first, as one
+    ``residuals.solve_rows`` call (a few kernel calls: one per clock count
+    and ``solver.MAX_ROWS_PER_CALL`` rows); then each session runs through
+    its own ``EpochFeaturizer`` in order. Each entry holds what the
+    featurizer returned and kept for that epoch: the feature matrix (None
+    when the epoch is skipped), the equal-weight fix and the
+    ResidualMatrix (each None when it could not be formed).
     """
-    if rows is None:
-        rows = solve_rows(epochs)
-    fz = EpochFeaturizer()
+    rows = iter(solve_rows([e for epochs in sessions for e in epochs]))
     out = []
-    for epoch, epoch_rows in zip(epochs, rows):
-        fm = fz.featurize(epoch, epoch_rows)
-        if fm is None:
-            continue
-        out.append((fm, make_labels(epoch) if epoch.truth is not None else None))
+    for epochs in sessions:
+        fz = EpochFeaturizer()
+        for epoch in epochs:
+            fm = fz.featurize(epoch, next(rows))
+            out.append((fm, fz.fix, fz.matrix))
     return out
 
 
 def dataset_samples(dataset):
     """Raw samples of the fitting splits: {'train': [...], 'val': [...]}.
 
-    The leave-one-out rows and fixes of every fitting epoch are solved
-    first, as one ``residuals.solve_rows`` call over all of them (a few
-    kernel calls: one per clock count and ``solver.MAX_ROWS_PER_CALL``
-    rows); then each session is featurized in order. Test sessions are
-    skipped: ``evaluation`` featurizes them itself, sharing each epoch's
-    equal-weight fix with the strategies it runs.
+    A sample is (feature_matrix, labels) of a featurized epoch, in order,
+    from ``featurize_sessions``; ``labels`` is None for an epoch without a
+    truth position. Test sessions are skipped: ``evaluation`` featurizes
+    them itself, sharing each epoch's equal-weight fix with the strategies
+    it runs.
     """
     splits = {"train": [], "val": []}
     sessions = [s for s in dataset.sessions if s.split in splits]
-    rows = iter(solve_rows([e for s in sessions for e in s.epochs]))
-    for session in sessions:
-        session_rows = [next(rows) for _ in session.epochs]
-        splits[session.split].extend(session_samples(session.epochs, session_rows))
+    epochs = [(s.split, e) for s in sessions for e in s.epochs]
+    for (split, epoch), (fm, _, _) in zip(epochs, featurize_sessions([s.epochs for s in sessions])):
+        if fm is not None:
+            splits[split].append((fm, make_labels(epoch) if epoch.truth is not None else None))
     return splits
 
 

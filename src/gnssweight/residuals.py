@@ -24,15 +24,15 @@ class ResidualMatrix:
 
     values[n, i] is the residual of measurement i against the equal-weight
     solution computed without measurement n; the diagonal is GAMMA.
-    ``fix`` is the epoch's ``solver.equal_weight_fix``, or None where that
-    raises SingularGeometry. ``links`` and ``kernel`` hold the batch of
-    rows that drop no constellation's only link: ``kernel`` is its
-    ``solver.solve_batch`` output (x, iterations, status, cost) in
-    kernel layout, and entry k is the row excluding link ``links[k]``.
+    ``links`` and ``kernel`` hold the batch of rows that drop no
+    constellation's only link: ``kernel`` is its ``solver.solve_batch``
+    output (x, iterations, status, cost) in kernel layout, and entry k is
+    the row excluding link ``links[k]``. The epoch's equal-weight fix is
+    not part of the matrix: ``rows_fix`` reads it from the same
+    ``solve_rows`` entry.
     """
 
     values: np.ndarray
-    fix: SolveReport | None
     links: np.ndarray
     kernel: tuple
     failed_rows: list[int] = field(default_factory=list)
@@ -126,7 +126,7 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     n, bit for bit. ``rows`` is the epoch's entry of ``solve_rows``, whose
     kernel outputs the matrix is assembled from; without it the epoch's
     rows are solved here, as ``solve_rows([epoch])``. The all-ones row of
-    the first group is the epoch's equal-weight fix, returned as ``fix``.
+    the first group, the epoch's equal-weight fix, is left out.
     Rows whose subset geometry is degenerate are filled with GAMMA and
     listed in ``failed_rows`` so downstream consumers see a consistent
     sentinel instead of a hard failure; a row whose solve hits the
@@ -156,5 +156,4 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
         values[links[ok]] = pr - predicted_pseudoranges(epoch, full)
     np.fill_diagonal(values, GAMMA)
     links, _, out = rows[0]
-    return ResidualMatrix(values=values, failed_rows=sorted(failed), fix=rows_fix(epoch, rows), links=links,
-                          kernel=tuple(a[:-1] for a in out))
+    return ResidualMatrix(values=values, failed_rows=sorted(failed), links=links, kernel=tuple(a[:-1] for a in out))

@@ -178,9 +178,8 @@ def solve_batch(problems) -> list:
     weight raises ValueError.
 
     Rows are grouped by clock count and sorted by N; each kernel call
-    takes at most ``MAX_ROWS_PER_CALL`` of them. A call whose rows all
-    come from one problem shares its measurements. Otherwise each row
-    carries its problem's, padded to the call's N with zero-weight
+    takes at most ``MAX_ROWS_PER_CALL`` of them. Each row carries its
+    problem's measurements, padded to the call's N with zero-weight
     repeats of the problem's last link. Row b of a call has the bits of a
     stack of one, so the output does not depend on how the problems are
     split into calls.
@@ -213,15 +212,10 @@ def solve_batch(problems) -> list:
 def _call_arrays(problems, call):
     """(sat, pr, w, clock) and the starts of one kernel call over ``call``.
 
-    One problem shares its measurements (a leading axis of length 1).
-    Several give each row its own, padded to the longest problem's N with
-    zero-weight repeats of their own last link.
+    Each row gets its problem's measurements, padded to the longest
+    problem's N with zero-weight repeats of its own last link.
     """
     x0 = np.concatenate([problems[j][4][rows] for j, rows in call])
-    if len(call) == 1:
-        (j, rows), = call
-        sat, pr, clock, w, _ = problems[j]
-        return sat[None], pr[None], w[rows], clock[None], x0
     n = max(problems[j][1].size for j, _ in call)
     sats, prs, ws, clocks = [], [], [], []
     for j, rows in call:

@@ -170,7 +170,7 @@ def test_fde_round_from_loo_matrix_is_bitwise(rng, monkeypatch):
     """The first exclusion round taken from the leave-one-out batch gives
     FDE the bits of the round it would solve itself, and saves that solve."""
     from gnssweight import baselines
-    from gnssweight.residuals import build_residual_matrix
+    from gnssweight.residuals import build_residual_matrix, rows_fix, solve_rows
 
     calls = []
     fix_solve = baselines.equal_weight_fix
@@ -184,13 +184,14 @@ def test_fde_round_from_loo_matrix_is_bitwise(rng, monkeypatch):
     for k in range(20):
         biases = {5: 80.0, 9: -60.0} if k % 2 else {5: 80.0}
         epoch, _ = make_epoch(rng, n=12, noise_sigma=1.0, biases=biases)
-        M = build_residual_matrix(epoch)
+        rows = solve_rows([epoch])[0]
+        M, fix = build_residual_matrix(epoch, rows), rows_fix(epoch, rows)
         cfg = FdeConfig(noise_sigma_m=1.0)
         calls.clear()
-        plain = fde_solve(epoch, cfg, _bland_params(), fix=M.fix)
+        plain = fde_solve(epoch, cfg, _bland_params(), fix=fix)
         rounds = len(calls)
         calls.clear()
-        fast = fde_solve(epoch, cfg, _bland_params(), fix=M.fix, loo=M)
+        fast = fde_solve(epoch, cfg, _bland_params(), fix=fix, loo=M)
         _assert_same_fde(fast, plain)
         if plain.excluded:
             assert M.row(plain.excluded[0]) is not None
@@ -207,7 +208,7 @@ def test_fde_one_link_constellation_round_is_solved(rng):
 
     from gnssweight.errors import SingularGeometry
     from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
-    from gnssweight.residuals import build_residual_matrix
+    from gnssweight.residuals import build_residual_matrix, rows_fix, solve_rows
 
     epoch, _ = make_epoch(rng, n=11, constellations=(ConstellationId.GPS,), noise_sigma=1.0)
     base = epoch.measurements[0]
@@ -215,13 +216,14 @@ def test_fde_one_link_constellation_round_is_solved(rng):
                                  epoch.measurements[3].sat_pos, 40.0, 1.0)
     epoch = Epoch(time=0.0, measurements=[*epoch.measurements, one], truth=epoch.truth)
     link = next(i for i, m in enumerate(epoch.measurements) if m.constellation == ConstellationId.GALILEO)
-    M = build_residual_matrix(epoch)
+    rows = solve_rows([epoch])[0]
+    M, fix = build_residual_matrix(epoch, rows), rows_fix(epoch, rows)
     assert M.row(link) is None
     # the link's own clock absorbs its residual, so a fix whose residual
     # there is large is what makes FDE exclude it first
-    r = M.fix.post_fit_residuals.copy()
+    r = fix.post_fit_residuals.copy()
     r[link] = 1e3
-    fix = replace(M.fix, post_fit_residuals=r)
+    fix = replace(fix, post_fit_residuals=r)
     for loo in (None, M):
         with pytest.raises(SingularGeometry):
             fde_solve(epoch, FdeConfig(noise_sigma_m=1.0), _bland_params(), fix=fix, loo=loo)

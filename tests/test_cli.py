@@ -241,3 +241,35 @@ def test_file_that_is_not_npz_fails_with_path(tiny_config, tiny_dataset, tmp_pat
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and tiny_dataset in err and "feature cache" in err
+
+
+CSV_HEADER = "session_id,t,strategy,h_err_m,v_err_m,converged,n_sv,n_zero_weight\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, expect",
+    [
+        ({}, ["simulate", "--config", "missing.yaml", "--out", "x.jsonl"], "missing.yaml"),
+        ({}, ["featurize", "--data", "missing.jsonl", "--out", "f.npz"], "missing.jsonl"),
+        ({"bad.yaml": "seed: [1, 2\nsimulate: {}\n"},
+         ["simulate", "--config", "bad.yaml", "--out", "x.jsonl"], "bad.yaml"),
+        ({}, ["report", "--errors", "missing.csv"], "missing.csv"),
+        ({"nocol.csv": "t,strategy\n0.0,equal\n"}, ["report", "--errors", "nocol.csv"], "line 1: "),
+        ({"badt.csv": CSV_HEADER + "s,0.0,equal,1,1,1,5,0\ns,abc,equal,1,1,1,5,0\n"},
+         ["report", "--errors", "badt.csv"], "line 3: "),
+        ({}, ["train", "--out", "m.npz"], "--data or --features"),
+    ],
+    ids=["missing-config", "missing-data", "bad-yaml", "missing-errors", "no-session-column",
+         "non-numeric-t", "train-without-input"],
+)
+def test_input_error_is_one_line(files, argv, expect, tmp_path, capsys):
+    """A missing or malformed input file, or a missing input, exits 1 with
+    one ``error: ...`` line instead of a traceback."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {"missing.yaml", "missing.jsonl", "missing.csv", "x.jsonl", "f.npz", "m.npz", *files}
+    argv = [str(tmp_path / a) if a in paths else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and expect in err, err
+    assert not (tmp_path / "x.jsonl").exists() and not (tmp_path / "m.npz").exists()

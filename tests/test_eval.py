@@ -211,10 +211,9 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     # the kernel sees exactly one cold-started all-ones solve per epoch,
     # whether as a single solve or as a row of a batch (the fix rides in
     # the leave-one-out batch); leave-one-out subsets and FDE's later
-    # rounds solve other problems. A batch's measurements are shared by
-    # its rows or given per row; a per-row problem may be padded to the
-    # call's N with zero-weight links, so a row counts for the pr of its
-    # all-ones prefix.
+    # rounds solve other problems. A batch row may be padded to the call's
+    # N with zero-weight links, so it counts for the pr of its all-ones
+    # prefix.
     cfg = profile_config("urban_canyon", seed=3, duration_s=1.0)  # N = 12
     epochs, truth = generate_session(cfg, session_id="u")
     session = Session("u", "urban_canyon", "test", epochs, truth)
@@ -240,7 +239,7 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     def counting_batch(sat, pr, w, const_idx, n_clk, x0, *rest):
         if not in_single:
             for b, (wb, xb) in enumerate(zip(w, x0)):
-                count(pr[b if len(pr) > 1 else 0], wb, xb)
+                count(pr[b], wb, xb)
         return lm_solve_batch(sat, pr, w, const_idx, n_clk, x0, *rest)
 
     monkeypatch.setattr(_kernels, "lm_solve", counting)

@@ -12,10 +12,10 @@ from gnssweight.featurize import (
     FeatureNormalization,
     dataset_samples,
     feature_columns,
+    featurize_sessions,
     fit_normalization,
     fold_residual_row,
     normalized_split,
-    session_samples,
 )
 from gnssweight.residuals import GAMMA, build_residual_matrix
 from gnssweight.sim import generate_session, profile_config
@@ -81,11 +81,12 @@ def test_session_samples_and_split(rng):
     for k in range(5):
         ep, _ = make_epoch(rng, n=8, noise_sigma=1.0, time=0.2 * k)
         epochs.append(ep)
-    samples = session_samples(epochs)
-    assert len(samples) == 5
-    for fm, labels in samples:
+    featurized = featurize_sessions([epochs])
+    assert len(featurized) == 5
+    for epoch, (fm, fix, rmat) in zip(epochs, featurized):
         assert fm.shape == (8, N_FEATURES)
-        assert labels.shape == (8,)
+        assert fix is not None and rmat.n == 8
+    samples = [(fm, make_labels(epoch)) for epoch, (fm, _, _) in zip(epochs, featurized)]
     norm = fit_normalization(samples, "residual")
     pairs = normalized_split(samples, norm, "residual")
     assert all(fm.shape[1] == N_RESIDUAL_SUMMARY for fm, _ in pairs)

@@ -237,7 +237,9 @@ def test_batched_rows_match_single_solves(monkeypatch):
         W = 1.0 - np.eye(n)
         X0 = np.zeros((n, dim))
         X0[:, :3] = _DEFAULT_START.as_array()
-        X, its, status, cost = _kernels.lm_solve_batch(sat[None], pr[None], W, idx[None], dim - 3, X0, max_iter)
+        X, its, status, cost = _kernels.lm_solve_batch(
+            np.broadcast_to(sat, (n, n, 3)), np.broadcast_to(pr, (n, n)), W,
+            np.broadcast_to(idx, (n, n)), dim - 3, X0, max_iter)
         for row in range(n):
             x, it, st, c = _kernels.lm_solve(sat, pr, W[row], idx, dim - 3, X0[row], max_iter)
             assert X[row].tobytes() == x.tobytes(), (k, row)
@@ -245,7 +247,8 @@ def test_batched_rows_match_single_solves(monkeypatch):
             statuses[st] += 1
 
         # the leave-one-out matrix against independent subset fixes
-        M = build_residual_matrix(epoch)
+        rows = residuals.solve_rows([epoch])[0]
+        M = build_residual_matrix(epoch, rows)
         failed = []
         for row in range(n):
             expect = _subset_row(epoch, row)
@@ -257,8 +260,9 @@ def test_batched_rows_match_single_solves(monkeypatch):
         failed_rows += len(failed)
 
         # the fix row against the epoch's own equal-weight fix
-        assert_same_fix(M.fix, _fix_or_none(epoch), k)
-        capped_fixes += M.fix is not None and not M.fix.converged
+        fix = residuals.rows_fix(epoch, rows)
+        assert_same_fix(fix, _fix_or_none(epoch), k)
+        capped_fixes += fix is not None and not fix.converged
     # the cases reach every status, failed rows, rows that drop a
     # constellation and fixes stopped by the cap
     assert np.all(statuses > 0), statuses
@@ -276,8 +280,7 @@ def test_rows_across_epochs_match_per_epoch_calls(monkeypatch):
     padded = []  # rows of per-row calls padded with zero-weight links
 
     def spy(sat, pr, w, const_idx, *rest):
-        if pr.shape[0] > 1:
-            padded.append(int(np.sum((w[:, -1] == 0.0) & (pr[:, -1] == pr[:, -2]))))
+        padded.append(int(np.sum((w[:, -1] == 0.0) & (pr[:, -1] == pr[:, -2]))))
         return batch(sat, pr, w, const_idx, *rest)
 
     statuses = np.zeros(3, dtype=int)
@@ -344,9 +347,10 @@ def test_singular_fix_row_is_none():
             EcefPosition.from_array(sat), 45.0, 10.0,
         ))
     epoch = Epoch(time=0.0, measurements=ms)
-    M = build_residual_matrix(epoch)
+    rows = residuals.solve_rows([epoch])[0]
+    M = build_residual_matrix(epoch, rows)
     with pytest.raises(SingularGeometry):
         equal_weight_fix(epoch)
-    assert M.fix is None
+    assert residuals.rows_fix(epoch, rows) is None
     assert M.failed_rows == list(range(6))
     assert all(M.row(link) is None for link in range(6))

@@ -312,7 +312,9 @@ def test_kernel_matches_reference_loop():
         X0[:2, :3] = solver._DEFAULT_START.as_array()
         X0[:2, 3:] = 0.0
         max_iter = 3 if k % 5 == 0 else _kernels.MAX_ITERATIONS
-        X, its, status, cost = _kernels.lm_solve_batch(sat[None], pr[None], W, idx[None], n_const, X0, max_iter)
+        X, its, status, cost = _kernels.lm_solve_batch(
+            np.broadcast_to(sat, (rows, n, 3)), np.broadcast_to(pr, (rows, n)), W,
+            np.broadcast_to(idx, (rows, n)), n_const, X0, max_iter)
         for row in range(rows):
             x, it, st, c = _reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
             single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
