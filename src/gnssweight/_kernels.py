@@ -8,7 +8,10 @@ call: the leave-one-out rows and fixes, and the weighted strategies, of
 many epochs. A single solve (``lm_solve``) is a stack of one. One numpy
 function, ``_normal_equations``, forms the residuals, the Jacobian, the
 normal matrix, the gradient and the cost at a stack of states; the
-solver calls it wherever it needs any of them.
+solver calls it wherever it needs any of them. It takes the stack's
+measurements in the layout of ``_layout``, built once per call, with the
+row axis last and the parts that do not change between rounds (the
+clock columns of the Jacobian and their indices) precomputed.
 
 Rows of one call share the measurement count N and the state dimension.
 A problem with fewer links is padded to the call's N with zero-weight
@@ -22,6 +25,15 @@ That fixes the rounding: a row with zero weight adds exact zeros, so
 zeroing a measurement's weight and deleting it give bitwise-identical
 solves (the leave-one-out matrix relies on this), and the result does
 not depend on how a BLAS library blocks or vectorizes a dot product.
+The order rests on how numpy reduces a C-contiguous array over its
+leading axis; ``tests/test_solver.py`` checks it against a loop at the
+stack shapes the solver runs.
+
+A solve is singular when ``_ill_conditioned`` flags its normal matrix:
+a condition number test on the eigenvalues (``np.linalg.eigvalsh``),
+which for this symmetric positive semi-definite matrix are its singular
+values. Its decision can differ from an SVD-based test's only for a
+condition number within about 1e-3 relative of ``COND_LIMIT``.
 
 Kernel state layout: [x, y, z, b_0 .. b_{K-1}] with clock terms in
 meters (c * delta). Parameterizing clocks in meters keeps the normal
@@ -55,35 +67,84 @@ DAMPING_DOWN = 0.1
 COND_LIMIT = 1e12
 
 
-def _normal_equations(x, w, sat_pos, pr, const_idx):
-    """(A, g, cost) at each state x[b] with weights w[b].
+def _pairs(d):
+    """Index tables of the upper triangle of a (d+1)-column Jacobian's products.
+
+    Pair t is columns (jj[t], kk[t]), jj[t] <= kk[t], row by row; the last
+    pair is (d, d). ``sym[j, k]`` is the pair of (min(j, k), max(j, k)) for
+    j, k < d and ``gi[j]`` the pair (j, d).
+    """
+    jj, kk = np.triu_indices(d + 1)
+    t = np.empty((d + 1, d + 1), dtype=np.intp)
+    t[jj, kk] = t[kk, jj] = np.arange(jj.size)
+    return jj, kk, t[:d, :d], t[:d, d]
+
+
+def _layout(sat_pos, pr, w, const_idx, d):
+    """Row b's measurements, with the row axis last: (sat, pr, w, clock, J0).
+
+    sat is (N, 3, B), pr (N, B) and w (N, 1, B). clock indexes each
+    measurement's clock term in the flattened (B, d) state stack, and J0
+    is the (N, d + 1, B) Jacobian's constant part: 1 on each measurement's
+    clock column.
+    """
+    b, n = pr.shape
+    clock = 3 + const_idx.T
+    J0 = np.zeros((n, d + 1, b))
+    J0[np.arange(n)[:, None], clock, np.arange(b)] = 1.0
+    return (np.ascontiguousarray(sat_pos.transpose(1, 2, 0)), np.ascontiguousarray(pr.T),
+            np.ascontiguousarray(w.T)[:, None], clock + d * np.arange(b), J0)
+
+
+def _take(meas, keep):
+    """The ``_layout`` of the rows ``keep`` (indices) of ``meas``."""
+    sat, pr, w, clock, J0 = (a.take(keep, axis=-1) for a in meas)
+    return sat, pr, w, clock + (J0.shape[1] - 1) * (np.arange(keep.size) - keep), J0
+
+
+def _normal_equations(x, meas, pairs):
+    """(A, g, cost) at each state x[b] of a stack.
 
     A = H^T W H, g = H^T W r and cost = r^T W r, where H is the Jacobian
-    of the predicted pseudoranges and r = pr - h(x). x is (B, d) and w is
-    (B, N); sat_pos (B, N, 3), pr and const_idx (B, N) are row b's
-    measurements. A is (B, d, d), g is (B, d) and cost is (B,).
+    of the predicted pseudoranges and r = pr - h(x). x is (B, d), meas is
+    the stack's ``_layout`` and pairs is ``_pairs(d)``. A is (B, d, d), g
+    is (B, d) and cost is (B,).
     """
-    b, d = x.shape
-    n = pr.shape[1]
-    diff = x[:, None, :3] - sat_pos
-    rng = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] + diff[..., 2] * diff[..., 2])
+    sat, pr, w, clock, J0 = meas
+    jj, kk, sym, gi = pairs
+    d = x.shape[1]
+    diff = x.T[:3] - sat
+    sq = diff * diff
+    rng = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
     rng = np.maximum(rng, 1e-3)
-    clock = 3 + const_idx  # each measurement's clock column
-    row = np.arange(b)[:, None]
-    J = np.zeros((b, n, d + 1))
-    J[..., :3] = diff / rng[..., None]
-    J[row, np.arange(n), clock] = 1.0
-    J[..., d] = pr - (rng + x[row, clock])
-    # Row-ordered products summed over the measurement axis from 0.0:
-    # M[b, j, k] is sum_i (w_bi J_bij) J_bik, accumulated measurement by
-    # measurement (numpy adds the (d+1, d+1) slabs in order; it does not
-    # pairwise-sum over an outer axis).
-    M = ((J * w[..., None])[..., :, None] * J[..., None, :]).sum(axis=1, initial=0.0)
-    # (w Hj) Hk and (w Hk) Hj round differently; keep A exactly symmetric
-    # by mirroring the upper triangle onto the lower.
-    i = np.arange(d)
-    A = np.where(i[:, None] <= i, M[:, :d, :d], M[:, :d, :d].swapaxes(1, 2))
-    return A, M[:, :d, d], M[:, d, d]
+    J = J0.copy()
+    J[:, :3] = diff / rng[:, None]
+    J[:, d] = pr - (rng + x.take(clock))
+    # The products (w_i J_ij) J_ik of the upper triangle, j <= k, as a
+    # C-contiguous (N, T, B) array (take() copies in C order; a fancy index
+    # would leave the pair axis outermost), summed over the leading
+    # measurement axis from 0.0: numpy adds an outer axis of a contiguous
+    # array slab by slab, in order, where it would pairwise-sum an inner one.
+    S = ((J * w).take(jj, axis=1) * J.take(kk, axis=1)).sum(axis=0, initial=0.0).T
+    # A takes each (j, k) and (k, j) from one product, so it is exactly
+    # symmetric.
+    return S.take(sym, axis=1), S[:, gi], S[:, -1]
+
+
+def _ill_conditioned(A):
+    """Rows of a stack of normal matrices that count as singular.
+
+    The smallest eigenvalue is <= 0, or the largest over the smallest
+    exceeds COND_LIMIT. A is symmetric positive semi-definite, so its
+    eigenvalues are its singular values (Golub & Van Loan, Matrix
+    Computations, 8.6) and this is the condition number test, at about a
+    third of the cost of an SVD. The two compute the smallest value to
+    about n eps cond(A) relative, so their decisions can differ only for
+    a condition number within about 1e-3 relative of COND_LIMIT.
+    """
+    ev = np.linalg.eigvalsh(A)  # ascending
+    low = ev[:, 0]
+    return (low <= 0.0) | (ev[:, -1] / np.where(low > 0.0, low, np.inf) > COND_LIMIT)
 
 
 def _sum_sq(v):
@@ -121,8 +182,9 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
 
     Damping multiplies the normal matrix diagonal. A trial step is
     accepted only if it strictly lowers the cost, and damping is then
-    scaled by DAMPING_DOWN; a trial that raises the cost is retried (up to
-    64 trials per iteration) with damping raised by DAMPING_UP.
+    scaled by DAMPING_DOWN; a trial that raises the cost is retried with
+    damping raised by DAMPING_UP. Damping never falls below 1e-12, so at
+    most 27 trials in a row are rejected before it saturates above 1e14.
 
     Stopping rule (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
     Least Squares Problems", DTU 2004):
@@ -133,45 +195,44 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     Both end the loop with STATUS_CONVERGED and go to the undamped
     Gauss-Newton polish. STATUS_MAX_ITER is returned only when all
     max_iter iterations lowered the cost, i.e. it was still falling at
-    the cap; STATUS_SINGULAR when the normal matrix condition number
-    exceeds COND_LIMIT at the start of an iteration.
+    the cap; STATUS_SINGULAR when ``_ill_conditioned`` flags the normal
+    matrix at the start of an iteration. A row's STATUS_SINGULAR can
+    differ from an SVD-based test's only for a condition number within
+    about 1e-3 relative of COND_LIMIT.
     """
     nb, d = x0.shape[0], 3 + n_const
-
-    meas_out = (sat_pos, pr, const_idx)
+    pairs = _pairs(d)
+    meas_out = _layout(sat_pos, pr, w, const_idx, d)
     x_out = np.array(x0, dtype=float)
-    A_out, g_out, cost_out = _normal_equations(x_out, w, *meas_out)
+    A_out, g_out, cost_out = _normal_equations(x_out, meas_out, pairs)
     it_out = np.zeros(nb, dtype=np.int64)
     status_out = np.full(nb, STATUS_MAX_ITER)
 
     # The working set: rows still in the damped loop and their state.
     rows = np.arange(nb) if max_iter > 0 else np.arange(0)
-    x, A, g, cost, wr, meas = x_out, A_out, g_out, cost_out, w, meas_out
+    x, A, g, cost, meas = x_out, A_out, g_out, cost_out, meas_out
     lam = np.full(rows.size, INITIAL_DAMPING)
     iters = np.ones(rows.size, dtype=np.int64)  # the iteration each row is in
-    trials = np.zeros(rows.size, dtype=np.int64)  # rejected trials in it
     fresh = np.ones(rows.size, dtype=bool)  # at the start of an iteration
 
     def leave(stop, status):
         """Retire the rows flagged in ``stop`` with their ``status``."""
-        nonlocal rows, x, A, g, cost, wr, meas, lam, iters, trials, fresh
+        nonlocal rows, x, A, g, cost, meas, lam, iters, fresh
         # take() by index is a few times cheaper than a boolean mask on
         # these small stacks; a row's measurements leave with it
         gone, keep = stop.nonzero()[0], (~stop).nonzero()[0]
         out = rows[gone]
         x_out[out], A_out[out], g_out[out], cost_out[out], it_out[out], status_out[out] = (
             a.take(gone, axis=0) for a in (x, A, g, cost, iters, status))
-        rows, x, A, g, cost, wr, lam, iters, trials, fresh = (
-            a.take(keep, axis=0) for a in (rows, x, A, g, cost, wr, lam, iters, trials, fresh))
-        meas = tuple(a.take(keep, axis=0) for a in meas)
+        rows, x, A, g, cost, lam, iters, fresh = (
+            a.take(keep, axis=0) for a in (rows, x, A, g, cost, lam, iters, fresh))
+        meas = _take(meas, keep)
 
     while rows.size:
         n_fresh = np.count_nonzero(fresh)
         if n_fresh:
             all_fresh = n_fresh == rows.size
-            s = np.linalg.svd(A if all_fresh else A[fresh])[1]
-            low = s[:, -1]
-            bad = (low <= 0.0) | (s[:, 0] / np.where(low > 0.0, low, np.inf) > COND_LIMIT)
+            bad = _ill_conditioned(A if all_fresh else A[fresh])
             if np.count_nonzero(bad):
                 if not all_fresh:
                     bad_fresh, bad = bad, np.zeros(rows.size, dtype=bool)
@@ -185,31 +246,42 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         Ad_diag += lam[:, None] * np.maximum(Ad_diag, 1e-12)
         dx = _solve(Ad, g)
         xc = x + dx
-        A_c, g_c, cost_c = _normal_equations(xc, wr, *meas)
+        A_c, g_c, cost_c = _normal_equations(xc, meas, pairs)
         # Only a strict decrease is progress. An equal cost means the step
         # is lost in rounding: accepting it lets the iterate wander along
         # the flat floor with steps above STEP_TOLERANCE and never stop.
         better = cost_c < cost
         converged = cost_c == cost  # stagnation at the rounding floor
-        trials = np.where(better, 0, trials + 1)
-        lam = np.where(better, np.maximum(lam * DAMPING_DOWN, 1e-12), lam * DAMPING_UP)
-        # no trial lowered the cost (saturated damping or all 64 trials
-        # spent): the iterate is a numerical stationary point
-        converged |= (lam > 1e14) & ~better | (trials == 64)
-        converged |= better & (np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE)
+        # The cases below give every row the bits of the all-rows form of
+        # the middle one; a round whose trials all pass, or all fail,
+        # skips the numpy calls it does not need.
         n_better = np.count_nonzero(better)
         if n_better == rows.size:
             x, A, g, cost = xc, A_c, g_c, cost_c
+            lam = np.maximum(lam * DAMPING_DOWN, 1e-12)
         elif n_better:
             x = np.where(better[:, None], xc, x)
             A = np.where(better[:, None, None], A_c, A)
             g = np.where(better[:, None], g_c, g)
             cost = np.where(better, cost_c, cost)
+            lam = np.where(better, np.maximum(lam * DAMPING_DOWN, 1e-12), lam * DAMPING_UP)
+        else:
+            lam = lam * DAMPING_UP
+        # Saturated damping: no trial lowers the cost, and the iterate is a
+        # numerical stationary point. A row enters the round with damping
+        # at most 1e14 and an accepted trial lowers it, so only a rejected
+        # trial gets here.
+        converged |= lam > 1e14
+        if n_better:
+            converged |= better & (np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE)
+            stop = converged | better & (iters == max_iter)
+        else:
+            stop = converged
         fresh = better
-        stop = converged | better & (iters == max_iter)
         if np.count_nonzero(stop):
             leave(stop, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITER))
-        iters += fresh
+        if n_better:
+            iters += fresh
 
     # Undamped Gauss-Newton polish of the converged rows. The damped loop
     # stops within STEP_TOLERANCE of the minimizer, or where no trial
@@ -231,7 +303,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         if not rows.size:
             break
         x = x_out[rows] + dx
-        A, g, cost = _normal_equations(x, w.take(rows, axis=0), *(a.take(rows, axis=0) for a in meas_out))
+        A, g, cost = _normal_equations(x, _take(meas_out, rows), pairs)
         x_out[rows], cost_out[rows] = x, cost
         more = ~(step2 < 1e-20)
         rows, A, g, prev2 = rows[more], A[more], g[more], step2[more]

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, NonConvergence
 from .geo import ecef_to_geodetic, elevation_azimuth
@@ -97,6 +96,10 @@ def calibrate_sota(thetas, cn0s, errors_m) -> SotaWeightParams:
         counts.append(float(np.sum(sel)))
     if not rows:
         raise EmptySplit("not enough populated bins for calibration")
+    # scipy.optimize is most of the package's import time, and only this
+    # fit uses it
+    from scipy.optimize import nnls
+
     w = np.sqrt(np.array(counts))
     (z, c), _ = nnls(np.array(rows) * w[:, None], np.array(targets) * w)
     return SotaWeightParams(float(z), float(c))

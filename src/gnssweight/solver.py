@@ -146,8 +146,8 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
 
 
 # The most rows one kernel call solves. It bounds the call's
-# (rows, N, d + 1, d + 1) product of the normal equations to tens of MB
-# at N near 30.
+# (N, (d + 1)(d + 2) / 2, rows) products of the normal equations to
+# under 10 MB at N near 30.
 MAX_ROWS_PER_CALL = 1024
 
 # The status ``solve_batch`` gives a row with fewer positive weights than

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gnssweight
 from gnssweight.cli import main
 from gnssweight.evaluation import read_error_csv
 
@@ -273,3 +277,12 @@ def test_input_error_is_one_line(files, argv, expect, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and expect in err, err
     assert not (tmp_path / "x.jsonl").exists() and not (tmp_path / "m.npz").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing the CLI does not load scipy.optimize, most of its start-up
+    time; only calibration of the elevation/C/N0 baseline needs it."""
+    src = str(Path(gnssweight.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gnssweight.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

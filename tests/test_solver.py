@@ -324,3 +324,99 @@ def test_kernel_matches_reference_loop():
                 assert (got[1], got[2], got_c) == (it, st, c.tobytes()), (k, row)
             statuses[st] += 1
     assert np.all(statuses > 0), statuses
+
+
+def _random_stack(rng, b, n, n_const):
+    """(x, sat_pos, pr, w, const_idx) of b rows: states from about a
+    millimetre to hundreds of km off their receivers, clocks of 1e4 m and
+    weights with zeros, so the products span many orders of magnitude."""
+    d = 3 + n_const
+    rx = 6.4e6 * rng.normal(size=(b, 1, 3)) / 1.8
+    los = rng.normal(size=(b, n, 3))
+    sat = rx + 2.6e7 * los / np.linalg.norm(los, axis=-1, keepdims=True)
+    idx = rng.integers(0, n_const, size=(b, n))
+    clock = rng.normal(0.0, 1e4, size=(b, n_const))
+    pr = np.linalg.norm(sat - rx, axis=-1) + np.take_along_axis(clock, idx, axis=1) + rng.normal(0.0, 30.0, (b, n))
+    w = rng.uniform(0.0, 3.0, size=(b, n)) * (rng.uniform(size=(b, n)) > 0.2)
+    x = np.concatenate([rx[:, 0], clock], axis=1) + rng.normal(0.0, 1.0, (b, d)) * 10.0 ** rng.integers(-3, 6, (b, 1))
+    return x, sat, pr, w, idx
+
+
+def test_normal_equations_add_in_order():
+    """``_normal_equations`` has the bits of the measurement-by-measurement
+    loop at the stack sizes the solver runs: a single solve, an epoch's
+    leave-one-out rows and a full kernel call. Whether numpy adds a
+    reduction in order depends on the array's memory layout and on the
+    numpy version, so the layout the kernel relies on is checked here."""
+    rng = np.random.default_rng(31)
+    shapes = [(1, n, k) for n in range(5, 31) for k in range(1, 5)]
+    shapes += [(19, n, k) for n in (5, 9, 13, 18, 22, 30) for k in range(1, 5)]
+    shapes += [(1024, 5, 4), (1024, 12, 3), (1024, 30, 1)]
+    for b, n, n_const in shapes:
+        d = 3 + n_const
+        x, sat, pr, w, idx = _random_stack(rng, b, n, n_const)
+        A, g, cost = _kernels._normal_equations(x, _kernels._layout(sat, pr, w, idx, d), _kernels._pairs(d))
+        for r in range(b):
+            A_r, g_r, cost_r = _reference_normal_equations(x[r], sat[r], pr[r], w[r], idx[r])
+            assert A[r].tobytes() == A_r.tobytes(), (b, n, n_const, r)
+            assert g[r].tobytes() == g_r.tobytes(), (b, n, n_const, r)
+            assert cost[r].tobytes() == np.float64(cost_r).tobytes(), (b, n, n_const, r)
+
+
+def _svd_singular(A):
+    """The condition test of ``_reference_lm_solve``, for a stack."""
+    s = np.linalg.svd(A)[1]
+    low = s[:, -1]
+    return (low <= 0.0) | (s[:, 0] / np.where(low > 0.0, low, np.inf) > _kernels.COND_LIMIT)
+
+
+def test_condition_test_matches_svd(monkeypatch):
+    """The eigenvalue condition test flags the normal matrices the SVD test
+    flags: every matrix the kernel tests on the leave-one-out batches of
+    the residual corpus, matrices just outside the band of condition
+    numbers where the two may differ, and singular matrices."""
+    from test_residuals import _corpus
+
+    seen, ill_conditioned = [], _kernels._ill_conditioned
+    monkeypatch.setattr(_kernels, "_ill_conditioned", lambda A: seen.append(A.copy()) or ill_conditioned(A))
+    for _k, epoch, max_iter in _corpus():
+        sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
+        n, d = pr.size, 3 + len(epoch.constellations())
+        W = np.vstack([np.ones(n), 1.0 - np.eye(n)])
+        X0 = np.zeros((n + 1, d))
+        X0[:, :3] = solver._DEFAULT_START.as_array()
+        _kernels.lm_solve_batch(np.broadcast_to(sat, (n + 1, n, 3)), np.broadcast_to(pr, (n + 1, n)), W,
+                                np.broadcast_to(idx, (n + 1, n)), d - 3, X0, max_iter)
+    for A in seen:
+        assert np.array_equal(ill_conditioned(A), _svd_singular(A))
+    flags = np.concatenate([ill_conditioned(A) for A in seen])
+    assert flags.any() and not flags.all(), flags.sum()
+
+    # Both tests find the smallest eigenvalue to about n eps cond(A)
+    # relative, 1e-4 at COND_LIMIT, and so disagree on about half of the
+    # rotated matrices within 1e-6 of it. A diagonal matrix's eigenvalues
+    # are exact; rotated ones are taken 1e-2 away from the limit.
+    rng = np.random.default_rng(8)
+    mats, want = [], []
+    for d in (4, 5, 6, 7):
+        for rel, rotate in ((1e-6, False), (1e-2, True)):
+            for sign in (-1.0, 1.0):
+                lam = rng.permutation(np.r_[1e3, rng.uniform(1.0, 1e3, d - 2),
+                                            1e3 / (_kernels.COND_LIMIT * (1.0 + sign * rel))])
+                Q = np.linalg.qr(rng.normal(size=(d, d)))[0] if rotate else np.eye(d)
+                A = (Q * lam) @ Q.T
+                mats.append(np.triu(A) + np.triu(A, 1).T)
+                want.append(sign > 0.0)
+        H = rng.normal(size=(d + 3, d))
+        H[:, -1] = H[:, -2]  # two equal columns: exactly singular
+        mats.append(H.T @ H)
+        want.append(True)
+        for tiny in (-1e-14, -1e-15):  # a tiny negative eigenvalue, as rounding leaves
+            lam = rng.permutation(np.r_[1e3, rng.uniform(1.0, 1e3, d - 2), tiny * 1e3])
+            Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            A = (Q * lam) @ Q.T
+            mats.append(np.triu(A) + np.triu(A, 1).T)
+            want.append(True)
+    for A, flag in zip(mats, want):
+        assert ill_conditioned(A[None])[0] == _svd_singular(A[None])[0] == flag
+    assert ill_conditioned(np.zeros((1, 4, 4)))[0] and _svd_singular(np.zeros((1, 4, 4)))[0]
