@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, NonConvergence
-from .geo import ecef_to_geodetic, elevation_azimuth
+from .geo import ecef_to_geodetic, look_angles
 from .model import Epoch
 from .residuals import ResidualMatrix
 from .solver import SolveReport, equal_weight_fix, fix_from_row, jacobian, solve_wls
@@ -160,9 +160,8 @@ def fde_solve(
         rep = fix_from_row(epoch, row) if row is not None else equal_weight_fix(epoch, active)
 
     # parametric weights on the survivors
-    rx_geo = ecef_to_geodetic(state.position)
     survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
-    thetas = [elevation_azimuth(m.sat_pos, rx_geo)[0] for m in survivors]
+    thetas, _ = look_angles(epoch.sat_array()[active], ecef_to_geodetic(state.position))
     w = np.zeros(n)
     w[active] = sota_weights(thetas, [m.cn0 for m in survivors], params)
     if int(np.sum(w > 0)) < epoch.state_dim():

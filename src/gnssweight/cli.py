@@ -25,7 +25,7 @@ from .evaluation import (
     QUANTILES,
 )
 from .featurize import dataset_samples, fit_normalization, normalized_split, FeatureNormalization
-from .geo import ecef_to_geodetic, elevation_azimuth
+from .geo import ecef_to_geodetic, look_angles
 from .nn import TrainConfig, load_checkpoint, save_checkpoint, train, truth_residuals
 from .sim import generate_campaign
 
@@ -148,13 +148,10 @@ def _calibration_samples(dataset):
         for epoch in session.epochs:
             if epoch.truth is None:
                 continue
-            rx_geo = ecef_to_geodetic(epoch.truth)
             resid, _ = truth_residuals(epoch)
-            for m, err in zip(epoch.measurements, resid):
-                theta, _ = elevation_azimuth(m.sat_pos, rx_geo)
-                thetas.append(theta)
-                cn0s.append(m.cn0)
-                errors.append(err)
+            thetas.extend(look_angles(epoch.sat_array(), ecef_to_geodetic(epoch.truth))[0])
+            cn0s.extend(m.cn0 for m in epoch.measurements)
+            errors.extend(resid)
     return thetas, cn0s, errors
 
 

@@ -12,7 +12,7 @@ from .baselines import FdeConfig
 from .errors import ConfigInvalid
 from .evaluation import STRATEGIES
 from .nn import TrainConfig
-from .sim import EPOCHS_PER_SESSION, PROFILES, ScenarioConfig
+from .sim import EPOCHS_PER_SESSION, ScenarioConfig, check_profiles
 
 CONFIG_VERSION = 1
 
@@ -86,9 +86,7 @@ def _validate(cfg: dict) -> None:
         raise ConfigInvalid("'simulate.noise_sigma_m' must be >= 0")
     if sim["nlos_bias_mean_m"] < 0:
         raise ConfigInvalid("'simulate.nlos_bias_mean_m' must be >= 0")
-    for p in sim["profiles"]:
-        if p not in PROFILES:
-            raise ConfigInvalid(f"'simulate.profiles' entry {p!r} not one of {PROFILES}")
+    check_profiles(sim["profiles"])
     tr = cfg["train"]
     if tr["feature_mode"] not in ("full", "residual"):
         raise ConfigInvalid("'train.feature_mode' must be 'full' or 'residual'")

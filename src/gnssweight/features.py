@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMonotonicTime
-from .geo import GeodeticPosition, elevation_azimuth
+from .geo import GeodeticPosition, look_angles
 from .model import Epoch
 
 WINDOW_CAPACITY = 10
@@ -65,8 +65,9 @@ class TrackingHistory:
             )
         self._last_time = epoch.time
 
+        elevations, _ = look_angles(epoch.sat_array(), rx_approx)
         out = []
-        for m in epoch.measurements:
+        for m, elev in zip(epoch.measurements, elevations):
             win = self._windows.get(m.key)
             if win is None:
                 win = deque(maxlen=WINDOW_CAPACITY)
@@ -82,7 +83,6 @@ class TrackingHistory:
                 var = float(values.var(ddof=1))
             else:
                 var = VARIANCE_SENTINEL
-            elev, _ = elevation_azimuth(m.sat_pos, rx_approx)
             out.append(
                 PerLinkFeatures(
                     elevation=elev,

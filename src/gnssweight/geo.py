@@ -129,12 +129,28 @@ def ecef_to_enu(p: EcefPosition, ref: GeodeticPosition) -> EnuVector:
     return EnuVector(float(e), float(n), float(u))
 
 
+def look_angles(sats, rx: GeodeticPosition) -> tuple[list[float], list[float]]:
+    """Elevations and azimuths (clockwise from north, [0, 2pi)) of K satellites.
+
+    ``sats`` is a (K, 3) array of ECEF positions seen from ``rx``; the two
+    lists hold one float per row. The ENU vectors come from one stacked
+    matmul, which has the bits of ``enu_rotation(rx) @ d`` for each row
+    (a plain ``rot @ d.T`` does not); range, arcsine and arctangent are
+    taken per row with ``math``, whose bits numpy's ufuncs do not share.
+    """
+    d = np.asarray(sats, dtype=float).reshape(-1, 3) - geodetic_to_ecef(rx).as_array()
+    enu = np.matmul(enu_rotation(rx)[None], d[:, :, None])
+    elevations, azimuths = [], []
+    for e, n, u in enu.reshape(-1, 3).tolist():
+        rng = math.sqrt(e**2 + n**2 + u**2)
+        if rng == 0.0:
+            raise ZeroRange("satellite coincides with receiver")
+        elevations.append(math.asin(max(-1.0, min(1.0, u / rng))))
+        azimuths.append(math.atan2(e, n) % (2.0 * math.pi))
+    return elevations, azimuths
+
+
 def elevation_azimuth(sat: EcefPosition, rx: GeodeticPosition) -> tuple[float, float]:
     """Elevation and azimuth (clockwise from north, [0, 2pi)) of ``sat``."""
-    enu = ecef_to_enu(sat, rx)
-    rng = math.sqrt(enu.east**2 + enu.north**2 + enu.up**2)
-    if rng == 0.0:
-        raise ZeroRange("satellite coincides with receiver")
-    elevation = math.asin(max(-1.0, min(1.0, enu.up / rng)))
-    azimuth = math.atan2(enu.east, enu.north) % (2.0 * math.pi)
+    (elevation,), (azimuth,) = look_angles([[sat.x, sat.y, sat.z]], rx)
     return elevation, azimuth

@@ -20,8 +20,8 @@ from .geo import (
     EcefPosition,
     GeodeticPosition,
     ecef_to_geodetic,
-    elevation_azimuth,
     geodetic_to_ecef,
+    look_angles,
 )
 from .model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 
@@ -115,9 +115,9 @@ class SessionTruth:
         return sum(1 for flags in self.fault_flags if any(flags))
 
 
-def nlos_probability(curve, elevation: float) -> float:
-    """Piecewise-linear interpolation of the NLOS probability curve."""
-    knots = sorted(curve)
+def nlos_probability(knots, elevation: float) -> float:
+    """Piecewise-linear interpolation of an NLOS probability curve whose
+    (elevation, probability) ``knots`` are in ascending elevation."""
     if elevation <= knots[0][0]:
         return knots[0][1]
     for (e0, p0), (e1, p1) in zip(knots, knots[1:]):
@@ -140,44 +140,84 @@ def _trajectory(cfg: ScenarioConfig, times: np.ndarray):
     return positions
 
 
-def _cross(a, b) -> np.ndarray:
-    """a x b with np.cross's arithmetic, without its per-call axis handling."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``a``, shape (K, 1).
+
+    A stacked matmul dot has the bits of ``np.linalg.norm`` on each row;
+    ``np.linalg.norm(a, axis=1)`` does not.
+    """
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]))[:, :, 0]
 
 
-def _orbit_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (u, v) of the orbit plane with unit ``normal``."""
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(normal @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    u = _cross(normal, ref)
-    u /= np.linalg.norm(u)
-    return u, _cross(normal, u)
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b with np.cross's arithmetic, without its per-call axis handling."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=1)
 
 
-def _init_orbits(cfg: ScenarioConfig, rng: np.random.Generator):
-    """Random circular orbit (plane basis + phase) per satellite."""
-    orbits = []
+def _orbit_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (U, V) of the orbit planes with unit ``normals`` (K, 3).
+
+    Each plane crosses its normal with the x axis, or with the y axis when
+    the normal lies within about 26 degrees of the x axis.
+    """
+    near_x = np.abs(normals[:, 0]) > 0.9
+    refs = np.zeros_like(normals)
+    refs[~near_x, 0] = 1.0
+    refs[near_x, 1] = 1.0
+    u = _cross(normals, refs)
+    u /= _row_norms(u)
+    return u, _cross(normals, u)
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """Circular orbits of a session's satellites, in canonical (constellation, sv) order."""
+
+    keys: list  # (constellation, sv) per satellite
+    radii: np.ndarray  # (K, 1) shell radius, m
+    periods: list  # orbit period per satellite, s
+    phases: list  # phase at t = 0 per satellite, rad
+    u: np.ndarray  # (K, 3) orbit-plane basis
+    v: np.ndarray  # (K, 3)
+
+    def positions(self, t: float) -> np.ndarray:
+        """ECEF positions (K, 3) of every satellite at time ``t``."""
+        w = 2.0 * math.pi * t
+        psi = [phase + w / period for phase, period in zip(self.phases, self.periods)]
+        cos = np.array([math.cos(p) for p in psi])[:, None]
+        sin = np.array([math.sin(p) for p in psi])[:, None]
+        return self.radii * (cos * self.u + sin * self.v)
+
+
+def _init_orbits(cfg: ScenarioConfig, rng: np.random.Generator) -> _Orbits:
+    """Random circular orbit (plane normal, then phase) per satellite."""
+    keys, normals, phases = [], [], []
     for const, count in sorted(cfg.sv_counts.items()):
         for sv in range(1, count + 1):
-            normal = rng.normal(size=3)
-            normal /= np.linalg.norm(normal)
-            u, v = _orbit_basis(normal)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            orbits.append((const, sv, u, v, phase))
-    return orbits
-
-
-def _sat_position(const, u, v, phase, t) -> np.ndarray:
-    r = SHELL_RADIUS_M[const]
-    psi = phase + 2.0 * math.pi * t / ORBIT_PERIOD_S[const]
-    return r * (math.cos(psi) * u + math.sin(psi) * v)
+            keys.append((const, sv))
+            normals.append(rng.normal(size=3))
+            phases.append(rng.uniform(0.0, 2.0 * math.pi))
+    normals = np.array(normals).reshape(-1, 3)
+    u, v = _orbit_basis(normals / _row_norms(normals))
+    return _Orbits(
+        keys=keys,
+        radii=np.array([SHELL_RADIUS_M[c] for c, _ in keys]).reshape(-1, 1),
+        periods=[ORBIT_PERIOD_S[c] for c, _ in keys],
+        phases=phases,
+        u=u,
+        v=v,
+    )
 
 
 def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
-    """Generate one session: (epochs with truth, SessionTruth)."""
+    """Generate one session: (epochs with truth, SessionTruth).
+
+    Geometry is computed for all satellites of an epoch at once; the
+    NLOS, noise and C/N0 draws are scalar, one link after another in
+    canonical order, so the random stream is fixed by the seed alone.
+    """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     dt = 1.0 / cfg.rate_hz
@@ -189,71 +229,68 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
     consts = sorted(cfg.sv_counts.keys())
     clock = {c: float(rng.uniform(-CLOCK_INIT_SPAN_S, CLOCK_INIT_SPAN_S)) for c in consts}
 
+    knots = sorted(cfg.nlos_prob_curve)
+    sin_mask = math.sin(ELEVATION_MASK)
+    cn0_sigma2 = CN0_NOISE_SIGMA_DB**2
+    if cfg.profile == "urban_canyon":
+        cn0_sigma2 += MP_CN0_VAR_INFLATION_DB2
+    cn0_sigma = math.sqrt(cn0_sigma2)
+
     lock_time: dict = {}
     epochs = []
     truth = SessionTruth()
-    for k, t in enumerate(times):
+    for k, t in enumerate(times.tolist()):
         rx = EcefPosition.from_array(positions[k])
-        rx_geo = ecef_to_geodetic(rx)
         for c in consts:
             clock[c] += float(rng.normal(0.0, CLOCK_WALK_SIGMA_S))
 
-        raw = []
-        for const, sv, u, v, phase in orbits:
-            sat = EcefPosition.from_array(_sat_position(const, u, v, phase, float(t)))
-            elev, _ = elevation_azimuth(sat, rx_geo)
-            key = (const, sv)
+        sats = orbits.positions(t)
+        elevations, _ = look_angles(sats, ecef_to_geodetic(rx))
+        ranges = _row_norms(positions[k] - sats)[:, 0].tolist()
+        measurements, flags, biases = [], [], []
+        for key, elev, rng_m, sat in zip(orbits.keys, elevations, ranges, sats.tolist()):
             if elev < ELEVATION_MASK:
                 lock_time.pop(key, None)
                 continue
             lt = lock_time.get(key, -dt) + dt
             lock_time[key] = lt
 
-            p_nlos = nlos_probability(cfg.nlos_prob_curve, elev)
-            is_nlos = bool(rng.random() < p_nlos)
+            is_nlos = bool(rng.random() < nlos_probability(knots, elev))
             bias = float(rng.exponential(cfg.nlos_bias_mean_m)) if is_nlos else 0.0
 
-            sigma = cfg.noise_sigma_m / max(math.sin(elev), math.sin(ELEVATION_MASK))
+            sin_elev = math.sin(elev)
+            sigma = cfg.noise_sigma_m / max(sin_elev, sin_mask)
             noise = float(rng.normal(0.0, sigma)) if cfg.noise_sigma_m > 0 else 0.0
-            rng_m = float(np.linalg.norm(rx.as_array() - sat.as_array()))
+            const, sv = key
             pr = rng_m + SPEED_OF_LIGHT * clock[const] + noise + bias
 
-            cn0_sigma2 = CN0_NOISE_SIGMA_DB**2
-            if cfg.profile == "urban_canyon":
-                cn0_sigma2 += MP_CN0_VAR_INFLATION_DB2
             cn0 = (
                 CN0_BASE_DBHZ
-                - CN0_ELEV_LOSS_DB * (1.0 - math.sin(elev))
+                - CN0_ELEV_LOSS_DB * (1.0 - sin_elev)
                 - (NLOS_CN0_PENALTY_DB if is_nlos else 0.0)
-                + (float(rng.normal(0.0, math.sqrt(cn0_sigma2))) if cn0_sigma2 > 0 else 0.0)
+                + (float(rng.normal(0.0, cn0_sigma)) if cn0_sigma2 > 0 else 0.0)
             )
-            cn0 = float(np.clip(cn0, 0.0, 60.0))
-            raw.append(
-                (
-                    PseudorangeMeasurement(
-                        constellation=const,
-                        sv_id=sv,
-                        band=Band.L1,
-                        pseudorange=pr,
-                        sat_pos=sat,
-                        cn0=cn0,
-                        lock_time=lt,
-                    ),
-                    is_nlos,
-                    bias,
+            # np.clip's arithmetic, signed zero included
+            cn0 = min(cn0, 60.0) if cn0 > 0.0 else 0.0
+            measurements.append(
+                PseudorangeMeasurement(
+                    constellation=const,
+                    sv_id=sv,
+                    band=Band.L1,
+                    pseudorange=pr,
+                    sat_pos=EcefPosition(*sat),
+                    cn0=cn0,
+                    lock_time=lt,
                 )
             )
-        raw.sort(key=lambda item: item[0].key)  # canonical order, same as Epoch's
-        epoch = Epoch(
-            time=float(t),
-            measurements=[m for m, _, _ in raw],
-            truth=rx,
-            session_id=session_id,
-        )
-        epochs.append(epoch)
+            flags.append(is_nlos)
+            biases.append(bias)
+        # the orbits are in canonical order, so flags and biases line up
+        # with the epoch's measurements
+        epochs.append(Epoch(time=t, measurements=measurements, truth=rx, session_id=session_id))
         truth.positions.append(rx)
-        truth.fault_flags.append([f for _, f, _ in raw])
-        truth.fault_biases.append([b for _, _, b in raw])
+        truth.fault_flags.append(flags)
+        truth.fault_biases.append(biases)
     return epochs, truth
 
 
@@ -279,6 +316,23 @@ def _jitter_waypoints(base, rng: np.random.Generator):
     )
 
 
+def check_profiles(profiles) -> None:
+    """A campaign's profiles: at least one, each known, none repeated.
+
+    Session ids are ``<profile>-<index>``, so a repeated profile would
+    write two sessions under each of its ids.
+    """
+    seen = set()
+    for p in profiles:
+        if p not in PROFILES:
+            raise ConfigInvalid(f"'simulate.profiles' entry {p!r} not one of {PROFILES}")
+        if p in seen:
+            raise ConfigInvalid(f"'simulate.profiles' repeats {p!r}")
+        seen.add(p)
+    if not seen:
+        raise ConfigInvalid("'simulate.profiles' must name at least one profile")
+
+
 # Epochs per campaign session, the default of ``generate_campaign`` and of
 # the run configuration's ``simulate.epochs_per_session``.
 EPOCHS_PER_SESSION = 200
@@ -302,6 +356,7 @@ def generate_campaign(
 
     if sessions_per_profile < 3:
         raise ConfigInvalid("need >= 3 sessions per profile to split 60/20/20")
+    check_profiles(profiles)
     master = np.random.default_rng(seed)
     duration = epochs_per_session / rate_hz
     sessions = []

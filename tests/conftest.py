@@ -3,14 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from gnssweight.errors import ZeroRange
 from gnssweight.geo import (
     SPEED_OF_LIGHT,
     EcefPosition,
     GeodeticPosition,
+    ecef_to_enu,
     enu_rotation,
     geodetic_to_ecef,
 )
 from gnssweight.model import Band, ConstellationId, Epoch, NavState, PseudorangeMeasurement
+
+
+def reference_elevation_azimuth(sat: EcefPosition, rx: GeodeticPosition) -> tuple[float, float]:
+    """One satellite's look angles through ``ecef_to_enu``: the per-satellite
+    body that ``geo.look_angles`` computes for a stack."""
+    enu = ecef_to_enu(sat, rx)
+    rng = math.sqrt(enu.east**2 + enu.north**2 + enu.up**2)
+    if rng == 0.0:
+        raise ZeroRange("satellite coincides with receiver")
+    elevation = math.asin(max(-1.0, min(1.0, enu.up / rng)))
+    azimuth = math.atan2(enu.east, enu.north) % (2.0 * math.pi)
+    return elevation, azimuth
 
 
 def make_epoch(

@@ -58,6 +58,10 @@ def test_value_validation():
     ):
         with pytest.raises(ConfigInvalid, match=f"'{key}'"):
             load_config(None, overrides)
+    # no profile, or one twice (its sessions would share ids), is refused
+    for profiles in ([], ["open_sky", "open_sky"], ["urban_canyon", "suburban", "urban_canyon"]):
+        with pytest.raises(ConfigInvalid, match="'simulate.profiles'"):
+            load_config(None, {"simulate": {"profiles": profiles}})
     # an int where a float is expected is fine
     assert load_config(None, {"simulate": {"rate_hz": 2}})["simulate"]["rate_hz"] == 2
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_elevation_azimuth
 from gnssweight.errors import NearGeocenter, ZeroRange
 from gnssweight.geo import (
     WGS84_B,
@@ -13,6 +14,7 @@ from gnssweight.geo import (
     elevation_azimuth,
     enu_rotation,
     geodetic_to_ecef,
+    look_angles,
 )
 
 
@@ -124,3 +126,46 @@ def test_zero_range_rejected():
     ref = GeodeticPosition(0.1, 0.2, 100.0)
     with pytest.raises(ZeroRange):
         elevation_azimuth(geodetic_to_ecef(ref), ref)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_look_angles_match_per_satellite_body():
+    # a stack of K satellites gets each one's look angles bit for bit,
+    # at the zenith, on the horizon and below it included
+    rng = np.random.default_rng(17)
+    links = 0
+    for trial in range(400):
+        ref = GeodeticPosition(
+            rng.uniform(-1.55, 1.55), rng.uniform(-math.pi, math.pi), rng.uniform(-100.0, 1e4)
+        )
+        rot = enu_rotation(ref)
+        origin = geodetic_to_ecef(ref).as_array()
+        k = int(rng.integers(0, 30))
+        sats = rng.normal(size=(k, 3)) * 2.6e7  # about half below the horizon
+        special = [
+            origin + 2e7 * rot[2],  # zenith
+            origin + 1e6 * rot[1],  # horizon, due north
+            origin + 3e6 * rot[0],  # horizon, due east
+            origin - 2e7 * rot[2],  # nadir
+            origin + rng.normal(size=3) * 1e-3,  # a millimetre away
+        ]
+        sats = np.vstack([sats, special[: trial % 6]]) if trial % 6 else sats
+        elevations, azimuths = look_angles(sats, ref)
+        expected = [reference_elevation_azimuth(EcefPosition(*s), ref) for s in sats]
+        assert _bits(elevations) == _bits(e for e, _ in expected), trial
+        assert _bits(azimuths) == _bits(a for _, a in expected), trial
+        for s, (e, a) in zip(sats[:3], expected):
+            assert _bits(elevation_azimuth(EcefPosition(*s), ref)) == _bits((e, a))
+        links += len(sats)
+    assert links > 5000
+    assert look_angles(np.empty((0, 3)), ref) == ([], [])
+
+
+def test_look_angles_reject_a_coincident_satellite():
+    ref = GeodeticPosition(0.1, 0.2, 100.0)
+    origin = geodetic_to_ecef(ref).as_array()
+    with pytest.raises(ZeroRange):
+        look_angles(np.array([origin + 2e7, origin, origin - 2e7]), ref)

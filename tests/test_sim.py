@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_elevation_azimuth
 from gnssweight import sim
 from gnssweight.errors import ConfigInvalid
-from gnssweight.geo import SPEED_OF_LIGHT, ecef_to_geodetic, elevation_azimuth
-from gnssweight.model import ConstellationId
+from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, ecef_to_geodetic, elevation_azimuth
+from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 from gnssweight.nn import truth_clock_biases
 from gnssweight.sim import (
+    ORBIT_PERIOD_S,
     PROFILES,
     SHELL_RADIUS_M,
     ScenarioConfig,
+    SessionTruth,
     generate_campaign,
     generate_session,
     nlos_probability,
@@ -207,23 +210,148 @@ def test_campaign_minimum_sessions():
         generate_campaign(PROFILES, sessions_per_profile=2, seed=0)
 
 
+def test_campaign_profiles_must_be_distinct_and_nonempty():
+    # a repeated profile would write two sessions under each of its ids
+    with pytest.raises(ConfigInvalid, match="simulate.profiles"):
+        generate_campaign(["open_sky", "open_sky"], sessions_per_profile=3, seed=0, epochs_per_session=2)
+    with pytest.raises(ConfigInvalid, match="simulate.profiles"):
+        generate_campaign([], sessions_per_profile=3, seed=0, epochs_per_session=2)
+    with pytest.raises(ConfigInvalid, match="simulate.profiles"):
+        generate_campaign(["indoor"], sessions_per_profile=3, seed=0, epochs_per_session=2)
+
+
+def _reference_orbit_basis(normal):
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(normal @ ref) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    u = np.cross(normal, ref)
+    u /= np.linalg.norm(u)
+    return u, np.cross(normal, u)
+
+
 def test_orbit_basis_is_bitwise_np_cross():
-    # the written-out cross products reproduce np.cross bit for bit,
-    # signed zeros included, for normals on either reference axis
+    # the stacked bases reproduce the per-normal np.cross and np.linalg.norm
+    # bit for bit, signed zeros included, for normals on either reference axis
     rng = np.random.default_rng(9)
     normals = rng.normal(size=(4000, 3))
     normals[:1000, 1:] *= 0.1  # near the x axis: these take [0, 1, 0]
     normals[1000:1100] = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]] * 25)
+    normals = np.array([normal / np.linalg.norm(normal) for normal in normals])
+    got_u, got_v = sim._orbit_basis(normals)
     refs = 0
-    for normal in normals:
-        normal = normal / np.linalg.norm(normal)
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(normal @ ref) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-            refs += 1
-        u = np.cross(normal, ref)
-        u /= np.linalg.norm(u)
-        v = np.cross(normal, u)
-        got_u, got_v = sim._orbit_basis(normal)
-        assert (got_u.tobytes(), got_v.tobytes()) == (u.tobytes(), v.tobytes()), normal
+    for normal, gu, gv in zip(normals, got_u, got_v):
+        refs += abs(normal[0]) > 0.9
+        u, v = _reference_orbit_basis(normal)
+        assert (gu.tobytes(), gv.tobytes()) == (u.tobytes(), v.tobytes()), normal
     assert 1000 <= refs < 4000
+
+
+def _reference_generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
+    """Reference simulator: one orbit, position, look angle and range per
+    satellite, where ``generate_session`` computes each as a stack."""
+    rng = np.random.default_rng(cfg.seed)
+    dt = 1.0 / cfg.rate_hz
+    n_epochs = int(round(cfg.duration_s * cfg.rate_hz))
+    times = np.arange(n_epochs) * dt
+    positions = sim._trajectory(cfg, times)
+    orbits = []
+    for const, count in sorted(cfg.sv_counts.items()):
+        for sv in range(1, count + 1):
+            normal = rng.normal(size=3)
+            normal /= np.linalg.norm(normal)
+            u, v = _reference_orbit_basis(normal)
+            orbits.append((const, sv, u, v, rng.uniform(0.0, 2.0 * math.pi)))
+
+    consts = sorted(cfg.sv_counts.keys())
+    clock = {c: float(rng.uniform(-sim.CLOCK_INIT_SPAN_S, sim.CLOCK_INIT_SPAN_S)) for c in consts}
+    lock_time: dict = {}
+    epochs = []
+    truth = SessionTruth()
+    for k, t in enumerate(times):
+        rx = EcefPosition.from_array(positions[k])
+        rx_geo = ecef_to_geodetic(rx)
+        for c in consts:
+            clock[c] += float(rng.normal(0.0, sim.CLOCK_WALK_SIGMA_S))
+        raw = []
+        for const, sv, u, v, phase in orbits:
+            psi = phase + 2.0 * math.pi * float(t) / ORBIT_PERIOD_S[const]
+            sat_arr = SHELL_RADIUS_M[const] * (math.cos(psi) * u + math.sin(psi) * v)
+            sat = EcefPosition.from_array(sat_arr)
+            elev, _ = reference_elevation_azimuth(sat, rx_geo)
+            key = (const, sv)
+            if elev < sim.ELEVATION_MASK:
+                lock_time.pop(key, None)
+                continue
+            lt = lock_time.get(key, -dt) + dt
+            lock_time[key] = lt
+
+            p_nlos = nlos_probability(sorted(cfg.nlos_prob_curve), elev)
+            is_nlos = bool(rng.random() < p_nlos)
+            bias = float(rng.exponential(cfg.nlos_bias_mean_m)) if is_nlos else 0.0
+            sigma = cfg.noise_sigma_m / max(math.sin(elev), math.sin(sim.ELEVATION_MASK))
+            noise = float(rng.normal(0.0, sigma)) if cfg.noise_sigma_m > 0 else 0.0
+            rng_m = float(np.linalg.norm(rx.as_array() - sat.as_array()))
+            pr = rng_m + SPEED_OF_LIGHT * clock[const] + noise + bias
+
+            cn0_sigma2 = sim.CN0_NOISE_SIGMA_DB**2
+            if cfg.profile == "urban_canyon":
+                cn0_sigma2 += sim.MP_CN0_VAR_INFLATION_DB2
+            cn0 = (
+                sim.CN0_BASE_DBHZ
+                - sim.CN0_ELEV_LOSS_DB * (1.0 - math.sin(elev))
+                - (sim.NLOS_CN0_PENALTY_DB if is_nlos else 0.0)
+                + (float(rng.normal(0.0, math.sqrt(cn0_sigma2))) if cn0_sigma2 > 0 else 0.0)
+            )
+            cn0 = float(np.clip(cn0, 0.0, 60.0))
+            m = PseudorangeMeasurement(
+                constellation=const, sv_id=sv, band=Band.L1, pseudorange=pr,
+                sat_pos=sat, cn0=cn0, lock_time=lt,
+            )
+            raw.append((m, is_nlos, bias))
+        raw.sort(key=lambda item: item[0].key)
+        epochs.append(
+            Epoch(time=float(t), measurements=[m for m, _, _ in raw], truth=rx, session_id=session_id)
+        )
+        truth.positions.append(rx)
+        truth.fault_flags.append([f for _, f, _ in raw])
+        truth.fault_biases.append([b for _, _, b in raw])
+    return epochs, truth
+
+
+_DENSE_SKY = {  # the dense_sky_fix benchmark's sky, BeiDou included
+    ConstellationId.GPS: 14,
+    ConstellationId.GALILEO: 13,
+    ConstellationId.GLONASS: 13,
+    ConstellationId.BEIDOU: 14,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        profile_config("open_sky", seed=601, duration_s=20.0),
+        profile_config("suburban", seed=811, duration_s=20.0),
+        profile_config("urban_canyon", seed=7, duration_s=20.0),
+        profile_config("urban_canyon", seed=31, duration_s=10.0, sv_counts=_DENSE_SKY),
+        profile_config("suburban", seed=32, duration_s=10.0, noise_sigma_m=0.0),
+        # crosses the elevation mask, so lock times reset
+        profile_config("open_sky", seed=13, duration_s=240.0, rate_hz=1.0),
+    ],
+    ids=["open_sky", "suburban", "urban_canyon", "dense_sky", "noise_free", "mask_crossing"],
+)
+def test_session_matches_per_satellite_reference(cfg):
+    epochs, truth = generate_session(cfg, "s1")
+    ref_epochs, ref_truth = _reference_generate_session(cfg, "s1")
+    assert len(epochs) == len(ref_epochs)
+    # repr spells every float exactly, signed zeros included
+    for k, (e, r) in enumerate(zip(epochs, ref_epochs)):
+        assert (e.time, e.session_id, repr(e.truth)) == (r.time, r.session_id, repr(r.truth)), k
+        assert [repr(m) for m in e.measurements] == [repr(m) for m in r.measurements], k
+    assert repr(truth.positions) == repr(ref_truth.positions)
+    assert truth.fault_flags == ref_truth.fault_flags
+    assert repr(truth.fault_biases) == repr(ref_truth.fault_biases)
+    if cfg.duration_s == 240.0:
+        # some link leaves the mask and a link enters it after the first epoch
+        keys = [{m.key for m in e.measurements} for e in epochs]
+        assert any(a - b for a, b in zip(keys, keys[1:]))
+        assert any(m.lock_time == 0.0 for e in epochs[1:] for m in e.measurements)
