@@ -8,11 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, NonConvergence
+from .errors import EmptySplit, GnssWeightError, HorizonSingularity, NotEnoughMeasurements, SingularGeometry
 from .geo import ecef_to_geodetic, look_angles
 from .model import Epoch
-from .residuals import ResidualMatrix
-from .solver import SolveReport, equal_weight_fix, fix_from_row, jacobian, solve_wls
+from .solver import SolveReport, epoch_problem, fix_from_row, jacobian, solve_batch
+from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 DEFAULT_ELEVATION_MASK = math.radians(5.0)
 
@@ -111,27 +111,59 @@ class FdeResult:
     excluded: list = field(default_factory=list)  # indices in canonical order
 
 
-def fde_solve(
-    epoch: Epoch,
-    cfg: FdeConfig,
-    params: SotaWeightParams,
-    fix: SolveReport | None = None,
-    loo: ResidualMatrix | None = None,
-) -> FdeResult:
+def fde_solve(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveReport | None = None) -> FdeResult:
     """Iterative residual-test exclusion, then a parametric-weight solve.
 
     Each round solves the surviving set with equal weights, standardizes
     the post-fit residuals by their linearized variance, and drops the
     worst offender while it exceeds the threshold. Survivors are finally
     solved with ``sota_weights`` from the parametric model. ``fix`` is the
-    epoch's ``equal_weight_fix`` when the caller already has it; it is the
-    first round, which is solved here otherwise. ``loo`` is the epoch's
-    leave-one-out matrix when the caller has one: the round after the
-    first exclusion is then its row for the excluded link, which has the
-    bits of that round's ``equal_weight_fix``, whenever the row keeps every
-    constellation's clock and is not singular (``ResidualMatrix.row``).
-    Otherwise, and for every later round, the round is solved here.
+    epoch's equal-weight fix, or None to solve it here as the first round.
+    This is ``fde_solve_batch`` of one epoch; it raises NotEnoughMeasurements
+    below ``min_retained`` + 1 links, SingularGeometry for a singular solve.
     """
+    res = fde_solve_batch([epoch], cfg, params, [fix])[0]
+    if isinstance(res, GnssWeightError):
+        raise res
+    return res
+
+
+def fde_solve_batch(epochs, cfg: FdeConfig, params: SotaWeightParams, fixes) -> list:
+    """``fde_solve`` of every epoch in lockstep: entry k is epoch k's
+    FdeResult or error; ``fixes[k]`` is its fix, or None to solve it here.
+    Each round, every running epoch decides its exclusion (``_fde_run``),
+    then one ``solver.solve_batch`` solves all their next rounds; one more
+    solves every final problem. Each row has the bits of its own solve.
+    """
+    runs = [_fde_run(epoch, cfg, params, fix) for epoch, fix in zip(epochs, fixes, strict=True)]
+    out: list = [None] * len(epochs)
+    sends = dict.fromkeys(range(len(epochs)))  # epoch -> the fix its run is sent next
+    asks: dict = {}  # epoch -> the (weights, start) its run waits on
+    while sends or asks:
+        for k, rep in sends.items():
+            try:
+                asks[k] = runs[k].send(rep)
+            except StopIteration as stop:
+                out[k] = stop.value
+            except GnssWeightError as e:
+                out[k] = e
+        # rounds start cold; the final solves, warm-started, wait for the last round
+        now = {k: asks.pop(k) for k in [k for k, (_, start) in asks.items() if start is None] or list(asks)}
+        solved = solve_batch([epoch_problem(epochs[k], w[None], start) for k, (w, start) in now.items()])
+        sends = {}
+        for k, row in zip(now, solved):
+            rep = fix_from_row(epochs[k], tuple(a[0] for a in row))
+            if rep is None:  # each problem has state_dim positive weights: it is singular
+                out[k] = SingularGeometry("weighted normal matrix condition number above limit")
+            else:
+                sends[k] = rep
+    return out
+
+
+def _fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveReport | None):
+    """``fde_solve`` on one epoch as a generator: it yields each problem it
+    needs solved, (weights, start) with start None for an equal-weight
+    round, is sent that problem's fix, and returns the FdeResult."""
     n = epoch.n
     min_keep = max(cfg.min_retained, epoch.state_dim())
     if n < min_keep + 1:
@@ -139,13 +171,10 @@ def fde_solve(
 
     active = np.ones(n, dtype=bool)
     excluded: list[int] = []
-    rep = fix if fix is not None else equal_weight_fix(epoch)
-    while True:
-        state = rep.state
-        if int(active.sum()) <= min_keep or len(excluded) >= cfg.max_exclusions:
-            break
+    rep = fix if fix is not None else (yield active.astype(float), None)
+    while int(active.sum()) > min_keep and len(excluded) < cfg.max_exclusions:
         # leverage of each active row in the equal-weight linear model
-        H = jacobian(state, epoch)[active]
+        H = jacobian(rep.state, epoch)[active]
         hat = H @ np.linalg.solve(H.T @ H, H.T)
         lev = np.clip(np.diag(hat), 0.0, 1.0 - 1e-6)
         r = rep.post_fit_residuals[active]
@@ -156,20 +185,16 @@ def fde_solve(
         active_idx = np.flatnonzero(active)
         excluded.append(int(active_idx[worst]))
         active[active_idx[worst]] = False
-        row = loo.row(excluded[0]) if loo is not None and len(excluded) == 1 else None
-        rep = fix_from_row(epoch, row) if row is not None else equal_weight_fix(epoch, active)
+        rep = yield active.astype(float), None
 
     # parametric weights on the survivors
     survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
-    thetas, _ = look_angles(epoch.sat_array()[active], ecef_to_geodetic(state.position))
+    thetas, _ = look_angles(epoch.sat_array()[active], ecef_to_geodetic(rep.state.position))
     w = np.zeros(n)
     w[active] = sota_weights(thetas, [m.cn0 for m in survivors], params)
     if int(np.sum(w > 0)) < epoch.state_dim():
         w = active.astype(float)  # degenerate masking: fall back to equal weights
-    try:
-        # warm start from the survivor fix: anisotropic weights converge in
-        # a few steps from there where a cold start can creep for dozens
-        final = solve_wls(epoch, w, init=state)
-    except NonConvergence as e:
-        final = e.report
+    # warm start from the survivor fix: anisotropic weights converge in
+    # a few steps from there where a cold start can creep for dozens
+    final = yield w, rep.state
     return FdeResult(report=final, excluded=sorted(excluded))

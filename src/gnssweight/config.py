@@ -97,9 +97,11 @@ def _validate(cfg: dict) -> None:
     if tr["learning_rate"] <= 0:
         raise ConfigInvalid("'train.learning_rate' must be > 0")
     ev = cfg["evaluate"]
-    for s in ev["strategies"]:
+    for i, s in enumerate(ev["strategies"]):
         if s not in STRATEGIES:
             raise ConfigInvalid(f"'evaluate.strategies' entry {s!r} not one of {STRATEGIES}")
+        if s in ev["strategies"][:i]:
+            raise ConfigInvalid(f"'evaluate.strategies' repeats {s!r}")
     fde = ev["fde"]
     if fde["threshold"] <= 0:
         raise ConfigInvalid("'evaluate.fde.threshold' must be > 0")

@@ -8,13 +8,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .baselines import FdeConfig, SotaWeightParams, fde_solve
+from .baselines import FdeConfig, FdeResult, SotaWeightParams, fde_solve_batch
+from .baselines import fde_solve  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 from .errors import ConfigInvalid, EmptySamples, GnssWeightError, NonConvergence, ParseError
 from .featurize import feature_columns, featurize_sessions
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
-from .solver import SolveReport, epoch_problem, fix_from_row, row_report, solve_batch
+from .solver import epoch_problem, fix_from_row, row_report, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 CSV_COLUMNS = ["session_id", "t", "strategy", "h_err_m", "v_err_m", "converged", "n_sv", "n_zero_weight"]
@@ -108,26 +109,18 @@ def _weighted_record(epoch: Epoch, strategy: str, w: np.ndarray, row) -> ErrorRe
         return _record(epoch, strategy, n_zero=n_zero)
 
 
-def _fde_record(epoch: Epoch, models: StrategyModels, fix: SolveReport | None, loo) -> ErrorRecord:
-    if fix is None:  # FDE's first round is this same failed solve
-        return _record(epoch, "fde_sota")
-    try:
-        res = fde_solve(epoch, models.fde_cfg, models.sota, fix=fix, loo=loo)
-    except GnssWeightError:
-        return _record(epoch, "fde_sota")
-    return _record(epoch, "fde_sota", res.report.state, True, len(res.excluded))
-
-
 def _check_strategies(strategies, models: StrategyModels) -> None:
-    """Raise ValueError for an unknown strategy, or one whose model or
-    calibrated parameters are missing."""
-    for strategy in strategies:
+    """Raise ValueError for an unknown or repeated strategy, or one whose
+    model or calibrated parameters are missing."""
+    for i, strategy in enumerate(strategies):
         if strategy in LEARNED and getattr(models, strategy) is None:
             raise ValueError(f"strategy {strategy} requires a trained model")
         if strategy == "fde_sota" and models.sota is None:
             raise ValueError("strategy fde_sota requires calibrated parameters")
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy in strategies[:i]:
+            raise ValueError(f"strategy {strategy!r} listed twice")
 
 
 def evaluate_session(session, strategies, models: StrategyModels):
@@ -194,20 +187,20 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
        fix: strongly anisotropic weights (spreads of 1e7 and more) make
        cold-start damped iteration creep, while the weighted problem
        converges in a few steps from the fix
-    4. FDE per epoch from the fix, its first exclusion round taken from
-       the epoch's leave-one-out rows when it has them
+    4. FDE in lockstep from every epoch's fix (``baselines.fde_solve_batch``);
+       without a fix, FDE's first round is that same failed solve
     """
     _check_strategies(strategies, models)
     scored = [[e for e in s.epochs if e.truth is not None] for s in sessions]
     epochs = [e for s in scored for e in s]
     if any(s in LEARNED for s in strategies):
-        featurized = featurize_sessions(scored)  # (fm, fix, loo) per epoch
+        featurized = featurize_sessions(scored)  # (fm, fix) per epoch
     else:
         solved = solve_batch([epoch_problem(e, np.ones((1, e.n))) for e in epochs])
-        featurized = [(None, fix_from_row(e, tuple(a[0] for a in row)), None) for e, row in zip(epochs, solved)]
+        featurized = [(None, fix_from_row(e, tuple(a[0] for a in row))) for e, row in zip(epochs, solved)]
 
     weights = []  # per epoch, strategy -> weights of its weighted strategies
-    for epoch, (fm, _, _) in zip(epochs, featurized):
+    for epoch, (fm, _) in zip(epochs, featurized):
         ws = {}
         for strategy in strategies:
             if strategy == "equal":
@@ -221,18 +214,25 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
         weights.append(ws)
     solved = solve_batch([
         epoch_problem(e, np.reshape(list(ws.values()), (len(ws), e.n)), fix.state if fix is not None else None)
-        for e, ws, (_, fix, _) in zip(epochs, weights, featurized)
+        for e, ws, (_, fix) in zip(epochs, weights, featurized)
     ])
 
+    fde = {}  # epoch index -> FdeResult, for each epoch whose FDE succeeded
+    if "fde_sota" in strategies:
+        fixed = [k for k, (_, fix) in enumerate(featurized) if fix is not None]
+        results = fde_solve_batch([epochs[k] for k in fixed], models.fde_cfg, models.sota,
+                                  [featurized[k][1] for k in fixed])
+        fde = {k: res for k, res in zip(fixed, results) if isinstance(res, FdeResult)}
+
     records = []
-    for epoch, ws, kernel, (_, fix, loo) in zip(epochs, weights, solved, featurized):
+    for k, (epoch, ws, kernel) in enumerate(zip(epochs, weights, solved)):
         kernel_rows = dict(zip(ws, zip(*kernel)))
         for strategy in strategies:
             if strategy in ws:
                 records.append(_weighted_record(epoch, strategy, ws[strategy], kernel_rows[strategy]))
-            elif strategy == "fde_sota":
-                records.append(_fde_record(epoch, models, fix, loo))
-            else:  # a learned strategy on an epoch without features
+            elif strategy == "fde_sota" and k in fde:
+                records.append(_record(epoch, strategy, fde[k].report.state, True, len(fde[k].excluded)))
+            else:  # a learned strategy on an epoch without features, or a failed FDE
                 records.append(_record(epoch, strategy))
     return records
 

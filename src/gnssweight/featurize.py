@@ -107,36 +107,30 @@ class EpochFeaturizer:
     dimension). When the fix fails the tracking window is not advanced,
     since elevations need a receiver position; when only the
     leave-one-out matrix fails it is, so later epochs see a correct
-    history. After each call ``fix`` and ``matrix`` hold that epoch's fix
-    and ResidualMatrix, each None when it could not be formed, so that a
-    caller can reuse them.
+    history. After each call ``fix`` holds that epoch's fix, None when it
+    could not be formed, so that a caller can reuse it.
     """
 
     def __init__(self):
         self.history = TrackingHistory()
         self.skipped = 0
         self.fix: SolveReport | None = None
-        self.matrix: ResidualMatrix | None = None
 
     def featurize(self, epoch: Epoch, rows=None) -> np.ndarray | None:
         """Feature matrix of ``epoch``, or None when it is skipped."""
         if rows is None:
             rows = solve_rows([epoch])[0]
         self.fix = fix = rows_fix(epoch, rows)
-        self.matrix = rmat = build_residual_matrix(epoch, rows) if epoch.n > epoch.state_dim() else None
-        if fix is None:
-            self.skipped += 1
-            return None
-        rx_geo = ecef_to_geodetic(fix.state.position)
-        per_link = self.history.update_and_extract(epoch, rx_geo)
-        if rmat is None:
-            self.skipped += 1
-            return None
-        return assemble_feature_matrix(rmat, per_link)
+        if fix is not None:
+            per_link = self.history.update_and_extract(epoch, ecef_to_geodetic(fix.state.position))
+            if epoch.n > epoch.state_dim():
+                return assemble_feature_matrix(build_residual_matrix(epoch, rows), per_link)
+        self.skipped += 1
+        return None
 
 
 def featurize_sessions(sessions) -> list:
-    """(feature matrix, fix, ResidualMatrix) of every epoch of ``sessions``, in order.
+    """(feature matrix, fix) of every epoch of ``sessions``, in order.
 
     ``sessions`` is a list of epoch sequences. The leave-one-out rows and
     fixes of all their epochs are solved first, as one
@@ -144,8 +138,8 @@ def featurize_sessions(sessions) -> list:
     and ``solver.MAX_ROWS_PER_CALL`` rows); then each session runs through
     its own ``EpochFeaturizer`` in order. Each entry holds what the
     featurizer returned and kept for that epoch: the feature matrix (None
-    when the epoch is skipped), the equal-weight fix and the
-    ResidualMatrix (each None when it could not be formed).
+    when the epoch is skipped) and the equal-weight fix (None when it
+    could not be formed).
     """
     rows = iter(solve_rows([e for epochs in sessions for e in epochs]))
     out = []
@@ -153,7 +147,7 @@ def featurize_sessions(sessions) -> list:
         fz = EpochFeaturizer()
         for epoch in epochs:
             fm = fz.featurize(epoch, next(rows))
-            out.append((fm, fz.fix, fz.matrix))
+            out.append((fm, fz.fix))
     return out
 
 
@@ -169,7 +163,7 @@ def dataset_samples(dataset):
     splits = {"train": [], "val": []}
     sessions = [s for s in dataset.sessions if s.split in splits]
     epochs = [(s.split, e) for s in sessions for e in s.epochs]
-    for (split, epoch), (fm, _, _) in zip(epochs, featurize_sessions([s.epochs for s in sessions])):
+    for (split, epoch), (fm, _) in zip(epochs, featurize_sessions([s.epochs for s in sessions])):
         if fm is not None:
             splits[split].append((fm, make_labels(epoch) if epoch.truth is not None else None))
     return splits

@@ -23,34 +23,17 @@ class ResidualMatrix:
     """N x N leave-one-out residuals; row n excludes measurement n.
 
     values[n, i] is the residual of measurement i against the equal-weight
-    solution computed without measurement n; the diagonal is GAMMA.
-    ``links`` and ``kernel`` hold the batch of rows that drop no
-    constellation's only link: ``kernel`` is its ``solver.solve_batch``
-    output (x, iterations, status, cost) in kernel layout, and entry k is
-    the row excluding link ``links[k]``. The epoch's equal-weight fix is
-    not part of the matrix: ``rows_fix`` reads it from the same
-    ``solve_rows`` entry.
+    solution computed without measurement n; the diagonal is GAMMA. The
+    epoch's equal-weight fix is not part of the matrix: ``rows_fix`` reads
+    it from the same ``solve_rows`` entry.
     """
 
     values: np.ndarray
-    links: np.ndarray
-    kernel: tuple
     failed_rows: list[int] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def row(self, link: int) -> tuple | None:
-        """Kernel output of the row excluding ``link``, when that row keeps
-        every constellation's clock and is not singular: bit for bit
-        ``solver.equal_weight_fix(epoch, active)`` with only ``link``
-        inactive. None otherwise."""
-        k = int(np.searchsorted(self.links, link))
-        if k == self.links.size or self.links[k] != link:
-            return None
-        row = tuple(a[k] for a in self.kernel)
-        return None if row[2] == _kernels.STATUS_SINGULAR else row
 
 
 def _row_groups(epoch: Epoch) -> list:
@@ -155,5 +138,4 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
         full[:, 3 + kept] = SPEED_OF_LIGHT * (x[ok, 3:] / SPEED_OF_LIGHT)
         values[links[ok]] = pr - predicted_pseudoranges(epoch, full)
     np.fill_diagonal(values, GAMMA)
-    links, _, out = rows[0]
-    return ResidualMatrix(values=values, failed_rows=sorted(failed), links=links, kernel=tuple(a[:-1] for a in out))
+    return ResidualMatrix(values=values, failed_rows=sorted(failed))

@@ -233,16 +233,12 @@ def _call_arrays(problems, call):
 def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveReport:
     """Cold-start equal-weight fix over the ``active`` measurements (all by default).
 
-    This is the one solve every consumer of an epoch starts from: the
-    featurizer's rough position, the warm start of each weighted
-    strategy and FDE's first round. A NonConvergence report counts as the
-    fix; NotEnoughMeasurements and SingularGeometry propagate.
-
-    ``residuals.solve_rows`` solves the all-in-view fix of every epoch as
-    the all-ones row of its batch, and the fix on each leave-one-out
-    subset, with the same bits and the same rule (``fix_from_row``); so
-    does ``evaluation`` when no learned strategy runs. This function is
-    the fix of FDE's later rounds and of a caller without those rows.
+    A NonConvergence report counts as the fix; NotEnoughMeasurements and
+    SingularGeometry propagate. Every fix in the package is a
+    ``solve_batch`` row read by ``fix_from_row``, with the same bits and
+    rule: the all-ones and leave-one-out rows of ``residuals.solve_rows``,
+    ``evaluation``'s fixes when no learned strategy runs and FDE's rounds.
+    This single solve is the reference the tests compare them with.
     """
     w = np.ones(epoch.n) if active is None else np.asarray(active, dtype=float)
     try:
@@ -252,9 +248,9 @@ def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveRep
 
 
 def fix_from_row(epoch: Epoch, row) -> SolveReport | None:
-    """``equal_weight_fix``'s rule on a kernel row: a capped row counts as the
-    fix; None where ``equal_weight_fix`` raises NotEnoughMeasurements or
-    SingularGeometry."""
+    """``equal_weight_fix``'s rule on a kernel row, its one copy (FDE's final
+    solves use it too): a capped row counts as the fix; None where
+    ``equal_weight_fix`` raises NotEnoughMeasurements or SingularGeometry."""
     try:
         return row_report(epoch, *row)
     except NonConvergence as e:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -166,49 +167,61 @@ def _assert_same_fde(a, b):
     assert ra.post_fit_residuals.tobytes() == rb.post_fit_residuals.tobytes()
 
 
-def test_fde_round_from_loo_matrix_is_bitwise(rng, monkeypatch):
-    """The first exclusion round taken from the leave-one-out batch gives
-    FDE the bits of the round it would solve itself, and saves that solve."""
-    from gnssweight import baselines
-    from gnssweight.residuals import build_residual_matrix, rows_fix, solve_rows
+def _reference_fde(epoch, cfg, params, fix=None):
+    """FDE as one epoch's own loop of single solves, each round an
+    ``equal_weight_fix`` and the final solve a ``solve_wls``: the reference
+    that ``fde_solve_batch`` matches bit for bit."""
+    from gnssweight.baselines import FdeResult
+    from gnssweight.errors import NonConvergence
+    from gnssweight.geo import ecef_to_geodetic, look_angles
+    from gnssweight.solver import equal_weight_fix, jacobian, solve_wls
 
-    calls = []
-    fix_solve = baselines.equal_weight_fix
+    n = epoch.n
+    min_keep = max(cfg.min_retained, epoch.state_dim())
+    if n < min_keep + 1:
+        raise NotEnoughMeasurements(f"N={n} below min retained {min_keep} + 1")
+    active = np.ones(n, dtype=bool)
+    excluded = []
+    rep = fix if fix is not None else equal_weight_fix(epoch)
+    while True:
+        state = rep.state
+        if int(active.sum()) <= min_keep or len(excluded) >= cfg.max_exclusions:
+            break
+        H = jacobian(state, epoch)[active]
+        hat = H @ np.linalg.solve(H.T @ H, H.T)
+        lev = np.clip(np.diag(hat), 0.0, 1.0 - 1e-6)
+        r = rep.post_fit_residuals[active]
+        std = r / (cfg.noise_sigma_m * np.sqrt(1.0 - lev))
+        worst = int(np.argmax(np.abs(std)))
+        if abs(std[worst]) <= cfg.threshold:
+            break
+        active_idx = np.flatnonzero(active)
+        excluded.append(int(active_idx[worst]))
+        active[active_idx[worst]] = False
+        rep = equal_weight_fix(epoch, active)
 
-    def counting(epoch, active=None):
-        calls.append(active is not None)
-        return fix_solve(epoch, active)
-
-    monkeypatch.setattr(baselines, "equal_weight_fix", counting)
-    taken = 0
-    for k in range(20):
-        biases = {5: 80.0, 9: -60.0} if k % 2 else {5: 80.0}
-        epoch, _ = make_epoch(rng, n=12, noise_sigma=1.0, biases=biases)
-        rows = solve_rows([epoch])[0]
-        M, fix = build_residual_matrix(epoch, rows), rows_fix(epoch, rows)
-        cfg = FdeConfig(noise_sigma_m=1.0)
-        calls.clear()
-        plain = fde_solve(epoch, cfg, _bland_params(), fix=fix)
-        rounds = len(calls)
-        calls.clear()
-        fast = fde_solve(epoch, cfg, _bland_params(), fix=fix, loo=M)
-        _assert_same_fde(fast, plain)
-        if plain.excluded:
-            assert M.row(plain.excluded[0]) is not None
-            assert len(calls) == rounds - 1
-            taken += 1
-    assert taken >= 15
+    survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
+    thetas, _ = look_angles(epoch.sat_array()[active], ecef_to_geodetic(state.position))
+    w = np.zeros(n)
+    w[active] = sota_weights(thetas, [m.cn0 for m in survivors], params)
+    if int(np.sum(w > 0)) < epoch.state_dim():
+        w = active.astype(float)
+    try:
+        final = solve_wls(epoch, w, init=state)
+    except NonConvergence as e:
+        final = e.report
+    return FdeResult(report=final, excluded=sorted(excluded))
 
 
-def test_fde_one_link_constellation_round_is_solved(rng):
-    """When the first excluded link is its constellation's only link, the
-    leave-one-out row solved without that clock cannot stand in for the
-    round: FDE solves it and fails as it does without the matrix."""
+def _one_link_constellation_epoch(rng):
+    """A GPS epoch plus one Galileo link, and a fix whose large residual
+    on that link makes FDE exclude it first. The link's own clock absorbs
+    its residual, so no real fix would; without the link that clock has
+    no measurement, and the round's normal matrix is singular."""
     from dataclasses import replace
 
-    from gnssweight.errors import SingularGeometry
     from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
-    from gnssweight.residuals import build_residual_matrix, rows_fix, solve_rows
+    from gnssweight.solver import equal_weight_fix
 
     epoch, _ = make_epoch(rng, n=11, constellations=(ConstellationId.GPS,), noise_sigma=1.0)
     base = epoch.measurements[0]
@@ -216,14 +229,68 @@ def test_fde_one_link_constellation_round_is_solved(rng):
                                  epoch.measurements[3].sat_pos, 40.0, 1.0)
     epoch = Epoch(time=0.0, measurements=[*epoch.measurements, one], truth=epoch.truth)
     link = next(i for i, m in enumerate(epoch.measurements) if m.constellation == ConstellationId.GALILEO)
-    rows = solve_rows([epoch])[0]
-    M, fix = build_residual_matrix(epoch, rows), rows_fix(epoch, rows)
-    assert M.row(link) is None
-    # the link's own clock absorbs its residual, so a fix whose residual
-    # there is large is what makes FDE exclude it first
+    fix = equal_weight_fix(epoch)
     r = fix.post_fit_residuals.copy()
     r[link] = 1e3
-    fix = replace(fix, post_fit_residuals=r)
-    for loo in (None, M):
-        with pytest.raises(SingularGeometry):
-            fde_solve(epoch, FdeConfig(noise_sigma_m=1.0), _bland_params(), fix=fix, loo=loo)
+    return epoch, replace(fix, post_fit_residuals=r)
+
+
+def test_fde_one_link_constellation_round_is_solved(rng):
+    """A round that excludes its constellation's only link is solved with
+    that clock column and fails as singular."""
+    from gnssweight.errors import SingularGeometry
+
+    epoch, fix = _one_link_constellation_epoch(rng)
+    with pytest.raises(SingularGeometry):
+        fde_solve(epoch, FdeConfig(noise_sigma_m=1.0), _bland_params(), fix=fix)
+
+
+def test_lockstep_fde_matches_per_epoch_loop(rng, monkeypatch):
+    """``fde_solve_batch`` gives every epoch of one mixed batch the bits,
+    or the error, of its own loop of single solves (``_reference_fde``):
+    N from d + 1 to 20 over 1-3 constellations with 0-3 faults, fixes given
+    and not, the exclusion cap and the retention floor reached, too few
+    links, a singular round, and (under a lowered iteration cap) capped
+    final solves."""
+    from gnssweight import _kernels
+    from gnssweight.baselines import fde_solve_batch
+    from gnssweight.errors import GnssWeightError
+    from gnssweight.model import ConstellationId as C
+    from gnssweight.solver import equal_weight_fix
+
+    cfg = FdeConfig(noise_sigma_m=1.0, max_exclusions=2, min_retained=5)
+    skies = ((C.GPS,), (C.GPS, C.GALILEO), (C.GPS, C.GALILEO, C.GLONASS))
+    epochs, fixes = [], []
+    for k in range(42):
+        consts = skies[k % 3]
+        n = 4 + len(consts) + k % 14
+        faults = rng.choice(n, size=k % 4, replace=False)
+        biases = {int(i): float(rng.choice([-1.0, 1.0]) * rng.uniform(30.0, 120.0)) for i in faults}
+        epoch, _ = make_epoch(rng, n=n, constellations=consts, noise_sigma=1.0, biases=biases)
+        epochs.append(epoch)
+        fixes.append(equal_weight_fix(epoch) if k % 2 else None)
+    epoch, fix = _one_link_constellation_epoch(rng)
+    epochs.append(epoch)
+    fixes.append(fix)
+
+    for cap in (_kernels.MAX_ITERATIONS, 2):
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
+        seen = Counter()
+        for epoch, fix, got in zip(epochs, fixes, fde_solve_batch(epochs, cfg, _bland_params(), fixes)):
+            try:
+                want = _reference_fde(epoch, cfg, _bland_params(), fix)
+            except GnssWeightError as e:
+                assert type(got) is type(e), (got, e)
+                seen[type(e).__name__] += 1
+                continue
+            _assert_same_fde(got, want)
+            d = epoch.state_dim()
+            seen["fix given" if fix is not None else "fix solved"] += 1
+            seen["d + 1 links"] += epoch.n == d + 1
+            seen["exclusion cap"] += len(got.excluded) == cfg.max_exclusions
+            seen["retention floor"] += bool(got.excluded) and epoch.n - len(got.excluded) == max(cfg.min_retained, d)
+            seen["capped final"] += not got.report.converged
+        assert seen["NotEnoughMeasurements"] >= 1 and seen["SingularGeometry"] >= 1, seen
+        for case in ("fix given", "fix solved", "d + 1 links", "exclusion cap", "retention floor"):
+            assert seen[case] >= 1, (case, seen)
+    assert seen["capped final"] >= 1, seen

@@ -55,6 +55,9 @@ def test_value_validation():
         ({"evaluate": {"fde": {"noise_sigma_m": 0}}}, "evaluate.fde.noise_sigma_m"),
         ({"evaluate": {"fde": {"max_exclusions": -1}}}, "evaluate.fde.max_exclusions"),
         ({"evaluate": {"fde": {"min_retained": -5}}}, "evaluate.fde.min_retained"),
+        # a repeated strategy would write each of its records twice
+        ({"evaluate": {"strategies": ["equal", "equal"]}}, "evaluate.strategies"),
+        ({"evaluate": {"strategies": ["truth", "fde_sota", "truth"]}}, "evaluate.strategies"),
     ):
         with pytest.raises(ConfigInvalid, match=f"'{key}'"):
             load_config(None, overrides)

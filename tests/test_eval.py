@@ -116,6 +116,8 @@ def test_missing_model_raises(monkeypatch):
         evaluate_session(session, ("fde_sota",), StrategyModels())
     with pytest.raises(ValueError, match="unknown"):
         evaluate_session(session, ("bogus",), StrategyModels())
+    with pytest.raises(ValueError, match="'equal' listed twice"):
+        evaluate_session(session, ("equal", "truth", "equal"), StrategyModels())
     # checked before any solve: also with nothing to score
     unscored = Session("none", "open_sky", "test", [], None)
     with pytest.raises(ValueError, match="nn_full"):

@@ -83,10 +83,10 @@ def test_session_samples_and_split(rng):
         epochs.append(ep)
     featurized = featurize_sessions([epochs])
     assert len(featurized) == 5
-    for epoch, (fm, fix, rmat) in zip(epochs, featurized):
+    for epoch, (fm, fix) in zip(epochs, featurized):
         assert fm.shape == (8, N_FEATURES)
-        assert fix is not None and rmat.n == 8
-    samples = [(fm, make_labels(epoch)) for epoch, (fm, _, _) in zip(epochs, featurized)]
+        assert fix is not None
+    samples = [(fm, make_labels(epoch)) for epoch, (fm, _) in zip(epochs, featurized)]
     norm = fit_normalization(samples, "residual")
     pairs = normalized_split(samples, norm, "residual")
     assert all(fm.shape[1] == N_RESIDUAL_SUMMARY for fm, _ in pairs)

@@ -353,4 +353,3 @@ def test_singular_fix_row_is_none():
         equal_weight_fix(epoch)
     assert residuals.rows_fix(epoch, rows) is None
     assert M.failed_rows == list(range(6))
-    assert all(M.row(link) is None for link in range(6))
