@@ -40,7 +40,7 @@ class FdeConfig:
     noise_sigma_m: float = 1.0  # nominal sigma used to standardize residuals
 
 
-def cn0_linear(cn0_dbhz) -> float:
+def cn0_linear(cn0_dbhz) -> np.ndarray:
     return 10.0 ** (np.asarray(cn0_dbhz, dtype=float) / 10.0)
 
 
@@ -68,7 +68,8 @@ def calibrate_sota(thetas, cn0s, errors_m) -> SotaWeightParams:
     median squared error (rescaled to a variance, which keeps heavy NLOS
     tails from inflating the fit) and the model is solved by nonnegative
     least squares on sin^2(theta) * sigma2, one row per populated bin in
-    sorted (elevation bin, C/N0 bin) order.
+    sorted (elevation bin, C/N0 bin) order; ``_nnls2`` enumerates the
+    active sets of the two coefficients.
     """
     thetas = np.asarray(thetas, dtype=float)
     cn0s = np.asarray(cn0s, dtype=float)
@@ -96,13 +97,26 @@ def calibrate_sota(thetas, cn0s, errors_m) -> SotaWeightParams:
         counts.append(float(np.sum(sel)))
     if not rows:
         raise EmptySplit("not enough populated bins for calibration")
-    # scipy.optimize is most of the package's import time, and only this
-    # fit uses it
-    from scipy.optimize import nnls
-
     w = np.sqrt(np.array(counts))
-    (z, c), _ = nnls(np.array(rows) * w[:, None], np.array(targets) * w)
+    z, c = _nnls2(np.array(rows) * w[:, None], np.array(targets) * w)
     return SotaWeightParams(float(z), float(c))
+
+
+def _nnls2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| over x >= 0 for a of two nonzero columns.
+
+    Two unknowns have four active sets (Lawson & Hanson, "Solving Least
+    Squares Problems", 1974, ch. 23). A nonnegative unconstrained fit is
+    optimal; otherwise some optimum has a coefficient at zero, so it is the
+    better of the two one-column fits, each clamped at zero.
+    """
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.all(x >= 0.0):
+        return x
+    fits = [np.zeros(2), np.zeros(2)]
+    for j, fit in enumerate(fits):
+        fit[j] = max(a[:, j] @ b / (a[:, j] @ a[:, j]), 0.0)
+    return min(fits, key=lambda fit: np.linalg.norm(a @ fit - b))
 
 
 @dataclass

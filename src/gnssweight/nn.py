@@ -37,6 +37,11 @@ WEIGHT_CEIL = 1e4
 # samples per packed forward pass when computing a split's loss
 _LOSS_CHUNK = 256
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -305,26 +310,23 @@ class TrainReport:
 
 
 class _Adam:
-    def __init__(self, shapes: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shapes: dict, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
 
     def step(self, params: dict, grads: dict):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _ADAM_BETA1**self.t
+        b2c = 1.0 - _ADAM_BETA2**self.t
         for k, p in params.items():
             g, m, v = grads[k], self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
 
 
 def _pack(samples):

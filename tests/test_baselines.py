@@ -8,13 +8,16 @@ from gnssweight.baselines import (
     DEFAULT_ELEVATION_MASK,
     FdeConfig,
     SotaWeightParams,
+    _nnls2,
     calibrate_sota,
     cn0_linear,
     fde_solve,
     sota_sigma2,
     sota_weights,
 )
+from gnssweight.cli import _calibration_samples
 from gnssweight.errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements
+from gnssweight.sim import generate_campaign
 from conftest import make_epoch
 
 
@@ -98,6 +101,42 @@ def test_calibration_is_outlier_robust():
 def test_calibration_rejects_empty_input():
     with pytest.raises(EmptySplit):
         calibrate_sota([], [], [])
+
+
+# Calibration-shaped systems: rows [1, mean 1/cn0] scaled by sqrt(count).
+_W = np.sqrt([40.0, 25.0, 60.0, 10.0])
+_A = _W[:, None] * np.array([[1.0, 1e-4], [1.0, 3e-4], [1.0, 6e-4], [1.0, 1e-3]])
+
+
+@pytest.mark.parametrize(
+    "a, b, zero",
+    [
+        pytest.param(_A, _A @ [2.0, 3e4] + _W * [0.3, -0.2, 0.1, -0.4], [False, False], id="neither-clamps"),
+        pytest.param(_A, _A @ [-2.0, 3e4], [True, False], id="z-clamps"),
+        pytest.param(_A, _A @ [30.0, -1e4], [False, True], id="c-clamps"),
+        pytest.param(_A, -(_A @ [2.0, 3e4]), [True, True], id="both-clamp"),
+        pytest.param(_A[:1], np.array([_W[0] * 7.0]), [False, False], id="one-bin"),
+        pytest.param(_W[:, None] * [1.0, 4e-4], _W * [5.0, 6.0, 7.0, 8.0], [False, False], id="equal-cn0"),
+    ],
+)
+def test_two_coefficient_nnls_meets_kkt(a, b, zero):
+    """The fit is optimal for x >= 0: with g = A^T (A x - b), g_j = 0 where
+    x_j > 0 and g_j >= 0 where x_j = 0 (Karush-Kuhn-Tucker)."""
+    x = _nnls2(a, b)
+    g = a.T @ (a @ x - b)
+    tol = 1e-12 * np.linalg.norm(a, axis=0) * np.linalg.norm(b)
+    assert list(x == 0.0) == zero, x
+    assert np.all(x >= 0.0)
+    assert np.all(np.where(x > 0.0, np.abs(g) <= tol, g >= -tol)), (x, g, tol)
+
+
+def test_calibration_coefficients_on_urban_campaign():
+    """Seed 601 of the 180 x 1 urban campaign: the coefficients of a general
+    nonnegative least-squares solver (Lawson-Hanson), to 2e-15 relative."""
+    dataset = generate_campaign(["urban_canyon"], 180, 601, epochs_per_session=1)
+    p = calibrate_sota(*_calibration_samples(dataset))
+    assert p.sigma_z2 == pytest.approx(18.59950042341215, rel=2e-15, abs=0.0)
+    assert p.sigma_c2 == pytest.approx(44201.70740195472, rel=2e-15, abs=0.0)
 
 
 def _bland_params():

@@ -279,10 +279,22 @@ def test_input_error_is_one_line(files, argv, expect, tmp_path, capsys):
     assert not (tmp_path / "x.jsonl").exists() and not (tmp_path / "m.npz").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Importing the CLI does not load scipy.optimize, most of its start-up
-    time; only calibration of the elevation/C/N0 baseline needs it."""
+def test_cli_and_calibration_leave_scipy_unloaded():
+    """The package runs without scipy: a fresh process that imports the CLI
+    and calibrates the elevation/C/N0 baseline has loaded no scipy module."""
     src = str(Path(gnssweight.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, gnssweight.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = """
+import sys
+import numpy as np
+import gnssweight.cli
+from gnssweight.baselines import calibrate_sota
+rng = np.random.default_rng(2)
+thetas = rng.uniform(np.radians(10), np.radians(88), 6000)
+cn0s = rng.uniform(25, 55, 6000)
+calibrate_sota(thetas, cn0s, rng.normal(0, 1 / np.sin(thetas)))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
+"""
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
