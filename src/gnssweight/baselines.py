@@ -11,7 +11,7 @@ import numpy as np
 from .errors import EmptySplit, GnssWeightError, HorizonSingularity, NotEnoughMeasurements, SingularGeometry
 from .geo import ecef_to_geodetic, look_angles
 from .model import Epoch
-from .solver import SolveReport, epoch_problem, fix_from_row, jacobian, solve_batch
+from .solver import SolveReport, epoch_problem, jacobian, row_report, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 DEFAULT_ELEVATION_MASK = math.radians(5.0)
@@ -166,7 +166,7 @@ def fde_solve_batch(epochs, cfg: FdeConfig, params: SotaWeightParams, fixes) -> 
         solved = solve_batch([epoch_problem(epochs[k], w[None], start) for k, (w, start) in now.items()])
         sends = {}
         for k, row in zip(now, solved):
-            rep = fix_from_row(epochs[k], tuple(a[0] for a in row))
+            rep = row_report(epochs[k], *(a[0] for a in row))
             if rep is None:  # each problem has state_dim positive weights: it is singular
                 out[k] = SingularGeometry("weighted normal matrix condition number above limit")
             else:

@@ -16,10 +16,10 @@ from .config import load_config
 from .dataio import read_dataset, write_dataset
 from .errors import ConfigInvalid, GnssWeightError, ShapeMismatch
 from .evaluation import (
-    CdfSummary,
     StrategyModels,
     compare_strategies,
     read_error_csv,
+    summarize,
     summary_dict,
     write_error_csv,
     QUANTILES,
@@ -208,11 +208,7 @@ def _format_table(summaries) -> str:
 
 def _cmd_report(args) -> int:
     records = read_error_csv(args.errors)
-    strategies = sorted({r.strategy for r in records})
-    summaries = {
-        s: CdfSummary.from_records(s, [r for r in records if r.strategy == s])
-        for s in strategies
-    }
+    summaries = summarize(records, sorted({r.strategy for r in records}))
     print(_format_table(summaries))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -204,11 +204,6 @@ def iter_epochs(path):
             if not isinstance(obj["measurements"], list):
                 raise ParseError(line_no, "measurements must be an array")
             measurements = [_parse_measurement(m, line_no) for m in obj["measurements"]]
-            keys = [m.key for m in measurements]
-            if len(set(keys)) != len(keys):
-                raise ParseError(
-                    line_no, "duplicate (constellation, sv, band) violates epoch uniqueness"
-                )
             truth = _position(obj["truth"], line_no, "truth") if "truth" in obj else None
             try:
                 epoch = Epoch(

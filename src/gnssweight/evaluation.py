@@ -10,12 +10,12 @@ import numpy as np
 
 from .baselines import FdeConfig, FdeResult, SotaWeightParams, fde_solve_batch
 from .baselines import fde_solve  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
-from .errors import ConfigInvalid, EmptySamples, GnssWeightError, NonConvergence, ParseError
+from .errors import ConfigInvalid, EmptySamples, ParseError
 from .featurize import feature_columns, featurize_sessions
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
-from .solver import epoch_problem, fix_from_row, row_report, solve_batch
+from .solver import epoch_problem, row_report, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 CSV_COLUMNS = ["session_id", "t", "strategy", "h_err_m", "v_err_m", "converged", "n_sv", "n_zero_weight"]
@@ -101,12 +101,10 @@ def _record(epoch: Epoch, strategy: str, state: NavState | None = None, converge
 def _weighted_record(epoch: Epoch, strategy: str, w: np.ndarray, row) -> ErrorRecord:
     """``strategy``'s record of its solve with weights ``w``, from its kernel row."""
     n_zero = int(np.sum(w <= ZERO_WEIGHT_CUTOFF))
-    try:
-        return _record(epoch, strategy, row_report(epoch, *row).state, True, n_zero)
-    except NonConvergence as e:
-        return _record(epoch, strategy, e.report.state, False, n_zero)
-    except GnssWeightError:
+    report = row_report(epoch, *row)
+    if report is None:
         return _record(epoch, strategy, n_zero=n_zero)
+    return _record(epoch, strategy, report.state, report.converged, n_zero)
 
 
 def _check_strategies(strategies, models: StrategyModels) -> None:
@@ -153,11 +151,12 @@ def compare_strategies(dataset, strategies, models: StrategyModels,
     else:
         chunks = [_evaluate_group(g, strategies, models) for g in groups]
     records = [r for chunk in chunks for r in chunk]
-    summaries = {
-        strat: CdfSummary.from_records(strat, [r for r in records if r.strategy == strat])
-        for strat in strategies
-    }
-    return records, summaries
+    return records, summarize(records, strategies)
+
+
+def summarize(records, strategies) -> dict:
+    """strategy -> CdfSummary of its records, for each of ``strategies`` in order."""
+    return {s: CdfSummary.from_records(s, [r for r in records if r.strategy == s]) for s in strategies}
 
 
 def session_groups(sessions, jobs: int) -> list:
@@ -177,8 +176,9 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
     0. the strategies and models are checked
     1. each epoch's equal-weight fix, shared by every strategy: when a
        learned strategy runs, ``featurize.featurize_sessions`` solves
-       every epoch's leave-one-out rows and fix at once, the fix as the
-       all-ones row; else one ``solver.solve_batch`` of the fixes alone
+       every epoch's fix and leave-one-out rows at once; else one
+       ``solver.solve_batch`` of the fixes alone. Either way a fix is an
+       all-ones problem read by ``solver.row_report``
     2. when a learned strategy runs, ``featurize_sessions`` then
        featurizes each session in order from those rows, and the network
        predicts each epoch's weights
@@ -197,7 +197,7 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
         featurized = featurize_sessions(scored)  # (fm, fix) per epoch
     else:
         solved = solve_batch([epoch_problem(e, np.ones((1, e.n))) for e in epochs])
-        featurized = [(None, fix_from_row(e, tuple(a[0] for a in row))) for e, row in zip(epochs, solved)]
+        featurized = [(None, row_report(e, *(a[0] for a in row))) for e, row in zip(epochs, solved)]
 
     weights = []  # per epoch, strategy -> weights of its weighted strategies
     for epoch, (fm, _) in zip(epochs, featurized):

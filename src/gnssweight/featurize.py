@@ -102,9 +102,9 @@ class EpochFeaturizer:
     takes the epoch's entry of ``residuals.solve_rows`` when the caller
     solved the rows of many epochs at once (``featurize_sessions``), and
     solves the epoch's rows itself otherwise. The epoch's equal-weight fix
-    is always the all-ones row of those rows (``residuals.rows_fix``),
-    also for an epoch with too few links for the matrix (N <= state
-    dimension). When the fix fails the tracking window is not advanced,
+    is that entry's all-ones solve (``residuals.rows_fix``), which an
+    epoch with too few links for the matrix (N <= state dimension) has
+    too. When the fix fails the tracking window is not advanced,
     since elevations need a receiver position; when only the
     leave-one-out matrix fails it is, so later epochs see a correct
     history. After each call ``fix`` holds that epoch's fix, None when it

@@ -79,7 +79,8 @@ class LstmModel:
         return LstmModel(input_dim, hidden, n_layers, W, U, b, head_w, 0.0)
 
     def param_items(self):
-        """(name, array) pairs in a fixed order; scalars wrapped as 0-d views."""
+        """(name, array) pairs of the weight arrays, in a fixed order; the
+        scalar ``head_b`` is not among them."""
         for layer in range(self.n_layers):
             yield f"W{layer}", self.W[layer]
             yield f"U{layer}", self.U[layer]

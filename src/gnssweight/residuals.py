@@ -10,7 +10,7 @@ from . import _kernels
 from .errors import NotEnoughMeasurements
 from .geo import SPEED_OF_LIGHT
 from .model import Epoch
-from .solver import SolveReport, _start, fix_from_row, predicted_pseudoranges, solve_batch
+from .solver import SolveReport, _start, epoch_problem, predicted_pseudoranges, row_report, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 # Sentinel marking the deliberately excluded measurement (and rows whose
@@ -23,9 +23,9 @@ class ResidualMatrix:
     """N x N leave-one-out residuals; row n excludes measurement n.
 
     values[n, i] is the residual of measurement i against the equal-weight
-    solution computed without measurement n; the diagonal is GAMMA. The
-    epoch's equal-weight fix is not part of the matrix: ``rows_fix`` reads
-    it from the same ``solve_rows`` entry.
+    solution computed without measurement n; the diagonal is GAMMA.
+    Rows whose subset solve is singular hold GAMMA and are listed in
+    ``failed_rows``.
     """
 
     values: np.ndarray
@@ -44,15 +44,13 @@ def _row_groups(epoch: Epoch) -> list:
     measurement is parked on column 0. Rows are grouped by the
     constellation they drop, in ascending order with "none" first: group
     k holds the rows excluding ``links``, solved with the clock columns
-    ``kept`` and the measurements' columns ``sub_idx``. With N > 3 +
-    n_const at least one row drops none, so group 0 drops none. An epoch
-    with N <= 3 + n_const has no leave-one-out rows: its one group has no
-    links and keeps every clock.
+    ``kept`` and the measurements' columns ``sub_idx``. An epoch with
+    N <= 3 + n_const has no leave-one-out rows, and no groups.
     """
     n_const = epoch.state_dim() - 3
     const_idx = epoch.const_index()
     if epoch.n <= epoch.state_dim():
-        return [(np.arange(0), np.arange(n_const), const_idx)]
+        return []
     members = np.bincount(const_idx, minlength=n_const)
     drops = np.where(members[const_idx] == 1, const_idx, -1)
     groups = []
@@ -65,27 +63,28 @@ def _row_groups(epoch: Epoch) -> list:
 
 
 def solve_rows(epochs) -> list:
-    """The kernel outputs of every epoch's leave-one-out rows and fix, solved across epochs.
+    """The kernel outputs of every epoch's fix and leave-one-out rows, solved across epochs.
 
-    Entry e is the rows of ``epochs[e]`` for ``build_residual_matrix``
-    and ``rows_fix``: one (links, kept, kernel) per row group of
+    Entry e is (fix, groups) of ``epochs[e]``, for ``rows_fix`` and
+    ``build_residual_matrix``. ``fix`` is the kernel row (x, iterations,
+    status, cost) of the epoch's all-ones problem, its equal-weight fix.
+    ``groups`` holds one (links, kept, kernel) per row group of
     ``_row_groups``, where ``kernel`` is the group's ``solver.solve_batch``
-    output (x, iterations, status, cost). The first group holds the rows
-    that drop no constellation's only link (weights 1 - I) and, last,
-    the all-ones row of the equal-weight fix; then comes one group per
-    constellation whose only link a row drops. An epoch with too few
-    links for the matrix (N <= state dimension) has the fix row alone.
-    Every row is cold-started from ``solver._DEFAULT_START``, and all of
-    them go through one ``solver.solve_batch`` call, so the output does
-    not depend on how the epochs are split into calls.
+    output (x, iterations, status, cost) of the rows with weights 1 - I;
+    it is empty for an epoch with too few links for the matrix
+    (N <= state dimension). Every row is cold-started from
+    ``solver._DEFAULT_START``, and all of them go through one
+    ``solver.solve_batch`` call, so the output does not depend on how the
+    epochs are split into calls.
     """
     groups = [_row_groups(epoch) for epoch in epochs]
     problems = []
     for epoch, epoch_groups in zip(epochs, groups):
         n, sat, pr = epoch.n, epoch.sat_array(), epoch.pr_array()
+        problems.append(epoch_problem(epoch, np.ones((1, n))))
         weights = 1.0 - np.eye(n)
-        for k, (links, kept, sub_idx) in enumerate(epoch_groups):
-            w = weights[links] if k else np.vstack([weights[links], np.ones(n)])
+        for links, kept, sub_idx in epoch_groups:
+            w = weights[links]
             # Subset solves are cold-started on purpose: row n then depends
             # only on the N-1 retained measurements, so perturbing
             # measurement n cannot move its own row even at the last ulp. A
@@ -93,13 +92,14 @@ def solve_rows(epochs) -> list:
             # measurement into the iteration path.
             problems.append((sat, pr, sub_idx, w, np.tile(_start(epoch, None)[:3 + kept.size], (len(w), 1))))
     solved = iter(solve_batch(problems))
-    return [[(links, kept, next(solved)) for links, kept, _ in g] for g in groups]
+    return [(tuple(a[0] for a in next(solved)), [(links, kept, next(solved)) for links, kept, _ in g])
+            for g in groups]
 
 
 def rows_fix(epoch: Epoch, rows) -> SolveReport | None:
-    """The epoch's equal-weight fix from its ``solve_rows`` entry ``rows``:
-    the all-ones row, by ``solver.fix_from_row``'s rule."""
-    return fix_from_row(epoch, tuple(a[-1] for a in rows[0][2]))
+    """The epoch's equal-weight fix from its ``solve_rows`` entry ``rows``,
+    read by ``solver.row_report``."""
+    return row_report(epoch, *rows[0])
 
 
 def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
@@ -108,12 +108,11 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     Row n is ``solver.equal_weight_fix`` on the epoch without measurement
     n, bit for bit. ``rows`` is the epoch's entry of ``solve_rows``, whose
     kernel outputs the matrix is assembled from; without it the epoch's
-    rows are solved here, as ``solve_rows([epoch])``. The all-ones row of
-    the first group, the epoch's equal-weight fix, is left out.
-    Rows whose subset geometry is degenerate are filled with GAMMA and
-    listed in ``failed_rows`` so downstream consumers see a consistent
-    sentinel instead of a hard failure; a row whose solve hits the
-    iteration cap keeps its iterate, as the fix does.
+    rows are solved here, as ``solve_rows([epoch])``. Rows whose subset
+    geometry is degenerate are filled with GAMMA and listed in
+    ``failed_rows`` so downstream consumers see a consistent sentinel
+    instead of a hard failure; a row whose solve hits the iteration cap
+    keeps its iterate, as the fix does.
     """
     n = epoch.n
     if n < epoch.state_dim() + 1:
@@ -126,8 +125,7 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     pr = epoch.pr_array()
     values = np.full((n, n), GAMMA)
     failed: list[int] = []
-    for links, kept, out in rows:
-        x, status = out[0][:links.size], out[2][:links.size]
+    for links, kept, (x, _, status, _) in rows[1]:
         ok = status != _kernels.STATUS_SINGULAR
         failed.extend(links[~ok].tolist())
         # The epoch-layout state of each row, clocks through the same

@@ -95,29 +95,24 @@ def _start(epoch: Epoch, init: NavState | None) -> np.ndarray:
     return x0
 
 
-def row_report(epoch: Epoch, x, iterations, status, cost) -> SolveReport:
-    """The SolveReport of one kernel row, or the error ``solve_wls`` raises for it.
+def row_report(epoch: Epoch, x, iterations, status, cost) -> SolveReport | None:
+    """The SolveReport of one kernel row, or None for a row without a solution.
 
     ``(x, iterations, status, cost)`` is one entry of a problem's
     ``solve_batch`` arrays (or the ``lm_solve`` tuple) for the full epoch.
-    Raises NotEnoughMeasurements for a row ``solve_batch`` did not solve,
-    SingularGeometry for a singular row and NonConvergence, carrying the
-    iterate's report, for a capped one.
+    A row stopped at ``_kernels.MAX_ITERATIONS`` keeps its iterate, with
+    ``converged`` False; a row ``solve_batch`` did not solve
+    (``STATUS_NOT_ENOUGH``) or a singular one gives None.
     """
-    if status == STATUS_NOT_ENOUGH:
-        raise NotEnoughMeasurements(f"fewer positive-weight measurements than {epoch.state_dim()} unknowns")
-    if status == _kernels.STATUS_SINGULAR:
-        raise SingularGeometry("weighted normal matrix condition number above limit")
-    report = SolveReport(
+    if status in (STATUS_NOT_ENOUGH, _kernels.STATUS_SINGULAR):
+        return None
+    return SolveReport(
         state=vector_to_state(epoch, x),
         iterations=int(iterations),
         converged=status == _kernels.STATUS_CONVERGED,
         final_cost=float(cost),
         post_fit_residuals=epoch.pr_array() - predicted_pseudoranges(epoch, x),
     )
-    if status == _kernels.STATUS_MAX_ITER:
-        raise NonConvergence(f"no convergence in {_kernels.MAX_ITERATIONS} iterations", report=report)
-    return report
 
 
 def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveReport:
@@ -138,11 +133,15 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     dim = epoch.state_dim()
     if not _positive_enough(w[None], dim)[0]:
         raise NotEnoughMeasurements(f"{int(np.sum(w > 0.0))} positive-weight measurements for {dim} unknowns")
-    row = _kernels.lm_solve(
+    report = row_report(epoch, *_kernels.lm_solve(
         epoch.sat_array(), epoch.pr_array(), w, epoch.const_index(), dim - 3,
         _start(epoch, init), _kernels.MAX_ITERATIONS,
-    )
-    return row_report(epoch, *row)
+    ))
+    if report is None:
+        raise SingularGeometry("weighted normal matrix condition number above limit")
+    if not report.converged:
+        raise NonConvergence(f"no convergence in {_kernels.MAX_ITERATIONS} iterations", report=report)
+    return report
 
 
 # The most rows one kernel call solves. It bounds the call's
@@ -174,8 +173,8 @@ def solve_batch(problems) -> list:
     ``_kernels.lm_solve_batch`` returns them. A row with fewer positive
     weights than unknowns is not solved: it keeps its start, 0 iterations,
     NaN cost and the status ``STATUS_NOT_ENOUGH``, for which
-    ``row_report`` raises NotEnoughMeasurements. A negative or non-finite
-    weight raises ValueError.
+    ``row_report`` gives None. A negative or non-finite weight raises
+    ValueError.
 
     Rows are grouped by clock count and sorted by N; each kernel call
     takes at most ``MAX_ROWS_PER_CALL`` of them. Each row carries its
@@ -234,9 +233,9 @@ def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveRep
     """Cold-start equal-weight fix over the ``active`` measurements (all by default).
 
     A NonConvergence report counts as the fix; NotEnoughMeasurements and
-    SingularGeometry propagate. Every fix in the package is a
-    ``solve_batch`` row read by ``fix_from_row``, with the same bits and
-    rule: the all-ones and leave-one-out rows of ``residuals.solve_rows``,
+    SingularGeometry propagate. Every other fix in the package is a
+    ``solve_batch`` row read by ``row_report``, with the same bits and
+    rule: each epoch's all-ones problem in ``residuals.solve_rows``,
     ``evaluation``'s fixes when no learned strategy runs and FDE's rounds.
     This single solve is the reference the tests compare them with.
     """
@@ -245,15 +244,3 @@ def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveRep
         return solve_wls(epoch, w)
     except NonConvergence as e:
         return e.report
-
-
-def fix_from_row(epoch: Epoch, row) -> SolveReport | None:
-    """``equal_weight_fix``'s rule on a kernel row, its one copy (FDE's final
-    solves use it too): a capped row counts as the fix; None where
-    ``equal_weight_fix`` raises NotEnoughMeasurements or SingularGeometry."""
-    try:
-        return row_report(epoch, *row)
-    except NonConvergence as e:
-        return e.report
-    except (NotEnoughMeasurements, SingularGeometry):
-        return None

@@ -91,3 +91,18 @@ def make_epoch(
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def assert_same_fix(got, expect, where=None):
+    """Two SolveReports (or Nones) with the same bits in every field."""
+    if expect is None:
+        assert got is None, where
+        return
+    assert got is not None, where
+    a, b = got.state, expect.state
+    assert a.position.as_array().tobytes() == b.position.as_array().tobytes(), where
+    assert list(a.clock_bias) == list(b.clock_bias), where
+    assert np.array(list(a.clock_bias.values())).tobytes() == np.array(list(b.clock_bias.values())).tobytes(), where
+    assert (got.iterations, got.converged) == (expect.iterations, expect.converged), where
+    assert np.float64(got.final_cost).tobytes() == np.float64(expect.final_cost).tobytes(), where
+    assert got.post_fit_residuals.tobytes() == expect.post_fit_residuals.tobytes(), where

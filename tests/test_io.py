@@ -114,8 +114,9 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     assert "bogus" in str(e.value)
 
     _write_lines(path, [_valid_header(), _epoch_line([_meas(), _meas()])])
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError, match="duplicate") as e:
         list(iter_epochs(path))
+    assert e.value.line == 2
 
 
 def test_invariant_validation_on_read(tmp_path):

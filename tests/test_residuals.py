@@ -15,7 +15,7 @@ from gnssweight.solver import (
     solve_wls,
     state_to_vector,
 )
-from conftest import make_epoch
+from conftest import assert_same_fix, make_epoch
 
 
 def test_shape_and_diagonal(rng):
@@ -105,6 +105,16 @@ def test_minimum_count_enforced(rng):
         build_residual_matrix(epoch)
 
 
+def test_too_few_links_have_a_fix_and_no_groups(rng):
+    """An epoch with N <= state dimension has a ``solve_rows`` entry with
+    its equal-weight fix and no leave-one-out groups."""
+    epoch, _ = make_epoch(rng, n=5, noise_sigma=2.0)
+    assert epoch.n == epoch.state_dim()
+    fix, groups = residuals.solve_rows([epoch])[0]
+    assert groups == []
+    assert_same_fix(residuals.rows_fix(epoch, (fix, groups)), equal_weight_fix(epoch))
+
+
 def test_permutation_equivariance(rng):
     epoch, _ = make_epoch(rng, n=8, noise_sigma=2.0)
     M = build_residual_matrix(epoch)
@@ -169,21 +179,6 @@ def _fix_or_none(epoch):
         return equal_weight_fix(epoch)
     except SingularGeometry:
         return None
-
-
-def assert_same_fix(got, expect, where=None):
-    """Two SolveReports (or Nones) with the same bits in every field."""
-    if expect is None:
-        assert got is None, where
-        return
-    assert got is not None, where
-    a, b = got.state, expect.state
-    assert a.position.as_array().tobytes() == b.position.as_array().tobytes(), where
-    assert list(a.clock_bias) == list(b.clock_bias), where
-    assert np.array(list(a.clock_bias.values())).tobytes() == np.array(list(b.clock_bias.values())).tobytes(), where
-    assert (got.iterations, got.converged) == (expect.iterations, expect.converged), where
-    assert np.float64(got.final_cost).tobytes() == np.float64(expect.final_cost).tobytes(), where
-    assert got.post_fit_residuals.tobytes() == expect.post_fit_residuals.tobytes(), where
 
 
 def _corpus():
@@ -290,14 +285,15 @@ def test_rows_across_epochs_match_per_epoch_calls(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(_kernels, "lm_solve_batch", spy)
             together = residuals.solve_rows(epochs)
-        for epoch, got in zip(epochs, together):
-            expect = residuals.solve_rows([epoch])[0]
+        for epoch, (got_fix, got) in zip(epochs, together):
+            expect_fix, expect = residuals.solve_rows([epoch])[0]
+            assert [a.tobytes() for a in got_fix] == [a.tobytes() for a in expect_fix]
             assert len(got) == len(expect)
             for (links, kept, g), (e_links, e_kept, e) in zip(got, expect):
                 assert (links.tobytes(), kept.tobytes()) == (e_links.tobytes(), e_kept.tobytes())
                 assert [a.tobytes() for a in g] == [a.tobytes() for a in e]
                 statuses += np.bincount(g[2], minlength=3)
-            M = build_residual_matrix(epoch, got)
+            M = build_residual_matrix(epoch, (got_fix, got))
             assert M.values.tobytes() == build_residual_matrix(epoch).values.tobytes()
     assert np.all(statuses > 0), statuses
     assert sum(padded) > 0

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gnssweight import _kernels, solver
-from gnssweight.errors import NotEnoughMeasurements, SingularGeometry
+from gnssweight.errors import NonConvergence, NotEnoughMeasurements, SingularGeometry
 from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition
 from gnssweight.model import ConstellationId, Epoch, NavState
 from gnssweight.solver import jacobian, solve_wls, state_to_vector
-from conftest import make_epoch
+from conftest import assert_same_fix, make_epoch
 
 
 def test_noise_free_cold_start(rng):
@@ -139,6 +139,45 @@ def test_singular_geometry(rng):
     degenerate = Epoch(time=0.0, measurements=ms)
     with pytest.raises(SingularGeometry):
         solve_wls(degenerate, np.ones(6), init=truth)
+
+
+def test_row_report_reads_every_status(rng, monkeypatch):
+    """Kernel rows of one epoch with each status: ``row_report`` gives a
+    converged report, a capped report that keeps the iterate, and None for
+    an unsolved or a singular row. ``solve_wls`` raises SingularGeometry
+    and NonConvergence for the solved ones, the latter carrying
+    ``row_report``'s report."""
+    epoch, _ = make_epoch(rng, n=8, noise_sigma=2.0)
+    d = epoch.state_dim()
+    W = np.ones((3, epoch.n))
+    W[1:, d - 1:] = 0.0  # d - 1 positive weights: not solved
+    W[2, d - 1] = 1e-20  # d positive weights, one negligible: singular
+
+    def rows():
+        x, iterations, status, cost = solver.solve_batch([solver.epoch_problem(epoch, W)])[0]
+        return [(x[r], iterations[r], status[r], cost[r]) for r in range(len(W))]
+
+    full, not_enough, singular = rows()
+    assert [full[2], not_enough[2], singular[2]] == [
+        _kernels.STATUS_CONVERGED, solver.STATUS_NOT_ENOUGH, _kernels.STATUS_SINGULAR]
+    rep = solver.row_report(epoch, *full)
+    assert rep.converged
+    assert_same_fix(rep, solve_wls(epoch, W[0]))
+    assert solver.row_report(epoch, *not_enough) is None
+    assert solver.row_report(epoch, *singular) is None
+    with pytest.raises(SingularGeometry):
+        solve_wls(epoch, W[2])
+
+    monkeypatch.setattr(_kernels, "MAX_ITERATIONS", 2)
+    capped = rows()[0]
+    assert capped[2] == _kernels.STATUS_MAX_ITER
+    rep = solver.row_report(epoch, *capped)
+    assert not rep.converged
+    assert rep.iterations == 2
+    assert state_to_vector(epoch, rep.state)[:3].tobytes() == capped[0][:3].tobytes()
+    with pytest.raises(NonConvergence) as e:
+        solve_wls(epoch, W[0])
+    assert_same_fix(e.value.report, rep)
 
 
 def test_jacobian_structure(rng):
