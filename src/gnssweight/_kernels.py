@@ -33,7 +33,11 @@ A solve is singular when ``_ill_conditioned`` flags its normal matrix:
 a condition number test on the eigenvalues (``np.linalg.eigvalsh``),
 which for this symmetric positive semi-definite matrix are its singular
 values. Its decision can differ from an SVD-based test's only for a
-condition number within about 1e-3 relative of ``COND_LIMIT``.
+condition number within about 1e-3 relative of ``COND_LIMIT``. Most
+matrices skip eigvalsh: a matrix whose determinant and trace satisfy
+det > 0 and tr^d < det * COND_LIMIT * 1e-3 has a condition number below
+1e9, where eigvalsh says "not singular" too, so the decisions are
+eigvalsh's; only the other rows run eigvalsh (see ``_ill_conditioned``).
 
 Kernel state layout: [x, y, z, b_0 .. b_{K-1}] with clock terms in
 meters (c * delta). Parameterizing clocks in meters keeps the normal
@@ -47,6 +51,8 @@ converged, the damping schedule ``INITIAL_DAMPING``, ``DAMPING_UP`` and
 above which a solve is singular. Only the cap is an argument of the
 solve functions, so that a test can lower it.
 """
+
+import functools
 
 import numpy as np
 
@@ -67,16 +73,20 @@ DAMPING_DOWN = 0.1
 COND_LIMIT = 1e12
 
 
+@functools.lru_cache(maxsize=None)
 def _pairs(d):
     """Index tables of the upper triangle of a (d+1)-column Jacobian's products.
 
     Pair t is columns (jj[t], kk[t]), jj[t] <= kk[t], row by row; the last
     pair is (d, d). ``sym[j, k]`` is the pair of (min(j, k), max(j, k)) for
-    j, k < d and ``gi[j]`` the pair (j, d).
+    j, k < d and ``gi[j]`` the pair (j, d). Built once per d; the cached
+    arrays are read-only, since every call shares them.
     """
     jj, kk = np.triu_indices(d + 1)
     t = np.empty((d + 1, d + 1), dtype=np.intp)
     t[jj, kk] = t[kk, jj] = np.arange(jj.size)
+    for a in (jj, kk, t):
+        a.flags.writeable = False
     return jj, kk, t[:d, :d], t[:d, d]
 
 
@@ -141,7 +151,38 @@ def _ill_conditioned(A):
     third of the cost of an SVD. The two compute the smallest value to
     about n eps cond(A) relative, so their decisions can differ only for
     a condition number within about 1e-3 relative of COND_LIMIT.
+
+    eigvalsh runs only on the rows that a cheaper certificate leaves open.
+    For positive semi-definite A of dimension d with det > 0, the largest
+    eigenvalue is at most tr = trace(A) and the smallest at least
+    det / tr^(d-1), so cond(A) <= tr^d / det. A row with det > 0 and
+    tr^d < det * COND_LIMIT * 1e-3 therefore has a condition number of
+    about 1e9 at most, far from COND_LIMIT: the factor 1e-3 covers the
+    rounding of the LU determinant, which is that of det(A + E) for |E|
+    about n eps |A| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 9). eigvalsh finds such a row's smallest
+    eigenvalue positive and to about 1e-6 relative (Golub & Van Loan
+    8.1), so it would not flag the row either. Every other row goes
+    through the eigenvalue test: det <= 0, a NaN, a det or tr^d that
+    overflows or underflows (numpy warns of the overflow), or a bound too
+    loose to decide. Each decision is therefore eigvalsh's, and the claim
+    above about the SVD test still holds. The bound assumes A positive
+    semi-definite up to rounding, as every normal matrix of the kernel
+    is; a symmetric matrix with two or more negative eigenvalues well
+    above rounding could pass it.
     """
+    d = A.shape[-1]
+    tr = A.trace(axis1=1, axis2=2)
+    det = np.linalg.det(A)
+    flag = ~((det > 0.0) & (tr**d < det * (COND_LIMIT * 1e-3)))
+    if np.count_nonzero(flag):
+        rows = flag.nonzero()[0]
+        flag[rows] = _eigen_ill_conditioned(A[rows])
+    return flag
+
+
+def _eigen_ill_conditioned(A):
+    """``_ill_conditioned``'s decision from the eigenvalues of each matrix."""
     ev = np.linalg.eigvalsh(A)  # ascending
     low = ev[:, 0]
     return (low <= 0.0) | (ev[:, -1] / np.where(low > 0.0, low, np.inf) > COND_LIMIT)
@@ -224,6 +265,9 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         out = rows[gone]
         x_out[out], A_out[out], g_out[out], cost_out[out], it_out[out], status_out[out] = (
             a.take(gone, axis=0) for a in (x, A, g, cost, iters, status))
+        if not keep.size:  # the last rows: the loop ends
+            rows = keep
+            return
         rows, x, A, g, cost, lam, iters, fresh = (
             a.take(keep, axis=0) for a in (rows, x, A, g, cost, lam, iters, fresh))
         meas = _take(meas, keep)
@@ -289,9 +333,12 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     # rounding (residuals are differences of ~1e7 m quantities, so the cost
     # carries ~1e-8 relative noise) and cannot gate acceptance. The
     # gradient still resolves the offset, so take plain GN steps while the
-    # step norm shrinks and stop once it stalls or grows.
+    # step norm shrinks and stop once it stalls or grows. Rows leave by
+    # index, with their measurements, and only in a step where some stop.
     rows = np.flatnonzero(status_out == STATUS_CONVERGED)
-    A, g = A_out[rows], g_out[rows]
+    A, g, meas = A_out, g_out, meas_out
+    if rows.size < nb:
+        A, g, meas = A[rows], g[rows], _take(meas, rows)
     prev2 = np.full(rows.size, 1e300)
     for _p in range(10):
         if not rows.size:
@@ -299,13 +346,20 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         dx = _solve(A, g)
         step2 = _sum_sq(dx)
         go = ~((step2 > 1.0) | (step2 > prev2))
-        rows, dx, step2 = rows[go], dx[go], step2[go]
-        if not rows.size:
-            break
+        if np.count_nonzero(go) < rows.size:
+            keep = go.nonzero()[0]
+            if not keep.size:
+                break
+            rows, dx, step2, meas = rows[keep], dx[keep], step2[keep], _take(meas, keep)
         x = x_out[rows] + dx
-        A, g, cost = _normal_equations(x, _take(meas_out, rows), pairs)
+        A, g, cost = _normal_equations(x, meas, pairs)
         x_out[rows], cost_out[rows] = x, cost
         more = ~(step2 < 1e-20)
-        rows, A, g, prev2 = rows[more], A[more], g[more], step2[more]
+        prev2 = step2
+        if np.count_nonzero(more) < rows.size:
+            keep = more.nonzero()[0]
+            if not keep.size:
+                break
+            rows, A, g, prev2, meas = rows[keep], A[keep], g[keep], step2[keep], _take(meas, keep)
 
     return x_out, it_out, status_out, cost_out

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -78,12 +76,10 @@ def predicted_pseudoranges(epoch: Epoch, x: np.ndarray) -> np.ndarray:
     return rng + x[..., 3 + epoch.const_index()]
 
 
-def _positive_enough(weights, dim: int) -> np.ndarray:
-    """Which rows of ``weights`` (k, N) have ``dim`` or more positive entries;
-    ValueError for a negative or non-finite weight."""
+def _check_weights(weights) -> None:
+    """ValueError for a negative or non-finite weight."""
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("weights must be finite and nonnegative")
-    return np.count_nonzero(weights > 0.0, axis=1) >= dim
 
 
 def _start(epoch: Epoch, init: NavState | None) -> np.ndarray:
@@ -131,7 +127,8 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     if w.shape != (epoch.n,):
         raise ValueError(f"weight vector length {w.shape} != N={epoch.n}")
     dim = epoch.state_dim()
-    if not _positive_enough(w[None], dim)[0]:
+    _check_weights(w)
+    if np.count_nonzero(w > 0.0) < dim:
         raise NotEnoughMeasurements(f"{int(np.sum(w > 0.0))} positive-weight measurements for {dim} unknowns")
     report = row_report(epoch, *_kernels.lm_solve(
         epoch.sat_array(), epoch.pr_array(), w, epoch.const_index(), dim - 3,
@@ -181,52 +178,55 @@ def solve_batch(problems) -> list:
     problem's measurements, padded to the call's N with zero-weight
     repeats of the problem's last link. Row b of a call has the bits of a
     stack of one, so the output does not depend on how the problems are
-    split into calls.
+    split into calls. A call's arrays are gathered from the problems'
+    concatenated measurements and weights with one index per call, and
+    each problem's result is a slice of arrays shared by all problems.
     """
-    out, groups = [], {}  # groups: clock count -> [(problem, its solvable rows)]
-    for j, (_, pr, _, w, x0) in enumerate(problems):
-        k, d = x0.shape
-        out.append((x0.copy(), np.zeros(k, dtype=np.int64), np.full(k, STATUS_NOT_ENOUGH), np.full(k, np.nan)))
-        rows = np.flatnonzero(_positive_enough(w, d))
-        if rows.size:
-            groups.setdefault(d - 3, []).append((j, rows))
-    for n_clk, parts in groups.items():
-        parts.sort(key=lambda part: problems[part[0]][1].size)
-        starts = list(accumulate((rows.size for _, rows in parts), initial=0))
-        for lo in range(0, starts[-1], MAX_ROWS_PER_CALL):
-            hi = min(lo + MAX_ROWS_PER_CALL, starts[-1])
-            # (problem, its rows in this call) for each problem in the call
-            call = [(parts[i][0], parts[i][1][max(lo, starts[i]) - starts[i]:min(hi, starts[i + 1]) - starts[i]])
-                    for i in range(bisect_right(starts, lo) - 1, bisect_left(starts, hi))]
-            sat, pr, w, clock, x0 = _call_arrays(problems, call)
-            solved = _kernels.lm_solve_batch(sat, pr, w, clock, n_clk, x0, _kernels.MAX_ITERATIONS)
-            b = 0
-            for j, rows in call:
-                for dst, src in zip(out[j], solved):
-                    dst[rows] = src[b:b + rows.size]
-                b += rows.size
+    if not problems:
+        return []
+    sat, pr, clock, w, x0 = zip(*problems)
+    k = np.array([len(a) for a in x0])
+    n = np.array([a.size for a in pr])
+    dim = np.array([a.shape[1] for a in x0])
+    # Row r's weights are flat_w[w0[r]:w0[r] + row_n[r]], and its links
+    # start at meas0[r] in the concatenated measurements.
+    flat_w = np.concatenate([a.ravel() for a in w])
+    _check_weights(flat_w)
+    row_n, row_dim = np.repeat(n, k), np.repeat(dim, k)
+    w_end = np.cumsum(row_n)
+    w0 = w_end - row_n
+    positive = np.concatenate([[0], np.cumsum(flat_w > 0.0)])
+    solvable = positive[w_end] - positive[w0] >= row_dim
+    meas0 = np.repeat(np.cumsum(n) - n, k)
+    sat, pr, clock = np.concatenate(sat), np.concatenate(pr), np.concatenate(clock)
+    iterations = np.zeros(row_n.size, dtype=np.int64)
+    status = np.full(row_n.size, STATUS_NOT_ENOUGH)
+    cost = np.full(row_n.size, np.nan)
+    bounds = [0, *np.cumsum(k).tolist()]  # problem j's rows are bounds[j]:bounds[j + 1]
+    out = [None] * len(problems)
+    for d in np.unique(dim).tolist():
+        js = np.flatnonzero(dim == d).tolist()
+        # the rows with d unknowns, in problem order, and their states
+        rows = np.flatnonzero(row_dim == d)
+        x = np.concatenate([x0[j] for j in js])
+        todo = np.flatnonzero(solvable[rows])
+        todo = todo[np.argsort(row_n[rows[todo]], kind="stable")]
+        for lo in range(0, todo.size, MAX_ROWS_PER_CALL):
+            b = todo[lo:lo + MAX_ROWS_PER_CALL]
+            r = rows[b]
+            nr = row_n[r][:, None]
+            i = np.arange(nr[-1, 0])  # the call's N, the last row's
+            pad = np.minimum(i, nr - 1)
+            links = meas0[r][:, None] + pad
+            wb = np.where(i < nr, flat_w[w0[r][:, None] + pad], 0.0)
+            x[b], iterations[r], status[r], cost[r] = _kernels.lm_solve_batch(
+                sat[links], pr[links], wb, clock[links], d - 3, x[b], _kernels.MAX_ITERATIONS)
+        lo = 0
+        for j in js:
+            r0, r1 = bounds[j], bounds[j + 1]
+            out[j] = (x[lo:lo + r1 - r0], iterations[r0:r1], status[r0:r1], cost[r0:r1])
+            lo += r1 - r0
     return out
-
-
-def _call_arrays(problems, call):
-    """(sat, pr, w, clock) and the starts of one kernel call over ``call``.
-
-    Each row gets its problem's measurements, padded to the longest
-    problem's N with zero-weight repeats of its own last link.
-    """
-    x0 = np.concatenate([problems[j][4][rows] for j, rows in call])
-    n = max(problems[j][1].size for j, _ in call)
-    sats, prs, ws, clocks = [], [], [], []
-    for j, rows in call:
-        sat, pr, clock, w, _ = problems[j]
-        pad = np.minimum(np.arange(n), pr.size - 1)
-        sats.append(np.broadcast_to(sat[pad], (rows.size, n, 3)))
-        prs.append(np.broadcast_to(pr[pad], (rows.size, n)))
-        clocks.append(np.broadcast_to(clock[pad], (rows.size, n)))
-        wp = np.zeros((rows.size, n))
-        wp[:, :pr.size] = w[rows]
-        ws.append(wp)
-    return np.concatenate(sats), np.concatenate(prs), np.concatenate(ws), np.concatenate(clocks), x0
 
 
 def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveReport:

@@ -459,3 +459,150 @@ def test_condition_test_matches_svd(monkeypatch):
     for A, flag in zip(mats, want):
         assert ill_conditioned(A[None])[0] == _svd_singular(A[None])[0] == flag
     assert ill_conditioned(np.zeros((1, 4, 4)))[0] and _svd_singular(np.zeros((1, 4, 4)))[0]
+
+
+def _eigvalsh_singular(A):
+    """The eigenvalue-only condition test that ``_kernels._ill_conditioned``
+    ran on every matrix before it gained its determinant certificate."""
+    ev = np.linalg.eigvalsh(A)  # ascending
+    low = ev[:, 0]
+    return (low <= 0.0) | (ev[:, -1] / np.where(low > 0.0, low, np.inf) > _kernels.COND_LIMIT)
+
+
+def _outcome(test, A):
+    """The flags ``test`` gives the stack A, or the type of what it raises."""
+    try:
+        return test(A).tolist()
+    except np.linalg.LinAlgError as e:
+        return type(e)
+
+
+def _rotated(rng, lam):
+    """A symmetric matrix with the eigenvalues ``lam`` in a random basis."""
+    Q = np.linalg.qr(rng.normal(size=(lam.size, lam.size)))[0]
+    A = (Q * lam) @ Q.T
+    return np.triu(A) + np.triu(A, 1).T
+
+
+def _certificate_edge(d):
+    """c for which diag(c, 1, ..., 1) sits on the certificate's threshold,
+    tr^d = det * COND_LIMIT * 1e-3, found by bisection on log c."""
+    lo, hi = -40.0, 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        c = math.exp(mid)
+        if (c + d - 1.0) ** d < c * _kernels.COND_LIMIT * 1e-3:
+            hi = mid  # certified: c can shrink
+        else:
+            lo = mid
+    return math.exp(hi)
+
+
+def test_certificate_decides_as_eigvalsh(monkeypatch):
+    """``_ill_conditioned`` gives the flags of the eigenvalue-only test, one
+    matrix at a time and as one stack, for d = 4..7: condition numbers of
+    1e8, matrices either side of the certificate's threshold and of
+    COND_LIMIT, singular matrices, a tiny negative eigenvalue, scalings
+    by 1e+-150 whose determinant overflows or underflows, and NaN or inf
+    entries. Rows the certificate cannot decide go to eigvalsh, and only
+    those."""
+    rng = np.random.default_rng(18)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(len(A)) or eigvalsh(A))
+    for d in (4, 5, 6, 7):
+        c = _certificate_edge(d)
+        mats = []  # (matrix, whether the certificate decides it)
+        for rel in (1e-6, -1e-6):
+            mats.append((np.diag(np.r_[c * (1.0 + rel), np.ones(d - 1)]), rel > 0.0))
+        for rel in (1e-2, -1e-2):
+            mats.append((_rotated(rng, np.r_[c * (1.0 + rel), np.ones(d - 1)]), rel > 0.0))
+        mats.append((_rotated(rng, np.r_[1e3, rng.uniform(1.0, 1e3, d - 2), 1e-5]), None))  # cond 1e8
+        mats.append((_rotated(rng, rng.uniform(1.0, 2.0, d)), True))
+        for rel in (1e-6, -1e-6):
+            mats.append((np.diag(np.r_[1e3, rng.uniform(1.0, 1e3, d - 2),
+                                       1e3 / (_kernels.COND_LIMIT * (1.0 + rel))]), False))
+        H = rng.normal(size=(d + 3, d))
+        H[:, -1] = H[:, -2]  # two equal columns: exactly singular
+        mats.append((H.T @ H, False))
+        mats.append((np.zeros((d, d)), False))
+        for tiny in (-1e-14, -1e-15):
+            mats.append((_rotated(rng, np.r_[1e3, rng.uniform(1.0, 1e3, d - 2), tiny * 1e3]), False))
+        for scale in (1e150, 1e-150):  # det overflows, resp. underflows
+            mats.append((scale * _rotated(rng, rng.uniform(1.0, 2.0, d)), False))
+            mats.append((scale * (H.T @ H), False))
+        with np.errstate(over="ignore"):
+            for A, certified in mats:
+                calls.clear()
+                flag = _kernels._ill_conditioned(A[None])
+                if certified is not None:
+                    assert calls == ([] if certified else [1]), (d, certified)
+                assert flag.tolist() == _eigvalsh_singular(A[None]).tolist()
+            stack = np.stack([A for A, _ in mats])
+            assert _kernels._ill_conditioned(stack).tolist() == _eigvalsh_singular(stack).tolist()
+
+        base = _rotated(rng, rng.uniform(1.0, 2.0, d))
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in ((0, 0), (0, d - 1)):
+                A = base.copy()
+                A[at] = A[at[::-1]] = bad
+                for stack in (A[None], np.stack([base, A, base])):
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        got = _outcome(_kernels._ill_conditioned, stack)
+                    assert got == _outcome(_eigvalsh_singular, stack), (d, bad, at)
+
+
+def _loo_batches():
+    """``lm_solve_batch`` arguments of the equal-weight fix and the
+    leave-one-out rows of each epoch of the residual corpus."""
+    from test_residuals import _corpus
+
+    for _k, epoch, max_iter in _corpus():
+        sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
+        n, d = pr.size, 3 + len(epoch.constellations())
+        W = np.vstack([np.ones(n), 1.0 - np.eye(n)])
+        X0 = np.zeros((n + 1, d))
+        X0[:, :3] = solver._DEFAULT_START.as_array()
+        yield (np.broadcast_to(sat, (n + 1, n, 3)), np.broadcast_to(pr, (n + 1, n)), W,
+               np.broadcast_to(idx, (n + 1, n)), d - 3, X0, max_iter)
+
+
+def test_most_condition_tests_skip_eigvalsh(monkeypatch):
+    """On the leave-one-out batches of the residual corpus, the certificate
+    decides nearly every normal matrix the kernel tests, so eigvalsh runs
+    on few of them, and each decision is the eigenvalue-only test's."""
+    seen, fallback = [], []
+    ill_conditioned, eigvalsh = _kernels._ill_conditioned, np.linalg.eigvalsh
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_ill_conditioned", lambda A: seen.append(A.copy()) or ill_conditioned(A))
+        m.setattr(np.linalg, "eigvalsh", lambda A: fallback.append(len(A)) or eigvalsh(A))
+        for args in _loo_batches():
+            _kernels.lm_solve_batch(*args)
+    for A in seen:
+        assert ill_conditioned(A).tolist() == _eigvalsh_singular(A).tolist()
+    tested = sum(len(A) for A in seen)
+    assert 0 < sum(fallback) < 0.1 * tested, (sum(fallback), tested)
+
+
+def test_forced_fallback_changes_no_output(monkeypatch):
+    """With a determinant of zero every row goes to eigvalsh; the kernel's
+    outputs on the residual corpus keep their bytes."""
+    batches = list(_loo_batches())
+    default = [_kernels.lm_solve_batch(*args) for args in batches]
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda A: calls.append(len(A)) or np.zeros(A.shape[:-2]))
+    for args, want in zip(batches, default):
+        got = _kernels.lm_solve_batch(*args)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert calls
+
+
+def test_pair_tables_are_cached_and_read_only():
+    """``_pairs(d)`` builds its tables once per d, and no caller can write them."""
+    for d in (4, 5, 6, 7):
+        tables = _kernels._pairs(d)
+        again = _kernels._pairs(d)
+        assert all(a is b for a, b in zip(tables, again))
+        for a in tables:
+            with pytest.raises(ValueError):
+                a[0] = 0
