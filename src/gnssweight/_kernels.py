@@ -13,6 +13,18 @@ measurements in the layout of ``_layout``, built once per call, with the
 row axis last and the parts that do not change between rounds (the
 clock columns of the Jacobian and their indices) precomputed.
 
+The largest arrays of a solve are the Jacobian's column-pair products,
+(N, T, B) with T = (d + 1)(d + 2) / 2 pairs for d unknowns (d + 1
+columns with the residual). ``lm_solve_batch`` allocates two flat
+buffers of N * T * B elements once per call, and every
+``_normal_equations`` call of the solve writes its products into
+C-contiguous prefixes of them; the working set only shrinks as rows
+stop. Fresh arrays of that size went back to the OS between rounds, and
+their minor page faults cost more than the products at B = 1024; the
+reused buffers stay resident and warm in cache, and
+``solver.MAX_ROWS_PER_CALL`` bounds their size. No result of
+``_normal_equations`` shares memory with them.
+
 Rows of one call share the measurement count N and the state dimension.
 A problem with fewer links is padded to the call's N with zero-weight
 links, each repeating one of its own satellites so that every range
@@ -112,17 +124,22 @@ def _take(meas, keep):
     return sat, pr, w, clock + (J0.shape[1] - 1) * (np.arange(keep.size) - keep), J0
 
 
-def _normal_equations(x, meas, pairs):
+def _normal_equations(x, meas, pairs, buf=None):
     """(A, g, cost) at each state x[b] of a stack.
 
     A = H^T W H, g = H^T W r and cost = r^T W r, where H is the Jacobian
     of the predicted pseudoranges and r = pr - h(x). x is (B, d), meas is
     the stack's ``_layout`` and pairs is ``_pairs(d)``. A is (B, d, d), g
-    is (B, d) and cost is (B,).
+    is (B, d) and cost is (B,). buf is a pair of flat float64 arrays of at
+    least N * T * B elements, T = len(pairs[0]), that the pair products
+    are written into (``lm_solve_batch`` passes the same two to every
+    call of a solve); without it they are allocated here. No result
+    shares memory with buf.
     """
     sat, pr, w, clock, J0 = meas
     jj, kk, sym, gi = pairs
     d = x.shape[1]
+    n, b = pr.shape
     diff = x.T[:3] - sat
     sq = diff * diff
     rng = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
@@ -131,11 +148,22 @@ def _normal_equations(x, meas, pairs):
     J[:, :3] = diff / rng[:, None]
     J[:, d] = pr - (rng + x.take(clock))
     # The products (w_i J_ij) J_ik of the upper triangle, j <= k, as a
-    # C-contiguous (N, T, B) array (take() copies in C order; a fancy index
+    # C-contiguous (N, T, B) array (take() writes in C order; a fancy index
     # would leave the pair axis outermost), summed over the leading
     # measurement axis from 0.0: numpy adds an outer axis of a contiguous
     # array slab by slab, in order, where it would pairwise-sum an inner one.
-    S = ((J * w).take(jj, axis=1) * J.take(kk, axis=1)).sum(axis=0, initial=0.0).T
+    # take() copies into its ``out`` only in the default mode "raise", and
+    # every index is in range, so "clip" writes straight into the buffers.
+    shape = (n, jj.size, b)
+    if buf is None:
+        P, Q = np.empty(shape), np.empty(shape)
+    else:
+        size = n * jj.size * b
+        P, Q = buf[0][:size].reshape(shape), buf[1][:size].reshape(shape)
+    (J * w).take(jj, axis=1, out=P, mode="clip")
+    J.take(kk, axis=1, out=Q, mode="clip")
+    P *= Q
+    S = P.sum(axis=0, initial=0.0).T
     # A takes each (j, k) and (k, j) from one product, so it is exactly
     # symmetric.
     return S.take(sym, axis=1), S[:, gi], S[:, -1]
@@ -244,8 +272,12 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     nb, d = x0.shape[0], 3 + n_const
     pairs = _pairs(d)
     meas_out = _layout(sat_pos, pr, w, const_idx, d)
+    # every _normal_equations call of the solve writes its pair products
+    # into prefixes of these two buffers: the working set only shrinks
+    size = pr.shape[1] * pairs[0].size * nb
+    buf = (np.empty(size), np.empty(size))
     x_out = np.array(x0, dtype=float)
-    A_out, g_out, cost_out = _normal_equations(x_out, meas_out, pairs)
+    A_out, g_out, cost_out = _normal_equations(x_out, meas_out, pairs, buf)
     it_out = np.zeros(nb, dtype=np.int64)
     status_out = np.full(nb, STATUS_MAX_ITER)
 
@@ -290,7 +322,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         Ad_diag += lam[:, None] * np.maximum(Ad_diag, 1e-12)
         dx = _solve(Ad, g)
         xc = x + dx
-        A_c, g_c, cost_c = _normal_equations(xc, meas, pairs)
+        A_c, g_c, cost_c = _normal_equations(xc, meas, pairs, buf)
         # Only a strict decrease is progress. An equal cost means the step
         # is lost in rounding: accepting it lets the iterate wander along
         # the flat floor with steps above STEP_TOLERANCE and never stop.
@@ -352,7 +384,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
                 break
             rows, dx, step2, meas = rows[keep], dx[keep], step2[keep], _take(meas, keep)
         x = x_out[rows] + dx
-        A, g, cost = _normal_equations(x, meas, pairs)
+        A, g, cost = _normal_equations(x, meas, pairs, buf)
         x_out[rows], cost_out[rows] = x, cost
         more = ~(step2 < 1e-20)
         prev2 = step2

@@ -9,6 +9,19 @@ mini-batch at once: its sequences are sorted by length, longest first,
 and laid out time-major, so each step updates the sequences still live
 with one matrix product. Training is bit-reproducible for a fixed seed on
 the same machine; BLAS products may round differently on another CPU.
+
+The step loops work in arrays allocated once per pass. A forward step
+writes its pre-activations into one reused buffer, applies the sigmoid
+and tanh in place in its rows of the gate array, and writes its cells,
+hidden states and tanh(c) straight into their rows; BPTT reads that
+tanh(c) back and keeps each step's dh and dc in two reused buffers.
+Training holds every parameter in one flat vector that the model's
+arrays are views of, gathers each batch's gradients into another, and
+runs Adam on them in place with flat moments and two scratch vectors.
+Each computes the same operations in the same order as the per-step
+temporaries it replaced, so every output, gradient, loss and checkpoint
+keeps its bits; ``tests/test_nn.py`` keeps the allocating versions as
+references.
 """
 
 from __future__ import annotations
@@ -41,10 +54,6 @@ _LOSS_CHUNK = 256
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -122,49 +131,86 @@ def _forward(model: LstmModel, fm: np.ndarray, lengths, keep: bool):
     another sequence's rows or a step past a sequence's end. Returns
     (outputs, active, order, caches): outputs are packed like ``fm``;
     when ``keep``, caches hold per layer the time-major input, hidden
-    states, gates and cells that BPTT needs, and are otherwise empty.
+    states, gates, cells and tanh of the cells that BPTT needs, and are
+    otherwise empty.
     """
     if fm.ndim != 2 or fm.shape[1] != model.input_dim:
         raise ShapeMismatch(
             f"input shape {fm.shape} incompatible with input_dim {model.input_dim}"
         )
     active, order = _layout(fm.shape[0], lengths)
-    H = model.hidden
+    H, R = model.hidden, len(order)
+    first = active[0] if active else 0
     layer_in = fm[order]
     caches = []
-    # below -709.78 _sigmoid's exp overflows to inf and the gate is exactly
-    # 0, as it should be; the warning is silenced once per pass, because
-    # an errstate per _sigmoid call costs a third of the forward time
+    # Each step writes into arrays allocated once per pass: its
+    # pre-activations into z, and its gates, tanh(c) and cells into their
+    # rows of the kept arrays. When nothing is kept they go to scratch
+    # instead, the cells updated in place: the sequences live at a step
+    # are a prefix of those live at the step before. Hidden states go to
+    # their rows of ``hs``. The first step starts from zero states.
+    zero = np.zeros((first, H))
+    z = np.empty((first, 4 * H))
+    if not keep:
+        a_buf, t_buf, c_buf = np.empty((first, 4, H)), np.empty((first, H)), np.empty((first, H))
+        scratch = {}  # n -> _step_views of the scratch, built once per n
+    # below -709.78 the sigmoid's exp overflows to inf and the gate is
+    # exactly 0, as it should be; the warning is silenced once per pass,
+    # because an errstate per step costs a third of the forward time
     with np.errstate(over="ignore"):
         for layer in range(model.n_layers):
             W, U, b = model.W[layer], model.U[layer], model.b[layer]
             xp = layer_in @ W.T
             xp += b  # in place: a second (R, 4H) temporary costs more than the product
-            xp = xp.reshape(-1, 4, H)
             UT = np.ascontiguousarray(U.T)  # a transposed view multiplies slower
-            hs = np.empty((len(order), H))
+            hs = np.empty((R, H))
             if keep:
-                gates = np.empty((len(order), 4, H))
-                cells = np.empty((len(order), H))
-            h = c = np.zeros((active[0] if active else 0, H))
+                gates, tcs, cells = np.empty((R, 4, H)), np.empty((R, H)), np.empty((R, H))
+            h = c = zero
             s = 0
             for n in active:
-                z = xp[s : s + n] + (h[:n] @ UT).reshape(n, 4, H)
-                a = _sigmoid(z)
-                a[:, 2] = np.tanh(z[:, 2])
-                c = a[:, 1] * c[:n] + a[:, 0] * a[:, 2]
-                h = a[:, 3] * np.tanh(c)
-                hs[s : s + n] = h
+                e = s + n
                 if keep:
-                    gates[s : s + n] = a
-                    cells[s : s + n] = c
-                s += n
+                    v = _step_views(z, gates[s:e], tcs[s:e], cells[s:e], n)
+                else:
+                    v = scratch.get(n)
+                    if v is None:
+                        v = scratch[n] = _step_views(z, a_buf[:n], t_buf[:n], c_buf[:n], n)
+                zn, zg, a, i, f, g, o, t, cn = v
+                np.matmul(h[:n], UT, zn)
+                zn += xp[s:e]
+                # the sigmoid 1 / (1 + exp(-z)) of every gate, then tanh for g
+                np.negative(zn, a)
+                np.exp(a, a)
+                a += 1.0
+                np.divide(1.0, a, a)
+                np.tanh(zg, g)
+                # c = f * c + i * g, with i * g held in t until tanh(c) replaces it
+                np.multiply(i, g, t)
+                c = np.multiply(f, c[:n], cn)
+                c += t
+                np.tanh(c, t)
+                h = np.multiply(o, t, hs[s:e])
+                s = e
             if keep:
-                caches.append((layer_in, hs, gates, cells))
+                caches.append((layer_in, hs, gates, cells, tcs))
             layer_in = hs
     outputs = np.empty(fm.shape[0])
     outputs[order] = layer_in @ model.head_w + model.head_b
     return outputs, active, order, caches
+
+
+def _step_views(z, gates, t, c, n):
+    """The arrays one step of ``_forward`` writes, for n live sequences.
+
+    z is the (first, 4H) pre-activation buffer, gates the step's (n, 4, H)
+    gate rows, t its (n, H) rows for i * g and then tanh(c), and c its
+    (n, H) cells. Returns (pre-activations, their cell-gate block, all
+    gates as (n, 4H), the input, forget, cell and output gates, t, c).
+    """
+    zn = z[:n]
+    return (zn, zn.reshape(n, 4, -1)[:, 2], gates.reshape(n, -1),
+            gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3], t, c)
 
 
 def lstm_forward(model: LstmModel, fm: np.ndarray, lengths=None) -> np.ndarray:
@@ -213,10 +259,11 @@ def lstm_backward(
     prev = np.arange(first, len(order)) - np.repeat(np.array(active[:-1], dtype=int), active[1:])
     # dh flowing into each timestep of the top layer from the head
     dh_above = dy[:, None] * model.head_w
+    # each step's dh and dc, in buffers reused by every step and layer
+    dh_buf, dc_buf = np.empty((first, H)), np.empty((first, H))
     for layer in range(model.n_layers - 1, -1, -1):
-        layer_in, hs, gates, cells = caches[layer]
+        layer_in, hs, gates, cells, tc = caches[layer]
         i, f, g, o = (gates[:, k] for k in range(4))
-        tc = np.tanh(cells)
         dc_dh = o * (1.0 - tc * tc)
         # each gate's pre-activation gradient is dc (input, forget and cell
         # gates) or dh (output gate) times a factor; the loop scales these
@@ -233,14 +280,15 @@ def lstm_backward(
         dc_next = np.zeros((first, H))
         s = len(order)
         for n in reversed(active):
-            s -= n
-            dh = dh_above[s : s + n] + dh_next[:n]
-            dc = dh * dc_dh[s : s + n] + dc_next[:n]
-            dz_t = dz[s : s + n]
+            e, s = s, s - n
+            dh = np.add(dh_above[s:e], dh_next[:n], dh_buf[:n])
+            dc = np.multiply(dh, dc_dh[s:e], dc_buf[:n])
+            dc += dc_next[:n]
+            dz_t = dz[s:e]
             dz_t[:, :3] *= dc[:, None]
             dz_t[:, 3] *= dh
-            dh_next[:n] = dz_t.reshape(n, 4 * H) @ U
-            dc_next[:n] = dc * f[s : s + n]
+            np.matmul(dz_t.reshape(n, 4 * H), U, dh_next[:n])
+            np.multiply(dc, f[s:e], dc_next[:n])
         dz = dz.reshape(-1, 4 * H)
         grads[f"W{layer}"] = dz.T @ layer_in
         grads[f"U{layer}"] = dz[first:].T @ hs[prev]
@@ -311,23 +359,52 @@ class TrainReport:
 
 
 class _Adam:
-    def __init__(self, shapes: dict, lr: float):
+    """Adam on one flat parameter vector, updated in place.
+
+    Each element gets p -= lr * (m / b1c) / (sqrt(v / b2c) + eps) after
+    its moments take the gradient, with the operations in that order;
+    two scratch vectors hold the intermediate terms.
+    """
+
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._s1, self._s2 = np.empty(size), np.empty(size)
 
-    def step(self, params: dict, grads: dict):
+    def step(self, p: np.ndarray, g: np.ndarray):
         self.t += 1
         b1c = 1.0 - _ADAM_BETA1**self.t
         b2c = 1.0 - _ADAM_BETA2**self.t
-        for k, p in params.items():
-            g, m, v = grads[k], self.m[k], self.v[k]
-            m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * g
-            v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        m *= _ADAM_BETA1
+        m += np.multiply(g, 1.0 - _ADAM_BETA1, s1)
+        v *= _ADAM_BETA2
+        np.multiply(g, 1.0 - _ADAM_BETA2, s1)
+        s1 *= g
+        v += s1
+        np.divide(m, b1c, s1)
+        s1 *= self.lr
+        np.divide(v, b2c, s2)
+        np.sqrt(s2, s2)
+        s2 += _ADAM_EPS
+        s1 /= s2
+        p -= s1
+
+
+def _bind_flat(model: LstmModel) -> np.ndarray:
+    """Move the model's parameters into one flat vector, in ``param_items``
+    order with ``head_b`` last, and make its arrays views into it."""
+    items = list(model.param_items())
+    flat = np.concatenate([a.ravel() for _, a in items] + [[model.head_b]])
+    views, o = {}, 0
+    for name, a in items:
+        views[name] = flat[o : o + a.size].reshape(a.shape)
+        o += a.size
+    for layer in range(model.n_layers):
+        model.W[layer], model.U[layer], model.b[layer] = (views[f"{k}{layer}"] for k in "WUb")
+    model.head_w = views["head_w"]
+    return flat
 
 
 def _pack(samples):
@@ -371,11 +448,12 @@ def train(
     if model.input_dim != input_dim:
         raise ShapeMismatch("init model input width differs from the data")
 
-    params = dict(model.param_items())
-    head_b = np.array(model.head_b)
-    opt = _Adam(
-        {**{k: v.shape for k, v in params.items()}, "head_b": ()}, cfg.learning_rate
-    )
+    # the model trains on views into one flat vector that Adam updates in
+    # place; the gradients are gathered into another
+    flat = _bind_flat(model)
+    names = [name for name, _ in model.param_items()] + ["head_b"]
+    grad = np.empty_like(flat)
+    opt = _Adam(flat.size, cfg.learning_rate)
     report = TrainReport()
     best_model = model.copy()
     bad_evals = 0
@@ -391,12 +469,10 @@ def train(
             sse, grads, _ = lstm_backward(model, fm, labels, lengths=lengths)
             ep_sse += sse
             ep_rows += fm.shape[0]
-            for k in grads:
-                grads[k] /= max(fm.shape[0], 1)
-            full = dict(params)
-            full["head_b"] = head_b
-            opt.step(full, grads)
-            model.head_b = float(head_b)
+            np.concatenate([grads[k].ravel() for k in names], out=grad)
+            grad /= max(fm.shape[0], 1)
+            opt.step(flat, grad)
+            model.head_b = float(flat[-1])
         report.train_losses.append(ep_sse / max(ep_rows, 1))
 
         val = _mean_loss(model, val_samples)

@@ -525,3 +525,259 @@ def test_lengths_must_partition_the_rows():
             lstm_forward(model, fm, lengths)
     # zero-length sequences are allowed and hold no rows
     assert lstm_forward(model, fm, [0, 6, 0]).shape == (6,)
+
+
+# --- allocation-style references --------------------------------------------
+# The forward pass, BPTT, Adam step and training loop as they were before
+# they moved into reused buffers and one flat parameter vector: every step
+# allocates its temporaries. The package's versions must keep their bits.
+
+
+def _alloc_forward(model, fm, lengths, keep):
+    from gnssweight.nn import _layout
+
+    active, order = _layout(fm.shape[0], lengths)
+    H = model.hidden
+    layer_in = fm[order]
+    caches = []
+    with np.errstate(over="ignore"):
+        for layer in range(model.n_layers):
+            W, U, b = model.W[layer], model.U[layer], model.b[layer]
+            xp = layer_in @ W.T
+            xp += b
+            xp = xp.reshape(-1, 4, H)
+            UT = np.ascontiguousarray(U.T)
+            hs = np.empty((len(order), H))
+            if keep:
+                gates = np.empty((len(order), 4, H))
+                cells = np.empty((len(order), H))
+            h = c = np.zeros((active[0] if active else 0, H))
+            s = 0
+            for n in active:
+                z = xp[s : s + n] + (h[:n] @ UT).reshape(n, 4, H)
+                a = _sigmoid(z)
+                a[:, 2] = np.tanh(z[:, 2])
+                c = a[:, 1] * c[:n] + a[:, 0] * a[:, 2]
+                h = a[:, 3] * np.tanh(c)
+                hs[s : s + n] = h
+                if keep:
+                    gates[s : s + n] = a
+                    cells[s : s + n] = c
+                s += n
+            if keep:
+                caches.append((layer_in, hs, gates, cells))
+            layer_in = hs
+    outputs = np.empty(fm.shape[0])
+    outputs[order] = layer_in @ model.head_w + model.head_b
+    return outputs, active, order, caches
+
+
+def _alloc_backward(model, fm, labels, mask=None, lengths=None):
+    outputs, active, order, caches = _alloc_forward(model, fm, lengths, keep=True)
+    H = model.hidden
+    err = outputs - labels
+    if mask is not None:
+        err *= mask
+    sse = float(np.sum(err * err))
+    dy = 2.0 * err[order]
+    grads = {name: None for name, _ in model.param_items()}
+    grads["head_w"] = caches[-1][1].T @ dy
+    grads["head_b"] = np.array(np.sum(dy))
+    first = active[0] if active else 0
+    prev = np.arange(first, len(order)) - np.repeat(np.array(active[:-1], dtype=int), active[1:])
+    dh_above = dy[:, None] * model.head_w
+    for layer in range(model.n_layers - 1, -1, -1):
+        layer_in, hs, gates, cells = caches[layer]
+        i, f, g, o = (gates[:, k] for k in range(4))
+        tc = np.tanh(cells)
+        dc_dh = o * (1.0 - tc * tc)
+        dz = 1.0 - gates
+        dz *= gates
+        dz[:, 0] *= g
+        dz[:first, 1] = 0.0
+        dz[first:, 1] *= cells[prev]
+        dz[:, 2] = i * (1.0 - g * g)
+        dz[:, 3] *= tc
+        U = model.U[layer]
+        dh_next = np.zeros((first, H))
+        dc_next = np.zeros((first, H))
+        s = len(order)
+        for n in reversed(active):
+            s -= n
+            dh = dh_above[s : s + n] + dh_next[:n]
+            dc = dh * dc_dh[s : s + n] + dc_next[:n]
+            dz_t = dz[s : s + n]
+            dz_t[:, :3] *= dc[:, None]
+            dz_t[:, 3] *= dh
+            dh_next[:n] = dz_t.reshape(n, 4 * H) @ U
+            dc_next[:n] = dc * f[s : s + n]
+        dz = dz.reshape(-1, 4 * H)
+        grads[f"W{layer}"] = dz.T @ layer_in
+        grads[f"U{layer}"] = dz[first:].T @ hs[prev]
+        grads[f"b{layer}"] = dz.sum(axis=0)
+        if layer:
+            dh_above = dz @ model.W[layer]
+    n_rows = fm.shape[0] if mask is None else int(np.sum(np.asarray(mask) > 0))
+    return sse, grads, n_rows
+
+
+class _AllocAdam:
+    def __init__(self, shapes, lr):
+        self.lr = lr
+        self.t = 0
+        self.m = {k: np.zeros(s) for k, s in shapes.items()}
+        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+
+    def step(self, params, grads):
+        from gnssweight.nn import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
+
+        self.t += 1
+        b1c = 1.0 - _ADAM_BETA1**self.t
+        b2c = 1.0 - _ADAM_BETA2**self.t
+        for k, p in params.items():
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
+
+
+def _alloc_mean_loss(model, samples):
+    from gnssweight.nn import _LOSS_CHUNK, _pack
+
+    total = 0.0
+    rows = 0
+    for start in range(0, len(samples), _LOSS_CHUNK):
+        fm, labels, lengths = _pack(samples[start : start + _LOSS_CHUNK])
+        y = _alloc_forward(model, fm, lengths, keep=False)[0]
+        total += float(np.sum((y - labels) ** 2))
+        rows += fm.shape[0]
+    return total / max(rows, 1)
+
+
+def _alloc_train(train_samples, val_samples, cfg, init_model=None):
+    from gnssweight.nn import TrainReport, _pack
+
+    input_dim = train_samples[0][0].shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model.copy() if init_model is not None else LstmModel.init(input_dim, cfg.hidden, rng)
+    params = dict(model.param_items())
+    head_b = np.array(model.head_b)
+    opt = _AllocAdam({**{k: v.shape for k, v in params.items()}, "head_b": ()}, cfg.learning_rate)
+    report = TrainReport()
+    best_model = model.copy()
+    bad_evals = 0
+    order = np.arange(len(train_samples))
+    for ep in range(cfg.max_epochs):
+        rng.shuffle(order)
+        ep_sse = 0.0
+        ep_rows = 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            fm, labels, lengths = _pack([train_samples[j] for j in batch])
+            sse, grads, _ = _alloc_backward(model, fm, labels, lengths=lengths)
+            ep_sse += sse
+            ep_rows += fm.shape[0]
+            for k in grads:
+                grads[k] /= max(fm.shape[0], 1)
+            full = dict(params)
+            full["head_b"] = head_b
+            opt.step(full, grads)
+            model.head_b = float(head_b)
+        report.train_losses.append(ep_sse / max(ep_rows, 1))
+        val = _alloc_mean_loss(model, val_samples)
+        report.val_losses.append(val)
+        if val < report.best_val:
+            report.best_val = val
+            report.best_epoch = ep
+            best_model = model.copy()
+            bad_evals = 0
+        else:
+            bad_evals += 1
+            if bad_evals > cfg.patience:
+                break
+    return best_model, report
+
+
+def _model_bytes(model):
+    return [a.tobytes() for _, a in model.param_items()] + [np.float64(model.head_b).tobytes()]
+
+
+# tied lengths (5, 5, 5 and 17, 17), one packed batch of one sequence, and
+# the single-sequence layout predict_weights runs
+_BITWISE_CASES = [("tied", _LENGTHS), ("one", [11]), ("single", None)]
+
+
+@pytest.mark.parametrize("hidden", [3, 16, 64])
+@pytest.mark.parametrize("case, lengths", _BITWISE_CASES, ids=[c for c, _ in _BITWISE_CASES])
+def test_forward_matches_allocating_reference(hidden, case, lengths):
+    """The forward pass, with and without the caches kept, has the bytes of
+    the allocating reference: outputs, inputs, hidden states, gates and
+    cells, and its kept tanh(c) is np.tanh of the cells."""
+    from gnssweight.nn import _forward
+
+    rng = np.random.default_rng(300 + hidden)
+    model = LstmModel.init(6, hidden, rng)
+    model.head_b = 0.1
+    fm, _, _ = _packed_problem(rng, lengths or [11], 6)
+    want, want_active, want_order, want_caches = _alloc_forward(model, fm, lengths, keep=True)
+    for keep in (False, True):
+        got, active, order, caches = _forward(model, fm, lengths, keep)
+        assert got.tobytes() == want.tobytes()
+        assert active == want_active and order.tobytes() == want_order.tobytes()
+        assert len(caches) == (model.n_layers if keep else 0)
+        for cache, ref in zip(caches, want_caches):
+            assert [a.tobytes() for a in cache[:4]] == [a.tobytes() for a in ref]
+            assert cache[4].tobytes() == np.tanh(ref[3]).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [3, 16, 64])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("case, lengths", _BITWISE_CASES, ids=[c for c, _ in _BITWISE_CASES])
+def test_backward_matches_allocating_reference(hidden, masked, case, lengths):
+    """BPTT has the reference's bytes: the loss, the row count and every
+    gradient, with and without a row mask."""
+    rng = np.random.default_rng(400 + hidden)
+    model = LstmModel.init(6, hidden, rng)
+    model.head_b = -0.3
+    fm, labels, mask = _packed_problem(rng, lengths or [11], 6, masked)
+    sse, grads, n_rows = lstm_backward(model, fm, labels, mask=mask, lengths=lengths)
+    ref_sse, ref, ref_rows = _alloc_backward(model, fm, labels, mask=mask, lengths=lengths)
+    assert (np.float64(sse).tobytes(), n_rows) == (np.float64(ref_sse).tobytes(), ref_rows)
+    assert list(grads) == list(ref)
+    for k in ref:
+        assert grads[k].shape == ref[k].shape and grads[k].tobytes() == ref[k].tobytes(), k
+
+
+@pytest.mark.parametrize("hidden", [3, 16, 64])
+def test_train_matches_allocating_reference(hidden, monkeypatch):
+    """Three epochs of ``train`` from a fresh model and from an initial one
+    have the reference's bytes: every parameter and each train and
+    validation loss. ``train`` leaves the initial model as it was, and the
+    model it returns owns its arrays: none is a view of the flat vector
+    training ran on."""
+    from gnssweight import nn
+
+    rng = np.random.default_rng(500 + hidden)
+    lengths = rng.integers(1, 12, size=20)
+    train_s = [(rng.normal(size=(k, 5)), rng.normal(size=k)) for k in lengths[:14]]
+    val_s = [(rng.normal(size=(k, 5)), rng.normal(size=k)) for k in lengths[14:]]
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3, patience=3, seed=hidden, hidden=hidden)
+    init = LstmModel.init(5, hidden, np.random.default_rng(hidden))
+    init.head_b = 0.05
+    init_bytes = _model_bytes(init)
+    flats = []
+    bind = nn._bind_flat
+    monkeypatch.setattr(nn, "_bind_flat", lambda m: flats.append(bind(m)) or flats[-1])
+    for start in (None, init):
+        model, report = train(train_s, val_s, cfg, init_model=start)
+        ref_model, ref_report = _alloc_train(train_s, val_s, cfg, init_model=start)
+        assert _model_bytes(model) == _model_bytes(ref_model)
+        assert np.array(report.train_losses).tobytes() == np.array(ref_report.train_losses).tobytes()
+        assert np.array(report.val_losses).tobytes() == np.array(ref_report.val_losses).tobytes()
+        assert (report.best_epoch, report.best_val) == (ref_report.best_epoch, ref_report.best_val)
+        for _, a in model.param_items():
+            assert a.flags.owndata and not np.shares_memory(a, flats[-1])
+    assert _model_bytes(init) == init_bytes
+    assert len(flats) == 2

@@ -606,3 +606,101 @@ def test_pair_tables_are_cached_and_read_only():
         for a in tables:
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def _problem_arrays(rng, n):
+    """One ``solve_batch`` problem: the equal-weight row and two others."""
+    epoch, _ = make_epoch(rng, n=n, noise_sigma=2.0)
+    return solver.epoch_problem(epoch, np.vstack([np.ones(n), rng.uniform(0.5, 2.0, (2, n))]))
+
+
+@pytest.mark.parametrize("field, at, bad, name", [
+    (0, (3, 1), np.nan, "satellite positions"),
+    (0, (0, 2), -np.inf, "satellite positions"),
+    (1, (4,), np.inf, "pseudoranges"),
+    (1, (0,), np.nan, "pseudoranges"),
+    (4, (1, 0), np.inf, "starts"),
+    (4, (2, 4), np.nan, "starts"),
+], ids=["sat-nan", "sat-minus-inf", "pr-inf", "pr-nan", "start-inf", "start-nan"])
+def test_non_finite_measurements_and_starts_raise_value_error(field, at, bad, name):
+    """A NaN or infinity in one problem's satellite positions, pseudoranges
+    or starts fails the call with a ValueError naming the input, before any
+    row is solved, whichever of the two problems holds it; ``solve_wls``
+    rejects the same inputs."""
+    rng = np.random.default_rng(61)
+    for which in (0, 1):
+        problems = [list(_problem_arrays(rng, 9)), list(_problem_arrays(rng, 11))]
+        good = solver.solve_batch([tuple(p) for p in problems])
+        problems[which][field] = problems[which][field].copy()
+        problems[which][field][at] = bad
+        with pytest.raises(ValueError, match=name):
+            solver.solve_batch([tuple(p) for p in problems])
+        # the finite problem alone keeps its bits
+        other = 1 - which
+        alone = solver.solve_batch([tuple(problems[other])])[0]
+        assert [a.tobytes() for a in alone] == [a.tobytes() for a in good[other]]
+
+    epoch, truth = make_epoch(rng, n=9)
+    ms = epoch.measurements
+    if field == 4:
+        init = NavState(EcefPosition(bad, 0.0, 0.0), truth.clock_bias)
+        with pytest.raises(ValueError, match=name):
+            solve_wls(epoch, np.ones(9), init=init)
+        return
+    m = ms[at[0]]
+    if field == 0:
+        m = type(m)(m.constellation, m.sv_id, m.band, m.pseudorange, EcefPosition(bad, 0.0, 0.0),
+                    m.cn0, m.lock_time)
+    else:
+        m = type(m)(m.constellation, m.sv_id, m.band, bad, m.sat_pos, m.cn0, m.lock_time)
+    epoch = Epoch(time=epoch.time, measurements=[*ms[:at[0]], m, *ms[at[0] + 1:]])
+    with pytest.raises(ValueError, match=name):
+        solve_wls(epoch, np.ones(9))
+
+
+def test_normal_equations_reuse_buffers_without_leaks():
+    """Two ``_normal_equations`` calls on one pair of buffers, the second
+    with fewer rows and other states, as the kernel's rounds make them:
+    each has the bytes of a call that allocates its own, the first call's
+    results do not change when the second overwrites the buffers, and no
+    result shares memory with them. The buffers start as NaN, so a stale
+    or unwritten element would show."""
+    rng = np.random.default_rng(19)
+    for b, n, n_const in ((64, 12, 3), (19, 18, 4), (1, 7, 1)):
+        d = 3 + n_const
+        pairs = _kernels._pairs(d)
+        x, sat, pr, w, idx = _random_stack(rng, b, n, n_const)
+        meas = _kernels._layout(sat, pr, w, idx, d)
+        size = n * pairs[0].size * b
+        buf = (np.full(size, np.nan), np.full(size, np.nan))
+        first = _kernels._normal_equations(x, meas, pairs, buf)
+        kept = [a.copy() for a in first]
+        keep = np.arange(0, b, 3)
+        x2 = x[keep] + rng.normal(0.0, 5.0, (keep.size, d))
+        meas2 = _kernels._take(meas, keep)
+        second = _kernels._normal_equations(x2, meas2, pairs, buf)
+        for got, want in ((first, kept), (first, _kernels._normal_equations(x, meas, pairs)),
+                          (second, _kernels._normal_equations(x2, meas2, pairs))):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (b, n, n_const)
+        for a in (*first, *second):
+            assert not any(np.shares_memory(a, m) for m in buf)
+
+
+def test_solve_batch_output_does_not_depend_on_rows_per_call(monkeypatch):
+    """``solve_batch`` on the equal-weight and leave-one-out rows of every
+    epoch of the residual corpus gives the same bytes with kernel calls of
+    at most 7, 256, 512 and 1024 rows: a call's pair-product buffers carry
+    nothing from one round or call to the next."""
+    from test_residuals import _corpus
+
+    problems = [solver.epoch_problem(epoch, np.vstack([np.ones(epoch.n), 1.0 - np.eye(epoch.n)]))
+                for _k, epoch, _max_iter in _corpus()]
+    per_dim = {}
+    for p in problems:
+        per_dim[p[4].shape[1]] = per_dim.get(p[4].shape[1], 0) + len(p[4])
+    assert max(per_dim.values()) > 1024, per_dim  # every cap splits some group
+    outputs = []
+    for cap in (7, 256, 512, 1024):
+        monkeypatch.setattr(solver, "MAX_ROWS_PER_CALL", cap)
+        outputs.append([a.tobytes() for res in solver.solve_batch(problems) for a in res])
+    assert all(out == outputs[0] for out in outputs[1:])
