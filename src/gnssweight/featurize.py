@@ -66,7 +66,7 @@ def assemble_feature_matrix(rmat: ResidualMatrix, per_link) -> np.ndarray:
     fm[:, 5] = a.mean(axis=1)
     fm[:, 6] = np.sum(a > 5.0, axis=1)
     fm[:, 7] = np.sum(a > 20.0, axis=1)
-    fm[:, N_RESIDUAL_SUMMARY:] = [link.as_array() for link in per_link]
+    fm[:, N_RESIDUAL_SUMMARY:] = per_link
     return fm
 
 

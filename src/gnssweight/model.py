@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,42 +54,77 @@ class NavState:
     clock_bias: dict[ConstellationId, float] = field(default_factory=dict)
 
 
-@dataclass
+def _built_once(build):
+    """An ``Epoch`` method returning ``build(self)``, built at the first call
+    and kept on the instance; an array is kept read-only."""
+
+    name = "_" + build.__name__
+
+    def method(self):
+        cache = self.__dict__
+        if name not in cache:
+            value = cache[name] = build(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return cache[name]
+
+    method.__name__, method.__qualname__, method.__doc__ = build.__name__, build.__qualname__, build.__doc__
+    return method
+
+
+@dataclass(frozen=True)
 class Epoch:
     """One measurement snapshot; measurements kept in canonical order.
 
     Canonical order is (constellation, sv_id, band) ascending, so feature
-    rows and weight vectors line up deterministically.
+    rows and weight vectors line up deterministically. An epoch is
+    immutable: ``measurements`` is a tuple and no field can be assigned
+    after construction. Its arrays (``sat_array``, ``pr_array``,
+    ``const_index``), its constellations and its state dimension are
+    therefore built once, at the first call, and every later call returns
+    the same object; the arrays are read-only, so no caller can alter the
+    shared copy.
     """
 
     time: float
-    measurements: list[PseudorangeMeasurement]
+    measurements: tuple[PseudorangeMeasurement, ...]
     truth: EcefPosition | None = None
     session_id: str = ""
 
     def __post_init__(self):
-        self.measurements = sorted(self.measurements, key=lambda m: m.key)
         keys = [m.key for m in self.measurements]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate (constellation, sv_id, band) in epoch")
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        object.__setattr__(self, "measurements", tuple(self.measurements[i] for i in order))
+
+    def __getstate__(self):
+        # the fields only: an unpickled epoch rebuilds its arrays, read-only
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def n(self) -> int:
         return len(self.measurements)
 
-    def constellations(self) -> list[ConstellationId]:
+    @_built_once
+    def constellations(self) -> tuple[ConstellationId, ...]:
         """Constellations present, ascending; defines clock-column order."""
-        return sorted({m.constellation for m in self.measurements})
+        return tuple(sorted({m.constellation for m in self.measurements}))
 
+    @_built_once
     def state_dim(self) -> int:
         return 3 + len(self.constellations())
 
+    @_built_once
     def sat_array(self) -> np.ndarray:
-        return np.array([[m.sat_pos.x, m.sat_pos.y, m.sat_pos.z] for m in self.measurements])
+        """Satellite positions, (N, 3); (0, 3) for an epoch without measurements."""
+        return np.array([[m.sat_pos.x, m.sat_pos.y, m.sat_pos.z] for m in self.measurements]).reshape(-1, 3)
 
+    @_built_once
     def pr_array(self) -> np.ndarray:
         return np.array([m.pseudorange for m in self.measurements])
 
+    @_built_once
     def const_index(self) -> np.ndarray:
         """Per-measurement index into :meth:`constellations`."""
         order = {c: k for k, c in enumerate(self.constellations())}

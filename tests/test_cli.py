@@ -115,6 +115,37 @@ def test_training_from_cache_matches_direct(tiny_config, tiny_dataset, tmp_path)
         assert np.array_equal(p1, p2)
 
 
+def test_epochs_without_measurements_are_skipped(tiny_config, tiny_dataset, tmp_path):
+    """A campaign with an empty epoch in the train and in the test split runs
+    through every stage: featurize skips both, and each strategy counts the
+    test one as a failure."""
+    header, *epochs = Path(tiny_dataset).read_text(encoding="utf-8").splitlines()
+    split = {sid: info["split"] for sid, info in json.loads(header)["sessions"].items()}
+    epochs = [json.loads(line) for line in epochs]
+    for which in ("train", "test"):
+        next(e for e in epochs if split[e["session_id"]] == which)["measurements"] = []
+    data = tmp_path / "campaign.jsonl"
+    data.write_text("\n".join([header, *map(json.dumps, epochs)]) + "\n", encoding="utf-8")
+
+    cache = tmp_path / "features.npz"
+    assert main(["featurize", "--config", tiny_config, "--data", str(data), "--out", str(cache)]) == 0
+    models = []
+    for mode in ("full", "residual"):
+        model = tmp_path / f"{mode}.npz"
+        assert main(["train", "--config", tiny_config, "--features", str(cache), "--out", str(model),
+                     "--mode", mode]) == 0
+        models += [f"--model-{mode}", str(model)]
+    out_dir = tmp_path / "eval"
+    assert main(["evaluate", "--config", tiny_config, "--data", str(data), "--out-dir", str(out_dir),
+                 "--strategies", "truth,nn_full,nn_residual,fde_sota,equal", *models]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))["strategies"]
+    n_test = sum(split[e["session_id"]] == "test" for e in epochs)
+    assert len(summary) == 5
+    for s in summary.values():
+        assert s["failures"] >= 1
+        assert s["count"] + s["failures"] == n_test
+
+
 def test_resume_continues_from_checkpoint(tiny_config, tiny_dataset, tmp_path):
     first = tmp_path / "first.npz"
     assert main(["train", "--config", tiny_config, "--data", tiny_dataset, "--out", str(first), "--mode", "residual"]) == 0

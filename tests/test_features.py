@@ -1,4 +1,6 @@
 import math
+from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from gnssweight.features import (
     PerLinkFeatures,
     TrackingHistory,
 )
-from gnssweight.geo import ecef_to_geodetic
+from gnssweight.geo import ecef_to_geodetic, look_angles
 from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
 from conftest import make_epoch
 
@@ -176,10 +178,69 @@ def test_random_replay_against_reference(rng):
                 if cur[0] - prev[0] > CONTINUITY_HORIZON or len(win) == WINDOW_CAPACITY:
                     break
                 win.append(prev)
-            vals = np.array([v for _, v in win])
+            vals = np.array([v for _, v in reversed(win)])  # oldest first, as the window holds them
             assert f.window_size == len(vals)
-            assert f.cn0_mean == pytest.approx(vals.mean(), rel=1e-12)
+            assert f.cn0_mean == vals.mean()
             if len(vals) >= 2:
-                assert f.cn0_var == pytest.approx(vals.var(ddof=1), rel=1e-9)
+                assert f.cn0_var == vals.var(ddof=1)
             else:
                 assert f.cn0_var == VARIANCE_SENTINEL
+
+
+# --- per-link reference -----------------------------------------------------
+# The tracker as it was before it reduced the windows of each length as one
+# stack: every link's window becomes its own array, reduced on its own. The
+# package's records must keep its bits.
+
+
+class _PerLinkReference:
+    """``TrackingHistory`` with one array, mean and variance per link; each
+    record is (elevation, lock time, C/N0, mean, variance, window size)."""
+
+    def __init__(self):
+        self._windows = {}
+
+    def update_and_extract(self, epoch, rx_approx):
+        elevations, _ = look_angles(epoch.sat_array(), rx_approx)
+        out = []
+        for m, elev in zip(epoch.measurements, elevations):
+            win = self._windows.setdefault(m.key, deque(maxlen=WINDOW_CAPACITY))
+            if win and epoch.time - win[-1][0] > CONTINUITY_HORIZON:
+                win.clear()
+            win.append((epoch.time, m.cn0))
+            values = np.array([v for _, v in win])
+            var = float(values.var(ddof=1)) if len(values) >= 2 else VARIANCE_SENTINEL
+            out.append((elev, m.lock_time, m.cn0, float(values.mean()), var, len(values)))
+        return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_statistics_match_per_link_reference(seed):
+    """Random replays of 18 links with dropouts and gaps past the continuity
+    horizon, so that windows of every length from 1 to WINDOW_CAPACITY
+    occur, several lengths in one epoch: every record has the bytes of the
+    per-link reference, field by field."""
+    rng = np.random.default_rng(2000 + seed)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
+    epoch0, truth = make_epoch(rng, n=18, constellations=consts)
+    ref = ecef_to_geodetic(truth.position)
+    hist, reference = TrackingHistory(), _PerLinkReference()
+    sizes, most_lengths = set(), 0
+    t = 0.0
+    for _ in range(80):
+        t += rng.choice([0.2, 0.2, 0.2, 0.2, 0.2, 0.6])
+        ms = [replace(m, cn0=float(rng.uniform(20.0, 55.0)), lock_time=t)
+              for m in epoch0.measurements if rng.random() > 0.15]
+        epoch = Epoch(time=t, measurements=ms)
+        got = hist.update_and_extract(epoch, ref)
+        want = reference.update_and_extract(epoch, ref)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g.window_size) is int and g.window_size == w[5]
+            assert np.array(g[:5]).tobytes() == np.array(w[:5]).tobytes()
+            assert g.as_array().tobytes() == np.array(w, dtype=float).tobytes()
+        lengths = {g.window_size for g in got}
+        sizes |= lengths
+        most_lengths = max(most_lengths, len(lengths))
+    assert sizes == set(range(1, WINDOW_CAPACITY + 1))
+    assert most_lengths >= 3

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -100,3 +102,34 @@ def test_observation_independent_of_other_measurements(rng):
     smaller = Epoch(time=0.0, measurements=epoch.measurements[3:6])
     assert observation_function(truth, smaller.measurements[1]) in (before, before)
     assert observation_function(truth, m) == before
+
+
+def test_epoch_arrays_cannot_go_stale(rng):
+    """An epoch is immutable, and its arrays are built once and read-only:
+    every call returns the same object, and no caller can write into it."""
+    epoch, _ = make_epoch(rng, n=7)
+    with pytest.raises(TypeError):
+        epoch.measurements[0] = epoch.measurements[1]
+    for name in ("time", "measurements", "truth", "session_id"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(epoch, name, getattr(epoch, name))
+    for method in (epoch.sat_array, epoch.pr_array, epoch.const_index):
+        a = method()
+        assert method() is a
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    assert epoch.constellations() is epoch.constellations()
+    assert epoch.sat_array().shape == (7, 3)
+    # an unpickled epoch (as a worker process gets it) builds its own arrays, read-only too
+    again = pickle.loads(pickle.dumps(epoch))
+    assert again == epoch
+    assert again.sat_array().tobytes() == epoch.sat_array().tobytes()
+    assert not again.sat_array().flags.writeable
+
+
+def test_epoch_without_measurements_has_empty_arrays():
+    epoch = Epoch(time=0.0, measurements=[])
+    assert epoch.sat_array().shape == (0, 3)
+    assert epoch.pr_array().shape == epoch.const_index().shape == (0,)
+    assert epoch.constellations() == ()
+    assert epoch.state_dim() == 3

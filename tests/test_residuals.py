@@ -208,11 +208,11 @@ def _corpus():
         if k % 10 == 5:
             # four links on one line of sight: small subsets go singular
             ms = epoch.measurements
-            ms[1:4] = [
+            epoch = Epoch(time=epoch.time, measurements=[ms[0], *(
                 PseudorangeMeasurement(m.constellation, m.sv_id, m.band, m.pseudorange,
                                        ms[0].sat_pos, m.cn0, m.lock_time)
                 for m in ms[1:4]
-            ]
+            ), *ms[4:]], truth=epoch.truth)
         yield k, epoch, 4 if k % 7 == 3 else full_cap
 
 
