@@ -57,9 +57,9 @@ matrix condition number near the geometry's true DOP instead of
 inflating it by c^2.
 
 The solver's settings are the module constants below: the iteration cap
-``MAX_ITERATIONS``, the step length ``STEP_TOLERANCE`` (m) that counts as
-converged, the damping schedule ``INITIAL_DAMPING``, ``DAMPING_UP`` and
-``DAMPING_DOWN``, and ``COND_LIMIT``, the normal matrix condition number
+``MAX_ITERATIONS``, the trial step length ``STEP_TOLERANCE`` (m) below
+which a solve stops as converged, the damping schedule
+``INITIAL_DAMPING``, ``DAMPING_UP`` and ``DAMPING_DOWN``, and ``COND_LIMIT``, the normal matrix condition number
 above which a solve is singular. Only the cap is an argument of the
 solve functions, so that a test can lower it.
 """
@@ -257,12 +257,19 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
 
     Stopping rule (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
     Least Squares Problems", DTU 2004):
-    - an accepted step shorter than STEP_TOLERANCE, or
+    - a trial step shorter than STEP_TOLERANCE, accepted or not, or
     - no trial lowers the cost: a trial cost exactly equal to the current
       one (the iterate is at the rounding floor, where the computed cost
       is flat), or damping saturating above 1e14.
     Both end the loop with STATUS_CONVERGED and go to the undamped
-    Gauss-Newton polish. STATUS_MAX_ITER is returned only when all
+    Gauss-Newton polish; a rejected trial is not an iteration. Stopping
+    at a rejected short trial skips only trials at the rounding floor: a
+    row that stopped at short accepted steps only could end no other way
+    from there, since more damping shortens the step further, an accepted
+    step that short stops the row, and otherwise it stops at equal cost
+    or saturated damping. Both end points lie within STEP_TOLERANCE of
+    each other, and the polish takes both to the same Gauss-Newton point
+    to within rounding. STATUS_MAX_ITER is returned only when all
     max_iter iterations lowered the cost, i.e. it was still falling at
     the cap; STATUS_SINGULAR when ``_ill_conditioned`` flags the normal
     matrix at the start of an iteration. A row's STATUS_SINGULAR can
@@ -327,7 +334,9 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         # is lost in rounding: accepting it lets the iterate wander along
         # the flat floor with steps above STEP_TOLERANCE and never stop.
         better = cost_c < cost
-        converged = cost_c == cost  # stagnation at the rounding floor
+        # Stagnation at the rounding floor, or a step too short to matter,
+        # whether or not the trial is accepted (see the docstring).
+        converged = (cost_c == cost) | (np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE)
         # The cases below give every row the bits of the all-rows form of
         # the middle one; a round whose trials all pass, or all fail,
         # skips the numpy calls it does not need.
@@ -348,25 +357,21 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         # at most 1e14 and an accepted trial lowers it, so only a rejected
         # trial gets here.
         converged |= lam > 1e14
-        if n_better:
-            converged |= better & (np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE)
-            stop = converged | better & (iters == max_iter)
-        else:
-            stop = converged
+        stop = converged | better & (iters == max_iter)
         fresh = better
         if np.count_nonzero(stop):
             leave(stop, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITER))
-        if n_better:
-            iters += fresh
+        iters += fresh
 
     # Undamped Gauss-Newton polish of the converged rows. The damped loop
-    # stops within STEP_TOLERANCE of the minimizer, or where no trial
-    # lowers the cost; near the minimizer the computed cost is flat to
-    # rounding (residuals are differences of ~1e7 m quantities, so the cost
-    # carries ~1e-8 relative noise) and cannot gate acceptance. The
-    # gradient still resolves the offset, so take plain GN steps while the
-    # step norm shrinks and stop once it stalls or grows. Rows leave by
-    # index, with their measurements, and only in a step where some stop.
+    # stops at a trial step, accepted or not, shorter than STEP_TOLERANCE,
+    # or where no trial lowers the cost; near the minimizer the computed
+    # cost is flat to rounding (residuals are differences of ~1e7 m
+    # quantities, so the cost carries ~1e-8 relative noise) and cannot
+    # gate acceptance. The gradient still resolves the offset, so take
+    # plain GN steps while the step norm shrinks and stop once it stalls or
+    # grows. Rows leave by index, with their measurements, and only in a
+    # step where some stop.
     rows = np.flatnonzero(status_out == STATUS_CONVERGED)
     A, g, meas = A_out, g_out, meas_out
     if rows.size < nb:

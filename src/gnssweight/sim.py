@@ -65,6 +65,11 @@ _DEFAULT_WAYPOINTS = [
 ]
 
 
+def _is_int(v):
+    """An int that is not a bool (True would pass for 1 satellite or GLONASS)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 0
@@ -97,6 +102,11 @@ class ScenarioConfig:
                 raise ConfigInvalid("nlos_prob_curve elevation outside [0, pi/2]")
         if self.noise_sigma_m < 0 or self.nlos_bias_mean_m < 0:
             raise ConfigInvalid("noise/bias magnitudes must be nonnegative")
+        for const, count in self.sv_counts.items():
+            if not _is_int(const) or const not in tuple(ConstellationId):
+                raise ConfigInvalid(f"sv_counts key {const!r} is not a ConstellationId")
+            if not _is_int(count) or count < 0:
+                raise ConfigInvalid(f"sv_counts[{const!r}] = {count!r} is not a nonnegative integer")
         if sum(self.sv_counts.values()) < 16:
             raise ConfigInvalid("too few satellites for a typical N >= 6 visible")
         if len(self.waypoints) < 2:

@@ -127,10 +127,11 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     determine the state, SingularGeometry on an ill-conditioned normal
     matrix, and NonConvergence (carrying the best iterate, with
     ``converged`` False) when the cost is still falling after
-    ``_kernels.MAX_ITERATIONS`` iterations. A solve that stops because no
-    step lowers the cost any further (the rounding floor) has converged
-    and returns normally. The kernel's other settings are the constants
-    next to ``MAX_ITERATIONS`` in ``_kernels``.
+    ``_kernels.MAX_ITERATIONS`` iterations. A solve that stops at the
+    rounding floor, where a trial step, accepted or not, is shorter than
+    ``_kernels.STEP_TOLERANCE`` or no step lowers the cost any further,
+    has converged and returns normally. The kernel's other settings are
+    the constants next to ``MAX_ITERATIONS`` in ``_kernels``.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (epoch.n,):

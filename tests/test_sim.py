@@ -220,6 +220,31 @@ def test_campaign_profiles_must_be_distinct_and_nonempty():
         generate_campaign(["indoor"], sessions_per_profile=3, seed=0, epochs_per_session=2)
 
 
+@pytest.mark.parametrize("sv_counts, match", [
+    ({"GPS": 20}, "key 'GPS'"),
+    ({ConstellationId.GPS: 20, 7: 4}, "key 7"),
+    ({True: 20}, "key True"),
+    ({0: -5, 1: 30}, "-5 is not a nonnegative integer"),
+    ({ConstellationId.GPS: 20.0}, "20.0 is not"),
+    ({ConstellationId.GPS: True, ConstellationId.GALILEO: 20}, "True is not"),
+])
+def test_sv_counts_are_constellations_and_nonnegative_counts(sv_counts, match):
+    # a string key used to fail deep in the orbit set-up with a bare
+    # KeyError, and a negative count to pass as no satellites
+    with pytest.raises(ConfigInvalid, match=match):
+        generate_campaign(["open_sky"], 3, 1, epochs_per_session=2, sv_counts=sv_counts)
+
+
+def test_sv_counts_by_constellation_value_draw_the_same_campaign():
+    named = {ConstellationId.GPS: 10, ConstellationId.GALILEO: 8, ConstellationId.GLONASS: 0}
+    a, b = (generate_campaign(["open_sky"], 3, 5, epochs_per_session=3, sv_counts=sv)
+            for sv in (named, {int(c): n for c, n in named.items()}))
+    for sa, sb in zip(a.sessions, b.sessions, strict=True):
+        for ea, eb in zip(sa.epochs, sb.epochs, strict=True):
+            assert [(m.key, m.pseudorange, m.cn0) for m in ea.measurements] == \
+                [(m.key, m.pseudorange, m.cn0) for m in eb.measurements]
+
+
 def _reference_orbit_basis(normal):
     ref = np.array([1.0, 0.0, 0.0])
     if abs(normal @ ref) > 0.9:

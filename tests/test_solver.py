@@ -281,10 +281,16 @@ def _reference_normal_equations(x, sat_pos, pr, w, const_idx):
 
 
 def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, step_tol=1e-6,
-                        lam0=1e-3, lam_up=10.0, lam_down=0.1, cond_limit=1e12):
-    """The one-problem loop that ``_kernels.lm_solve_batch`` runs per row."""
+                        lam0=1e-3, lam_up=10.0, lam_down=0.1, cond_limit=1e12, floor_stop=True):
+    """The one-problem loop that ``_kernels.lm_solve_batch`` runs per row.
+
+    Returns (x, iterations, status, cost, trials), trials being the state
+    of every damped trial in order. With ``floor_stop`` False it runs the
+    earlier rule, under which only an accepted step shorter than step_tol
+    stops the loop; a rejected one is retried with more damping.
+    """
     d = 3 + n_const
-    x, lam, status, iterations = x0.copy(), lam0, _kernels.STATUS_MAX_ITER, 0
+    x, lam, status, iterations, trials = x0.copy(), lam0, _kernels.STATUS_MAX_ITER, 0, []
     A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
     sum_sq = lambda v: np.cumsum(v * v)[-1]  # noqa: E731
     for it in range(max_iter):
@@ -298,13 +304,14 @@ def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, ste
             Ad = A.copy()
             Ad[np.diag_indices(d)] += lam * np.maximum(np.diag(A), 1e-12)
             dx = np.linalg.solve(Ad, g)
+            trials.append(x + dx)
             A_c, g_c, cost_c = _reference_normal_equations(x + dx, sat_pos, pr, w, const_idx)
             if cost_c < cost:
                 x, A, g, cost = x + dx, A_c, g_c, cost_c
                 lam = max(lam * lam_down, 1e-12)
                 accepted = True
                 break
-            if cost_c == cost:
+            if cost_c == cost or floor_stop and math.sqrt(sum_sq(dx)) < step_tol:
                 break
             lam = lam * lam_up
             if lam > 1e14:
@@ -324,23 +331,21 @@ def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, ste
             A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
             if step2 < 1e-20:
                 break
-    return x, iterations, status, cost
+    return x, iterations, status, cost, trials
 
 
-def test_kernel_matches_reference_loop():
-    """Every row of a batch, and a single solve, has the bits of the
-    one-problem loop: cold and warm starts, random weights with zeros,
-    low iteration caps and singular weightings."""
+def _reference_corpus():
+    """60 cases of 6 rows: (sat, pr, const_idx, n_const, W, X0, max_iter)
+    with cold and warm starts, random weights with zeros, low iteration
+    caps and singular weightings."""
     rng = np.random.default_rng(77)
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
-    statuses = np.zeros(3, dtype=int)
     for k in range(60):
         n_const = 1 + k % 3
         dim = 3 + n_const
         n = int(rng.integers(dim, 25))
         epoch, truth = make_epoch(rng, n=n, constellations=consts[:n_const],
                                   noise_sigma=(0.0, 2.0, 30.0)[k // 3 % 3])
-        sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
         truth_x = state_to_vector(epoch, truth)
         rows = 6
         W = rng.uniform(0.05, 3.0, size=(rows, n))
@@ -351,11 +356,20 @@ def test_kernel_matches_reference_loop():
         X0[:2, :3] = solver._DEFAULT_START.as_array()
         X0[:2, 3:] = 0.0
         max_iter = 3 if k % 5 == 0 else _kernels.MAX_ITERATIONS
+        yield epoch.sat_array(), epoch.pr_array(), epoch.const_index(), n_const, W, X0, max_iter
+
+
+def test_kernel_matches_reference_loop():
+    """Every row of a batch, and a single solve, has the bits of the
+    one-problem loop on ``_reference_corpus``."""
+    statuses = np.zeros(3, dtype=int)
+    for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
+        rows, n = W.shape
         X, its, status, cost = _kernels.lm_solve_batch(
             np.broadcast_to(sat, (rows, n, 3)), np.broadcast_to(pr, (rows, n)), W,
             np.broadcast_to(idx, (rows, n)), n_const, X0, max_iter)
         for row in range(rows):
-            x, it, st, c = _reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
+            x, it, st, c, _ = _reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
             single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
             for got in ((X[row], its[row], status[row], cost[row]), single):
                 assert got[0].tobytes() == x.tobytes(), (k, row)
@@ -363,6 +377,29 @@ def test_kernel_matches_reference_loop():
                 assert (got[1], got[2], got_c) == (it, st, c.tobytes()), (k, row)
             statuses[st] += 1
     assert np.all(statuses > 0), statuses
+
+
+def test_floor_stop_moves_fixes_by_nanometres():
+    """Stopping at a rejected trial shorter than STEP_TOLERANCE, as well as
+    at an accepted one, only cuts trials at the rounding floor: on
+    ``_reference_corpus`` no status changes, the new rule's trials are a
+    prefix of the earlier rule's, fewer in total, and a converged row
+    moves by less than STEP_TOLERANCE."""
+    trials = np.zeros(2, dtype=int)
+    for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
+        for row in range(W.shape[0]):
+            new, old = (_reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter,
+                                            floor_stop=floor_stop) for floor_stop in (True, False))
+            assert new[1:3] == old[1:3], (k, row)
+            assert len(new[4]) <= len(old[4]), (k, row)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(new[4], old[4])), (k, row)
+            trials += len(new[4]), len(old[4])
+            if new[2] == _kernels.STATUS_CONVERGED:
+                moved = np.linalg.norm(new[0][:3] - old[0][:3])
+                assert moved < _kernels.STEP_TOLERANCE, (k, row, moved)
+            else:  # capped or singular: no trial was short, so the paths agree
+                assert new[0].tobytes() == old[0].tobytes(), (k, row)
+    assert trials[0] < trials[1], trials
 
 
 def _random_stack(rng, b, n, n_const):
