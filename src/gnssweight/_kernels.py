@@ -19,11 +19,11 @@ columns with the residual). ``lm_solve_batch`` allocates two flat
 buffers of N * T * B elements once per call, and every
 ``_normal_equations`` call of the solve writes its products into
 C-contiguous prefixes of them; the working set only shrinks as rows
-stop. Fresh arrays of that size went back to the OS between rounds, and
-their minor page faults cost more than the products at B = 1024; the
-reused buffers stay resident and warm in cache, and
-``solver.MAX_ROWS_PER_CALL`` bounds their size. No result of
-``_normal_equations`` shares memory with them.
+stop. The buffers stay resident and warm in cache, where arrays of that
+size allocated per round would go back to the OS and cost more in minor
+page faults than the products at B = 1024; ``solver.MAX_ROWS_PER_CALL``
+bounds their size. No result of ``_normal_equations`` shares memory
+with them.
 
 Rows of one call share the measurement count N and the state dimension.
 A problem with fewer links is padded to the call's N with zero-weight
@@ -50,6 +50,9 @@ matrices skip eigvalsh: a matrix whose determinant and trace satisfy
 det > 0 and tr^d < det * COND_LIMIT * 1e-3 has a condition number below
 1e9, where eigvalsh says "not singular" too, so the decisions are
 eigvalsh's; only the other rows run eigvalsh (see ``_ill_conditioned``).
+Each round in which some row starts an iteration tests the whole working
+set: a row in the middle of an iteration holds the matrix that already
+passed, and each row's decision does not depend on the rest of the stack.
 
 Kernel state layout: [x, y, z, b_0 .. b_{K-1}] with clock terms in
 meters (c * delta). Parameterizing clocks in meters keeps the normal
@@ -59,9 +62,10 @@ inflating it by c^2.
 The solver's settings are the module constants below: the iteration cap
 ``MAX_ITERATIONS``, the trial step length ``STEP_TOLERANCE`` (m) below
 which a solve stops as converged, the damping schedule
-``INITIAL_DAMPING``, ``DAMPING_UP`` and ``DAMPING_DOWN``, and ``COND_LIMIT``, the normal matrix condition number
-above which a solve is singular. Only the cap is an argument of the
-solve functions, so that a test can lower it.
+``INITIAL_DAMPING``, ``DAMPING_UP`` and ``DAMPING_DOWN``, and
+``COND_LIMIT``, the normal matrix condition number above which a solve
+is singular. Only the cap is an argument of the solve functions, so
+that a test can lower it.
 """
 
 import functools
@@ -124,7 +128,7 @@ def _take(meas, keep):
     return sat, pr, w, clock + (J0.shape[1] - 1) * (np.arange(keep.size) - keep), J0
 
 
-def _normal_equations(x, meas, pairs, buf=None):
+def _normal_equations(x, meas, pairs, buf):
     """(A, g, cost) at each state x[b] of a stack.
 
     A = H^T W H, g = H^T W r and cost = r^T W r, where H is the Jacobian
@@ -133,8 +137,7 @@ def _normal_equations(x, meas, pairs, buf=None):
     is (B, d) and cost is (B,). buf is a pair of flat float64 arrays of at
     least N * T * B elements, T = len(pairs[0]), that the pair products
     are written into (``lm_solve_batch`` passes the same two to every
-    call of a solve); without it they are allocated here. No result
-    shares memory with buf.
+    call of a solve). No result shares memory with buf.
     """
     sat, pr, w, clock, J0 = meas
     jj, kk, sym, gi = pairs
@@ -154,12 +157,8 @@ def _normal_equations(x, meas, pairs, buf=None):
     # array slab by slab, in order, where it would pairwise-sum an inner one.
     # take() copies into its ``out`` only in the default mode "raise", and
     # every index is in range, so "clip" writes straight into the buffers.
-    shape = (n, jj.size, b)
-    if buf is None:
-        P, Q = np.empty(shape), np.empty(shape)
-    else:
-        size = n * jj.size * b
-        P, Q = buf[0][:size].reshape(shape), buf[1][:size].reshape(shape)
+    shape, size = (n, jj.size, b), n * jj.size * b
+    P, Q = buf[0][:size].reshape(shape), buf[1][:size].reshape(shape)
     (J * w).take(jj, axis=1, out=P, mode="clip")
     J.take(kk, axis=1, out=Q, mode="clip")
     P *= Q
@@ -312,14 +311,10 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         meas = _take(meas, keep)
 
     while rows.size:
-        n_fresh = np.count_nonzero(fresh)
-        if n_fresh:
-            all_fresh = n_fresh == rows.size
-            bad = _ill_conditioned(A if all_fresh else A[fresh])
+        # the whole working set, whenever some row is fresh (module docstring)
+        if np.count_nonzero(fresh):
+            bad = _ill_conditioned(A)
             if np.count_nonzero(bad):
-                if not all_fresh:
-                    bad_fresh, bad = bad, np.zeros(rows.size, dtype=bool)
-                    bad[fresh] = bad_fresh
                 leave(bad, np.full(rows.size, STATUS_SINGULAR))
                 if not rows.size:
                     break
@@ -369,9 +364,11 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     # cost is flat to rounding (residuals are differences of ~1e7 m
     # quantities, so the cost carries ~1e-8 relative noise) and cannot
     # gate acceptance. The gradient still resolves the offset, so take
-    # plain GN steps while the step norm shrinks and stop once it stalls or
-    # grows. Rows leave by index, with their measurements, and only in a
-    # step where some stop.
+    # plain GN steps while the step norm shrinks: a row stops at a step
+    # longer than 1 m or than its last one, or once its last step was
+    # below 1e-10 m (step^2 < 1e-20). The one test before each step
+    # decides all three, and a row that stops leaves by index with its
+    # measurements; a row past its last step solves once more for nothing.
     rows = np.flatnonzero(status_out == STATUS_CONVERGED)
     A, g, meas = A_out, g_out, meas_out
     if rows.size < nb:
@@ -382,7 +379,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
             break
         dx = _solve(A, g)
         step2 = _sum_sq(dx)
-        go = ~((step2 > 1.0) | (step2 > prev2))
+        go = ~((step2 > 1.0) | (step2 > prev2) | (prev2 < 1e-20))
         if np.count_nonzero(go) < rows.size:
             keep = go.nonzero()[0]
             if not keep.size:
@@ -391,12 +388,6 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         x = x_out[rows] + dx
         A, g, cost = _normal_equations(x, meas, pairs, buf)
         x_out[rows], cost_out[rows] = x, cost
-        more = ~(step2 < 1e-20)
         prev2 = step2
-        if np.count_nonzero(more) < rows.size:
-            keep = more.nonzero()[0]
-            if not keep.size:
-                break
-            rows, A, g, prev2, meas = rows[keep], A[keep], g[keep], step2[keep], _take(meas, keep)
 
     return x_out, it_out, status_out, cost_out

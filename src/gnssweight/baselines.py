@@ -145,15 +145,16 @@ def fde_solve(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: Solve
 def fde_solve_batch(epochs, cfg: FdeConfig, params: SotaWeightParams, fixes) -> list:
     """``fde_solve`` of every epoch in lockstep: entry k is epoch k's
     FdeResult or error; ``fixes[k]`` is its fix, or None to solve it here.
-    Each round, every running epoch decides its exclusion (``_fde_run``),
-    then one ``solver.solve_batch`` solves all their next rounds; one more
-    solves every final problem. Each row has the bits of its own solve.
+    Each pass, every running epoch decides its next problem (``_fde_run``):
+    an exclusion round or its final solve. One ``solver.solve_batch`` then
+    solves every such problem, so final solves share kernel calls with
+    other epochs' rounds; each row has the bits of its own solve.
     """
     runs = [_fde_run(epoch, cfg, params, fix) for epoch, fix in zip(epochs, fixes, strict=True)]
     out: list = [None] * len(epochs)
     sends = dict.fromkeys(range(len(epochs)))  # epoch -> the fix its run is sent next
-    asks: dict = {}  # epoch -> the (weights, start) its run waits on
-    while sends or asks:
+    while sends:
+        asks = {}  # epoch -> the (weights, start) its run waits on
         for k, rep in sends.items():
             try:
                 asks[k] = runs[k].send(rep)
@@ -161,11 +162,9 @@ def fde_solve_batch(epochs, cfg: FdeConfig, params: SotaWeightParams, fixes) -> 
                 out[k] = stop.value
             except GnssWeightError as e:
                 out[k] = e
-        # rounds start cold; the final solves, warm-started, wait for the last round
-        now = {k: asks.pop(k) for k in [k for k, (_, start) in asks.items() if start is None] or list(asks)}
-        solved = solve_batch([epoch_problem(epochs[k], w[None], start) for k, (w, start) in now.items()])
+        solved = solve_batch([epoch_problem(epochs[k], w[None], start) for k, (w, start) in asks.items()])
         sends = {}
-        for k, row in zip(now, solved):
+        for k, row in zip(asks, solved):
             rep = row_report(epochs[k], *(a[0] for a in row))
             if rep is None:  # each problem has state_dim positive weights: it is singular
                 out[k] = SingularGeometry("weighted normal matrix condition number above limit")

@@ -173,9 +173,8 @@ def _cmd_evaluate(args) -> int:
     ):
         if strategy not in strategies:
             continue
-        if not path or not os.path.exists(path or ""):
-            print(f"error: strategy '{strategy}' needs a model file (got {path!r})", file=sys.stderr)
-            return 1
+        if not path or not os.path.exists(path):
+            raise ConfigInvalid(f"strategy '{strategy}' needs a model file (got {path!r})")
         setattr(models, strategy, _load_model(path, mode))
     if "fde_sota" in strategies:
         models.sota = calibrate_sota(*_calibration_samples(dataset))

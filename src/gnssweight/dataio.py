@@ -218,7 +218,11 @@ def iter_epochs(path):
 
 
 def read_dataset(path) -> Dataset:
-    """Load a full campaign, reassembling sessions from the header table."""
+    """Load a full campaign, reassembling sessions from the header table.
+
+    An epoch of a session that the table lacks has no split or profile;
+    it is a ParseError at line 1, the header, naming the session.
+    """
     header = None
     sessions: dict[str, Session] = {}
     order: list[str] = []
@@ -231,9 +235,7 @@ def read_dataset(path) -> Dataset:
                 )
                 order.append(sid)
             continue
-        sid = item.session_id
-        if sid not in sessions:
-            sessions[sid] = Session(session_id=sid, profile="unknown", split="test")
-            order.append(sid)
-        sessions[sid].epochs.append(item)
+        if item.session_id not in sessions:
+            raise ParseError(1, f"the session table lacks session {item.session_id!r}")
+        sessions[item.session_id].epochs.append(item)
     return Dataset(seed=int(header.get("seed", 0)), sessions=[sessions[s] for s in order])

@@ -187,8 +187,9 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
        fix: strongly anisotropic weights (spreads of 1e7 and more) make
        cold-start damped iteration creep, while the weighted problem
        converges in a few steps from the fix
-    4. FDE in lockstep from every epoch's fix (``baselines.fde_solve_batch``);
-       without a fix, FDE's first round is that same failed solve
+    4. FDE in lockstep from every epoch's fix, None included
+       (``baselines.fde_solve_batch``): without a fix, FDE's first round
+       is that same failing all-ones solve, and FDE fails
     """
     _check_strategies(strategies, models)
     scored = [[e for e in s.epochs if e.truth is not None] for s in sessions]
@@ -219,10 +220,8 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
 
     fde = {}  # epoch index -> FdeResult, for each epoch whose FDE succeeded
     if "fde_sota" in strategies:
-        fixed = [k for k, (_, fix) in enumerate(featurized) if fix is not None]
-        results = fde_solve_batch([epochs[k] for k in fixed], models.fde_cfg, models.sota,
-                                  [featurized[k][1] for k in fixed])
-        fde = {k: res for k, res in zip(fixed, results) if isinstance(res, FdeResult)}
+        results = fde_solve_batch(epochs, models.fde_cfg, models.sota, [fix for _, fix in featurized])
+        fde = {k: res for k, res in enumerate(results) if isinstance(res, FdeResult)}
 
     records = []
     for k, (epoch, ws, kernel) in enumerate(zip(epochs, weights, solved)):

@@ -17,8 +17,8 @@ from .features import N_PER_LINK_FEATURES, TrackingHistory
 from .geo import ecef_to_geodetic
 from .model import Epoch
 from .nn import make_labels
-from .residuals import GAMMA, build_residual_matrix, ResidualMatrix, rows_fix, solve_rows
-from .solver import SolveReport
+from .residuals import GAMMA, build_residual_matrix, ResidualMatrix, solve_rows
+from .solver import SolveReport, row_report
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 N_RESIDUAL_SUMMARY = 8
@@ -102,7 +102,7 @@ class EpochFeaturizer:
     takes the epoch's entry of ``residuals.solve_rows`` when the caller
     solved the rows of many epochs at once (``featurize_sessions``), and
     solves the epoch's rows itself otherwise. The epoch's equal-weight fix
-    is that entry's all-ones solve (``residuals.rows_fix``), which an
+    is that entry's all-ones solve (``solver.row_report``), which an
     epoch with too few links for the matrix (N <= state dimension) has
     too. When the fix fails the tracking window is not advanced,
     since elevations need a receiver position; when only the
@@ -120,7 +120,7 @@ class EpochFeaturizer:
         """Feature matrix of ``epoch``, or None when it is skipped."""
         if rows is None:
             rows = solve_rows([epoch])[0]
-        self.fix = fix = rows_fix(epoch, rows)
+        self.fix = fix = row_report(epoch, *rows[0])
         if fix is not None:
             per_link = self.history.update_and_extract(epoch, ecef_to_geodetic(fix.state.position))
             if epoch.n > epoch.state_dim():

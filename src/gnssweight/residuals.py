@@ -10,7 +10,7 @@ from . import _kernels
 from .errors import NotEnoughMeasurements
 from .geo import SPEED_OF_LIGHT
 from .model import Epoch
-from .solver import SolveReport, _start, epoch_problem, predicted_pseudoranges, row_report, solve_batch
+from .solver import _start, epoch_problem, predicted_pseudoranges, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 # Sentinel marking the deliberately excluded measurement (and rows whose
@@ -65,9 +65,10 @@ def _row_groups(epoch: Epoch) -> list:
 def solve_rows(epochs) -> list:
     """The kernel outputs of every epoch's fix and leave-one-out rows, solved across epochs.
 
-    Entry e is (fix, groups) of ``epochs[e]``, for ``rows_fix`` and
-    ``build_residual_matrix``. ``fix`` is the kernel row (x, iterations,
-    status, cost) of the epoch's all-ones problem, its equal-weight fix.
+    Entry e is (fix, groups) of ``epochs[e]``, for ``build_residual_matrix``.
+    ``fix`` is the kernel row (x, iterations, status, cost) of the epoch's
+    all-ones problem, its equal-weight fix, which ``solver.row_report``
+    reads.
     ``groups`` holds one (links, kept, kernel) per row group of
     ``_row_groups``, where ``kernel`` is the group's ``solver.solve_batch``
     output (x, iterations, status, cost) of the rows with weights 1 - I;
@@ -94,12 +95,6 @@ def solve_rows(epochs) -> list:
     solved = iter(solve_batch(problems))
     return [(tuple(a[0] for a in next(solved)), [(links, kept, next(solved)) for links, kept, _ in g])
             for g in groups]
-
-
-def rows_fix(epoch: Epoch, rows) -> SolveReport | None:
-    """The epoch's equal-weight fix from its ``solve_rows`` entry ``rows``,
-    read by ``solver.row_report``."""
-    return row_report(epoch, *rows[0])
 
 
 def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:

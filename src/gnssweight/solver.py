@@ -76,19 +76,18 @@ def predicted_pseudoranges(epoch: Epoch, x: np.ndarray) -> np.ndarray:
     return rng + x[..., 3 + epoch.const_index()]
 
 
-def _check_weights(weights) -> None:
-    """ValueError for a negative or non-finite weight."""
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-        raise ValueError("weights must be finite and nonnegative")
-
-
-def _check_finite(name: str, a) -> None:
-    """ValueError naming ``name`` when ``a`` holds a NaN or an infinity.
+def _check_inputs(weights, sat, pr, starts) -> None:
+    """ValueError for a negative or non-finite weight, then for a NaN or an
+    infinity in the satellite positions, the pseudoranges or the starts,
+    naming the first such input.
 
     The kernel would otherwise fail inside LAPACK on such a row, for every
     row of its call."""
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    for name, a in (("satellite positions", sat), ("pseudoranges", pr), ("starts", starts)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
 
 
 def _start(epoch: Epoch, init: NavState | None) -> np.ndarray:
@@ -137,11 +136,8 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     if w.shape != (epoch.n,):
         raise ValueError(f"weight vector length {w.shape} != N={epoch.n}")
     dim = epoch.state_dim()
-    _check_weights(w)
     sat, pr, x0 = epoch.sat_array(), epoch.pr_array(), _start(epoch, init)
-    _check_finite("satellite positions", sat)
-    _check_finite("pseudoranges", pr)
-    _check_finite("starts", x0)
+    _check_inputs(w, sat, pr, x0)
     if np.count_nonzero(w > 0.0) < dim:
         raise NotEnoughMeasurements(f"{int(np.sum(w > 0.0))} positive-weight measurements for {dim} unknowns")
     report = row_report(epoch, *_kernels.lm_solve(
@@ -211,7 +207,6 @@ def solve_batch(problems) -> list:
     # Row r's weights are flat_w[w0[r]:w0[r] + row_n[r]], and its links
     # start at meas0[r] in the concatenated measurements.
     flat_w = np.concatenate([a.ravel() for a in w])
-    _check_weights(flat_w)
     row_n, row_dim = np.repeat(n, k), np.repeat(dim, k)
     w_end = np.cumsum(row_n)
     w0 = w_end - row_n
@@ -219,9 +214,7 @@ def solve_batch(problems) -> list:
     solvable = positive[w_end] - positive[w0] >= row_dim
     meas0 = np.repeat(np.cumsum(n) - n, k)
     sat, pr, clock = np.concatenate(sat), np.concatenate(pr), np.concatenate(clock)
-    _check_finite("satellite positions", sat)
-    _check_finite("pseudoranges", pr)
-    _check_finite("starts", np.concatenate([a.ravel() for a in x0]))
+    _check_inputs(flat_w, sat, pr, np.concatenate([a.ravel() for a in x0]))
     iterations = np.zeros(row_n.size, dtype=np.int64)
     status = np.full(row_n.size, STATUS_NOT_ENOUGH)
     cost = np.full(row_n.size, np.nan)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import gnssweight
-from gnssweight.cli import main
+from gnssweight.cli import build_parser, main
+from gnssweight.errors import ConfigInvalid
 from gnssweight.evaluation import read_error_csv
 
 
@@ -175,17 +176,21 @@ def test_bad_config_key_fails_with_name(tmp_path, capsys):
 
 
 def test_missing_model_fails_naming_strategy(tiny_config, tiny_dataset, tmp_path, capsys):
-    rc = main(
-        [
-            "evaluate",
-            "--config", tiny_config,
-            "--data", tiny_dataset,
-            "--out-dir", str(tmp_path / "eval"),
-            "--strategies", "nn_full,equal",
-        ]
-    )
-    assert rc == 1
-    assert "nn_full" in capsys.readouterr().err
+    """A learned strategy without a model path, or with one that does not
+    exist, fails as every other input error does: the command raises
+    ConfigInvalid, and ``main`` prints one ``error: ...`` line naming the
+    strategy and the path, exits 1 and writes nothing."""
+    missing = str(tmp_path / "gone.npz")
+    for strategy, model_args, path in (("nn_full", [], None),
+                                       ("nn_residual", ["--model-residual", missing], missing)):
+        argv = ["evaluate", "--config", tiny_config, "--data", tiny_dataset, *model_args,
+                "--out-dir", str(tmp_path / "eval"), "--strategies", f"{strategy},equal"]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ConfigInvalid, match=strategy):
+            args.func(args)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: strategy '{strategy}' needs a model file (got {path!r})\n"
+        assert not (tmp_path / "eval").exists()
 
 
 def test_unknown_strategy_flag_fails_like_config(tiny_config, tiny_dataset, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gnssweight import _kernels, sim, solver
+from gnssweight import _kernels, evaluation, sim, solver
 from gnssweight.baselines import SotaWeightParams
 from gnssweight.dataio import Dataset, Session
 from gnssweight.errors import ConfigInvalid, EmptySamples
@@ -326,8 +327,9 @@ def _reference_records(session, strategies, models):
 
 
 def _mixed_epochs():
-    """24 epochs with N < d, N = d, a one-link BeiDou constellation and
-    faults that FDE excludes."""
+    """25 epochs with N < d, N = d, a one-link BeiDou constellation, faults
+    that FDE excludes and, last, N = 8 links on one line of sight, whose
+    equal-weight fix is singular."""
     from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
 
     rng = np.random.default_rng(909)
@@ -347,6 +349,10 @@ def _mixed_epochs():
                 EcefPosition.from_array(sat), 40.0, 1.0,
             ))
         epochs.append(Epoch(time=ep.time, measurements=ms, truth=ep.truth, session_id="m"))
+    ep, _ = make_epoch(rng, n=8, noise_sigma=1.0, time=0.2 * 24)
+    sat = ep.measurements[0].sat_pos
+    ms = [dataclasses.replace(m, sat_pos=sat) for m in ep.measurements]
+    epochs.append(Epoch(time=ep.time, measurements=ms, truth=ep.truth, session_id="m"))
     return epochs
 
 
@@ -369,11 +375,20 @@ def test_cross_epoch_records_match_per_session_reference(monkeypatch):
     """``compare_strategies`` solves the rows of all sessions' epochs
     together, with kernel calls of at most 7 rows that split sessions,
     epochs and strategies; each session's records keep the bits of
-    solving every epoch on its own, with and without a learned strategy."""
+    solving every epoch on its own, with and without a learned strategy.
+    FDE is handed every epoch's fix, the singular epoch's None too."""
     from gnssweight.model import Epoch
 
     epochs = _mixed_epochs()
-    cuts = ((0, 7), (7, 15), (15, 24))
+    cuts = ((0, 7), (7, 15), (15, 25))
+    no_fix = []  # N of each epoch handed to FDE without a fix
+    fde_solve_batch = evaluation.fde_solve_batch
+
+    def recording(epochs, cfg, params, fixes):
+        no_fix.extend(e.n for e, fix in zip(epochs, fixes) if fix is None)
+        return fde_solve_batch(epochs, cfg, params, fixes)
+
+    monkeypatch.setattr(evaluation, "fde_solve_batch", recording)
     sessions = [
         Session(f"m{k}", "urban_canyon", "test",
                 [Epoch(time=e.time, measurements=e.measurements, truth=e.truth, session_id=f"m{k}")
@@ -386,3 +401,5 @@ def test_cross_epoch_records_match_per_session_reference(monkeypatch):
         got, _ = compare_strategies(Dataset(seed=0, sessions=sessions), strategies, models)
         expect = [r for s in sessions for r in _reference_records(s, strategies, models)]
         assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in expect]
+        assert max(no_fix) >= 7, no_fix
+        no_fix.clear()

@@ -214,6 +214,7 @@ class _PerLinkReference:
         return out
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("seed", range(4))
 def test_window_statistics_match_per_link_reference(seed):
     """Random replays of 18 links with dropouts and gaps past the continuity

@@ -171,6 +171,19 @@ def test_invariant_validation_on_read(tmp_path):
         list(iter_epochs(path))
 
 
+def test_epoch_of_session_missing_from_table_fails_at_header(tmp_path):
+    """``read_dataset`` cannot file an epoch whose session the header's
+    table lacks under any split, so it fails at line 1, naming the
+    session; ``iter_epochs`` does not read the table."""
+    path = tmp_path / "bad.jsonl"
+    header = {**json.loads(_valid_header()), "sessions": {"a": {"profile": "urban_canyon", "split": "train"}}}
+    _write_lines(path, [json.dumps(header), _epoch_line([_meas()])])
+    with pytest.raises(ParseError, match="'s'") as e:
+        read_dataset(path)
+    assert e.value.line == 1
+    assert [kind for kind, _ in iter_epochs(path)] == ["header", "epoch"]
+
+
 def test_missing_measurement_field(tmp_path):
     path = tmp_path / "bad.jsonl"
     m = _meas()

@@ -709,6 +709,7 @@ def _model_bytes(model):
 _BITWISE_CASES = [("tied", _LENGTHS), ("one", [11]), ("single", None)]
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("hidden", [3, 16, 64])
 @pytest.mark.parametrize("case, lengths", _BITWISE_CASES, ids=[c for c, _ in _BITWISE_CASES])
 def test_forward_matches_allocating_reference(hidden, case, lengths):
@@ -732,6 +733,7 @@ def test_forward_matches_allocating_reference(hidden, case, lengths):
             assert cache[4].tobytes() == np.tanh(ref[3]).tobytes()
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("hidden", [3, 16, 64])
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("case, lengths", _BITWISE_CASES, ids=[c for c, _ in _BITWISE_CASES])
@@ -750,6 +752,7 @@ def test_backward_matches_allocating_reference(hidden, masked, case, lengths):
         assert grads[k].shape == ref[k].shape and grads[k].tobytes() == ref[k].tobytes(), k
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("hidden", [3, 16, 64])
 def test_train_matches_allocating_reference(hidden, monkeypatch):
     """Three epochs of ``train`` from a fresh model and from an initial one

@@ -12,6 +12,7 @@ from gnssweight.solver import (
     _DEFAULT_START,
     equal_weight_fix,
     predicted_pseudoranges,
+    row_report,
     solve_wls,
     state_to_vector,
 )
@@ -112,7 +113,7 @@ def test_too_few_links_have_a_fix_and_no_groups(rng):
     assert epoch.n == epoch.state_dim()
     fix, groups = residuals.solve_rows([epoch])[0]
     assert groups == []
-    assert_same_fix(residuals.rows_fix(epoch, (fix, groups)), equal_weight_fix(epoch))
+    assert_same_fix(row_report(epoch, *fix), equal_weight_fix(epoch))
 
 
 def test_permutation_equivariance(rng):
@@ -255,7 +256,7 @@ def test_batched_rows_match_single_solves(monkeypatch):
         failed_rows += len(failed)
 
         # the fix row against the epoch's own equal-weight fix
-        fix = residuals.rows_fix(epoch, rows)
+        fix = row_report(epoch, *rows[0])
         assert_same_fix(fix, _fix_or_none(epoch), k)
         capped_fixes += fix is not None and not fix.converged
     # the cases reach every status, failed rows, rows that drop a
@@ -347,5 +348,5 @@ def test_singular_fix_row_is_none():
     M = build_residual_matrix(epoch, rows)
     with pytest.raises(SingularGeometry):
         equal_weight_fix(epoch)
-    assert residuals.rows_fix(epoch, rows) is None
+    assert row_report(epoch, *rows[0]) is None
     assert M.failed_rows == list(range(6))

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from gnssweight import _kernels, solver
 from gnssweight.errors import NonConvergence, NotEnoughMeasurements, SingularGeometry
-from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition
+from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, GeodeticPosition, enu_rotation, geodetic_to_ecef
 from gnssweight.model import ConstellationId, Epoch, NavState
 from gnssweight.solver import jacobian, solve_wls, state_to_vector
 from conftest import assert_same_fix, make_epoch
@@ -284,13 +285,20 @@ def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, ste
                         lam0=1e-3, lam_up=10.0, lam_down=0.1, cond_limit=1e12, floor_stop=True):
     """The one-problem loop that ``_kernels.lm_solve_batch`` runs per row.
 
-    Returns (x, iterations, status, cost, trials), trials being the state
-    of every damped trial in order. With ``floor_stop`` False it runs the
-    earlier rule, under which only an accepted step shorter than step_tol
-    stops the loop; a rejected one is retried with more damping.
+    Returns (x, iterations, status, cost, trials, (rounds, polish)),
+    trials being the state of every damped trial in order. rounds[r] is
+    what the row does in the kernel's lockstep round r: "fresh" for the
+    first trial of an iteration, "stale" for a retried one, "singular" for
+    the condition test that stops it. polish is how its Gauss-Newton
+    polish ends: "long" (a step over 1 m), "growth" (a step longer than
+    the last), "tiny" (step^2 < 1e-20), "cap" (10 steps), or None without
+    one. With ``floor_stop`` False it runs the earlier rule, under which
+    only an accepted step shorter than step_tol stops the loop; a rejected
+    one is retried with more damping.
     """
     d = 3 + n_const
     x, lam, status, iterations, trials = x0.copy(), lam0, _kernels.STATUS_MAX_ITER, 0, []
+    rounds, polish = [], None
     A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
     sum_sq = lambda v: np.cumsum(v * v)[-1]  # noqa: E731
     for it in range(max_iter):
@@ -298,9 +306,11 @@ def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, ste
         s = np.linalg.svd(A)[1]
         if s[-1] <= 0.0 or s[0] / s[-1] > cond_limit:
             status = _kernels.STATUS_SINGULAR
+            rounds.append("singular")
             break
         accepted = False
         for _trial in range(64):
+            rounds.append("stale" if _trial else "fresh")
             Ad = A.copy()
             Ad[np.diag_indices(d)] += lam * np.maximum(np.diag(A), 1e-12)
             dx = np.linalg.solve(Ad, g)
@@ -320,24 +330,51 @@ def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, ste
             status = _kernels.STATUS_CONVERGED
             break
     if status == _kernels.STATUS_CONVERGED:
-        prev2 = 1e300
+        prev2, polish = 1e300, "cap"
         for _p in range(10):
             dx = np.linalg.solve(A, g)
             step2 = sum_sq(dx)
             if step2 > 1.0 or step2 > prev2:
+                polish = "long" if step2 > 1.0 else "growth"
                 break
             prev2 = step2
             x = x + dx
             A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
             if step2 < 1e-20:
+                polish = "tiny"
                 break
-    return x, iterations, status, cost, trials
+    return x, iterations, status, cost, trials, (rounds, polish)
+
+
+def _cone_case(rng, elevation):
+    """6 rows on 9 GPS links, 7 of them at one ``elevation`` (rad): a cone
+    around the receiver's up axis, on which height and clock trade off.
+    Rows 0 and 1 weight only the cone: cold-started, they go singular
+    after a step or two, once the iterate nears the receiver. Rows 2 and
+    3 weight every link and start twice as far out as a satellite, so
+    they retry trials in those rounds; rows 4 and 5 start cold and warm."""
+    geo = GeodeticPosition(math.radians(rng.uniform(-60, 60)), math.radians(rng.uniform(-180, 180)), 100.0)
+    rx = geodetic_to_ecef(geo).as_array()
+    el = np.full(9, elevation)
+    el[:2] = np.radians(rng.uniform(10, 85, 2))
+    az = rng.uniform(0, 2 * math.pi, 9)
+    sat = rx + 2.2e7 * (np.stack([np.cos(el) * np.sin(az), np.cos(el) * np.cos(az), np.sin(el)], 1)
+                        @ enu_rotation(geo))
+    pr = np.linalg.norm(rx - sat, axis=1) + 1e4 + rng.normal(0.0, 2.0, 9)
+    W = rng.uniform(0.05, 3.0, size=(6, 9))
+    W[:2, :2] = 0.0
+    W[2] = 1.0
+    X0 = np.zeros((6, 4))
+    X0[[0, 1, 4], :3] = solver._DEFAULT_START.as_array()
+    X0[2:4, :3] = 2.0 * sat[2:4]
+    X0[5] = np.r_[rx, 1e4] + rng.normal(0.0, 1e4, 4)
+    return sat, pr, np.zeros(9, dtype=np.intp), 1, W, X0, _kernels.MAX_ITERATIONS
 
 
 def _reference_corpus():
-    """60 cases of 6 rows: (sat, pr, const_idx, n_const, W, X0, max_iter)
+    """64 cases of 6 rows: (sat, pr, const_idx, n_const, W, X0, max_iter)
     with cold and warm starts, random weights with zeros, low iteration
-    caps and singular weightings."""
+    caps and singular weightings; the last 4 are ``_cone_case``s."""
     rng = np.random.default_rng(77)
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
     for k in range(60):
@@ -357,28 +394,46 @@ def _reference_corpus():
         X0[:2, 3:] = 0.0
         max_iter = 3 if k % 5 == 0 else _kernels.MAX_ITERATIONS
         yield epoch.sat_array(), epoch.pr_array(), epoch.const_index(), n_const, W, X0, max_iter
+    for elevation in (20.0, 35.0, 50.0, 65.0):
+        yield _cone_case(rng, math.radians(elevation))
 
 
+@pytest.mark.bitwise
 def test_kernel_matches_reference_loop():
     """Every row of a batch, and a single solve, has the bits of the
-    one-problem loop on ``_reference_corpus``."""
+    one-problem loop on ``_reference_corpus``. The corpus reaches every
+    status and the exits the kernel takes on one path for all rows: a
+    lockstep round in which a fresh row goes singular while another row
+    retries a trial (the condition test then runs on both), and polishes
+    that end on a tiny step or on a growing one."""
     statuses = np.zeros(3, dtype=int)
+    polishes = collections.Counter()
+    singular_beside_stale = 0
     for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
         rows, n = W.shape
         X, its, status, cost = _kernels.lm_solve_batch(
             np.broadcast_to(sat, (rows, n, 3)), np.broadcast_to(pr, (rows, n)), W,
             np.broadcast_to(idx, (rows, n)), n_const, X0, max_iter)
+        row_rounds = []
         for row in range(rows):
-            x, it, st, c, _ = _reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
+            x, it, st, c, _, (rounds, polish) = _reference_lm_solve(
+                sat, pr, W[row], idx, n_const, X0[row], max_iter)
             single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
             for got in ((X[row], its[row], status[row], cost[row]), single):
                 assert got[0].tobytes() == x.tobytes(), (k, row)
                 got_c = np.float64(got[3]).tobytes()
                 assert (got[1], got[2], got_c) == (it, st, c.tobytes()), (k, row)
             statuses[st] += 1
+            polishes[polish] += 1
+            row_rounds.append(rounds)
+        for r in range(max(map(len, row_rounds))):
+            singular_beside_stale += {"singular", "stale"} <= {a[r] for a in row_rounds if r < len(a)}
     assert np.all(statuses > 0), statuses
+    assert singular_beside_stale > 0
+    assert polishes["tiny"] > 0 and polishes["growth"] > 0, polishes
 
 
+@pytest.mark.bitwise
 def test_floor_stop_moves_fixes_by_nanometres():
     """Stopping at a rejected trial shorter than STEP_TOLERANCE, as well as
     at an accepted one, only cuts trials at the rounding floor: on
@@ -418,6 +473,13 @@ def _random_stack(rng, b, n, n_const):
     return x, sat, pr, w, idx
 
 
+def _allocating_normal_equations(x, meas, pairs):
+    """``_kernels._normal_equations`` on a pair of buffers of its own."""
+    size = meas[1].size * pairs[0].size
+    return _kernels._normal_equations(x, meas, pairs, (np.empty(size), np.empty(size)))
+
+
+@pytest.mark.bitwise
 def test_normal_equations_add_in_order():
     """``_normal_equations`` has the bits of the measurement-by-measurement
     loop at the stack sizes the solver runs: a single solve, an epoch's
@@ -431,7 +493,7 @@ def test_normal_equations_add_in_order():
     for b, n, n_const in shapes:
         d = 3 + n_const
         x, sat, pr, w, idx = _random_stack(rng, b, n, n_const)
-        A, g, cost = _kernels._normal_equations(x, _kernels._layout(sat, pr, w, idx, d), _kernels._pairs(d))
+        A, g, cost = _allocating_normal_equations(x, _kernels._layout(sat, pr, w, idx, d), _kernels._pairs(d))
         for r in range(b):
             A_r, g_r, cost_r = _reference_normal_equations(x[r], sat[r], pr[r], w[r], idx[r])
             assert A[r].tobytes() == A_r.tobytes(), (b, n, n_const, r)
@@ -446,6 +508,7 @@ def _svd_singular(A):
     return (low <= 0.0) | (s[:, 0] / np.where(low > 0.0, low, np.inf) > _kernels.COND_LIMIT)
 
 
+@pytest.mark.bitwise
 def test_condition_test_matches_svd(monkeypatch):
     """The eigenvalue condition test flags the normal matrices the SVD test
     flags: every matrix the kernel tests on the leave-one-out batches of
@@ -535,6 +598,7 @@ def _certificate_edge(d):
     return math.exp(hi)
 
 
+@pytest.mark.bitwise
 def test_certificate_decides_as_eigvalsh(monkeypatch):
     """``_ill_conditioned`` gives the flags of the eigenvalue-only test, one
     matrix at a time and as one stack, for d = 4..7: condition numbers of
@@ -604,6 +668,7 @@ def _loo_batches():
                np.broadcast_to(idx, (n + 1, n)), d - 3, X0, max_iter)
 
 
+@pytest.mark.bitwise
 def test_most_condition_tests_skip_eigvalsh(monkeypatch):
     """On the leave-one-out batches of the residual corpus, the certificate
     decides nearly every normal matrix the kernel tests, so eigvalsh runs
@@ -621,6 +686,7 @@ def test_most_condition_tests_skip_eigvalsh(monkeypatch):
     assert 0 < sum(fallback) < 0.1 * tested, (sum(fallback), tested)
 
 
+@pytest.mark.bitwise
 def test_forced_fallback_changes_no_output(monkeypatch):
     """With a determinant of zero every row goes to eigvalsh; the kernel's
     outputs on the residual corpus keep their bytes."""
@@ -634,6 +700,7 @@ def test_forced_fallback_changes_no_output(monkeypatch):
     assert calls
 
 
+@pytest.mark.bitwise
 def test_pair_tables_are_cached_and_read_only():
     """``_pairs(d)`` builds its tables once per d, and no caller can write them."""
     for d in (4, 5, 6, 7):
@@ -695,6 +762,7 @@ def test_non_finite_measurements_and_starts_raise_value_error(field, at, bad, na
         solve_wls(epoch, np.ones(9))
 
 
+@pytest.mark.bitwise
 def test_normal_equations_reuse_buffers_without_leaks():
     """Two ``_normal_equations`` calls on one pair of buffers, the second
     with fewer rows and other states, as the kernel's rounds make them:
@@ -716,13 +784,14 @@ def test_normal_equations_reuse_buffers_without_leaks():
         x2 = x[keep] + rng.normal(0.0, 5.0, (keep.size, d))
         meas2 = _kernels._take(meas, keep)
         second = _kernels._normal_equations(x2, meas2, pairs, buf)
-        for got, want in ((first, kept), (first, _kernels._normal_equations(x, meas, pairs)),
-                          (second, _kernels._normal_equations(x2, meas2, pairs))):
+        for got, want in ((first, kept), (first, _allocating_normal_equations(x, meas, pairs)),
+                          (second, _allocating_normal_equations(x2, meas2, pairs))):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (b, n, n_const)
         for a in (*first, *second):
             assert not any(np.shares_memory(a, m) for m in buf)
 
 
+@pytest.mark.bitwise
 def test_solve_batch_output_does_not_depend_on_rows_per_call(monkeypatch):
     """``solve_batch`` on the equal-weight and leave-one-out rows of every
     epoch of the residual corpus gives the same bytes with kernel calls of
