@@ -60,12 +60,28 @@ matrix condition number near the geometry's true DOP instead of
 inflating it by c^2.
 
 The solver's settings are the module constants below: the iteration cap
-``MAX_ITERATIONS``, the trial step length ``STEP_TOLERANCE`` (m) below
-which a solve stops as converged, the damping schedule
-``INITIAL_DAMPING``, ``DAMPING_UP`` and ``DAMPING_DOWN``, and
-``COND_LIMIT``, the normal matrix condition number above which a solve
-is singular. Only the cap is an argument of the solve functions, so
-that a test can lower it.
+``MAX_ITERATIONS``, the two floors ``STEP_TOLERANCE`` and
+``POLISH_TOLERANCE`` (m), the damping schedule ``INITIAL_DAMPING``,
+``DAMPING_UP`` and ``DAMPING_DOWN``, and ``COND_LIMIT``, the normal matrix
+condition number above which a solve is singular. Only the cap is an
+argument of the solve functions, so that a test can lower it.
+
+Each floor is the resolution of the test that ends its loop. Residuals
+are differences of ranges and pseudoranges near 2e7 m, so each carries
+rounding of a few nanometres, and the cost at a converged state carries
+rounding noise of about 3e-8 to 5e-8 (m^2 at unit weights; median spread
+of the cost under 1e-8 m moves of the position, over the converged rows
+of the benchmark's dense open-sky stream and of a 180-epoch urban
+campaign, seed 601). Near the minimum a step s changes the cost by about
+s^2 tr(A) / d, which that noise swamps below a median 7.9e-5 m and
+1.3e-4 m on those rows: there the damped loop's strict-decrease test is
+decided by rounding, so a trial step shorter than ``STEP_TOLERANCE``
+(1e-4 m) ends it. The Gauss-Newton polish resolves the offset through
+the gradient instead, and from within ``STEP_TOLERANCE`` one step reaches
+the floor; each later step is rounding noise of a few ulps of an ECEF
+coordinate (median 4e-9 m and 5e-9 m, at most 1.6e-8 m on the dense
+stream), so a polish step shorter than ``POLISH_TOLERANCE`` (1e-8 m) is
+a row's last.
 """
 
 import functools
@@ -82,7 +98,8 @@ STATUS_MAX_ITER = 1
 STATUS_SINGULAR = 2
 
 MAX_ITERATIONS = 50
-STEP_TOLERANCE = 1e-6
+STEP_TOLERANCE = 1e-4
+POLISH_TOLERANCE = 1e-8
 INITIAL_DAMPING = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
@@ -261,16 +278,26 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
       one (the iterate is at the rounding floor, where the computed cost
       is flat), or damping saturating above 1e14.
     Both end the loop with STATUS_CONVERGED and go to the undamped
-    Gauss-Newton polish; a rejected trial is not an iteration. Stopping
-    at a rejected short trial skips only trials at the rounding floor: a
-    row that stopped at short accepted steps only could end no other way
-    from there, since more damping shortens the step further, an accepted
-    step that short stops the row, and otherwise it stops at equal cost
-    or saturated damping. Both end points lie within STEP_TOLERANCE of
-    each other, and the polish takes both to the same Gauss-Newton point
-    to within rounding. STATUS_MAX_ITER is returned only when all
-    max_iter iterations lowered the cost, i.e. it was still falling at
-    the cap; STATUS_SINGULAR when ``_ill_conditioned`` flags the normal
+    Gauss-Newton polish (``_polish``); a rejected trial is not an
+    iteration. STEP_TOLERANCE is the step the computed cost resolves
+    (module docstring), so below it acceptance is decided by rounding.
+    Stopping at a rejected short trial skips only trials there: a row
+    that stopped at short accepted steps only could end no other way from
+    there, since more damping shortens the step further, an accepted step
+    that short stops the row, and otherwise it stops at equal cost or
+    saturated damping. Both end points lie within STEP_TOLERANCE of each
+    other, and the polish takes both to the same Gauss-Newton point to
+    within rounding. STATUS_MAX_ITER is returned only when all max_iter
+    iterations lowered the cost by a step of at least STEP_TOLERANCE,
+    i.e. it was still falling at the cap by more than the cost resolves.
+    A row that creeps with accepted steps between 1e-6 m and
+    STEP_TOLERANCE, which a 1e-6 m floor would have run to the cap, stops
+    as converged at its first such step, so a status can move from
+    STATUS_MAX_ITER (or, for a condition number crossing COND_LIMIT on
+    that last stretch, STATUS_SINGULAR) to STATUS_CONVERGED, never back;
+    no row of ``tests/test_solver.py``'s reference corpus, nor of the
+    seed-601 ``dense_sky_fix`` pass and ``urban_pipeline`` unit, does.
+    STATUS_SINGULAR is returned when ``_ill_conditioned`` flags the normal
     matrix at the start of an iteration. A row's STATUS_SINGULAR can
     differ from an SVD-based test's only for a condition number within
     about 1e-3 relative of COND_LIMIT.
@@ -358,20 +385,27 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
             leave(stop, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITER))
         iters += fresh
 
-    # Undamped Gauss-Newton polish of the converged rows. The damped loop
-    # stops at a trial step, accepted or not, shorter than STEP_TOLERANCE,
-    # or where no trial lowers the cost; near the minimizer the computed
-    # cost is flat to rounding (residuals are differences of ~1e7 m
-    # quantities, so the cost carries ~1e-8 relative noise) and cannot
-    # gate acceptance. The gradient still resolves the offset, so take
-    # plain GN steps while the step norm shrinks: a row stops at a step
-    # longer than 1 m or than its last one, or once its last step was
-    # below 1e-10 m (step^2 < 1e-20). The one test before each step
-    # decides all three, and a row that stops leaves by index with its
-    # measurements; a row past its last step solves once more for nothing.
-    rows = np.flatnonzero(status_out == STATUS_CONVERGED)
-    A, g, meas = A_out, g_out, meas_out
-    if rows.size < nb:
+    _polish(x_out, cost_out, np.flatnonzero(status_out == STATUS_CONVERGED), A_out, g_out,
+            meas_out, pairs, buf)
+    return x_out, it_out, status_out, cost_out
+
+
+def _polish(x_out, cost_out, rows, A, g, meas, pairs, buf):
+    """Undamped Gauss-Newton polish of the call's ``rows``, in place.
+
+    A, g and meas are the whole call's normal equations at x_out and its
+    ``_layout``. The damped loop stops where the computed cost no longer
+    resolves a step (STEP_TOLERANCE, 1e-4 m), but the gradient still
+    resolves the offset, so take plain GN steps while the step norm
+    shrinks: a row stops at a step longer than 1 m or than its last one,
+    or once its last step was shorter than POLISH_TOLERANCE (1e-8 m, the
+    step's rounding noise: from within STEP_TOLERANCE one step reaches
+    the floor, and each further one is a few ulps of an ECEF coordinate;
+    see the module docstring). The one test before each step decides all
+    three, and a row that stops leaves by index with its measurements; a
+    row past its last step solves once more for nothing.
+    """
+    if rows.size < x_out.shape[0]:
         A, g, meas = A[rows], g[rows], _take(meas, rows)
     prev2 = np.full(rows.size, 1e300)
     for _p in range(10):
@@ -379,7 +413,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
             break
         dx = _solve(A, g)
         step2 = _sum_sq(dx)
-        go = ~((step2 > 1.0) | (step2 > prev2) | (prev2 < 1e-20))
+        go = ~((step2 > 1.0) | (step2 > prev2) | (prev2 < POLISH_TOLERANCE**2))
         if np.count_nonzero(go) < rows.size:
             keep = go.nonzero()[0]
             if not keep.size:
@@ -389,5 +423,3 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         A, g, cost = _normal_equations(x, meas, pairs, buf)
         x_out[rows], cost_out[rows] = x, cost
         prev2 = step2
-
-    return x_out, it_out, status_out, cost_out

@@ -201,6 +201,8 @@ def iter_epochs(path):
                 raise ParseError(line_no, f"unknown epoch fields {sorted(unknown)}")
             if "session_id" not in obj or "t" not in obj or "measurements" not in obj:
                 raise ParseError(line_no, "epoch needs session_id, t and measurements")
+            if not isinstance(obj["session_id"], str):
+                raise ParseError(line_no, f"session_id must be a string, not {obj['session_id']!r}")
             if not isinstance(obj["measurements"], list):
                 raise ParseError(line_no, "measurements must be an array")
             measurements = [_parse_measurement(m, line_no) for m in obj["measurements"]]
@@ -210,7 +212,7 @@ def iter_epochs(path):
                     time=_number(obj["t"], line_no, "t"),
                     measurements=measurements,
                     truth=truth,
-                    session_id=str(obj["session_id"]),
+                    session_id=obj["session_id"],
                 )
             except ValueError as e:
                 raise ParseError(line_no, str(e)) from None

@@ -128,9 +128,12 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     ``converged`` False) when the cost is still falling after
     ``_kernels.MAX_ITERATIONS`` iterations. A solve that stops at the
     rounding floor, where a trial step, accepted or not, is shorter than
-    ``_kernels.STEP_TOLERANCE`` or no step lowers the cost any further,
-    has converged and returns normally. The kernel's other settings are
-    the constants next to ``MAX_ITERATIONS`` in ``_kernels``.
+    ``_kernels.STEP_TOLERANCE`` (1e-4 m, the step the computed cost
+    resolves) or no step lowers the cost any further, has converged and
+    returns normally, after Gauss-Newton steps until one is shorter than
+    ``_kernels.POLISH_TOLERANCE`` (1e-8 m, the rounding noise of a step).
+    The kernel's other settings are the constants next to
+    ``MAX_ITERATIONS`` in ``_kernels``.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (epoch.n,):

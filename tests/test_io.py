@@ -184,6 +184,21 @@ def test_epoch_of_session_missing_from_table_fails_at_header(tmp_path):
     assert [kind for kind, _ in iter_epochs(path)] == ["header", "epoch"]
 
 
+def test_non_string_session_id_fails_at_its_line(tmp_path):
+    """A session id of 3, 2.5 or null is not read as the session '3',
+    '2.5' or 'None', even when the header's table holds those strings."""
+    path = tmp_path / "bad.jsonl"
+    table = {sid: {"profile": "urban_canyon", "split": "train"} for sid in ("3", "2.5", "None")}
+    header = json.dumps({**json.loads(_valid_header()), "sessions": table})
+    for bad in (3, 2.5, None):
+        lines = [json.dumps({"session_id": sid, "t": 0.0, "measurements": [_meas()]}) for sid in ("3", bad)]
+        _write_lines(path, [header] + lines)
+        for read in (lambda: list(iter_epochs(path)), lambda: read_dataset(path)):
+            with pytest.raises(ParseError, match="session_id") as e:
+                read()
+            assert e.value.line == 3, bad
+
+
 def test_missing_measurement_field(tmp_path):
     path = tmp_path / "bad.jsonl"
     m = _meas()

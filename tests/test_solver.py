@@ -281,24 +281,26 @@ def _reference_normal_equations(x, sat_pos, pr, w, const_idx):
     return A + np.triu(A, 1).T, M[:d, d], M[d, d]
 
 
-def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, step_tol=1e-6,
+def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50,
+                        step_tol=_kernels.STEP_TOLERANCE, polish_tol=_kernels.POLISH_TOLERANCE,
                         lam0=1e-3, lam_up=10.0, lam_down=0.1, cond_limit=1e12, floor_stop=True):
     """The one-problem loop that ``_kernels.lm_solve_batch`` runs per row.
 
-    Returns (x, iterations, status, cost, trials, (rounds, polish)),
+    Returns (x, iterations, status, cost, trials, (rounds, polish, steps)),
     trials being the state of every damped trial in order. rounds[r] is
     what the row does in the kernel's lockstep round r: "fresh" for the
     first trial of an iteration, "stale" for a retried one, "singular" for
     the condition test that stops it. polish is how its Gauss-Newton
     polish ends: "long" (a step over 1 m), "growth" (a step longer than
-    the last), "tiny" (step^2 < 1e-20), "cap" (10 steps), or None without
-    one. With ``floor_stop`` False it runs the earlier rule, under which
-    only an accepted step shorter than step_tol stops the loop; a rejected
-    one is retried with more damping.
+    the last), "tiny" (a step shorter than polish_tol), "cap" (10 steps),
+    or None without one; steps is how many polish steps it applies. The
+    two floors default to the kernel's. With ``floor_stop`` False it runs
+    the earlier rule, under which only an accepted step shorter than
+    step_tol stops the loop; a rejected one is retried with more damping.
     """
     d = 3 + n_const
     x, lam, status, iterations, trials = x0.copy(), lam0, _kernels.STATUS_MAX_ITER, 0, []
-    rounds, polish = [], None
+    rounds, polish, steps = [], None, 0
     A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
     sum_sq = lambda v: np.cumsum(v * v)[-1]  # noqa: E731
     for it in range(max_iter):
@@ -331,19 +333,19 @@ def _reference_lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter=50, ste
             break
     if status == _kernels.STATUS_CONVERGED:
         prev2, polish = 1e300, "cap"
-        for _p in range(10):
+        for steps in range(1, 11):
             dx = np.linalg.solve(A, g)
             step2 = sum_sq(dx)
             if step2 > 1.0 or step2 > prev2:
-                polish = "long" if step2 > 1.0 else "growth"
+                polish, steps = "long" if step2 > 1.0 else "growth", steps - 1
                 break
             prev2 = step2
             x = x + dx
             A, g, cost = _reference_normal_equations(x, sat_pos, pr, w, const_idx)
-            if step2 < 1e-20:
+            if step2 < polish_tol**2:
                 polish = "tiny"
                 break
-    return x, iterations, status, cost, trials, (rounds, polish)
+    return x, iterations, status, cost, trials, (rounds, polish, steps)
 
 
 def _cone_case(rng, elevation):
@@ -416,7 +418,7 @@ def test_kernel_matches_reference_loop():
             np.broadcast_to(idx, (rows, n)), n_const, X0, max_iter)
         row_rounds = []
         for row in range(rows):
-            x, it, st, c, _, (rounds, polish) = _reference_lm_solve(
+            x, it, st, c, _, (rounds, polish, _) = _reference_lm_solve(
                 sat, pr, W[row], idx, n_const, X0[row], max_iter)
             single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
             for got in ((X[row], its[row], status[row], cost[row]), single):
@@ -435,26 +437,93 @@ def test_kernel_matches_reference_loop():
 
 @pytest.mark.bitwise
 def test_floor_stop_moves_fixes_by_nanometres():
-    """Stopping at a rejected trial shorter than STEP_TOLERANCE, as well as
+    """Stopping at a rejected trial shorter than the step floor, as well as
     at an accepted one, only cuts trials at the rounding floor: on
     ``_reference_corpus`` no status changes, the new rule's trials are a
     prefix of the earlier rule's, fewer in total, and a converged row
-    moves by less than STEP_TOLERANCE."""
+    moves by less than the floor. Both rules run at the floors they were
+    compared at, 1e-6 m for the step and 1e-10 m for the polish."""
     trials = np.zeros(2, dtype=int)
     for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
         for row in range(W.shape[0]):
             new, old = (_reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter,
-                                            floor_stop=floor_stop) for floor_stop in (True, False))
+                                            step_tol=1e-6, polish_tol=1e-10, floor_stop=floor_stop)
+                        for floor_stop in (True, False))
             assert new[1:3] == old[1:3], (k, row)
             assert len(new[4]) <= len(old[4]), (k, row)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(new[4], old[4])), (k, row)
             trials += len(new[4]), len(old[4])
             if new[2] == _kernels.STATUS_CONVERGED:
                 moved = np.linalg.norm(new[0][:3] - old[0][:3])
-                assert moved < _kernels.STEP_TOLERANCE, (k, row, moved)
+                assert moved < 1e-6, (k, row, moved)
             else:  # capped or singular: no trial was short, so the paths agree
                 assert new[0].tobytes() == old[0].tobytes(), (k, row)
     assert trials[0] < trials[1], trials
+
+
+@pytest.mark.bitwise
+def test_resolution_floors_cut_work_and_move_fixes_by_nanometres():
+    """The kernel's floors (a step of ``STEP_TOLERANCE``, the cost's
+    resolution, and a polish step of ``POLISH_TOLERANCE``, the step's
+    rounding noise) against the earlier 1e-6 m and 1e-10 m on
+    ``_reference_corpus``: no status changes, damped trials and polish
+    steps both fall in total, and a converged row moves by less than
+    5e-7 m (3.5e-7 m measured)."""
+    trials, steps = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
+        for row in range(W.shape[0]):
+            new, old = (_reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter,
+                                            step_tol=step_tol, polish_tol=polish_tol)
+                        for step_tol, polish_tol in ((_kernels.STEP_TOLERANCE, _kernels.POLISH_TOLERANCE),
+                                                     (1e-6, 1e-10)))
+            assert new[2] == old[2], (k, row)
+            trials += len(new[4]), len(old[4])
+            steps += new[5][2], old[5][2]
+            if new[2] == _kernels.STATUS_CONVERGED:
+                moved = np.linalg.norm(new[0][:3] - old[0][:3])
+                assert moved < 5e-7, (k, row, moved)
+    assert trials[0] < trials[1], trials
+    assert steps[0] < steps[1], steps
+
+
+@pytest.mark.bitwise
+def test_polish_work_matches_reference_steps(monkeypatch):
+    """The kernel's polish evaluates, per call, the sum of its working-set
+    sizes over polish rounds; that is the reference loop's polish steps
+    summed over the call's rows, so an exit that is deleted or moved
+    fails here even where it moves no bit."""
+    work = []
+    polish, normal_equations = _kernels._polish, _kernels._normal_equations
+
+    def counting_polish(*args):
+        work.append(0)
+        monkeypatch.setattr(_kernels, "_normal_equations", counting_normal_equations)
+        try:
+            return polish(*args)
+        finally:
+            monkeypatch.setattr(_kernels, "_normal_equations", normal_equations)
+
+    def counting_normal_equations(x, *args):
+        work[-1] += x.shape[0]
+        return normal_equations(x, *args)
+
+    monkeypatch.setattr(_kernels, "_polish", counting_polish)
+    total = 0
+    for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
+        rows, n = W.shape
+        steps = [_reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)[5][2]
+                 for row in range(rows)]
+        work.clear()
+        _kernels.lm_solve_batch(
+            np.broadcast_to(sat, (rows, n, 3)), np.broadcast_to(pr, (rows, n)), W,
+            np.broadcast_to(idx, (rows, n)), n_const, X0, max_iter)
+        assert work == [sum(steps)], (k, work, steps)
+        for row in range(rows):
+            work.clear()
+            _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
+            assert work == [steps[row]], (k, row, work)
+        total += sum(steps)
+    assert total > 0
 
 
 def _random_stack(rng, b, n, n_const):
