@@ -63,8 +63,7 @@ The solver's settings are the module constants below: the iteration cap
 ``MAX_ITERATIONS``, the two floors ``STEP_TOLERANCE`` and
 ``POLISH_TOLERANCE`` (m), the damping schedule ``INITIAL_DAMPING``,
 ``DAMPING_UP`` and ``DAMPING_DOWN``, and ``COND_LIMIT``, the normal matrix
-condition number above which a solve is singular. Only the cap is an
-argument of the solve functions, so that a test can lower it.
+condition number above which a solve is singular.
 
 Each floor is the resolution of the test that ends its loop. Residuals
 are differences of ranges and pseudoranges near 2e7 m, so each carries
@@ -242,19 +241,17 @@ def _solve(A, g):
     return np.linalg.solve(A, g[..., None])[..., 0]
 
 
-def lm_solve(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
+def lm_solve(sat_pos, pr, w, const_idx, n_const, x0):
     """One solve: ``lm_solve_batch`` on a stack of one.
 
     sat_pos is (N, 3); pr, w and const_idx are (N,). Returns (x,
     iterations, status, cost) with x of shape (3 + n_const,).
     """
-    x, iterations, status, cost = lm_solve_batch(
-        sat_pos[None], pr[None], w[None], const_idx[None], n_const, x0[None], max_iter
-    )
+    x, iterations, status, cost = lm_solve_batch(sat_pos[None], pr[None], w[None], const_idx[None], n_const, x0[None])
     return x[0], int(iterations[0]), int(status[0]), cost[0]
 
 
-def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
+def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
     """Levenberg-Marquardt minimization of sum_i w[b, i] (rho_i - h_i(x))^2, per row b.
 
     Row b has the measurements sat_pos[b] (N, 3), pr[b] and const_idx[b]
@@ -287,7 +284,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     that short stops the row, and otherwise it stops at equal cost or
     saturated damping. Both end points lie within STEP_TOLERANCE of each
     other, and the polish takes both to the same Gauss-Newton point to
-    within rounding. STATUS_MAX_ITER is returned only when all max_iter
+    within rounding. STATUS_MAX_ITER is returned only when all MAX_ITERATIONS
     iterations lowered the cost by a step of at least STEP_TOLERANCE,
     i.e. it was still falling at the cap by more than the cost resolves.
     A row that creeps with accepted steps between 1e-6 m and
@@ -315,7 +312,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
     status_out = np.full(nb, STATUS_MAX_ITER)
 
     # The working set: rows still in the damped loop and their state.
-    rows = np.arange(nb) if max_iter > 0 else np.arange(0)
+    rows = np.arange(nb)
     x, A, g, cost, meas = x_out, A_out, g_out, cost_out, meas_out
     lam = np.full(rows.size, INITIAL_DAMPING)
     iters = np.ones(rows.size, dtype=np.int64)  # the iteration each row is in
@@ -379,7 +376,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0, max_iter):
         # at most 1e14 and an accepted trial lowers it, so only a rejected
         # trial gets here.
         converged |= lam > 1e14
-        stop = converged | better & (iters == max_iter)
+        stop = converged | better & (iters == MAX_ITERATIONS)
         fresh = better
         if np.count_nonzero(stop):
             leave(stop, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITER))

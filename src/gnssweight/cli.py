@@ -24,7 +24,7 @@ from .evaluation import (
     write_error_csv,
     QUANTILES,
 )
-from .featurize import dataset_samples, fit_normalization, normalized_split, FeatureNormalization
+from .featurize import N_FEATURES, dataset_samples, fit_normalization, normalized_split, FeatureNormalization
 from .geo import ecef_to_geodetic, look_angles
 from .nn import TrainConfig, load_checkpoint, save_checkpoint, train, truth_residuals
 from .sim import generate_campaign
@@ -79,13 +79,20 @@ def _read_npz(loader, path, what: str):
 
 def _load_model(path, mode: str):
     """(model, normalization) from a checkpoint trained on ``mode`` features."""
-    model, mean, std, cfg, _ = _read_npz(load_checkpoint, path, "checkpoint")
+    model, mean, std, cfg = _read_npz(load_checkpoint, path, "checkpoint")
     if cfg.feature_mode != mode:
         raise ShapeMismatch(f"{path} holds a '{cfg.feature_mode}' model where '{mode}' is needed")
     return model, FeatureNormalization(mean, std)
 
 
 def _load_feature_cache(path):
+    """{split: [(fm, labels)]} of a ``featurize`` cache, failing with a
+    GnssWeightError that names ``path`` when a fitting split is missing,
+    a matrix does not have ``N_FEATURES`` columns or a label vector does
+    not have one entry per row."""
+    def invalid(why):
+        return GnssWeightError(f"{path} is not a valid feature cache: {why}")
+
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
         splits = {}
@@ -94,8 +101,15 @@ def _load_feature_cache(path):
             for i in ids:
                 fm = data[f"fm_{i}"].copy()
                 lab = data[f"lab_{i}"].copy() if f"lab_{i}" in data else None
+                if fm.ndim != 2 or fm.shape[1] != N_FEATURES:
+                    raise invalid(f"matrix {i} has shape {fm.shape}, not (N, {N_FEATURES})")
+                if lab is not None and lab.shape != (fm.shape[0],):
+                    raise invalid(f"labels {i} have shape {lab.shape} for {fm.shape[0]} rows")
                 samples.append((fm, lab))
             splits[split] = samples
+    missing = [s for s in ("train", "val") if s not in splits]
+    if missing:
+        raise invalid(f"no {' or '.join(missing)} split")
     return splits
 
 
@@ -179,9 +193,7 @@ def _cmd_evaluate(args) -> int:
     if "fde_sota" in strategies:
         models.sota = calibrate_sota(*_calibration_samples(dataset))
 
-    records, summaries = compare_strategies(
-        dataset, strategies, models, split="test", jobs=args.jobs
-    )
+    records, summaries = compare_strategies(dataset, strategies, models, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     errors_path = os.path.join(args.out_dir, "errors.csv")
     summary_path = os.path.join(args.out_dir, "summary.json")

@@ -128,9 +128,8 @@ def evaluate_session(session, strategies, models: StrategyModels):
     return _evaluate_group([session], strategies, models)
 
 
-def compare_strategies(dataset, strategies, models: StrategyModels,
-                       split: str = "test", jobs: int = 1):
-    """Run every strategy over the split; returns (records, summaries).
+def compare_strategies(dataset, strategies, models: StrategyModels, jobs: int = 1):
+    """Run every strategy over the test split; returns (records, summaries).
 
     The strategies and models are checked first (ValueError). The
     sessions, sorted by id, are then split into ``min(jobs, sessions)``
@@ -141,7 +140,7 @@ def compare_strategies(dataset, strategies, models: StrategyModels,
     any job count. ``jobs`` below 1 raises ConfigInvalid.
     """
     _check_strategies(strategies, models)
-    sessions = sorted(dataset.split_sessions(split), key=lambda s: s.session_id)
+    sessions = sorted(dataset.split_sessions("test"), key=lambda s: s.session_id)
     groups = session_groups(sessions, jobs)
     if len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor

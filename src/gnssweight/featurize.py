@@ -123,7 +123,7 @@ class EpochFeaturizer:
         self.fix = fix = row_report(epoch, *rows[0])
         if fix is not None:
             per_link = self.history.update_and_extract(epoch, ecef_to_geodetic(fix.state.position))
-            if epoch.n > epoch.state_dim():
+            if rows[1]:
                 return assemble_feature_matrix(build_residual_matrix(epoch, rows), per_link)
         self.skipped += 1
         return None

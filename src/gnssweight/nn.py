@@ -39,6 +39,9 @@ from .model import Epoch
 
 CHECKPOINT_VERSION = 1
 
+# LSTM layers of a new model; a checkpoint stores its own count.
+N_LAYERS = 2
+
 # Quality targets are log |pseudorange error| clamped below at this
 # value, so noise-free measurements map to a finite target and a
 # weight cap of 1/eps^2 = 1e4.
@@ -74,9 +77,9 @@ class LstmModel:
     head_b: float
 
     @staticmethod
-    def init(input_dim: int, hidden: int, rng: np.random.Generator, n_layers: int = 2) -> "LstmModel":
+    def init(input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmModel":
         W, U, b = [], [], []
-        for layer in range(n_layers):
+        for layer in range(N_LAYERS):
             d = input_dim if layer == 0 else hidden
             s = 1.0 / math.sqrt(hidden)
             W.append(rng.uniform(-s, s, size=(4 * hidden, d)))
@@ -85,7 +88,7 @@ class LstmModel:
             bias[hidden : 2 * hidden] = 1.0  # forget-gate bias keeps early memory
             b.append(bias)
         head_w = rng.uniform(-1.0 / math.sqrt(hidden), 1.0 / math.sqrt(hidden), size=hidden)
-        return LstmModel(input_dim, hidden, n_layers, W, U, b, head_w, 0.0)
+        return LstmModel(input_dim, hidden, N_LAYERS, W, U, b, head_w, 0.0)
 
     def param_items(self):
         """(name, array) pairs of the weight arrays, in a fixed order; the
@@ -222,20 +225,14 @@ def lstm_forward(model: LstmModel, fm: np.ndarray, lengths=None) -> np.ndarray:
     return _forward(model, fm, lengths, keep=False)[0]
 
 
-def lstm_backward(
-    model: LstmModel,
-    fm: np.ndarray,
-    labels: np.ndarray,
-    mask: np.ndarray | None = None,
-    lengths=None,
-):
+def lstm_backward(model: LstmModel, fm: np.ndarray, labels: np.ndarray, lengths=None):
     """Exact gradients of the summed squared error via BPTT.
 
     Rows are packed as in ``lstm_forward``; all sequences run backward
-    together. Returns (sse, grads, n_rows) where sse = sum_r mask_r
-    (y_r - label_r)^2 over every row of every sequence and grads maps
-    parameter names (as in ``param_items`` plus "head_b") to arrays.
-    Callers divide by row counts to get mean-loss gradients.
+    together. Returns (sse, grads) where sse = sum_r (y_r - label_r)^2
+    over every row of every sequence and grads maps parameter names (as
+    in ``param_items`` plus "head_b") to arrays. Callers divide by row
+    counts to get mean-loss gradients.
     """
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (fm.shape[0],):
@@ -243,8 +240,6 @@ def lstm_backward(
     outputs, active, order, caches = _forward(model, fm, lengths, keep=True)
     H = model.hidden
     err = outputs - labels
-    if mask is not None:
-        err *= mask
     sse = float(np.sum(err * err))
     dy = 2.0 * err[order]  # time-major, like the caches
 
@@ -295,8 +290,7 @@ def lstm_backward(
         grads[f"b{layer}"] = dz.sum(axis=0)
         if layer:
             dh_above = dz @ model.W[layer]
-    n_rows = fm.shape[0] if mask is None else int(np.sum(np.asarray(mask) > 0))
-    return sse, grads, n_rows
+    return sse, grads
 
 
 def truth_residuals(epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +460,7 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             fm, labels, lengths = _pack([train_samples[j] for j in batch])
-            sse, grads, _ = lstm_backward(model, fm, labels, lengths=lengths)
+            sse, grads = lstm_backward(model, fm, labels, lengths=lengths)
             ep_sse += sse
             ep_rows += fm.shape[0]
             np.concatenate([grads[k].ravel() for k in names], out=grad)
@@ -492,8 +486,9 @@ def train(
 # --- checkpoint container -------------------------------------------------
 
 
-def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfig, extra=None):
-    """Self-describing npz: parameters, normalization stats, config, seed."""
+def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfig):
+    """Self-describing npz: parameters, normalization stats, config, seed,
+    and an empty ``extra`` entry that keeps the metadata's earlier layout."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "input_dim": model.input_dim,
@@ -501,7 +496,7 @@ def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfi
         "n_layers": model.n_layers,
         "head_b": model.head_b,
         "config": asdict(cfg),
-        "extra": extra or {},
+        "extra": {},
     }
     arrays = {name: arr for name, arr in model.param_items()}
     arrays["norm_mean"] = np.asarray(norm_mean, dtype=float)
@@ -510,7 +505,7 @@ def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfi
 
 
 def load_checkpoint(path):
-    """Returns (model, norm_mean, norm_std, cfg, extra); bit-exact reload."""
+    """Returns (model, norm_mean, norm_std, cfg); bit-exact reload."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
         if meta["version"] != CHECKPOINT_VERSION:
@@ -529,4 +524,4 @@ def load_checkpoint(path):
         # stored keys that are no longer TrainConfig fields, such as ``split``, are ignored
         names = {f.name for f in fields(TrainConfig)}
         cfg = TrainConfig(**{k: v for k, v in meta["config"].items() if k in names})
-        return model, data["norm_mean"].copy(), data["norm_std"].copy(), cfg, meta["extra"]
+        return model, data["norm_mean"].copy(), data["norm_std"].copy(), cfg

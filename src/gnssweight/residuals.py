@@ -107,15 +107,14 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     geometry is degenerate are filled with GAMMA and listed in
     ``failed_rows`` so downstream consumers see a consistent sentinel
     instead of a hard failure; a row whose solve hits the iteration cap
-    keeps its iterate, as the fix does.
+    keeps its iterate, as the fix does. An epoch without leave-one-out
+    rows (no ``_row_groups``) raises NotEnoughMeasurements.
     """
     n = epoch.n
-    if n < epoch.state_dim() + 1:
-        raise NotEnoughMeasurements(
-            f"N={n} leaves unsolvable subsets for state dim {epoch.state_dim()}"
-        )
     if rows is None:
         rows = solve_rows([epoch])[0]
+    if not rows[1]:
+        raise NotEnoughMeasurements(f"N={n} leaves unsolvable subsets for state dim {epoch.state_dim()}")
     n_const = epoch.state_dim() - 3
     pr = epoch.pr_array()
     values = np.full((n, n), GAMMA)

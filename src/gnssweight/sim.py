@@ -10,7 +10,7 @@ configured seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +72,10 @@ def _is_int(v):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One session's settings. The ``profile`` owns its NLOS probability
+    curve (``_NLOS_CURVES``) and, for ``urban_canyon``, the multipath
+    inflation of C/N0 noise."""
+
     seed: int = 0
     duration_s: float = 40.0
     rate_hz: float = 5.0
@@ -83,7 +87,6 @@ class ScenarioConfig:
         }
     )
     noise_sigma_m: float = 1.0  # zenith-equivalent; scales with 1/sin(elevation)
-    nlos_prob_curve: tuple = tuple(_NLOS_CURVES["urban_canyon"])
     nlos_bias_mean_m: float = 30.0
     profile: str = "urban_canyon"
     waypoints: tuple = tuple(_DEFAULT_WAYPOINTS)
@@ -95,11 +98,6 @@ class ScenarioConfig:
             raise ConfigInvalid("duration_s must be > 0")
         if self.profile not in PROFILES:
             raise ConfigInvalid(f"profile must be one of {PROFILES}")
-        for elev, p in self.nlos_prob_curve:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigInvalid(f"nlos_prob_curve probability {p} outside [0, 1]")
-            if not 0.0 <= elev <= math.pi / 2:
-                raise ConfigInvalid("nlos_prob_curve elevation outside [0, pi/2]")
         if self.noise_sigma_m < 0 or self.nlos_bias_mean_m < 0:
             raise ConfigInvalid("noise/bias magnitudes must be nonnegative")
         for const, count in self.sv_counts.items():
@@ -239,7 +237,7 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
     consts = sorted(cfg.sv_counts.keys())
     clock = {c: float(rng.uniform(-CLOCK_INIT_SPAN_S, CLOCK_INIT_SPAN_S)) for c in consts}
 
-    knots = sorted(cfg.nlos_prob_curve)
+    knots = sorted(_NLOS_CURVES[cfg.profile])
     sin_mask = math.sin(ELEVATION_MASK)
     cn0_sigma2 = CN0_NOISE_SIGMA_DB**2
     if cfg.profile == "urban_canyon":
@@ -302,18 +300,6 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
         truth.fault_flags.append(flags)
         truth.fault_biases.append(biases)
     return epochs, truth
-
-
-def profile_config(profile: str, seed: int, **overrides) -> ScenarioConfig:
-    """Scenario preset for an environment profile."""
-    if profile not in PROFILES:
-        raise ConfigInvalid(f"profile must be one of {PROFILES}")
-    cfg = ScenarioConfig(
-        seed=seed,
-        profile=profile,
-        nlos_prob_curve=tuple(_NLOS_CURVES[profile]),
-    )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _jitter_waypoints(base, rng: np.random.Generator):
@@ -379,15 +365,13 @@ def generate_campaign(
         master.shuffle(assignments)
         for k in range(n):
             session_seed = int(master.integers(0, 2**63 - 1))
-            cfg = profile_config(
-                profile,
-                session_seed,
+            cfg = ScenarioConfig(
+                seed=session_seed,
                 duration_s=duration,
                 rate_hz=rate_hz,
+                profile=profile,
+                waypoints=_jitter_waypoints(_DEFAULT_WAYPOINTS, np.random.default_rng(session_seed ^ 0x5EED)),
                 **overrides,
-            )
-            cfg = replace(
-                cfg, waypoints=_jitter_waypoints(cfg.waypoints, np.random.default_rng(session_seed ^ 0x5EED))
             )
             sid = f"{profile}-{k:03d}"
             epochs, truth = generate_session(cfg, session_id=sid)

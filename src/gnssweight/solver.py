@@ -143,9 +143,7 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     _check_inputs(w, sat, pr, x0)
     if np.count_nonzero(w > 0.0) < dim:
         raise NotEnoughMeasurements(f"{int(np.sum(w > 0.0))} positive-weight measurements for {dim} unknowns")
-    report = row_report(epoch, *_kernels.lm_solve(
-        sat, pr, w, epoch.const_index(), dim - 3, x0, _kernels.MAX_ITERATIONS,
-    ))
+    report = row_report(epoch, *_kernels.lm_solve(sat, pr, w, epoch.const_index(), dim - 3, x0))
     if report is None:
         raise SingularGeometry("weighted normal matrix condition number above limit")
     if not report.converged:
@@ -185,12 +183,13 @@ def solve_batch(problems) -> list:
     has the weights ``weights[r]`` (N,) and starts from ``starts[r]``
     (3 + clocks,), in kernel layout. Entry j of the result is problem j's
     (x, iterations, status, cost): arrays with one entry per row, as
-    ``_kernels.lm_solve_batch`` returns them. A row with fewer positive
-    weights than unknowns is not solved: it keeps its start, 0 iterations,
-    NaN cost and the status ``STATUS_NOT_ENOUGH``, for which
-    ``row_report`` gives None. A negative or non-finite weight, and a
-    non-finite satellite coordinate, pseudorange or start in any problem,
-    raise ValueError.
+    ``_kernels.lm_solve_batch`` returns them, under the kernel's module
+    settings (its cap ``_kernels.MAX_ITERATIONS`` among them). A row with
+    fewer positive weights than unknowns is not solved: it keeps its
+    start, 0 iterations, NaN cost and the status ``STATUS_NOT_ENOUGH``,
+    for which ``row_report`` gives None. A negative or non-finite weight,
+    and a non-finite satellite coordinate, pseudorange or start in any
+    problem, raise ValueError.
 
     Rows are grouped by clock count and sorted by N; each kernel call
     takes at most ``MAX_ROWS_PER_CALL`` of them. Each row carries its
@@ -239,7 +238,7 @@ def solve_batch(problems) -> list:
             links = meas0[r][:, None] + pad
             wb = np.where(i < nr, flat_w[w0[r][:, None] + pad], 0.0)
             x[b], iterations[r], status[r], cost[r] = _kernels.lm_solve_batch(
-                sat[links], pr[links], wb, clock[links], d - 3, x[b], _kernels.MAX_ITERATIONS)
+                sat[links], pr[links], wb, clock[links], d - 3, x[b])
         lo = 0
         for j in js:
             r0, r1 = bounds[j], bounds[j + 1]

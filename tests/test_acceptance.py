@@ -50,7 +50,7 @@ from gnssweight.nn import (
     truth_clock_biases,
 )
 from gnssweight.residuals import GAMMA, build_residual_matrix
-from gnssweight.sim import generate_campaign, generate_session, profile_config
+from gnssweight.sim import ScenarioConfig, generate_campaign, generate_session
 from gnssweight.solver import jacobian, predicted_pseudoranges, solve_wls, state_to_vector
 from conftest import make_epoch
 
@@ -130,7 +130,6 @@ def pipeline():
         dataset,
         ("truth", "nn_full", "nn_residual", "fde_sota", "equal"),
         strategy_models,
-        split="test",
     )
     elapsed = time.perf_counter() - t0
     return {
@@ -252,7 +251,7 @@ def test_criterion_04_lstm_gradient_check():
     model.head_b = 0.2
     fm = rng.normal(size=(9, 6))
     labels = rng.normal(size=9)
-    _, grads, _ = lstm_backward(model, fm, labels)
+    _, grads = lstm_backward(model, fm, labels)
 
     def loss():
         y = lstm_forward(model, fm)
@@ -334,7 +333,7 @@ def test_criterion_05_training_determinism(pipeline, tmp_path):
 
 
 def test_criterion_06_label_weight_consistency():
-    cfg = profile_config("urban_canyon", seed=17, duration_s=40.0)
+    cfg = ScenarioConfig(profile="urban_canyon", seed=17, duration_s=40.0)
     epochs, _ = generate_session(cfg)
     checked = 0
     for epoch in epochs:

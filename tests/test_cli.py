@@ -11,6 +11,7 @@ import gnssweight
 from gnssweight.cli import build_parser, main
 from gnssweight.errors import ConfigInvalid
 from gnssweight.evaluation import read_error_csv
+from gnssweight.featurize import N_FEATURES
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +109,8 @@ def test_training_from_cache_matches_direct(tiny_config, tiny_dataset, tmp_path)
     assert main(["train", "--config", tiny_config, "--features", str(cache), "--out", str(m2), "--mode", "residual"]) == 0
     from gnssweight.nn import load_checkpoint
 
-    a, mean_a, std_a, _, _ = load_checkpoint(m1)
-    b, mean_b, std_b, _, _ = load_checkpoint(m2)
+    a, mean_a, std_a, _ = load_checkpoint(m1)
+    b, mean_b, std_b, _ = load_checkpoint(m2)
     assert np.array_equal(mean_a, mean_b)
     for (k1, p1), (k2, p2) in zip(a.param_items(), b.param_items()):
         assert k1 == k2
@@ -157,8 +158,8 @@ def test_resume_continues_from_checkpoint(tiny_config, tiny_dataset, tmp_path):
     ) == 0
     from gnssweight.nn import load_checkpoint
 
-    a, _, _, _, _ = load_checkpoint(first)
-    b, _, _, _, _ = load_checkpoint(second)
+    a, _, _, _ = load_checkpoint(first)
+    b, _, _, _ = load_checkpoint(second)
     # resumed training moved the parameters
     assert any(
         not np.array_equal(p1, p2)
@@ -281,6 +282,42 @@ def test_file_that_is_not_npz_fails_with_path(tiny_config, tiny_dataset, tmp_pat
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and tiny_dataset in err and "feature cache" in err
+
+
+def _write_feature_cache(path, splits):
+    """An npz in the layout ``featurize`` writes, holding ``splits``."""
+    arrays, index, i = {}, {}, 0
+    for split, samples in splits.items():
+        index[split] = list(range(i, i + len(samples)))
+        for fm, labels in samples:
+            arrays[f"fm_{i}"], arrays[f"lab_{i}"] = fm, labels
+            i += 1
+    meta = {"version": 1, "seed": 0, "splits": index}
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+_SAMPLE = (np.ones((5, N_FEATURES)), np.zeros(5))
+
+
+@pytest.mark.parametrize("splits, expect", [
+    ({"train": [_SAMPLE]}, "no val split"),
+    ({"val": [_SAMPLE]}, "no train split"),
+    ({"train": [(np.ones((5, 3)), np.zeros(5))], "val": [_SAMPLE]}, "shape (5, 3)"),
+    ({"train": [_SAMPLE], "val": [(np.ones(5), np.zeros(5))]}, "shape (5,)"),
+    ({"train": [_SAMPLE, (np.ones((5, N_FEATURES)), np.zeros(4))], "val": [_SAMPLE]}, "for 5 rows"),
+], ids=["no-val", "no-train", "three-columns", "one-dimensional", "short-labels"])
+def test_invalid_feature_cache_fails_with_path(splits, expect, tiny_config, tmp_path, capsys):
+    """A cache without both fitting splits, with a matrix that is not
+    (N, N_FEATURES) or with labels that do not match its rows fails
+    before training with one ``error: ...`` line naming the file."""
+    cache = tmp_path / "features.npz"
+    _write_feature_cache(cache, splits)
+    out = tmp_path / "m.npz"
+    assert main(["train", "--config", tiny_config, "--features", str(cache), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(cache) in err and "feature cache" in err and expect in err, err
+    assert not out.exists()
 
 
 CSV_HEADER = "session_id,t,strategy,h_err_m,v_err_m,converged,n_sv,n_zero_weight\n"

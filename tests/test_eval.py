@@ -26,7 +26,7 @@ from gnssweight.evaluation import (
 from gnssweight.featurize import N_FEATURES, N_RESIDUAL_SUMMARY, FeatureNormalization
 from gnssweight.geo import EcefPosition, GeodeticPosition, enu_rotation, geodetic_to_ecef
 from gnssweight.nn import LstmModel
-from gnssweight.sim import generate_session, profile_config
+from gnssweight.sim import ScenarioConfig, generate_session
 from conftest import make_epoch
 
 
@@ -87,13 +87,8 @@ def _tiny_models():
 def _noise_free_session(monkeypatch):
     monkeypatch.setattr(sim, "CLOCK_WALK_SIGMA_S", 0.0)
     monkeypatch.setattr(sim, "CN0_NOISE_SIGMA_DB", 0.0)
-    cfg = profile_config(
-        "open_sky",
-        seed=4,
-        duration_s=2.0,
-        noise_sigma_m=0.0,
-        nlos_prob_curve=((math.radians(5.0), 0.0), (math.radians(90.0), 0.0)),
-    )
+    monkeypatch.setitem(sim._NLOS_CURVES, "open_sky", [(math.radians(5.0), 0.0), (math.radians(90.0), 0.0)])
+    cfg = ScenarioConfig(profile="open_sky", seed=4, duration_s=2.0, noise_sigma_m=0.0)
     epochs, truth = generate_session(cfg, session_id="clean")
     return Session(session_id="clean", profile="open_sky", split="test", epochs=epochs, truth=truth)
 
@@ -133,7 +128,7 @@ def test_missing_model_raises(monkeypatch):
 def test_compare_strategies_deterministic_across_jobs():
     sessions = []
     for k, seed in enumerate((100, 101, 102)):
-        cfg = profile_config("suburban", seed=seed, duration_s=2.0)
+        cfg = ScenarioConfig(profile="suburban", seed=seed, duration_s=2.0)
         epochs, truth = generate_session(cfg, session_id=f"s{k}")
         sessions.append(Session(f"s{k}", "suburban", "test", epochs, truth))
     ds = Dataset(seed=0, sessions=sessions)
@@ -217,7 +212,7 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     # rounds solve other problems. A batch row may be padded to the call's
     # N with zero-weight links, so it counts for the pr of its all-ones
     # prefix.
-    cfg = profile_config("urban_canyon", seed=3, duration_s=1.0)  # N = 12
+    cfg = ScenarioConfig(profile="urban_canyon", seed=3, duration_s=1.0)  # N = 12
     epochs, truth = generate_session(cfg, session_id="u")
     session = Session("u", "urban_canyon", "test", epochs, truth)
     models = _tiny_models()
@@ -231,19 +226,19 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
         if np.all(w[:m] == 1.0) and np.array_equal(x0[:3], cold) and not x0[3:].any():
             solves[pr[:m].tobytes()] += 1
 
-    def counting(sat, pr, w, const_idx, n_clk, x0, *rest):
+    def counting(sat, pr, w, const_idx, n_clk, x0):
         count(pr, w, x0)
         in_single.append(True)
         try:
-            return lm_solve(sat, pr, w, const_idx, n_clk, x0, *rest)
+            return lm_solve(sat, pr, w, const_idx, n_clk, x0)
         finally:
             in_single.pop()
 
-    def counting_batch(sat, pr, w, const_idx, n_clk, x0, *rest):
+    def counting_batch(sat, pr, w, const_idx, n_clk, x0):
         if not in_single:
             for b, (wb, xb) in enumerate(zip(w, x0)):
                 count(pr[b], wb, xb)
-        return lm_solve_batch(sat, pr, w, const_idx, n_clk, x0, *rest)
+        return lm_solve_batch(sat, pr, w, const_idx, n_clk, x0)
 
     monkeypatch.setattr(_kernels, "lm_solve", counting)
     monkeypatch.setattr(_kernels, "lm_solve_batch", counting_batch)

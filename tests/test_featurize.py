@@ -18,7 +18,7 @@ from gnssweight.featurize import (
     normalized_split,
 )
 from gnssweight.residuals import GAMMA, build_residual_matrix
-from gnssweight.sim import generate_session, profile_config
+from gnssweight.sim import ScenarioConfig, generate_session
 from conftest import make_epoch
 
 
@@ -130,7 +130,7 @@ def test_dataset_samples_matches_per_epoch_featurization(monkeypatch):
     sessions = []
     plan = ((40, "train"), (46, "val"), (50, "train"), (41, "test"), (48, "val"), (42, "train"))
     for k, (seed, split) in enumerate(plan):
-        cfg = profile_config("urban_canyon", seed=seed, duration_s=2.0)
+        cfg = ScenarioConfig(profile="urban_canyon", seed=seed, duration_s=2.0)
         epochs, truth = generate_session(cfg, session_id=f"u{k}")
         sessions.append(Session(f"u{k}", "urban_canyon", split, epochs, truth))
     fitting = [e for s in sessions if s.split != "test" for e in s.epochs]

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -50,7 +51,7 @@ def _naive_forward(model, fm):
     return np.array([model.head_w @ h + model.head_b for h in layer_in])
 
 
-def _reference_backward(model, fm, labels, mask=None):
+def _reference_backward(model, fm, labels):
     """The per-sample, per-step BPTT loop that the packed trainer replaced:
     (4H, D) matrix-vector products and one outer product per step."""
     n = fm.shape[0]
@@ -80,9 +81,7 @@ def _reference_backward(model, fm, labels, mask=None):
         caches.append((layer_in, steps))
         layer_in = hs
     outputs = layer_in @ model.head_w + model.head_b
-    if mask is None:
-        mask = np.ones(n)
-    err = (outputs - labels) * mask
+    err = outputs - labels
     sse = float(np.sum(err * err))
     dy = 2.0 * err
 
@@ -123,14 +122,21 @@ def _reference_backward(model, fm, labels, mask=None):
             dx_below[t] = W.T @ dz
             dh_next = U.T @ dz
         dh_above = dx_below
-    return sse, grads, int(np.sum(mask > 0))
+    return sse, grads
 
 
-def _packed_problem(rng, lengths, dim, masked=False):
+def _packed_problem(rng, lengths, dim):
     fm = rng.normal(size=(int(np.sum(lengths)), dim))
-    labels = rng.normal(size=fm.shape[0])
-    mask = (rng.uniform(size=fm.shape[0]) < 0.7).astype(float) if masked else None
-    return fm, labels, mask
+    return fm, rng.normal(size=fm.shape[0])
+
+
+def _zero_error_rows(rng, model, fm, labels, lengths=None):
+    """``labels`` with about 30% of the rows set to the model's outputs,
+    so that their error is exactly 0 and they add nothing to the loss."""
+    labels = labels.copy()
+    rows = rng.uniform(size=fm.shape[0]) >= 0.7
+    labels[rows] = lstm_forward(model, fm, lengths)[rows]
+    return labels
 
 
 def _segments(lengths):
@@ -176,8 +182,7 @@ def test_gradients_match_finite_differences():
     model.head_b = -0.1
     fm = rng.normal(size=(7, 5))
     labels = rng.normal(size=7)
-    sse, grads, n_rows = lstm_backward(model, fm, labels)
-    assert n_rows == 7
+    sse, grads = lstm_backward(model, fm, labels)
 
     def loss():
         y = lstm_forward(model, fm)
@@ -216,29 +221,12 @@ def test_gradients_match_finite_differences():
     assert checked >= 100
 
 
-def test_mask_zeroes_gradient_contribution():
-    rng = np.random.default_rng(3)
-    model = LstmModel.init(4, 3, rng)
-    fm = rng.normal(size=(6, 4))
-    labels = rng.normal(size=6)
-    mask = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-    sse, grads, n_rows = lstm_backward(model, fm, labels, mask=mask)
-    assert n_rows == 4
-    # corrupting a masked label changes nothing
-    labels2 = labels.copy()
-    labels2[2] += 100.0
-    sse2, grads2, _ = lstm_backward(model, fm, labels2, mask=mask)
-    assert sse2 == sse
-    for k in grads:
-        assert np.array_equal(grads[k], grads2[k])
-
-
 def test_zero_loss_has_zero_gradients():
     rng = np.random.default_rng(6)
     model = LstmModel.init(4, 3, rng)
     fm = rng.normal(size=(5, 4))
     labels = lstm_forward(model, fm)  # loss is exactly zero at these labels
-    sse, grads, _ = lstm_backward(model, fm, labels)
+    sse, grads = lstm_backward(model, fm, labels)
     assert sse == 0.0
     for k, g in grads.items():
         assert np.max(np.abs(g)) < 1e-12
@@ -362,10 +350,11 @@ def test_checkpoint_round_trip(tmp_path):
     mean = rng.normal(size=14)
     std = rng.uniform(0.5, 2.0, size=14)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, model, mean, std, cfg, extra={"note": "unit"})
-    loaded, lmean, lstd, lcfg, extra = load_checkpoint(path)
+    save_checkpoint(path, model, mean, std, cfg)
+    loaded, lmean, lstd, lcfg = load_checkpoint(path)
     assert lcfg == cfg
-    assert extra == {"note": "unit"}
+    with np.load(path) as data:  # the checkpoint layout keeps an empty "extra"
+        assert json.loads(bytes(data["meta"]))["extra"] == {}
     assert np.array_equal(lmean, mean)
     assert np.array_equal(lstd, std)
     assert loaded.head_b == model.head_b
@@ -378,8 +367,6 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_version_guard(tmp_path):
-    import json
-
     rng = np.random.default_rng(5)
     model = LstmModel.init(4, 3, rng)
     path = tmp_path / "model.npz"
@@ -394,8 +381,6 @@ def test_checkpoint_version_guard(tmp_path):
 
 
 def test_checkpoint_with_retired_split_key_loads(tmp_path):
-    import json
-
     model = LstmModel.init(4, 3, np.random.default_rng(5))
     cfg = TrainConfig(seed=3, hidden=3)
     path = tmp_path / "model.npz"
@@ -406,7 +391,7 @@ def test_checkpoint_with_retired_split_key_loads(tmp_path):
     meta["config"]["split"] = [0.6, 0.2, 0.2]
     data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **data)
-    _, _, _, loaded_cfg, _ = load_checkpoint(path)
+    _, _, _, loaded_cfg = load_checkpoint(path)
     assert loaded_cfg == cfg
 
 
@@ -440,23 +425,22 @@ _LENGTHS = [9, 5, 17, 1, 12, 5, 3, 16, 2, 14, 5, 7, 17, 4, 11, 6, 15, 8, 10, 13]
 @pytest.mark.parametrize("hidden", [3, 8, 64])
 @pytest.mark.parametrize("masked", [False, True])
 def test_packed_backward_matches_per_sample_reference(hidden, masked):
+    """Packed BPTT against the per-sample loop; ``masked`` sets about 30%
+    of the labels to the outputs, so those rows have an error of 0."""
     rng = np.random.default_rng(100 + hidden)
     model = LstmModel.init(6, hidden, rng)
     model.head_b = 0.3
-    fm, labels, mask = _packed_problem(rng, _LENGTHS, 6, masked)
-    sse, grads, n_rows = lstm_backward(model, fm, labels, mask=mask, lengths=_LENGTHS)
+    fm, labels = _packed_problem(rng, _LENGTHS, 6)
+    if masked:
+        labels = _zero_error_rows(rng, model, fm, labels, _LENGTHS)
+    sse, grads = lstm_backward(model, fm, labels, lengths=_LENGTHS)
     ref_sse = 0.0
-    ref_rows = 0
     ref = {k: np.zeros_like(v) for k, v in grads.items()}
     for seg in _segments(_LENGTHS):
-        s_i, g_i, r_i = _reference_backward(
-            model, fm[seg], labels[seg], None if mask is None else mask[seg]
-        )
+        s_i, g_i = _reference_backward(model, fm[seg], labels[seg])
         ref_sse += s_i
-        ref_rows += r_i
         for k in ref:
             ref[k] += g_i[k]
-    assert n_rows == ref_rows
     assert sse == pytest.approx(ref_sse, rel=1e-12)
     assert set(grads) == set(ref)
     for k in ref:
@@ -468,11 +452,10 @@ def test_packed_backward_matches_per_sample_reference(hidden, masked):
 def test_batch_of_one_matches_reference(n):
     rng = np.random.default_rng(n)
     model = LstmModel.init(5, 8, rng)
-    fm, labels, _ = _packed_problem(rng, [n], 5)
-    ref_sse, ref, ref_rows = _reference_backward(model, fm, labels)
+    fm, labels = _packed_problem(rng, [n], 5)
+    ref_sse, ref = _reference_backward(model, fm, labels)
     for lengths in (None, [n]):
-        sse, grads, n_rows = lstm_backward(model, fm, labels, lengths=lengths)
-        assert n_rows == ref_rows
+        sse, grads = lstm_backward(model, fm, labels, lengths=lengths)
         assert sse == pytest.approx(ref_sse, rel=1e-12)
         for k in ref:
             _assert_rel(grads[k], ref[k])
@@ -483,7 +466,7 @@ def test_packed_forward_matches_naive_per_sequence(hidden):
     rng = np.random.default_rng(200 + hidden)
     model = LstmModel.init(6, hidden, rng)
     model.head_b = -0.2
-    fm, _, _ = _packed_problem(rng, _LENGTHS, 6)
+    fm, _ = _packed_problem(rng, _LENGTHS, 6)
     y = lstm_forward(model, fm, _LENGTHS)
     assert y.shape == (fm.shape[0],)
     for seg in _segments(_LENGTHS):
@@ -493,26 +476,24 @@ def test_packed_forward_matches_naive_per_sequence(hidden):
 def test_padding_never_reaches_another_sample():
     rng = np.random.default_rng(31)
     model = LstmModel.init(6, 8, rng)
-    fm, labels, _ = _packed_problem(rng, _LENGTHS, 6)
+    fm, labels = _packed_problem(rng, _LENGTHS, 6)
     segs = _segments(_LENGTHS)
     y = lstm_forward(model, fm, _LENGTHS)
-    mask = np.ones(fm.shape[0])
     for k in (0, 2, 3, 12):  # mid-length, longest, length 1, tied longest
         seg = segs[k]
         fm2, labels2 = fm.copy(), labels.copy()
         fm2[seg] = rng.normal(scale=50.0, size=fm2[seg].shape)
-        labels2[seg] += 1e3
         y2 = lstm_forward(model, fm2, _LENGTHS)
         others = np.ones(fm.shape[0], dtype=bool)
         others[seg] = False
         assert np.array_equal(y2[others], y[others])
-        # with sample k masked out, nothing it holds reaches the gradients
-        mask_k = mask.copy()
-        mask_k[seg] = 0.0
-        sse1, g1, rows1 = lstm_backward(model, fm, labels, mask=mask_k, lengths=_LENGTHS)
-        sse2, g2, rows2 = lstm_backward(model, fm2, labels2, mask=mask_k, lengths=_LENGTHS)
+        # with sample k's labels at its outputs, its error is exactly 0, and
+        # nothing it holds reaches the gradients
+        labels1 = labels.copy()
+        labels1[seg], labels2[seg] = y[seg], y2[seg]
+        sse1, g1 = lstm_backward(model, fm, labels1, lengths=_LENGTHS)
+        sse2, g2 = lstm_backward(model, fm2, labels2, lengths=_LENGTHS)
         assert sse1 == sse2
-        assert rows1 == rows2 == fm.shape[0] - _LENGTHS[k]
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
@@ -572,12 +553,10 @@ def _alloc_forward(model, fm, lengths, keep):
     return outputs, active, order, caches
 
 
-def _alloc_backward(model, fm, labels, mask=None, lengths=None):
+def _alloc_backward(model, fm, labels, lengths=None):
     outputs, active, order, caches = _alloc_forward(model, fm, lengths, keep=True)
     H = model.hidden
     err = outputs - labels
-    if mask is not None:
-        err *= mask
     sse = float(np.sum(err * err))
     dy = 2.0 * err[order]
     grads = {name: None for name, _ in model.param_items()}
@@ -617,8 +596,7 @@ def _alloc_backward(model, fm, labels, mask=None, lengths=None):
         grads[f"b{layer}"] = dz.sum(axis=0)
         if layer:
             dh_above = dz @ model.W[layer]
-    n_rows = fm.shape[0] if mask is None else int(np.sum(np.asarray(mask) > 0))
-    return sse, grads, n_rows
+    return sse, grads
 
 
 class _AllocAdam:
@@ -676,7 +654,7 @@ def _alloc_train(train_samples, val_samples, cfg, init_model=None):
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             fm, labels, lengths = _pack([train_samples[j] for j in batch])
-            sse, grads, _ = _alloc_backward(model, fm, labels, lengths=lengths)
+            sse, grads = _alloc_backward(model, fm, labels, lengths=lengths)
             ep_sse += sse
             ep_rows += fm.shape[0]
             for k in grads:
@@ -721,7 +699,7 @@ def test_forward_matches_allocating_reference(hidden, case, lengths):
     rng = np.random.default_rng(300 + hidden)
     model = LstmModel.init(6, hidden, rng)
     model.head_b = 0.1
-    fm, _, _ = _packed_problem(rng, lengths or [11], 6)
+    fm, _ = _packed_problem(rng, lengths or [11], 6)
     want, want_active, want_order, want_caches = _alloc_forward(model, fm, lengths, keep=True)
     for keep in (False, True):
         got, active, order, caches = _forward(model, fm, lengths, keep)
@@ -738,15 +716,17 @@ def test_forward_matches_allocating_reference(hidden, case, lengths):
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("case, lengths", _BITWISE_CASES, ids=[c for c, _ in _BITWISE_CASES])
 def test_backward_matches_allocating_reference(hidden, masked, case, lengths):
-    """BPTT has the reference's bytes: the loss, the row count and every
-    gradient, with and without a row mask."""
+    """BPTT has the reference's bytes: the loss and every gradient, with
+    and without rows of zero error (``masked``)."""
     rng = np.random.default_rng(400 + hidden)
     model = LstmModel.init(6, hidden, rng)
     model.head_b = -0.3
-    fm, labels, mask = _packed_problem(rng, lengths or [11], 6, masked)
-    sse, grads, n_rows = lstm_backward(model, fm, labels, mask=mask, lengths=lengths)
-    ref_sse, ref, ref_rows = _alloc_backward(model, fm, labels, mask=mask, lengths=lengths)
-    assert (np.float64(sse).tobytes(), n_rows) == (np.float64(ref_sse).tobytes(), ref_rows)
+    fm, labels = _packed_problem(rng, lengths or [11], 6)
+    if masked:
+        labels = _zero_error_rows(rng, model, fm, labels, lengths)
+    sse, grads = lstm_backward(model, fm, labels, lengths=lengths)
+    ref_sse, ref = _alloc_backward(model, fm, labels, lengths=lengths)
+    assert np.float64(sse).tobytes() == np.float64(ref_sse).tobytes()
     assert list(grads) == list(ref)
     for k in ref:
         assert grads[k].shape == ref[k].shape and grads[k].tobytes() == ref[k].tobytes(), k

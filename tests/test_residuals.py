@@ -235,9 +235,9 @@ def test_batched_rows_match_single_solves(monkeypatch):
         X0[:, :3] = _DEFAULT_START.as_array()
         X, its, status, cost = _kernels.lm_solve_batch(
             np.broadcast_to(sat, (n, n, 3)), np.broadcast_to(pr, (n, n)), W,
-            np.broadcast_to(idx, (n, n)), dim - 3, X0, max_iter)
+            np.broadcast_to(idx, (n, n)), dim - 3, X0)
         for row in range(n):
-            x, it, st, c = _kernels.lm_solve(sat, pr, W[row], idx, dim - 3, X0[row], max_iter)
+            x, it, st, c = _kernels.lm_solve(sat, pr, W[row], idx, dim - 3, X0[row])
             assert X[row].tobytes() == x.tobytes(), (k, row)
             assert (its[row], status[row], cost[row].tobytes()) == (it, st, c.tobytes()), (k, row)
             statuses[st] += 1

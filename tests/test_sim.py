@@ -18,7 +18,6 @@ from gnssweight.sim import (
     generate_campaign,
     generate_session,
     nlos_probability,
-    profile_config,
 )
 
 
@@ -28,7 +27,6 @@ def _quiet_cfg(seed=0, **kw):
         duration_s=4.0,
         rate_hz=5.0,
         noise_sigma_m=0.0,
-        nlos_prob_curve=((math.radians(5.0), 0.0), (math.radians(90.0), 0.0)),
         profile="open_sky",
     )
     base.update(kw)
@@ -37,7 +35,9 @@ def _quiet_cfg(seed=0, **kw):
 
 @pytest.fixture
 def quiet(monkeypatch):
-    """No C/N0 noise and no receiver clock walk in the sessions a test generates."""
+    """No C/N0 noise and no receiver clock walk in the sessions a test
+    generates, and no NLOS link in an open-sky one (``_quiet_cfg``'s)."""
+    monkeypatch.setitem(sim._NLOS_CURVES, "open_sky", [(math.radians(5.0), 0.0), (math.radians(90.0), 0.0)])
     monkeypatch.setattr(sim, "CN0_NOISE_SIGMA_DB", 0.0)
     monkeypatch.setattr(sim, "CLOCK_WALK_SIGMA_S", 0.0)
 
@@ -56,8 +56,6 @@ def test_config_validation():
         _quiet_cfg(rate_hz=0.0).validate()
     with pytest.raises(ConfigInvalid):
         _quiet_cfg(profile="indoor").validate()
-    with pytest.raises(ConfigInvalid):
-        _quiet_cfg(nlos_prob_curve=((0.1, 1.5),)).validate()
     with pytest.raises(ConfigInvalid):
         _quiet_cfg(sv_counts={ConstellationId.GPS: 4}).validate()
 
@@ -97,7 +95,7 @@ def test_visible_satellites_above_mask(quiet):
 
 
 def test_fault_bookkeeping_matches_bias_construction(quiet):
-    cfg = profile_config("urban_canyon", seed=11, duration_s=20.0, noise_sigma_m=0.0)
+    cfg = ScenarioConfig(profile="urban_canyon", seed=11, duration_s=20.0, noise_sigma_m=0.0)
     epochs, truth = generate_session(cfg)
     n_flagged = 0
     for k, epoch in enumerate(epochs):
@@ -125,14 +123,10 @@ def test_fault_bookkeeping_matches_bias_construction(quiet):
     assert truth.epochs_with_fault() > 0
 
 
-def test_nlos_rate_tracks_curve(quiet):
+def test_nlos_rate_tracks_curve(quiet, monkeypatch):
     p_flat = 0.25
-    cfg = _quiet_cfg(
-        seed=5,
-        duration_s=60.0,
-        nlos_prob_curve=((math.radians(5.0), p_flat), (math.radians(90.0), p_flat)),
-        nlos_bias_mean_m=30.0,
-    )
+    monkeypatch.setitem(sim._NLOS_CURVES, "open_sky", [(math.radians(5.0), p_flat), (math.radians(90.0), p_flat)])
+    cfg = _quiet_cfg(seed=5, duration_s=60.0, nlos_bias_mean_m=30.0)
     _, truth = generate_session(cfg)
     flags = [f for flags in truth.fault_flags for f in flags]
     rate = np.mean(flags)
@@ -140,7 +134,7 @@ def test_nlos_rate_tracks_curve(quiet):
 
 
 def test_nlos_depresses_cn0():
-    cfg = profile_config("urban_canyon", seed=6, duration_s=40.0, noise_sigma_m=0.0)
+    cfg = ScenarioConfig(profile="urban_canyon", seed=6, duration_s=40.0, noise_sigma_m=0.0)
     epochs, truth = generate_session(cfg)
     nlos_cn0, los_cn0 = [], []
     for k, epoch in enumerate(epochs):
@@ -150,7 +144,7 @@ def test_nlos_depresses_cn0():
 
 
 def test_determinism_and_seed_sensitivity():
-    cfg = profile_config("suburban", seed=9, duration_s=4.0)
+    cfg = ScenarioConfig(profile="suburban", seed=9, duration_s=4.0)
     e1, _ = generate_session(cfg)
     e2, _ = generate_session(cfg)
     for a, b in zip(e1, e2):
@@ -158,7 +152,7 @@ def test_determinism_and_seed_sensitivity():
         for ma, mb in zip(a.measurements, b.measurements):
             assert ma.pseudorange == mb.pseudorange
             assert ma.cn0 == mb.cn0
-    e3, _ = generate_session(profile_config("suburban", seed=10, duration_s=4.0))
+    e3, _ = generate_session(ScenarioConfig(profile="suburban", seed=10, duration_s=4.0))
     assert any(
         ma.pseudorange != mb.pseudorange
         for a, b in zip(e1, e3)
@@ -310,7 +304,7 @@ def _reference_generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
             lt = lock_time.get(key, -dt) + dt
             lock_time[key] = lt
 
-            p_nlos = nlos_probability(sorted(cfg.nlos_prob_curve), elev)
+            p_nlos = nlos_probability(sorted(sim._NLOS_CURVES[cfg.profile]), elev)
             is_nlos = bool(rng.random() < p_nlos)
             bias = float(rng.exponential(cfg.nlos_bias_mean_m)) if is_nlos else 0.0
             sigma = cfg.noise_sigma_m / max(math.sin(elev), math.sin(sim.ELEVATION_MASK))
@@ -354,13 +348,13 @@ _DENSE_SKY = {  # the dense_sky_fix benchmark's sky, BeiDou included
 @pytest.mark.parametrize(
     "cfg",
     [
-        profile_config("open_sky", seed=601, duration_s=20.0),
-        profile_config("suburban", seed=811, duration_s=20.0),
-        profile_config("urban_canyon", seed=7, duration_s=20.0),
-        profile_config("urban_canyon", seed=31, duration_s=10.0, sv_counts=_DENSE_SKY),
-        profile_config("suburban", seed=32, duration_s=10.0, noise_sigma_m=0.0),
+        ScenarioConfig(profile="open_sky", seed=601, duration_s=20.0),
+        ScenarioConfig(profile="suburban", seed=811, duration_s=20.0),
+        ScenarioConfig(profile="urban_canyon", seed=7, duration_s=20.0),
+        ScenarioConfig(profile="urban_canyon", seed=31, duration_s=10.0, sv_counts=_DENSE_SKY),
+        ScenarioConfig(profile="suburban", seed=32, duration_s=10.0, noise_sigma_m=0.0),
         # crosses the elevation mask, so lock times reset
-        profile_config("open_sky", seed=13, duration_s=240.0, rate_hz=1.0),
+        ScenarioConfig(profile="open_sky", seed=13, duration_s=240.0, rate_hz=1.0),
     ],
     ids=["open_sky", "suburban", "urban_canyon", "dense_sky", "noise_free", "mask_crossing"],
 )

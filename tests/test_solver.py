@@ -370,13 +370,16 @@ def _cone_case(rng, elevation):
     X0[[0, 1, 4], :3] = solver._DEFAULT_START.as_array()
     X0[2:4, :3] = 2.0 * sat[2:4]
     X0[5] = np.r_[rx, 1e4] + rng.normal(0.0, 1e4, 4)
-    return sat, pr, np.zeros(9, dtype=np.intp), 1, W, X0, _kernels.MAX_ITERATIONS
+    return sat, pr, np.zeros(9, dtype=np.intp), 1, W, X0
 
 
 def _reference_corpus():
     """64 cases of 6 rows: (sat, pr, const_idx, n_const, W, X0, max_iter)
     with cold and warm starts, random weights with zeros, low iteration
-    caps and singular weightings; the last 4 are ``_cone_case``s."""
+    caps and singular weightings; the last 4 are ``_cone_case``s. The
+    kernel's cap is read once, before the first case, since a caller
+    lowers it to a case's ``max_iter`` while the corpus runs."""
+    full_cap = _kernels.MAX_ITERATIONS
     rng = np.random.default_rng(77)
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
     for k in range(60):
@@ -394,17 +397,18 @@ def _reference_corpus():
         X0 = np.tile(truth_x, (rows, 1)) + rng.normal(0.0, 1e4, size=(rows, dim))
         X0[:2, :3] = solver._DEFAULT_START.as_array()
         X0[:2, 3:] = 0.0
-        max_iter = 3 if k % 5 == 0 else _kernels.MAX_ITERATIONS
+        max_iter = 3 if k % 5 == 0 else full_cap
         yield epoch.sat_array(), epoch.pr_array(), epoch.const_index(), n_const, W, X0, max_iter
     for elevation in (20.0, 35.0, 50.0, 65.0):
-        yield _cone_case(rng, math.radians(elevation))
+        yield *_cone_case(rng, math.radians(elevation)), full_cap
 
 
 @pytest.mark.bitwise
-def test_kernel_matches_reference_loop():
+def test_kernel_matches_reference_loop(monkeypatch):
     """Every row of a batch, and a single solve, has the bits of the
     one-problem loop on ``_reference_corpus``. The corpus reaches every
-    status and the exits the kernel takes on one path for all rows: a
+    status, in counts pinned so that a cap leaking from one case into the
+    next fails, and the exits the kernel takes on one path for all rows: a
     lockstep round in which a fresh row goes singular while another row
     retries a trial (the condition test then runs on both), and polishes
     that end on a tiny step or on a growing one."""
@@ -412,15 +416,16 @@ def test_kernel_matches_reference_loop():
     polishes = collections.Counter()
     singular_beside_stale = 0
     for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", max_iter)
         rows, n = W.shape
         X, its, status, cost = _kernels.lm_solve_batch(
             np.broadcast_to(sat, (rows, n, 3)), np.broadcast_to(pr, (rows, n)), W,
-            np.broadcast_to(idx, (rows, n)), n_const, X0, max_iter)
+            np.broadcast_to(idx, (rows, n)), n_const, X0)
         row_rounds = []
         for row in range(rows):
             x, it, st, c, _, (rounds, polish, _) = _reference_lm_solve(
                 sat, pr, W[row], idx, n_const, X0[row], max_iter)
-            single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
+            single = _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row])
             for got in ((X[row], its[row], status[row], cost[row]), single):
                 assert got[0].tobytes() == x.tobytes(), (k, row)
                 got_c = np.float64(got[3]).tobytes()
@@ -430,7 +435,8 @@ def test_kernel_matches_reference_loop():
             row_rounds.append(rounds)
         for r in range(max(map(len, row_rounds))):
             singular_beside_stale += {"singular", "stale"} <= {a[r] for a in row_rounds if r < len(a)}
-    assert np.all(statuses > 0), statuses
+    # converged, capped, singular
+    assert statuses.tolist() == [247, 62, 75], statuses
     assert singular_beside_stale > 0
     assert polishes["tiny"] > 0 and polishes["growth"] > 0, polishes
 
@@ -510,17 +516,18 @@ def test_polish_work_matches_reference_steps(monkeypatch):
     monkeypatch.setattr(_kernels, "_polish", counting_polish)
     total = 0
     for k, (sat, pr, idx, n_const, W, X0, max_iter) in enumerate(_reference_corpus()):
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", max_iter)
         rows, n = W.shape
         steps = [_reference_lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)[5][2]
                  for row in range(rows)]
         work.clear()
         _kernels.lm_solve_batch(
             np.broadcast_to(sat, (rows, n, 3)), np.broadcast_to(pr, (rows, n)), W,
-            np.broadcast_to(idx, (rows, n)), n_const, X0, max_iter)
+            np.broadcast_to(idx, (rows, n)), n_const, X0)
         assert work == [sum(steps)], (k, work, steps)
         for row in range(rows):
             work.clear()
-            _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row], max_iter)
+            _kernels.lm_solve(sat, pr, W[row], idx, n_const, X0[row])
             assert work == [steps[row]], (k, row, work)
         total += sum(steps)
     assert total > 0
@@ -583,18 +590,11 @@ def test_condition_test_matches_svd(monkeypatch):
     flags: every matrix the kernel tests on the leave-one-out batches of
     the residual corpus, matrices just outside the band of condition
     numbers where the two may differ, and singular matrices."""
-    from test_residuals import _corpus
-
     seen, ill_conditioned = [], _kernels._ill_conditioned
     monkeypatch.setattr(_kernels, "_ill_conditioned", lambda A: seen.append(A.copy()) or ill_conditioned(A))
-    for _k, epoch, max_iter in _corpus():
-        sat, pr, idx = epoch.sat_array(), epoch.pr_array(), epoch.const_index()
-        n, d = pr.size, 3 + len(epoch.constellations())
-        W = np.vstack([np.ones(n), 1.0 - np.eye(n)])
-        X0 = np.zeros((n + 1, d))
-        X0[:, :3] = solver._DEFAULT_START.as_array()
-        _kernels.lm_solve_batch(np.broadcast_to(sat, (n + 1, n, 3)), np.broadcast_to(pr, (n + 1, n)), W,
-                                np.broadcast_to(idx, (n + 1, n)), d - 3, X0, max_iter)
+    for cap, args in _loo_batches():
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
+        _kernels.lm_solve_batch(*args)
     for A in seen:
         assert np.array_equal(ill_conditioned(A), _svd_singular(A))
     flags = np.concatenate([ill_conditioned(A) for A in seen])
@@ -723,8 +723,8 @@ def test_certificate_decides_as_eigvalsh(monkeypatch):
 
 
 def _loo_batches():
-    """``lm_solve_batch`` arguments of the equal-weight fix and the
-    leave-one-out rows of each epoch of the residual corpus."""
+    """(iteration cap, ``lm_solve_batch`` arguments) of the equal-weight fix
+    and the leave-one-out rows of each epoch of the residual corpus."""
     from test_residuals import _corpus
 
     for _k, epoch, max_iter in _corpus():
@@ -733,8 +733,8 @@ def _loo_batches():
         W = np.vstack([np.ones(n), 1.0 - np.eye(n)])
         X0 = np.zeros((n + 1, d))
         X0[:, :3] = solver._DEFAULT_START.as_array()
-        yield (np.broadcast_to(sat, (n + 1, n, 3)), np.broadcast_to(pr, (n + 1, n)), W,
-               np.broadcast_to(idx, (n + 1, n)), d - 3, X0, max_iter)
+        yield max_iter, (np.broadcast_to(sat, (n + 1, n, 3)), np.broadcast_to(pr, (n + 1, n)), W,
+                         np.broadcast_to(idx, (n + 1, n)), d - 3, X0)
 
 
 @pytest.mark.bitwise
@@ -747,7 +747,8 @@ def test_most_condition_tests_skip_eigvalsh(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(_kernels, "_ill_conditioned", lambda A: seen.append(A.copy()) or ill_conditioned(A))
         m.setattr(np.linalg, "eigvalsh", lambda A: fallback.append(len(A)) or eigvalsh(A))
-        for args in _loo_batches():
+        for cap, args in _loo_batches():
+            m.setattr(_kernels, "MAX_ITERATIONS", cap)
             _kernels.lm_solve_batch(*args)
     for A in seen:
         assert ill_conditioned(A).tolist() == _eigvalsh_singular(A).tolist()
@@ -760,10 +761,14 @@ def test_forced_fallback_changes_no_output(monkeypatch):
     """With a determinant of zero every row goes to eigvalsh; the kernel's
     outputs on the residual corpus keep their bytes."""
     batches = list(_loo_batches())
-    default = [_kernels.lm_solve_batch(*args) for args in batches]
+    default = []
+    for cap, args in batches:
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
+        default.append(_kernels.lm_solve_batch(*args))
     calls = []
     monkeypatch.setattr(np.linalg, "det", lambda A: calls.append(len(A)) or np.zeros(A.shape[:-2]))
-    for args, want in zip(batches, default):
+    for (cap, args), want in zip(batches, default):
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
         got = _kernels.lm_solve_batch(*args)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert calls
