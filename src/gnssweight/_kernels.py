@@ -75,12 +75,16 @@ campaign, seed 601). Near the minimum a step s changes the cost by about
 s^2 tr(A) / d, which that noise swamps below a median 7.9e-5 m and
 1.3e-4 m on those rows: there the damped loop's strict-decrease test is
 decided by rounding, so a trial step shorter than ``STEP_TOLERANCE``
-(1e-4 m) ends it. The Gauss-Newton polish resolves the offset through
-the gradient instead, and from within ``STEP_TOLERANCE`` one step reaches
-the floor; each later step is rounding noise of a few ulps of an ECEF
+(1e-4 m) ends the loop before it is evaluated, at the last accepted
+iterate. The Gauss-Newton polish resolves the offset through the
+gradient instead, and from within ``STEP_TOLERANCE`` one step reaches the
+floor; each later step is rounding noise of a few ulps of an ECEF
 coordinate (median 4e-9 m and 5e-9 m, at most 1.6e-8 m on the dense
 stream), so a polish step shorter than ``POLISH_TOLERANCE`` (1e-8 m) is
-a row's last.
+solved but not taken, and ends the row. Neither rule changes a status or
+an iteration count on the reference corpus of ``tests/test_solver.py``
+or on the seed-601 benchmark calls; they move converged rows by
+nanometres and save the evaluations that rounding would have decided.
 """
 
 import functools
@@ -270,26 +274,28 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
 
     Stopping rule (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
     Least Squares Problems", DTU 2004):
-    - a trial step shorter than STEP_TOLERANCE, accepted or not, or
+    - a damped step shorter than STEP_TOLERANCE, measured before the
+      trial is evaluated: the row stops at its last accepted iterate and
+      the trial is never evaluated, or
     - no trial lowers the cost: a trial cost exactly equal to the current
       one (the iterate is at the rounding floor, where the computed cost
-      is flat), or damping saturating above 1e14.
-    Both end the loop with STATUS_CONVERGED and go to the undamped
+      is flat), or damping saturating above 1e14; both are known only
+      after the trial's evaluation.
+    All end the loop with STATUS_CONVERGED and go to the undamped
     Gauss-Newton polish (``_polish``); a rejected trial is not an
     iteration. STEP_TOLERANCE is the step the computed cost resolves
-    (module docstring), so below it acceptance is decided by rounding.
-    Stopping at a rejected short trial skips only trials there: a row
-    that stopped at short accepted steps only could end no other way from
-    there, since more damping shortens the step further, an accepted step
-    that short stops the row, and otherwise it stops at equal cost or
-    saturated damping. Both end points lie within STEP_TOLERANCE of each
-    other, and the polish takes both to the same Gauss-Newton point to
-    within rounding. STATUS_MAX_ITER is returned only when all MAX_ITERATIONS
+    (module docstring), so below it acceptance is decided by rounding,
+    and evaluating the trial would only let rounding pick between two
+    points within STEP_TOLERANCE of each other, which the polish takes to
+    the same Gauss-Newton point to within rounding. A row that would
+    retry a rejected short trial could end no other way either, since
+    more damping shortens the step further; otherwise it stops at equal
+    cost or saturated damping. STATUS_MAX_ITER is returned only when all MAX_ITERATIONS
     iterations lowered the cost by a step of at least STEP_TOLERANCE,
     i.e. it was still falling at the cap by more than the cost resolves.
     A row that creeps with accepted steps between 1e-6 m and
     STEP_TOLERANCE, which a 1e-6 m floor would have run to the cap, stops
-    as converged at its first such step, so a status can move from
+    as converged before its first such step, so a status can move from
     STATUS_MAX_ITER (or, for a condition number crossing COND_LIMIT on
     that last stretch, STATUS_SINGULAR) to STATUS_CONVERGED, never back;
     no row of ``tests/test_solver.py``'s reference corpus, nor of the
@@ -319,7 +325,8 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
     fresh = np.ones(rows.size, dtype=bool)  # at the start of an iteration
 
     def leave(stop, status):
-        """Retire the rows flagged in ``stop`` with their ``status``."""
+        """Retire the rows flagged in ``stop`` with their ``status``; returns
+        the indices of the rows that stay."""
         nonlocal rows, x, A, g, cost, meas, lam, iters, fresh
         # take() by index is a few times cheaper than a boolean mask on
         # these small stacks; a row's measurements leave with it
@@ -329,10 +336,11 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
             a.take(gone, axis=0) for a in (x, A, g, cost, iters, status))
         if not keep.size:  # the last rows: the loop ends
             rows = keep
-            return
+            return keep
         rows, x, A, g, cost, lam, iters, fresh = (
             a.take(keep, axis=0) for a in (rows, x, A, g, cost, lam, iters, fresh))
         meas = _take(meas, keep)
+        return keep
 
     while rows.size:
         # the whole working set, whenever some row is fresh (module docstring)
@@ -347,15 +355,21 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
         Ad_diag = Ad.reshape(rows.size, d * d)[:, ::d + 1]  # a view
         Ad_diag += lam[:, None] * np.maximum(Ad_diag, 1e-12)
         dx = _solve(Ad, g)
+        # A step too short for the cost to resolve ends its row where it
+        # is, unevaluated (see the docstring).
+        short = np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE
+        if np.count_nonzero(short):
+            dx = dx.take(leave(short, np.full(rows.size, STATUS_CONVERGED)), axis=0)
+            if not rows.size:
+                break
         xc = x + dx
         A_c, g_c, cost_c = _normal_equations(xc, meas, pairs, buf)
         # Only a strict decrease is progress. An equal cost means the step
         # is lost in rounding: accepting it lets the iterate wander along
         # the flat floor with steps above STEP_TOLERANCE and never stop.
         better = cost_c < cost
-        # Stagnation at the rounding floor, or a step too short to matter,
-        # whether or not the trial is accepted (see the docstring).
-        converged = (cost_c == cost) | (np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE)
+        # Stagnation at the rounding floor.
+        converged = cost_c == cost
         # The cases below give every row the bits of the all-rows form of
         # the middle one; a round whose trials all pass, or all fail,
         # skips the numpy calls it does not need.
@@ -394,13 +408,13 @@ def _polish(x_out, cost_out, rows, A, g, meas, pairs, buf):
     ``_layout``. The damped loop stops where the computed cost no longer
     resolves a step (STEP_TOLERANCE, 1e-4 m), but the gradient still
     resolves the offset, so take plain GN steps while the step norm
-    shrinks: a row stops at a step longer than 1 m or than its last one,
-    or once its last step was shorter than POLISH_TOLERANCE (1e-8 m, the
-    step's rounding noise: from within STEP_TOLERANCE one step reaches
-    the floor, and each further one is a few ulps of an ECEF coordinate;
-    see the module docstring). The one test before each step decides all
-    three, and a row that stops leaves by index with its measurements; a
-    row past its last step solves once more for nothing.
+    shrinks, at most 10. Each step is solved and then tested, and a row
+    stops without taking it if it is longer than 1 m or than the row's
+    last step, or shorter than POLISH_TOLERANCE (1e-8 m, the step's
+    rounding noise: from within STEP_TOLERANCE one step reaches the
+    floor, and each further one is a few ulps of an ECEF coordinate; see
+    the module docstring). A row that stops leaves by index with its
+    measurements, so only a step that is taken is evaluated.
     """
     if rows.size < x_out.shape[0]:
         A, g, meas = A[rows], g[rows], _take(meas, rows)
@@ -410,7 +424,7 @@ def _polish(x_out, cost_out, rows, A, g, meas, pairs, buf):
             break
         dx = _solve(A, g)
         step2 = _sum_sq(dx)
-        go = ~((step2 > 1.0) | (step2 > prev2) | (prev2 < POLISH_TOLERANCE**2))
+        go = ~((step2 > 1.0) | (step2 > prev2) | (step2 < POLISH_TOLERANCE**2))
         if np.count_nonzero(go) < rows.size:
             keep = go.nonzero()[0]
             if not keep.size:

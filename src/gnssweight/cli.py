@@ -70,11 +70,23 @@ def _cmd_featurize(args) -> int:
 
 def _read_npz(loader, path, what: str):
     """``loader(path)``, failing with a GnssWeightError when ``path`` is not a
-    readable npz file of ``what``."""
+    readable npz file of ``what``: not an npz archive (never unpickled), or
+    one without an entry ``what`` needs, which the message names."""
+    def unreadable(why):
+        return GnssWeightError(f"{path} is not a readable {what}: {why}")
+
+    # np.load reads any other file as a pickle or a .npy, and its errors
+    # would offer to unpickle it
+    if os.path.isfile(path) and not zipfile.is_zipfile(path):
+        raise unreadable("not an npz archive")
     try:
         return loader(path)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
-        raise GnssWeightError(f"{path} is not a readable {what}: {e}") from e
+    except KeyError as e:
+        # a metadata key, or an array numpy reports as "<name> is not a file in the archive"
+        name = str(e.args[0]).removesuffix(" is not a file in the archive")
+        raise unreadable(f"no entry '{name}'") from e
+    except (OSError, ValueError, zipfile.BadZipFile) as e:
+        raise unreadable(e) from e
 
 
 def _load_model(path, mode: str):

@@ -127,11 +127,13 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     matrix, and NonConvergence (carrying the best iterate, with
     ``converged`` False) when the cost is still falling after
     ``_kernels.MAX_ITERATIONS`` iterations. A solve that stops at the
-    rounding floor, where a trial step, accepted or not, is shorter than
+    rounding floor, where a damped step is shorter than
     ``_kernels.STEP_TOLERANCE`` (1e-4 m, the step the computed cost
-    resolves) or no step lowers the cost any further, has converged and
-    returns normally, after Gauss-Newton steps until one is shorter than
-    ``_kernels.POLISH_TOLERANCE`` (1e-8 m, the rounding noise of a step).
+    resolves; the solve keeps its last accepted iterate and does not
+    evaluate that step) or no step lowers the cost any further, has
+    converged and returns normally, after Gauss-Newton steps up to the
+    first one shorter than ``_kernels.POLISH_TOLERANCE`` (1e-8 m, the
+    rounding noise of a step), which is not taken.
     The kernel's other settings are the constants next to
     ``MAX_ITERATIONS`` in ``_kernels``.
     """

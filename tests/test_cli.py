@@ -278,10 +278,39 @@ def test_file_that_is_not_npz_fails_with_path(tiny_config, tiny_dataset, tmp_pat
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and tiny_dataset in err and "checkpoint" in err
+    assert "not an npz archive" in err and "pickle" not in err, err
     rc = main(["train", "--config", tiny_config, "--features", tiny_dataset, "--out", str(tmp_path / "m.npz")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and tiny_dataset in err and "feature cache" in err
+    assert "not an npz archive" in err and "pickle" not in err, err
+
+
+def test_npz_of_other_kind_names_missing_entry(tiny_config, tiny_dataset, residual_model, tmp_path, capsys):
+    """A feature cache given as a checkpoint (``--model-full`` or
+    ``--resume``), a checkpoint given as a feature cache and an npz of
+    neither kind each fail with one ``error: ...`` line naming the file
+    and the entry it lacks."""
+    cache, other = tmp_path / "features.npz", tmp_path / "other.npz"
+    _write_feature_cache(cache, {"train": [_SAMPLE], "val": [_SAMPLE]})
+    np.savez(other, x=np.zeros(3))
+    out = tmp_path / "m.npz"
+    cases = [
+        (["evaluate", "--config", tiny_config, "--data", tiny_dataset, "--out-dir", str(tmp_path / "eval"),
+          "--strategies", "nn_full,equal", "--model-full", str(cache)], cache, "checkpoint", "'n_layers'"),
+        (["train", "--config", tiny_config, "--data", tiny_dataset, "--out", str(out), "--mode", "residual",
+          "--resume", str(cache)], cache, "checkpoint", "'n_layers'"),
+        (["train", "--config", tiny_config, "--features", residual_model, "--out", str(out)],
+         residual_model, "feature cache", "'splits'"),
+        (["train", "--config", tiny_config, "--features", str(other), "--out", str(out)],
+         other, "feature cache", "no entry 'meta'"),
+    ]
+    for argv, path, what, entry in cases:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{path} is not a readable {what}: no entry " in err and entry in err, err
+    assert not out.exists()
 
 
 def _write_feature_cache(path, splits):
