@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySplit, GnssWeightError, HorizonSingularity, NotEnoughMeasurements, SingularGeometry
-from .geo import ecef_to_geodetic, look_angles
+from .geo import ecef_to_geodetic, elevation_angles
 from .model import Epoch
 from .solver import SolveReport, epoch_problem, jacobian, row_report, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
@@ -202,7 +202,7 @@ def _fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveR
 
     # parametric weights on the survivors
     survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
-    thetas, _ = look_angles(epoch.sat_array()[active], ecef_to_geodetic(rep.state.position))
+    thetas = elevation_angles(epoch.sat_array()[active], ecef_to_geodetic(rep.state.position))
     w = np.zeros(n)
     w[active] = sota_weights(thetas, [m.cn0 for m in survivors], params)
     if int(np.sum(w > 0)) < epoch.state_dim():

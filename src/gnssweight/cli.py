@@ -25,7 +25,7 @@ from .evaluation import (
     QUANTILES,
 )
 from .featurize import N_FEATURES, dataset_samples, fit_normalization, normalized_split, FeatureNormalization
-from .geo import ecef_to_geodetic, look_angles
+from .geo import ecef_to_geodetic, elevation_angles
 from .nn import TrainConfig, load_checkpoint, save_checkpoint, train, truth_residuals
 from .sim import generate_campaign
 
@@ -63,7 +63,9 @@ def _cmd_featurize(args) -> int:
             i += 1
         index[split] = ids
     meta = {"version": 1, "seed": cfg["seed"], "splits": index}
-    np.savez(args.out, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    # an open file, so that numpy writes to --out as given, without adding ".npz"
+    with open(args.out, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
     print(f"cached {i} feature matrices to {args.out}")
     return 0
 
@@ -152,7 +154,8 @@ def _cmd_train(args) -> int:
     val_s = normalized_split(splits["val"], norm, mode)
 
     model, report = train(train_s, val_s, tcfg, init_model=init_model)
-    save_checkpoint(args.out, model, norm.mean, norm.std, tcfg)
+    with open(args.out, "wb") as fh:  # exactly --out, as in _cmd_featurize
+        save_checkpoint(fh, model, norm.mean, norm.std, tcfg)
 
     loss_path = os.path.splitext(args.out)[0] + "_loss.csv"
     with open(loss_path, "w", newline="", encoding="utf-8") as fh:
@@ -175,7 +178,7 @@ def _calibration_samples(dataset):
             if epoch.truth is None:
                 continue
             resid, _ = truth_residuals(epoch)
-            thetas.extend(look_angles(epoch.sat_array(), ecef_to_geodetic(epoch.truth))[0])
+            thetas.extend(elevation_angles(epoch.sat_array(), ecef_to_geodetic(epoch.truth)))
             cn0s.extend(m.cn0 for m in epoch.measurements)
             errors.extend(resid)
     return thetas, cn0s, errors

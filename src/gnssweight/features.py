@@ -1,12 +1,19 @@
 """Per-link signal features and the sliding C/N0 window tracker.
 
+``TrackingHistory.update_and_extract`` gives an epoch's per-link block:
+an (N, 6) array, one row per link in canonical order, with the columns
+``PER_LINK_COLUMNS`` (elevation, lock time, C/N0, and the mean, variance
+and length of the link's C/N0 window). ``featurize`` appends it to the
+leave-one-out summaries as it is.
+
 The tracker keeps one window of recent C/N0 values per link. Each epoch
 it groups the links' windows by length, stacks each group into a (k, L)
 array and takes every window's mean, and for L >= 2 its variance
-(ddof=1), in one reduction along the rows. That keeps each link's bits:
-numpy sums a contiguous row pairwise, by a tree that depends only on the
-row's length (Higham, "The accuracy of floating point summation", SIAM J.
-Sci. Comput. 14(4), 1993), so a row of the stack is summed exactly as the
+(ddof=1), in one reduction along the rows, with the arithmetic of
+``np.mean`` and ``np.var``. That keeps each link's bits: numpy sums a
+contiguous row pairwise, by a tree that depends only on the row's length
+(Higham, "The accuracy of floating point summation", SIAM J. Sci.
+Comput. 14(4), 1993), so a row of the stack is summed exactly as the
 window alone would be. Padding the windows to one common length would
 change that tree.
 """
@@ -14,12 +21,11 @@ change that tree.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonMonotonicTime
-from .geo import GeodeticPosition, look_angles
+from .geo import GeodeticPosition, elevation_angles
 from .model import Epoch
 
 WINDOW_CAPACITY = 10
@@ -30,19 +36,8 @@ VARIANCE_SENTINEL = 1e4
 # periods); the window semantics assume consecutive epochs.
 CONTINUITY_HORIZON = 0.4
 
-N_PER_LINK_FEATURES = 6
-
-
-class PerLinkFeatures(NamedTuple):
-    elevation: float
-    lock_time: float
-    cn0: float
-    cn0_mean: float
-    cn0_var: float
-    window_size: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
+PER_LINK_COLUMNS = ("elevation", "lock_time", "cn0", "cn0_mean", "cn0_var", "window_size")
+N_PER_LINK_FEATURES = len(PER_LINK_COLUMNS)
 
 
 class TrackingHistory:
@@ -57,18 +52,17 @@ class TrackingHistory:
         self._seen: dict[tuple, float] = {}  # each link's last epoch time
         self._last_time: float | None = None
 
-    def update_and_extract(
-        self, epoch: Epoch, rx_approx: GeodeticPosition
-    ) -> list[PerLinkFeatures]:
-        """Push the epoch's C/N0 values and return features in canonical order."""
+    def update_and_extract(self, epoch: Epoch, rx_approx: GeodeticPosition) -> np.ndarray:
+        """Push the epoch's C/N0 values and return its (N, 6) per-link block
+        (module docstring)."""
         t = epoch.time
         if self._last_time is not None and t < self._last_time:
             raise NonMonotonicTime(f"epoch time {t} precedes last seen {self._last_time}")
         self._last_time = t
 
-        elevations, _ = look_angles(epoch.sat_array(), rx_approx)
+        ms = epoch.measurements
         windows = []
-        for m in epoch.measurements:
+        for m in ms:
             key = m.key
             win = self._windows.get(key)
             if win is None or t - self._seen[key] > CONTINUITY_HORIZON:
@@ -77,17 +71,20 @@ class TrackingHistory:
             win.append(m.cn0)
             windows.append(win)
 
-        # the windows of each length as the rows of one stack (module docstring)
         sizes = [len(win) for win in windows]
-        mean = np.empty(len(windows))
-        var = np.full(len(windows), VARIANCE_SENTINEL)
+        block = np.empty((len(ms), N_PER_LINK_FEATURES))
+        block[:, 0] = elevation_angles(epoch.sat_array(), rx_approx)
+        block[:, 1] = [m.lock_time for m in ms]
+        block[:, 2] = [m.cn0 for m in ms]
+        block[:, 4] = VARIANCE_SENTINEL
+        block[:, 5] = sizes
+        # the windows of each length as the rows of one stack (module docstring)
         for size in set(sizes):
             rows = [i for i, s in enumerate(sizes) if s == size]
             values = np.array([windows[i] for i in rows])
-            mean[rows] = values.mean(axis=1)
+            mean = np.add.reduce(values, axis=1) / size
+            block[rows, 3] = mean
             if size >= 2:
-                var[rows] = values.var(axis=1, ddof=1)
-        return list(map(PerLinkFeatures._make, zip(
-            elevations, [m.lock_time for m in epoch.measurements], [m.cn0 for m in epoch.measurements],
-            mean.tolist(), var.tolist(), sizes,
-        )))
+                dev = values - mean[:, None]
+                block[rows, 4] = np.add.reduce(dev * dev, axis=1) / (size - 1)
+        return block

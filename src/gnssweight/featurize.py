@@ -51,21 +51,40 @@ def fold_residual_row(row: np.ndarray, exclude: int) -> np.ndarray:
     )
 
 
-def assemble_feature_matrix(rmat: ResidualMatrix, per_link) -> np.ndarray:
-    """N x 14 features: every row folded as ``fold_residual_row`` does, in one pass."""
+def assemble_feature_matrix(rmat: ResidualMatrix, per_link: np.ndarray) -> np.ndarray:
+    """N x 14 features: every row of ``rmat`` folded as ``fold_residual_row``
+    folds it, then the (N, 6) per-link block of ``TrackingHistory``.
+
+    The rows are folded at once, by the ufunc reductions along the rows
+    that ``mean``, ``std``, ``min``, ``max`` and ``median`` make, without
+    their Python wrappers: each statistic keeps those functions' bits,
+    including ``median``'s partition and its NaN for a row holding one.
+    """
     n = rmat.n
-    off = rmat.values[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    off = np.clip(off, -GAMMA, GAMMA)
+    m = n - 1  # entries per row
+    # the off-diagonal entries row by row: without the first entry, the
+    # flat matrix cut into rows of n + 1 ends each row on the diagonal
+    off = rmat.values.ravel()[1:].reshape(m, n + 1)[:, :n]
+    off = np.minimum(np.maximum(off, -GAMMA), GAMMA).reshape(n, m)  # np.clip's values
     a = np.abs(off)
     fm = np.empty((n, N_FEATURES))
-    fm[:, 0] = off.mean(axis=1)
-    fm[:, 1] = off.std(axis=1)
-    fm[:, 2] = off.min(axis=1)
-    fm[:, 3] = off.max(axis=1)
-    fm[:, 4] = np.median(off, axis=1)
-    fm[:, 5] = a.mean(axis=1)
-    fm[:, 6] = np.sum(a > 5.0, axis=1)
-    fm[:, 7] = np.sum(a > 20.0, axis=1)
+    fm[:, 0] = mean = np.add.reduce(off, axis=1) / m
+    dev = off - mean[:, None]
+    fm[:, 1] = np.sqrt(np.add.reduce(dev * dev, axis=1) / m)
+    fm[:, 2] = np.minimum.reduce(off, axis=1)
+    fm[:, 3] = np.maximum.reduce(off, axis=1)
+    fm[:, 5] = np.add.reduce(a, axis=1) / m
+    fm[:, 6] = np.add.reduce(a > 5.0, axis=1)
+    fm[:, 7] = np.add.reduce(a > 20.0, axis=1)
+    # median: the middle entry, or the mean of the two middle ones, of
+    # np.median's partition, which also moves a NaN to the end of its row
+    h = m // 2
+    kth = [h, -1] if m % 2 else [h - 1, h, -1]
+    off.partition(kth, axis=1)
+    fm[:, 4] = np.add.reduce(off[:, kth[0]:h + 1], axis=1) / (h + 1 - kth[0])
+    nan = np.isnan(off[:, -1])
+    if nan.any():
+        fm[nan, 4] = off[nan, -1]
     fm[:, N_RESIDUAL_SUMMARY:] = per_link
     return fm
 

@@ -1,4 +1,4 @@
-"""WGS-84 coordinate frames and satellite look-angle geometry.
+"""WGS-84 coordinate frames and satellite elevation geometry.
 
 All functions are pure; angles are radians, distances are meters.
 """
@@ -129,28 +129,20 @@ def ecef_to_enu(p: EcefPosition, ref: GeodeticPosition) -> EnuVector:
     return EnuVector(float(e), float(n), float(u))
 
 
-def look_angles(sats, rx: GeodeticPosition) -> tuple[list[float], list[float]]:
-    """Elevations and azimuths (clockwise from north, [0, 2pi)) of K satellites.
+def elevation_angles(sats, rx: GeodeticPosition) -> list[float]:
+    """Elevations of K satellites seen from ``rx``, one float per row.
 
-    ``sats`` is a (K, 3) array of ECEF positions seen from ``rx``; the two
-    lists hold one float per row. The ENU vectors come from one stacked
-    matmul, which has the bits of ``enu_rotation(rx) @ d`` for each row
-    (a plain ``rot @ d.T`` does not); range, arcsine and arctangent are
+    ``sats`` is a (K, 3) array of ECEF positions. The ENU vectors come
+    from one stacked matmul, which has the bits of ``enu_rotation(rx) @ d``
+    for each row (a plain ``rot @ d.T`` does not); range and arcsine are
     taken per row with ``math``, whose bits numpy's ufuncs do not share.
     """
     d = np.asarray(sats, dtype=float).reshape(-1, 3) - geodetic_to_ecef(rx).as_array()
     enu = np.matmul(enu_rotation(rx)[None], d[:, :, None])
-    elevations, azimuths = [], []
+    elevations = []
     for e, n, u in enu.reshape(-1, 3).tolist():
         rng = math.sqrt(e**2 + n**2 + u**2)
         if rng == 0.0:
             raise ZeroRange("satellite coincides with receiver")
         elevations.append(math.asin(max(-1.0, min(1.0, u / rng))))
-        azimuths.append(math.atan2(e, n) % (2.0 * math.pi))
-    return elevations, azimuths
-
-
-def elevation_azimuth(sat: EcefPosition, rx: GeodeticPosition) -> tuple[float, float]:
-    """Elevation and azimuth (clockwise from north, [0, 2pi)) of ``sat``."""
-    (elevation,), (azimuth,) = look_angles([[sat.x, sat.y, sat.z]], rx)
-    return elevation, azimuth
+    return elevations

@@ -10,7 +10,7 @@ from . import _kernels
 from .errors import NotEnoughMeasurements
 from .geo import SPEED_OF_LIGHT
 from .model import Epoch
-from .solver import _start, epoch_problem, predicted_pseudoranges, solve_batch
+from .solver import _start, predicted_pseudoranges, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 # Sentinel marking the deliberately excluded measurement (and rows whose
@@ -45,7 +45,9 @@ def _row_groups(epoch: Epoch) -> list:
     constellation they drop, in ascending order with "none" first: group
     k holds the rows excluding ``links``, solved with the clock columns
     ``kept`` and the measurements' columns ``sub_idx``. An epoch with
-    N <= 3 + n_const has no leave-one-out rows, and no groups.
+    N <= 3 + n_const has no leave-one-out rows, and no groups; any other
+    has a constellation of two links or more, so its first group drops
+    none, keeps every clock column and has ``sub_idx`` ``const_index()``.
     """
     n_const = epoch.state_dim() - 3
     const_idx = epoch.const_index()
@@ -54,7 +56,7 @@ def _row_groups(epoch: Epoch) -> list:
     members = np.bincount(const_idx, minlength=n_const)
     drops = np.where(members[const_idx] == 1, const_idx, -1)
     groups = []
-    for drop in np.unique(drops):
+    for drop in sorted(set(drops.tolist())):
         kept = np.flatnonzero(np.arange(n_const) != drop)
         sub_idx = np.searchsorted(kept, const_idx)
         sub_idx[const_idx == drop] = 0
@@ -76,25 +78,36 @@ def solve_rows(epochs) -> list:
     (N <= state dimension). Every row is cold-started from
     ``solver._DEFAULT_START``, and all of them go through one
     ``solver.solve_batch`` call, so the output does not depend on how the
-    epochs are split into calls.
+    epochs are split into calls. The fix row leads its epoch's first
+    problem, whose rows keep every clock column; ``solve_batch`` gives
+    every row the bits of a stack of one, so sharing the problem moves
+    no bit.
     """
     groups = [_row_groups(epoch) for epoch in epochs]
     problems = []
     for epoch, epoch_groups in zip(epochs, groups):
-        n, sat, pr = epoch.n, epoch.sat_array(), epoch.pr_array()
-        problems.append(epoch_problem(epoch, np.ones((1, n))))
-        weights = 1.0 - np.eye(n)
-        for links, kept, sub_idx in epoch_groups:
-            w = weights[links]
+        n, sat, pr, x0 = epoch.n, epoch.sat_array(), epoch.pr_array(), _start(epoch, None)
+        # the fix, an all-ones row on every clock column, with the rows of
+        # the first group, or alone
+        parts = epoch_groups or [(np.empty(0, np.int64), np.arange(epoch.state_dim() - 3), epoch.const_index())]
+        for g, (links, kept, sub_idx) in enumerate(parts):
+            lead = g == 0  # the fix row
+            w = np.ones((lead + links.size, n))
+            w[np.arange(lead, len(w)), links] = 0.0
             # Subset solves are cold-started on purpose: row n then depends
             # only on the N-1 retained measurements, so perturbing
             # measurement n cannot move its own row even at the last ulp. A
             # warm start from the all-in-view fix would leak the excluded
             # measurement into the iteration path.
-            problems.append((sat, pr, sub_idx, w, np.tile(_start(epoch, None)[:3 + kept.size], (len(w), 1))))
+            problems.append((sat, pr, sub_idx, w, np.repeat(x0[None, :3 + kept.size], len(w), 0)))
     solved = iter(solve_batch(problems))
-    return [(tuple(a[0] for a in next(solved)), [(links, kept, next(solved)) for links, kept, _ in g])
-            for g in groups]
+    out = []
+    for g in groups:
+        first = next(solved)
+        rows = [(links, kept, next(solved) if k else tuple(a[1:] for a in first))
+                for k, (links, kept, _) in enumerate(g)]
+        out.append((tuple(a[0] for a in first), rows))
+    return out
 
 
 def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
@@ -121,13 +134,15 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     failed: list[int] = []
     for links, kept, (x, _, status, _) in rows[1]:
         ok = status != _kernels.STATUS_SINGULAR
-        failed.extend(links[~ok].tolist())
+        if not ok.all():
+            failed.extend(links[~ok].tolist())
+            links, x = links[ok], x[ok]
         # The epoch-layout state of each row, clocks through the same
         # meters -> seconds -> meters round trip as a NavState; a dropped
         # constellation's clock is 0.
-        full = np.zeros((int(ok.sum()), 3 + n_const))
-        full[:, :3] = x[ok, :3]
-        full[:, 3 + kept] = SPEED_OF_LIGHT * (x[ok, 3:] / SPEED_OF_LIGHT)
-        values[links[ok]] = pr - predicted_pseudoranges(epoch, full)
-    np.fill_diagonal(values, GAMMA)
+        full = np.zeros((len(x), 3 + n_const))
+        full[:, :3] = x[:, :3]
+        full[:, 3 + kept] = SPEED_OF_LIGHT * (x[:, 3:] / SPEED_OF_LIGHT)
+        values[links] = pr - predicted_pseudoranges(epoch, full)
+    values.ravel()[::n + 1] = GAMMA  # the diagonal
     return ResidualMatrix(values=values, failed_rows=sorted(failed))

@@ -20,8 +20,8 @@ from .geo import (
     EcefPosition,
     GeodeticPosition,
     ecef_to_geodetic,
+    elevation_angles,
     geodetic_to_ecef,
-    look_angles,
 )
 from .model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 
@@ -253,7 +253,7 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
             clock[c] += float(rng.normal(0.0, CLOCK_WALK_SIGMA_S))
 
         sats = orbits.positions(t)
-        elevations, _ = look_angles(sats, ecef_to_geodetic(rx))
+        elevations = elevation_angles(sats, ecef_to_geodetic(rx))
         ranges = _row_norms(positions[k] - sats)[:, 0].tolist()
         measurements, flags, biases = [], [], []
         for key, elev, rng_m, sat in zip(orbits.keys, elevations, ranges, sats.tolist()):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,9 +39,9 @@ def state_to_vector(epoch: Epoch, state: NavState) -> np.ndarray:
 
 
 def vector_to_state(epoch: Epoch, v: np.ndarray) -> NavState:
-    consts = epoch.constellations()
-    biases = {c: float(v[3 + k]) / SPEED_OF_LIGHT for k, c in enumerate(consts)}
-    return NavState(EcefPosition(float(v[0]), float(v[1]), float(v[2])), biases)
+    v = v.tolist()
+    biases = {c: v[3 + k] / SPEED_OF_LIGHT for k, c in enumerate(epoch.constellations())}
+    return NavState(EcefPosition(v[0], v[1], v[2]), biases)
 
 
 def jacobian(state: NavState, epoch: Epoch) -> np.ndarray:
@@ -71,9 +72,9 @@ def predicted_pseudoranges(epoch: Epoch, x: np.ndarray) -> np.ndarray:
     x is one state (d,) or a stack of states (B, d); the result is (N,)
     or (B, N).
     """
-    sat = epoch.sat_array()
-    rng = np.linalg.norm(x[..., None, :3] - sat, axis=-1)
-    return rng + x[..., 3 + epoch.const_index()]
+    d = x[..., None, :3] - epoch.sat_array()
+    # np.linalg.norm(d, axis=-1)'s arithmetic, without its Python wrapper
+    return np.sqrt(np.add.reduce(d * d, axis=-1)) + x[..., 3 + epoch.const_index()]
 
 
 def _check_inputs(weights, sat, pr, starts) -> None:
@@ -83,7 +84,7 @@ def _check_inputs(weights, sat, pr, starts) -> None:
 
     The kernel would otherwise fail inside LAPACK on such a row, for every
     row of its call."""
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+    if not np.isfinite(weights).all() or (weights < 0.0).any():
         raise ValueError("weights must be finite and nonnegative")
     for name, a in (("satellite positions", sat), ("pseudoranges", pr), ("starts", starts)):
         if not np.isfinite(a).all():
@@ -143,8 +144,9 @@ def solve_wls(epoch: Epoch, weights, init: NavState | None = None) -> SolveRepor
     dim = epoch.state_dim()
     sat, pr, x0 = epoch.sat_array(), epoch.pr_array(), _start(epoch, init)
     _check_inputs(w, sat, pr, x0)
-    if np.count_nonzero(w > 0.0) < dim:
-        raise NotEnoughMeasurements(f"{int(np.sum(w > 0.0))} positive-weight measurements for {dim} unknowns")
+    positive = np.count_nonzero(w > 0.0)
+    if positive < dim:
+        raise NotEnoughMeasurements(f"{positive} positive-weight measurements for {dim} unknowns")
     report = row_report(epoch, *_kernels.lm_solve(sat, pr, w, epoch.const_index(), dim - 3, x0))
     if report is None:
         raise SingularGeometry("weighted normal matrix condition number above limit")
@@ -173,7 +175,7 @@ def epoch_problem(epoch: Epoch, weights, init: NavState | None = None) -> tuple:
     """The ``solve_batch`` problem of the rows ``weights`` (k, N) on
     ``epoch``, each started as ``solve_wls(epoch, w, init)`` starts it."""
     w = np.asarray(weights, dtype=float)
-    return epoch.sat_array(), epoch.pr_array(), epoch.const_index(), w, np.tile(_start(epoch, init), (len(w), 1))
+    return epoch.sat_array(), epoch.pr_array(), epoch.const_index(), w, np.repeat(_start(epoch, init)[None], len(w), 0)
 
 
 def solve_batch(problems) -> list:
@@ -205,30 +207,26 @@ def solve_batch(problems) -> list:
     if not problems:
         return []
     sat, pr, clock, w, x0 = zip(*problems)
-    k = np.array([len(a) for a in x0])
-    n = np.array([a.size for a in pr])
-    dim = np.array([a.shape[1] for a in x0])
-    # Row r's weights are flat_w[w0[r]:w0[r] + row_n[r]], and its links
-    # start at meas0[r] in the concatenated measurements.
-    flat_w = np.concatenate([a.ravel() for a in w])
-    row_n, row_dim = np.repeat(n, k), np.repeat(dim, k)
+    k = [len(a) for a in x0]
+    n = [len(a) for a in pr]
+    dims = [a.shape[1] for a in x0]
+    flat_w = np.concatenate(w, axis=None)
+    sat, pr, clock = np.concatenate(sat), np.concatenate(pr), np.concatenate(clock)
+    _check_inputs(flat_w, sat, pr, np.concatenate(x0, axis=None))
+    # Row r has row_n[r] links from meas0[r] on in the concatenated
+    # measurements, and the weights flat_w[w0[r]:w0[r] + row_n[r]].
+    row_n, row_dim, meas0 = np.repeat([n, dims, [*accumulate(n, initial=0)][:-1]], k, axis=1)
     w_end = np.cumsum(row_n)
     w0 = w_end - row_n
     positive = np.concatenate([[0], np.cumsum(flat_w > 0.0)])
     solvable = positive[w_end] - positive[w0] >= row_dim
-    meas0 = np.repeat(np.cumsum(n) - n, k)
-    sat, pr, clock = np.concatenate(sat), np.concatenate(pr), np.concatenate(clock)
-    _check_inputs(flat_w, sat, pr, np.concatenate([a.ravel() for a in x0]))
     iterations = np.zeros(row_n.size, dtype=np.int64)
     status = np.full(row_n.size, STATUS_NOT_ENOUGH)
     cost = np.full(row_n.size, np.nan)
-    bounds = [0, *np.cumsum(k).tolist()]  # problem j's rows are bounds[j]:bounds[j + 1]
-    out = [None] * len(problems)
-    for d in np.unique(dim).tolist():
-        js = np.flatnonzero(dim == d).tolist()
-        # the rows with d unknowns, in problem order, and their states
+    states = {}  # the states of the rows with d unknowns, in problem order
+    for d in sorted(set(dims)):
         rows = np.flatnonzero(row_dim == d)
-        x = np.concatenate([x0[j] for j in js])
+        x = np.concatenate([a for a in x0 if a.shape[1] == d])
         todo = np.flatnonzero(solvable[rows])
         todo = todo[np.argsort(row_n[rows[todo]], kind="stable")]
         for lo in range(0, todo.size, MAX_ROWS_PER_CALL):
@@ -241,11 +239,12 @@ def solve_batch(problems) -> list:
             wb = np.where(i < nr, flat_w[w0[r][:, None] + pad], 0.0)
             x[b], iterations[r], status[r], cost[r] = _kernels.lm_solve_batch(
                 sat[links], pr[links], wb, clock[links], d - 3, x[b])
-        lo = 0
-        for j in js:
-            r0, r1 = bounds[j], bounds[j + 1]
-            out[j] = (x[lo:lo + r1 - r0], iterations[r0:r1], status[r0:r1], cost[r0:r1])
-            lo += r1 - r0
+        states[d] = x
+    out, r0, first = [], 0, dict.fromkeys(states, 0)
+    for kj, d in zip(k, dims):
+        a, r1 = first[d], r0 + kj
+        out.append((states[d][a:a + kj], iterations[r0:r1], status[r0:r1], cost[r0:r1]))
+        first[d], r0 = a + kj, r1
     return out
 
 

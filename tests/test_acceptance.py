@@ -20,14 +20,13 @@ from gnssweight.evaluation import (
     position_errors,
 )
 from gnssweight.featurize import dataset_samples, fit_normalization, normalized_split
-from gnssweight.features import VARIANCE_SENTINEL, WINDOW_CAPACITY, TrackingHistory
+from gnssweight.features import PER_LINK_COLUMNS, VARIANCE_SENTINEL, WINDOW_CAPACITY, TrackingHistory
 from gnssweight.geo import (
     SPEED_OF_LIGHT,
     EcefPosition,
     GeodeticPosition,
     ecef_to_enu,
     ecef_to_geodetic,
-    elevation_azimuth,
     geodetic_to_ecef,
 )
 from gnssweight.model import (
@@ -52,7 +51,7 @@ from gnssweight.nn import (
 from gnssweight.residuals import GAMMA, build_residual_matrix
 from gnssweight.sim import ScenarioConfig, generate_campaign, generate_session
 from gnssweight.solver import jacobian, predicted_pseudoranges, solve_wls, state_to_vector
-from conftest import make_epoch
+from conftest import make_epoch, reference_elevation_azimuth
 
 _CONSTS = (
     ConstellationId.GPS,
@@ -114,7 +113,7 @@ def pipeline():
                 [clocks[m.constellation] for m in epoch.measurements]
             )
             for m, e in zip(epoch.measurements, errs):
-                theta, _ = elevation_azimuth(m.sat_pos, rx_geo)
+                theta, _ = reference_elevation_azimuth(m.sat_pos, rx_geo)
                 thetas.append(theta)
                 cn0s.append(m.cn0)
                 errors.append(e)
@@ -374,20 +373,21 @@ def test_criterion_07_sliding_window_properties(rng):
         ]
         return hist.update_and_extract(Epoch(time=t, measurements=ms), ref)
 
+    mean, var, size = (PER_LINK_COLUMNS.index(c) for c in ("cn0_mean", "cn0_var", "window_size"))
     out = push(0.0, [40.0, 41.0, 42.0, 43.0])
-    assert all(f.window_size == 1 and f.cn0_var == VARIANCE_SENTINEL for f in out)
+    assert all(f[size] == 1 and f[var] == VARIANCE_SENTINEL for f in out)
     for k in range(1, 15):
         out = push(0.2 * k, [40.0 + k] * 4)
-    assert all(f.window_size == WINDOW_CAPACITY for f in out)
+    assert all(f[size] == WINDOW_CAPACITY for f in out)
     vals = np.arange(40.0 + 5, 40.0 + 15)
-    assert out[0].cn0_mean == pytest.approx(vals.mean(), rel=1e-12)
-    assert out[0].cn0_var == pytest.approx(vals.var(ddof=1), rel=1e-12)
+    assert out[0, mean] == pytest.approx(vals.mean(), rel=1e-12)
+    assert out[0, var] == pytest.approx(vals.var(ddof=1), rel=1e-12)
     # isolation: link 4 sits out past the continuity horizon and restarts,
     # the links that kept reporting keep their windows
     push(3.0, [60.0] * 4, subset={1, 2, 3})
     push(3.2, [60.0] * 4, subset={1, 2, 3})
     out = push(3.4, [50.0] * 4)
-    sizes = {m.sv_id: f.window_size for m, f in zip(epoch0.measurements, out)}
+    sizes = {m.sv_id: f[size] for m, f in zip(epoch0.measurements, out)}
     assert sizes[4] == 1
     assert all(sizes[sv] > 1 for sv in (1, 2, 3))
     _pass(7, "sliding window: capacity 10, single-entry sentinel, per-link isolation, ddof=1")

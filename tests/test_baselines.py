@@ -212,7 +212,7 @@ def _reference_fde(epoch, cfg, params, fix=None):
     that ``fde_solve_batch`` matches bit for bit."""
     from gnssweight.baselines import FdeResult
     from gnssweight.errors import NonConvergence
-    from gnssweight.geo import ecef_to_geodetic, look_angles
+    from gnssweight.geo import ecef_to_geodetic, elevation_angles
     from gnssweight.solver import equal_weight_fix, jacobian, solve_wls
 
     n = epoch.n
@@ -240,7 +240,7 @@ def _reference_fde(epoch, cfg, params, fix=None):
         rep = equal_weight_fix(epoch, active)
 
     survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
-    thetas, _ = look_angles(epoch.sat_array()[active], ecef_to_geodetic(state.position))
+    thetas = elevation_angles(epoch.sat_array()[active], ecef_to_geodetic(state.position))
     w = np.zeros(n)
     w[active] = sota_weights(thetas, [m.cn0 for m in survivors], params)
     if int(np.sum(w > 0)) < epoch.state_dim():

@@ -100,6 +100,25 @@ def test_featurize_train_evaluate_report(tiny_config, tiny_dataset, tmp_path, ca
         assert s in table
 
 
+def test_cache_and_checkpoint_are_written_to_out_as_given(tiny_config, tiny_dataset, tmp_path, capsys):
+    """An ``--out`` without the ".npz" suffix: ``featurize`` and ``train``
+    write exactly that path and name it, and the next stage reads it; no
+    ".npz" twin appears."""
+    cache = tmp_path / "feats.cache"
+    assert main(["featurize", "--config", tiny_config, "--data", tiny_dataset, "--out", str(cache)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f" to {cache}")
+    model = tmp_path / "model"
+    assert main(
+        ["train", "--config", tiny_config, "--features", str(cache), "--out", str(model), "--mode", "residual"]
+    ) == 0
+    assert f"checkpoint {model}, losses {tmp_path / 'model_loss.csv'}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.cache", "model", "model_loss.csv"]
+    assert main(
+        ["evaluate", "--config", tiny_config, "--data", tiny_dataset, "--out-dir", str(tmp_path / "eval"),
+         "--strategies", "equal,nn_residual", "--model-residual", str(model)]
+    ) == 0
+
+
 def test_training_from_cache_matches_direct(tiny_config, tiny_dataset, tmp_path):
     cache = tmp_path / "features.npz"
     assert main(["featurize", "--config", tiny_config, "--data", tiny_dataset, "--out", str(cache)]) == 0

@@ -8,18 +8,25 @@ import pytest
 from gnssweight.errors import NonMonotonicTime
 from gnssweight.features import (
     CONTINUITY_HORIZON,
+    N_PER_LINK_FEATURES,
+    PER_LINK_COLUMNS,
     VARIANCE_SENTINEL,
     WINDOW_CAPACITY,
-    PerLinkFeatures,
     TrackingHistory,
 )
-from gnssweight.geo import ecef_to_geodetic, look_angles
+from gnssweight.geo import ecef_to_geodetic, elevation_angles
 from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
-from conftest import make_epoch
+from conftest import make_epoch, reference_elevation_azimuth
+
+# column index of each per-link feature in the tracker's block
+ELEVATION, LOCK_TIME, CN0, CN0_MEAN, CN0_VAR, WINDOW_SIZE = (
+    PER_LINK_COLUMNS.index(name)
+    for name in ("elevation", "lock_time", "cn0", "cn0_mean", "cn0_var", "window_size")
+)
 
 
 def _replay(rng, cn0_by_epoch, dt=0.2):
-    """Feed one fixed link a scripted C/N0 sequence; return features per epoch."""
+    """Feed one fixed link a scripted C/N0 sequence; return the per-link block per epoch."""
     epoch0, truth = make_epoch(rng, n=6, constellations=(ConstellationId.GPS,))
     ref = ecef_to_geodetic(truth.position)
     hist = TrackingHistory()
@@ -46,9 +53,9 @@ def _replay(rng, cn0_by_epoch, dt=0.2):
 def test_first_epoch_uses_variance_sentinel(rng):
     outs = _replay(rng, [[40.0] * 6])
     for f in outs[0]:
-        assert f.window_size == 1
-        assert f.cn0_mean == 40.0
-        assert f.cn0_var == VARIANCE_SENTINEL
+        assert f[WINDOW_SIZE] == 1
+        assert f[CN0_MEAN] == 40.0
+        assert f[CN0_VAR] == VARIANCE_SENTINEL
 
 
 def test_window_statistics_match_numpy(rng):
@@ -57,30 +64,30 @@ def test_window_statistics_match_numpy(rng):
     for i in range(6):
         vals = np.array([seq[k][i] for k in range(5)])
         f = outs[-1][i]
-        assert f.window_size == 5
-        assert f.cn0 == vals[-1]
-        assert f.cn0_mean == pytest.approx(vals.mean(), rel=1e-12)
-        assert f.cn0_var == pytest.approx(vals.var(ddof=1), rel=1e-12)
+        assert f[WINDOW_SIZE] == 5
+        assert f[CN0] == vals[-1]
+        assert f[CN0_MEAN] == pytest.approx(vals.mean(), rel=1e-12)
+        assert f[CN0_VAR] == pytest.approx(vals.var(ddof=1), rel=1e-12)
 
 
 def test_window_three_sample_arithmetic(rng):
     outs = _replay(rng, [[40.0] * 6, [42.0] * 6, [44.0] * 6])
     f = outs[-1][0]
-    assert f.window_size == 3
-    assert f.cn0_mean == pytest.approx(42.0)
-    assert f.cn0_var == pytest.approx(4.0)
+    assert f[WINDOW_SIZE] == 3
+    assert f[CN0_MEAN] == pytest.approx(42.0)
+    assert f[CN0_VAR] == pytest.approx(4.0)
     # constant window: variance exactly zero
     outs = _replay(rng, [[37.0] * 6] * 4)
-    assert outs[-1][0].cn0_var == 0.0
+    assert outs[-1][0, CN0_VAR] == 0.0
 
 
 def test_window_capacity_evicts_oldest(rng):
     seq = [[float(k)] * 6 for k in range(WINDOW_CAPACITY + 5)]
     outs = _replay(rng, seq)
     f = outs[-1][0]
-    assert f.window_size == WINDOW_CAPACITY
+    assert f[WINDOW_SIZE] == WINDOW_CAPACITY
     kept = np.arange(5, WINDOW_CAPACITY + 5, dtype=float)
-    assert f.cn0_mean == pytest.approx(kept.mean(), rel=1e-12)
+    assert f[CN0_MEAN] == pytest.approx(kept.mean(), rel=1e-12)
 
 
 def test_gap_resets_window(rng):
@@ -92,10 +99,10 @@ def test_gap_resets_window(rng):
     # a gap beyond the horizon drops history; one within keeps it
     e2 = Epoch(time=CONTINUITY_HORIZON + 0.01, measurements=epoch0.measurements)
     out = hist.update_and_extract(e2, ref)
-    assert all(f.window_size == 1 for f in out)
+    assert all(out[:, WINDOW_SIZE] == 1)
     e3 = Epoch(time=e2.time + CONTINUITY_HORIZON, measurements=epoch0.measurements)
     out = hist.update_and_extract(e3, ref)
-    assert all(f.window_size == 2 for f in out)
+    assert all(out[:, WINDOW_SIZE] == 2)
 
 
 def test_links_are_isolated(rng):
@@ -106,10 +113,10 @@ def test_links_are_isolated(rng):
     # next epoch drops half the satellites; survivors keep their windows
     kept = epoch0.measurements[:3]
     out = hist.update_and_extract(Epoch(time=0.2, measurements=kept), ref)
-    assert all(f.window_size == 2 for f in out)
+    assert all(out[:, WINDOW_SIZE] == 2)
     # the dropped links return after the horizon and start fresh
     out = hist.update_and_extract(Epoch(time=1.0, measurements=epoch0.measurements), ref)
-    assert all(f.window_size == 1 for f in out)
+    assert all(out[:, WINDOW_SIZE] == 1)
 
 
 def test_non_monotonic_time_rejected(rng):
@@ -122,23 +129,32 @@ def test_non_monotonic_time_rejected(rng):
 
 
 def test_elevation_matches_geometry(rng):
-    from gnssweight.geo import elevation_azimuth
-
     epoch, truth = make_epoch(rng, n=8)
     ref = ecef_to_geodetic(truth.position)
     hist = TrackingHistory()
     out = hist.update_and_extract(epoch, ref)
     for f, m in zip(out, epoch.measurements):
-        elev, _ = elevation_azimuth(m.sat_pos, ref)
-        assert f.elevation == elev
-        assert math.radians(5) < f.elevation < math.pi / 2
+        elev, _ = reference_elevation_azimuth(m.sat_pos, ref)
+        assert f[ELEVATION] == elev
+        assert math.radians(5) < f[ELEVATION] < math.pi / 2
 
 
-def test_feature_vector_layout():
-    f = PerLinkFeatures(
-        elevation=0.5, lock_time=12.0, cn0=41.0, cn0_mean=40.0, cn0_var=2.0, window_size=7
-    )
-    assert np.array_equal(f.as_array(), [0.5, 12.0, 41.0, 40.0, 2.0, 7.0])
+def test_feature_vector_layout(rng):
+    """The block's columns: elevation, lock time, C/N0, window mean,
+    window variance and window size, one row per link in canonical order."""
+    assert PER_LINK_COLUMNS == ("elevation", "lock_time", "cn0", "cn0_mean", "cn0_var", "window_size")
+    epoch, truth = make_epoch(rng, n=3, constellations=(ConstellationId.GPS,))
+    ref = ecef_to_geodetic(truth.position)
+    hist = TrackingHistory()
+    hist.update_and_extract(epoch, ref)
+    ms = [replace(m, cn0=c, lock_time=12.0) for m, c in zip(epoch.measurements, (41.0, 43.0, 45.0))]
+    block = hist.update_and_extract(Epoch(time=0.2, measurements=ms), ref)
+    assert block.shape == (3, N_PER_LINK_FEATURES) and block.dtype == np.float64
+    for m, f, elev in zip(epoch.measurements, block, elevation_angles(epoch.sat_array(), ref)):
+        mean = (m.cn0 + f[CN0]) / 2.0
+        var = (m.cn0 - mean) ** 2 + (f[CN0] - mean) ** 2
+        assert np.array_equal(f, [elev, 12.0, f[CN0], mean, var, 2.0])
+    assert block[:, CN0].tolist() == [41.0, 43.0, 45.0]
 
 
 def test_random_replay_against_reference(rng):
@@ -179,18 +195,19 @@ def test_random_replay_against_reference(rng):
                     break
                 win.append(prev)
             vals = np.array([v for _, v in reversed(win)])  # oldest first, as the window holds them
-            assert f.window_size == len(vals)
-            assert f.cn0_mean == vals.mean()
+            assert f[WINDOW_SIZE] == len(vals)
+            assert f[CN0_MEAN] == vals.mean()
             if len(vals) >= 2:
-                assert f.cn0_var == vals.var(ddof=1)
+                assert f[CN0_VAR] == vals.var(ddof=1)
             else:
-                assert f.cn0_var == VARIANCE_SENTINEL
+                assert f[CN0_VAR] == VARIANCE_SENTINEL
 
 
 # --- per-link reference -----------------------------------------------------
 # The tracker as it was before it reduced the windows of each length as one
-# stack: every link's window becomes its own array, reduced on its own. The
-# package's records must keep its bits.
+# stack and returned one array: every link's window becomes its own array,
+# reduced on its own, and every link its own record. The package's block
+# must keep its bits, column by column.
 
 
 class _PerLinkReference:
@@ -201,7 +218,7 @@ class _PerLinkReference:
         self._windows = {}
 
     def update_and_extract(self, epoch, rx_approx):
-        elevations, _ = look_angles(epoch.sat_array(), rx_approx)
+        elevations = [reference_elevation_azimuth(m.sat_pos, rx_approx)[0] for m in epoch.measurements]
         out = []
         for m, elev in zip(epoch.measurements, elevations):
             win = self._windows.setdefault(m.key, deque(maxlen=WINDOW_CAPACITY))
@@ -219,8 +236,9 @@ class _PerLinkReference:
 def test_window_statistics_match_per_link_reference(seed):
     """Random replays of 18 links with dropouts and gaps past the continuity
     horizon, so that windows of every length from 1 to WINDOW_CAPACITY
-    occur, several lengths in one epoch: every record has the bytes of the
-    per-link reference, field by field."""
+    occur, several lengths in one epoch: every column of the block has the
+    bytes of the per-link reference's field, and every row the bytes of
+    its record."""
     rng = np.random.default_rng(2000 + seed)
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
     epoch0, truth = make_epoch(rng, n=18, constellations=consts)
@@ -235,12 +253,16 @@ def test_window_statistics_match_per_link_reference(seed):
         epoch = Epoch(time=t, measurements=ms)
         got = hist.update_and_extract(epoch, ref)
         want = reference.update_and_extract(epoch, ref)
-        assert len(got) == len(want)
+        assert got.shape == (len(want), N_PER_LINK_FEATURES) and got.dtype == np.float64
+        for c, name in enumerate(PER_LINK_COLUMNS):
+            assert got[:, c].tobytes() == np.array([w[c] for w in want], dtype=float).tobytes(), name
+        # window sizes are whole numbers, each its reference record's int
+        window_sizes = got[:, WINDOW_SIZE].tolist()
+        assert all(s.is_integer() and int(s) == w[5] and type(w[5]) is int for s, w in zip(window_sizes, want))
         for g, w in zip(got, want):
-            assert type(g.window_size) is int and g.window_size == w[5]
-            assert np.array(g[:5]).tobytes() == np.array(w[:5]).tobytes()
-            assert g.as_array().tobytes() == np.array(w, dtype=float).tobytes()
-        lengths = {g.window_size for g in got}
+            assert g[:5].tobytes() == np.array(w[:5]).tobytes()
+            assert g.tobytes() == np.array(w, dtype=float).tobytes()
+        lengths = set(window_sizes)
         sizes |= lengths
         most_lengths = max(most_lengths, len(lengths))
     assert sizes == set(range(1, WINDOW_CAPACITY + 1))

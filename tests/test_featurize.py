@@ -5,10 +5,12 @@ from gnssweight import solver
 from gnssweight.dataio import Dataset, Session
 from gnssweight.errors import EmptySplit
 from gnssweight.nn import make_labels
+from gnssweight.features import TrackingHistory
 from gnssweight.featurize import (
     N_FEATURES,
     N_RESIDUAL_SUMMARY,
     EpochFeaturizer,
+    assemble_feature_matrix,
     FeatureNormalization,
     dataset_samples,
     feature_columns,
@@ -17,7 +19,9 @@ from gnssweight.featurize import (
     fold_residual_row,
     normalized_split,
 )
-from gnssweight.residuals import GAMMA, build_residual_matrix
+from gnssweight.geo import ecef_to_geodetic
+from gnssweight.model import ConstellationId, Epoch
+from gnssweight.residuals import GAMMA, ResidualMatrix, build_residual_matrix
 from gnssweight.sim import ScenarioConfig, generate_session
 from conftest import make_epoch
 
@@ -153,3 +157,46 @@ def test_dataset_samples_matches_per_epoch_featurization(monkeypatch):
     for split in expect:
         assert [(fm.tobytes(), lab.tobytes()) for fm, lab in got[split]] == \
             [(fm.tobytes(), lab.tobytes()) for fm, lab in expect[split]]
+
+
+@pytest.mark.bitwise
+def test_feature_matrix_folds_every_row_as_the_reference():
+    """``assemble_feature_matrix`` against ``fold_residual_row``, row by row
+    and byte for byte, for N = 5 to 30 (so both parities of N - 1 reach the
+    median): entries beyond +-GAMMA that clip, a failed row of GAMMA, rows
+    whose middle entries are 0.0 and -0.0 in mixed order, ties, and rows
+    holding NaNs. The per-link block is the tracker's, after two epochs,
+    copied as it is."""
+    rng = np.random.default_rng(4242)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
+    zeros = []  # the sign bit of every zero min, max and median of rows 2 and 3
+    for n in range(5, 31):
+        values = rng.normal(0.0, 30.0, (n, n))
+        values[rng.random((n, n)) < 0.1] *= 1e3  # beyond +-GAMMA: clipped
+        values[1] = GAMMA  # a failed row
+        signed = rng.random(n) < 0.6
+        values[2, signed] = np.where(rng.random(signed.sum()) < 0.5, 0.0, -0.0)
+        values[3] = np.round(values[3] / 20.0) * 20.0  # ties
+        values[3, : n // 2] = -0.0
+        values[4, rng.integers(0, n, 1 + n % 3)] = np.nan  # NaNs anywhere in a row
+        np.fill_diagonal(values, GAMMA)
+        rmat = ResidualMatrix(values=values)
+
+        epoch, truth = make_epoch(rng, n=n, constellations=consts)
+        hist = TrackingHistory()
+        ref = ecef_to_geodetic(truth.position)
+        hist.update_and_extract(epoch, ref)
+        later = Epoch(time=0.2, measurements=[m for k, m in enumerate(epoch.measurements) if k % 3])
+        hist.update_and_extract(later, ref)
+        per_link = hist.update_and_extract(Epoch(time=0.4, measurements=epoch.measurements), ref)
+
+        fm = assemble_feature_matrix(rmat, per_link)
+        assert fm.shape == (n, N_FEATURES) and fm.dtype == np.float64
+        for row in range(n):
+            want = fold_residual_row(values[row], row)
+            assert fm[row, :N_RESIDUAL_SUMMARY].tobytes() == want.tobytes(), (n, row)
+        assert fm[:, N_RESIDUAL_SUMMARY:].tobytes() == per_link.tobytes()
+        assert np.isnan(fm[4, 4]) == np.isnan(np.delete(values[4], 4)).any()
+        zeros.extend(np.signbit(v) for v in fm[2:4, 2:5].ravel() if v == 0.0)
+    # zeros of both signs reached the min, max and median columns
+    assert any(zeros) and not all(zeros)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnssweight import _kernels, residuals
+from gnssweight import _kernels, residuals, solver
 from gnssweight.errors import NotEnoughMeasurements, SingularGeometry
 from gnssweight.geo import EcefPosition, GeodeticPosition, enu_rotation
 from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
@@ -350,3 +350,168 @@ def test_singular_fix_row_is_none():
         equal_weight_fix(epoch)
     assert row_report(epoch, *rows[0]) is None
     assert M.failed_rows == list(range(6))
+
+
+# --- hand-off reference -------------------------------------------------------
+# The packing of ``solver.solve_batch`` and ``residuals.solve_rows`` as it
+# was before they were cut to fewer numpy calls: one problem for each
+# epoch's fix and one for each row group, weights from 1 - I and tiled
+# starts, and every row-index table built over all problems. The package
+# must hand the kernel the same calls, argument for argument and byte for
+# byte, and give every problem the same outputs.
+
+
+def _reference_solve_batch(problems):
+    if not problems:
+        return []
+    sat, pr, clock, w, x0 = zip(*problems)
+    k = np.array([len(a) for a in x0])
+    n = np.array([a.size for a in pr])
+    dim = np.array([a.shape[1] for a in x0])
+    flat_w = np.concatenate([a.ravel() for a in w])
+    row_n, row_dim = np.repeat(n, k), np.repeat(dim, k)
+    w_end = np.cumsum(row_n)
+    w0 = w_end - row_n
+    positive = np.concatenate([[0], np.cumsum(flat_w > 0.0)])
+    solvable = positive[w_end] - positive[w0] >= row_dim
+    meas0 = np.repeat(np.cumsum(n) - n, k)
+    sat, pr, clock = np.concatenate(sat), np.concatenate(pr), np.concatenate(clock)
+    iterations = np.zeros(row_n.size, dtype=np.int64)
+    status = np.full(row_n.size, solver.STATUS_NOT_ENOUGH)
+    cost = np.full(row_n.size, np.nan)
+    bounds = [0, *np.cumsum(k).tolist()]
+    out = [None] * len(problems)
+    for d in np.unique(dim).tolist():
+        js = np.flatnonzero(dim == d).tolist()
+        rows = np.flatnonzero(row_dim == d)
+        x = np.concatenate([x0[j] for j in js])
+        todo = np.flatnonzero(solvable[rows])
+        todo = todo[np.argsort(row_n[rows[todo]], kind="stable")]
+        for lo in range(0, todo.size, solver.MAX_ROWS_PER_CALL):
+            b = todo[lo:lo + solver.MAX_ROWS_PER_CALL]
+            r = rows[b]
+            nr = row_n[r][:, None]
+            i = np.arange(nr[-1, 0])
+            pad = np.minimum(i, nr - 1)
+            links = meas0[r][:, None] + pad
+            wb = np.where(i < nr, flat_w[w0[r][:, None] + pad], 0.0)
+            x[b], iterations[r], status[r], cost[r] = _kernels.lm_solve_batch(
+                sat[links], pr[links], wb, clock[links], d - 3, x[b])
+        lo = 0
+        for j in js:
+            r0, r1 = bounds[j], bounds[j + 1]
+            out[j] = (x[lo:lo + r1 - r0], iterations[r0:r1], status[r0:r1], cost[r0:r1])
+            lo += r1 - r0
+    return out
+
+
+def _reference_row_groups(epoch):
+    n_const = epoch.state_dim() - 3
+    const_idx = epoch.const_index()
+    if epoch.n <= epoch.state_dim():
+        return []
+    members = np.bincount(const_idx, minlength=n_const)
+    drops = np.where(members[const_idx] == 1, const_idx, -1)
+    groups = []
+    for drop in np.unique(drops):
+        kept = np.flatnonzero(np.arange(n_const) != drop)
+        sub_idx = np.searchsorted(kept, const_idx)
+        sub_idx[const_idx == drop] = 0
+        groups.append((np.flatnonzero(drops == drop), kept, sub_idx))
+    return groups
+
+
+def _reference_solve_rows(epochs):
+    groups = [_reference_row_groups(epoch) for epoch in epochs]
+    problems = []
+    for epoch, epoch_groups in zip(epochs, groups):
+        n, sat, pr = epoch.n, epoch.sat_array(), epoch.pr_array()
+        x0 = np.zeros(epoch.state_dim())
+        x0[:3] = _DEFAULT_START.as_array()
+        problems.append((sat, pr, epoch.const_index(), np.ones((1, n)), np.tile(x0, (1, 1))))
+        weights = 1.0 - np.eye(n)
+        for links, kept, sub_idx in epoch_groups:
+            w = weights[links]
+            problems.append((sat, pr, sub_idx, w, np.tile(x0[:3 + kept.size], (len(w), 1))))
+    solved = iter(_reference_solve_batch(problems))
+    return [(tuple(a[0] for a in next(solved)), [(links, kept, next(solved)) for links, kept, _ in g])
+            for g in groups]
+
+
+def _kernel_calls(monkeypatch, fn, *args):
+    """``fn(*args)`` and every ``lm_solve_batch`` call it made, each argument
+    as (dtype, shape, bytes)."""
+    calls = []
+    batch = _kernels.lm_solve_batch
+
+    def spy(*call):
+        calls.append([(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+                      for a in call])
+        return batch(*call)
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "lm_solve_batch", spy)
+        out = fn(*args)
+    return out, calls
+
+
+def _kernel_rows_bytes(kernel):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in kernel]
+
+
+@pytest.mark.bitwise
+def test_solve_rows_hands_the_kernel_the_reference_calls(monkeypatch):
+    """``solve_rows`` on the residual corpus, all epochs at once (mixed N
+    padded into calls cut at ``MAX_ROWS_PER_CALL``, rows that drop a
+    constellation) and a few epochs one at a time (calls without padding):
+    every kernel call has the reference's arguments, byte for byte, and
+    every epoch the reference's fix and groups."""
+    epochs = [epoch for _k, epoch, _cap in _corpus()]
+    for batch in (epochs, *([e] for e in epochs[:12])):
+        got, calls = _kernel_calls(monkeypatch, residuals.solve_rows, batch)
+        want, want_calls = _kernel_calls(monkeypatch, _reference_solve_rows, batch)
+        assert calls == want_calls
+        for (fix, groups), (want_fix, want_groups) in zip(got, want, strict=True):
+            assert _kernel_rows_bytes(fix) == _kernel_rows_bytes(want_fix)
+            assert len(groups) == len(want_groups)
+            for (links, kept, kernel), (w_links, w_kept, w_kernel) in zip(groups, want_groups):
+                assert (links.tobytes(), kept.tobytes()) == (w_links.tobytes(), w_kept.tobytes())
+                assert _kernel_rows_bytes(kernel) == _kernel_rows_bytes(w_kernel)
+    # the corpus call cuts a clock count's rows at the cap and pads rows
+    _, calls = _kernel_calls(monkeypatch, residuals.solve_rows, epochs)
+    assert any(call[0][1][0] == solver.MAX_ROWS_PER_CALL for call in calls)
+    assert any(call[0][1][0] < solver.MAX_ROWS_PER_CALL for call in calls)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("cap", [7, 512])
+def test_solve_batch_hands_the_kernel_the_reference_calls(monkeypatch, cap):
+    """``solve_batch`` on problems of one to four clocks in mixed order, N
+    from 5 to 24, random and zero weights (rows with fewer positive
+    weights than unknowns are ``STATUS_NOT_ENOUGH`` and never reach the
+    kernel) and warm and cold starts, with calls cut at 7 rows and at the
+    default cap: the same kernel calls as the reference, byte for byte,
+    and the same outputs for every problem."""
+    monkeypatch.setattr(solver, "MAX_ROWS_PER_CALL", cap)
+    rng = np.random.default_rng(707)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS, ConstellationId.BEIDOU)
+    problems = []
+    for j in range(60):
+        n_const = 1 + int(rng.integers(0, 4))
+        epoch, truth = make_epoch(rng, n=int(rng.integers(n_const + 4, 25)), constellations=consts[:n_const],
+                                  noise_sigma=3.0)
+        k = int(rng.integers(1, 12))
+        w = rng.uniform(0.1, 4.0, (k, epoch.n))
+        w[rng.random((k, epoch.n)) < 0.2] = 0.0
+        w[0, epoch.state_dim() - 1:] = 0.0  # one positive weight short: not solved
+        problems.append(solver.epoch_problem(epoch, w, truth if j % 3 == 0 else None))
+    got, calls = _kernel_calls(monkeypatch, solver.solve_batch, problems)
+    want, want_calls = _kernel_calls(monkeypatch, _reference_solve_batch, problems)
+    assert calls == want_calls
+    assert [_kernel_rows_bytes(a) for a in got] == [_kernel_rows_bytes(a) for a in want]
+    status = np.concatenate([a[2] for a in got])
+    assert np.count_nonzero(status == solver.STATUS_NOT_ENOUGH) >= len(problems)
+    assert len({p[4].shape[1] for p in problems}) == 4
+    assert len(calls) >= 4  # one per clock count, or more
+    # some call is cut at the cap (the corpus test above cuts at 512)
+    assert cap > 7 or any(call[0][1][0] == cap for call in calls)

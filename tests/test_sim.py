@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_elevation_azimuth
 from gnssweight import sim
 from gnssweight.errors import ConfigInvalid
-from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, ecef_to_geodetic, elevation_azimuth
+from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, ecef_to_geodetic
 from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 from gnssweight.nn import truth_clock_biases
 from gnssweight.sim import (
@@ -90,7 +90,7 @@ def test_visible_satellites_above_mask(quiet):
         assert epoch.n >= 6
         ref = ecef_to_geodetic(truth.positions[k])
         for m in epoch.measurements:
-            elev, _ = elevation_azimuth(m.sat_pos, ref)
+            elev, _ = reference_elevation_azimuth(m.sat_pos, ref)
             assert elev >= sim.ELEVATION_MASK - 1e-9
 
 
