@@ -157,7 +157,9 @@ def _cmd_train(args) -> int:
     with open(args.out, "wb") as fh:  # exactly --out, as in _cmd_featurize
         save_checkpoint(fh, model, norm.mean, norm.std, tcfg)
 
-    loss_path = os.path.splitext(args.out)[0] + "_loss.csv"
+    # only ".npz" is dropped, so checkpoints whose names differ in another
+    # suffix (run.a, run.b) keep separate loss files
+    loss_path = args.out.removesuffix(".npz") + "_loss.csv"
     with open(loss_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss"])

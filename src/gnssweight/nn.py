@@ -4,11 +4,21 @@ The model consumes an epoch's feature matrix as a sequence of N rows and
 emits one quality factor (log of the predicted pseudorange error sigma,
 in log-meters) per row. Weights follow as exp(-2 * quality).
 
-Everything is plain float64 numpy. Forward and backward passes run a whole
-mini-batch at once: its sequences are sorted by length, longest first,
-and laid out time-major, so each step updates the sequences still live
-with one matrix product. Training is bit-reproducible for a fixed seed on
-the same machine; BLAS products may round differently on another CPU.
+Everything is plain numpy, in the dtype of the model's parameters: each
+pass casts its inputs and labels to it once, and the summed squared
+error and the validation loss accumulate in float64. ``train`` fits the
+parameters in float32, which halves the bytes that every product and
+elementwise loop moves and rounds far below the spread between training
+seeds, so the model it returns and its checkpoints hold float32 arrays.
+``LstmModel.init`` draws float64, and a float64 model, such as the
+gradient checks use or an older checkpoint holds, runs in float64.
+
+Forward and backward passes run a whole mini-batch at once: its
+sequences are sorted by length, longest first, and laid out time-major,
+so each step updates the sequences still live with one matrix product.
+Training is bit-reproducible for a fixed seed on the same machine, in
+float32; BLAS products and numpy's SIMD loops may round differently on
+another CPU.
 
 The step loops work in arrays allocated once per pass. A forward step
 writes its pre-activations into one reused buffer, applies the sigmoid
@@ -142,9 +152,10 @@ def _forward(model: LstmModel, fm: np.ndarray, lengths, keep: bool):
             f"input shape {fm.shape} incompatible with input_dim {model.input_dim}"
         )
     active, order = _layout(fm.shape[0], lengths)
-    H, R = model.hidden, len(order)
+    H, R, dt = model.hidden, len(order), model.head_w.dtype
+    one = dt.type(1.0)  # a Python float costs each float32 ufunc call a cast, ~80 ns
     first = active[0] if active else 0
-    layer_in = fm[order]
+    layer_in = fm[order].astype(dt, copy=False)
     caches = []
     # Each step writes into arrays allocated once per pass: its
     # pre-activations into z, and its gates, tanh(c) and cells into their
@@ -152,13 +163,13 @@ def _forward(model: LstmModel, fm: np.ndarray, lengths, keep: bool):
     # instead, the cells updated in place: the sequences live at a step
     # are a prefix of those live at the step before. Hidden states go to
     # their rows of ``hs``. The first step starts from zero states.
-    zero = np.zeros((first, H))
-    z = np.empty((first, 4 * H))
+    zero = np.zeros((first, H), dt)
+    z = np.empty((first, 4 * H), dt)
     if not keep:
-        a_buf, t_buf, c_buf = np.empty((first, 4, H)), np.empty((first, H)), np.empty((first, H))
+        a_buf, t_buf, c_buf = (np.empty((first, *shape), dt) for shape in ((4, H), (H,), (H,)))
         scratch = {}  # n -> _step_views of the scratch, built once per n
-    # below -709.78 the sigmoid's exp overflows to inf and the gate is
-    # exactly 0, as it should be; the warning is silenced once per pass,
+    # below -709.78 (float32: -88.72) the sigmoid's exp overflows to inf and
+    # the gate is exactly 0, as it should be; the warning is silenced once per pass,
     # because an errstate per step costs a third of the forward time
     with np.errstate(over="ignore"):
         for layer in range(model.n_layers):
@@ -166,9 +177,9 @@ def _forward(model: LstmModel, fm: np.ndarray, lengths, keep: bool):
             xp = layer_in @ W.T
             xp += b  # in place: a second (R, 4H) temporary costs more than the product
             UT = np.ascontiguousarray(U.T)  # a transposed view multiplies slower
-            hs = np.empty((R, H))
+            hs = np.empty((R, H), dt)
             if keep:
-                gates, tcs, cells = np.empty((R, 4, H)), np.empty((R, H)), np.empty((R, H))
+                gates, tcs, cells = np.empty((R, 4, H), dt), np.empty((R, H), dt), np.empty((R, H), dt)
             h = c = zero
             s = 0
             for n in active:
@@ -185,8 +196,8 @@ def _forward(model: LstmModel, fm: np.ndarray, lengths, keep: bool):
                 # the sigmoid 1 / (1 + exp(-z)) of every gate, then tanh for g
                 np.negative(zn, a)
                 np.exp(a, a)
-                a += 1.0
-                np.divide(1.0, a, a)
+                a += one
+                np.divide(one, a, a)
                 np.tanh(zg, g)
                 # c = f * c + i * g, with i * g held in t until tanh(c) replaces it
                 np.multiply(i, g, t)
@@ -198,7 +209,7 @@ def _forward(model: LstmModel, fm: np.ndarray, lengths, keep: bool):
             if keep:
                 caches.append((layer_in, hs, gates, cells, tcs))
             layer_in = hs
-    outputs = np.empty(fm.shape[0])
+    outputs = np.empty(fm.shape[0], dt)
     outputs[order] = layer_in @ model.head_w + model.head_b
     return outputs, active, order, caches
 
@@ -217,7 +228,8 @@ def _step_views(z, gates, t, c, n):
 
 
 def lstm_forward(model: LstmModel, fm: np.ndarray, lengths=None) -> np.ndarray:
-    """Quality factors (log-sigma, log-meters) for each packed row.
+    """Quality factors (log-sigma, log-meters) for each packed row, in the
+    dtype of the model's parameters.
 
     ``fm`` holds the rows of consecutive sequences of ``lengths`` rows
     each (default: one sequence of N rows).
@@ -234,13 +246,13 @@ def lstm_backward(model: LstmModel, fm: np.ndarray, labels: np.ndarray, lengths=
     in ``param_items`` plus "head_b") to arrays. Callers divide by row
     counts to get mean-loss gradients.
     """
-    labels = np.asarray(labels, dtype=float)
+    H, dt = model.hidden, model.head_w.dtype
+    labels = np.asarray(labels, dtype=dt)
     if labels.shape != (fm.shape[0],):
         raise ShapeMismatch(f"labels shape {labels.shape} != ({fm.shape[0]},)")
     outputs, active, order, caches = _forward(model, fm, lengths, keep=True)
-    H = model.hidden
     err = outputs - labels
-    sse = float(np.sum(err * err))
+    sse = float(np.sum(err * err, dtype=float))
     dy = 2.0 * err[order]  # time-major, like the caches
 
     grads = {name: None for name, _ in model.param_items()}
@@ -255,7 +267,7 @@ def lstm_backward(model: LstmModel, fm: np.ndarray, labels: np.ndarray, lengths=
     # dh flowing into each timestep of the top layer from the head
     dh_above = dy[:, None] * model.head_w
     # each step's dh and dc, in buffers reused by every step and layer
-    dh_buf, dc_buf = np.empty((first, H)), np.empty((first, H))
+    dh_buf, dc_buf = np.empty((first, H), dt), np.empty((first, H), dt)
     for layer in range(model.n_layers - 1, -1, -1):
         layer_in, hs, gates, cells, tc = caches[layer]
         i, f, g, o = (gates[:, k] for k in range(4))
@@ -271,8 +283,8 @@ def lstm_backward(model: LstmModel, fm: np.ndarray, labels: np.ndarray, lengths=
         dz[:, 2] = i * (1.0 - g * g)
         dz[:, 3] *= tc
         U = model.U[layer]
-        dh_next = np.zeros((first, H))
-        dc_next = np.zeros((first, H))
+        dh_next = np.zeros((first, H), dt)
+        dc_next = np.zeros((first, H), dt)
         s = len(order)
         for n in reversed(active):
             e, s = s, s - n
@@ -357,14 +369,15 @@ class _Adam:
 
     Each element gets p -= lr * (m / b1c) / (sqrt(v / b2c) + eps) after
     its moments take the gradient, with the operations in that order;
-    two scratch vectors hold the intermediate terms.
+    two scratch vectors hold the intermediate terms. Moments and scratch
+    take the dtype of ``p``.
     """
 
-    def __init__(self, size: int, lr: float):
+    def __init__(self, p: np.ndarray, lr: float):
         self.lr = lr
         self.t = 0
-        self.m, self.v = np.zeros(size), np.zeros(size)
-        self._s1, self._s2 = np.empty(size), np.empty(size)
+        self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+        self._s1, self._s2 = np.empty_like(p), np.empty_like(p)
 
     def step(self, p: np.ndarray, g: np.ndarray):
         self.t += 1
@@ -387,10 +400,11 @@ class _Adam:
 
 
 def _bind_flat(model: LstmModel) -> np.ndarray:
-    """Move the model's parameters into one flat vector, in ``param_items``
-    order with ``head_b`` last, and make its arrays views into it."""
+    """Move the model's parameters into one float32 vector, in
+    ``param_items`` order with ``head_b`` last, and make its arrays views
+    into it; ``head_b`` becomes its float32 value."""
     items = list(model.param_items())
-    flat = np.concatenate([a.ravel() for _, a in items] + [[model.head_b]])
+    flat = np.concatenate([a.ravel() for _, a in items] + [[model.head_b]], dtype=np.float32)
     views, o = {}, 0
     for name, a in items:
         views[name] = flat[o : o + a.size].reshape(a.shape)
@@ -398,6 +412,7 @@ def _bind_flat(model: LstmModel) -> np.ndarray:
     for layer in range(model.n_layers):
         model.W[layer], model.U[layer], model.b[layer] = (views[f"{k}{layer}"] for k in "WUb")
     model.head_w = views["head_w"]
+    model.head_b = float(flat[-1])
     return flat
 
 
@@ -447,7 +462,7 @@ def train(
     flat = _bind_flat(model)
     names = [name for name, _ in model.param_items()] + ["head_b"]
     grad = np.empty_like(flat)
-    opt = _Adam(flat.size, cfg.learning_rate)
+    opt = _Adam(flat, cfg.learning_rate)
     report = TrainReport()
     best_model = model.copy()
     bad_evals = 0

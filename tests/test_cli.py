@@ -119,6 +119,17 @@ def test_cache_and_checkpoint_are_written_to_out_as_given(tiny_config, tiny_data
     ) == 0
 
 
+def test_checkpoints_differing_in_suffix_keep_their_own_loss_files(tiny_config, tiny_dataset, tmp_path):
+    """Only a ".npz" suffix leaves the loss file's name: ``run.a`` and
+    ``run.b`` write ``run.a_loss.csv`` and ``run.b_loss.csv``, and neither
+    training overwrites the other's losses."""
+    for name, mode in (("run.a", "full"), ("run.b", "residual")):
+        assert main(["train", "--config", tiny_config, "--data", tiny_dataset,
+                     "--out", str(tmp_path / name), "--mode", mode]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.a", "run.a_loss.csv", "run.b", "run.b_loss.csv"]
+    assert (tmp_path / "run.a_loss.csv").read_text() != (tmp_path / "run.b_loss.csv").read_text()
+
+
 def test_training_from_cache_matches_direct(tiny_config, tiny_dataset, tmp_path):
     cache = tmp_path / "features.npz"
     assert main(["featurize", "--config", tiny_config, "--data", tiny_dataset, "--out", str(cache)]) == 0

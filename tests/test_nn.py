@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -29,14 +30,26 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _float32(model):
+    """A copy of ``model`` with its parameters rounded to float32, as
+    ``train`` binds them."""
+    m = model.copy()
+    for arrays in (m.W, m.U, m.b):
+        arrays[:] = [a.astype(np.float32) for a in arrays]
+    m.head_w = m.head_w.astype(np.float32)
+    m.head_b = float(np.float32(m.head_b))
+    return m
+
+
 def _naive_forward(model, fm):
-    """Step-by-step scalar reference, written independently of the package."""
-    H = model.hidden
-    layer_in = [np.asarray(row, dtype=float) for row in fm]
+    """Step-by-step scalar reference, written independently of the package,
+    in the dtype of the model's parameters."""
+    H, dt = model.hidden, model.head_w.dtype
+    layer_in = [np.asarray(row, dtype=dt) for row in fm]
     for layer in range(model.n_layers):
         W, U, b = model.W[layer], model.U[layer], model.b[layer]
-        h = np.zeros(H)
-        c = np.zeros(H)
+        h = np.zeros(H, dt)
+        c = np.zeros(H, dt)
         outs = []
         for x in layer_in:
             z = W @ x + U @ h + b
@@ -53,17 +66,19 @@ def _naive_forward(model, fm):
 
 def _reference_backward(model, fm, labels):
     """The per-sample, per-step BPTT loop that the packed trainer replaced:
-    (4H, D) matrix-vector products and one outer product per step."""
+    (4H, D) matrix-vector products and one outer product per step, in the
+    dtype of the model's parameters."""
     n = fm.shape[0]
-    H = model.hidden
+    H, dt = model.hidden, model.head_w.dtype
     caches = []
-    layer_in = fm
+    layer_in = fm.astype(dt)
+    labels = labels.astype(dt)
     for layer in range(model.n_layers):
         W, U, b = model.W[layer], model.U[layer], model.b[layer]
-        h = np.zeros(H)
-        c = np.zeros(H)
+        h = np.zeros(H, dt)
+        c = np.zeros(H, dt)
         steps = []
-        hs = np.empty((n, H))
+        hs = np.empty((n, H), dt)
         for t in range(n):
             x = layer_in[t]
             z = W @ x + U @ h + b
@@ -82,11 +97,11 @@ def _reference_backward(model, fm, labels):
         layer_in = hs
     outputs = layer_in @ model.head_w + model.head_b
     err = outputs - labels
-    sse = float(np.sum(err * err))
+    sse = float(np.sum(err * err, dtype=float))
     dy = 2.0 * err
 
     grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
-    grads["head_b"] = np.zeros(())
+    grads["head_b"] = np.zeros((), dt)
     grads["head_w"] += layer_in.T @ dy
     grads["head_b"] += np.sum(dy)
     dh_above = dy[:, None] * model.head_w[None, :]
@@ -97,8 +112,8 @@ def _reference_backward(model, fm, labels):
         dU = grads[f"U{layer}"]
         db = grads[f"b{layer}"]
         dx_below = np.zeros_like(layer_in)
-        dh_next = np.zeros(H)
-        dc_next = np.zeros(H)
+        dh_next = np.zeros(H, dt)
+        dc_next = np.zeros(H, dt)
         for t in range(n - 1, -1, -1):
             x, h_prev, c_prev, i, f, g, o, c, tc = steps[t]
             dh = dh_above[t] + dh_next
@@ -343,27 +358,54 @@ def test_empty_split_rejected():
 
 
 def test_checkpoint_round_trip(tmp_path):
+    """A float64 model and its float32 copy reload bit for bit, each in
+    its own dtype."""
     rng = np.random.default_rng(5)
     model = LstmModel.init(14, 6, rng)
-    model.head_b = 0.125
+    model.head_b = 0.1
     cfg = TrainConfig(seed=77, hidden=6, feature_mode="residual")
     mean = rng.normal(size=14)
     std = rng.uniform(0.5, 2.0, size=14)
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, model, mean, std, cfg)
-    loaded, lmean, lstd, lcfg = load_checkpoint(path)
-    assert lcfg == cfg
-    with np.load(path) as data:  # the checkpoint layout keeps an empty "extra"
-        assert json.loads(bytes(data["meta"]))["extra"] == {}
-    assert np.array_equal(lmean, mean)
-    assert np.array_equal(lstd, std)
-    assert loaded.head_b == model.head_b
-    for (k1, a1), (k2, a2) in zip(model.param_items(), loaded.param_items()):
-        assert k1 == k2
-        assert np.array_equal(a1, a2)
     fm = rng.normal(size=(7, 14))
-    assert np.array_equal(lstm_forward(model, fm), lstm_forward(loaded, fm))
-    assert np.array_equal(predict_weights(model, fm), predict_weights(loaded, fm))
+    for model in (model, _float32(model)):
+        dtype = model.head_w.dtype
+        path = tmp_path / f"model_{dtype}.npz"
+        save_checkpoint(path, model, mean, std, cfg)
+        loaded, lmean, lstd, lcfg = load_checkpoint(path)
+        assert lcfg == cfg
+        with np.load(path) as data:  # the checkpoint layout keeps an empty "extra"
+            assert json.loads(bytes(data["meta"]))["extra"] == {}
+        assert np.array_equal(lmean, mean)
+        assert np.array_equal(lstd, std)
+        assert loaded.head_b == model.head_b
+        for (k1, a1), (k2, a2) in zip(model.param_items(), loaded.param_items()):
+            assert k1 == k2
+            assert a2.dtype == dtype and a1.tobytes() == a2.tobytes()
+        assert lstm_forward(loaded, fm).dtype == dtype
+        assert np.array_equal(lstm_forward(model, fm), lstm_forward(loaded, fm))
+        assert np.array_equal(predict_weights(model, fm), predict_weights(loaded, fm))
+
+
+def test_float64_checkpoint_of_earlier_layout_predicts_in_float64(tmp_path):
+    """A checkpoint of float64 arrays, written key by key as checkpoints
+    were before training moved to float32, loads and predicts in float64
+    with the bits of the model it holds."""
+    rng = np.random.default_rng(9)
+    model = LstmModel.init(14, 6, rng)
+    model.head_b = 0.1  # not a float32 value
+    cfg = TrainConfig(seed=4, hidden=6)
+    meta = {"version": 1, "input_dim": 14, "hidden": 6, "n_layers": model.n_layers,
+            "head_b": model.head_b, "config": dataclasses.asdict(cfg), "extra": {}}
+    path = tmp_path / "model.npz"
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **dict(model.param_items()), norm_mean=np.zeros(14), norm_std=np.ones(14))
+    loaded, _, _, lcfg = load_checkpoint(path)
+    assert lcfg == cfg and loaded.head_b == model.head_b
+    assert all(a.dtype == np.float64 for _, a in loaded.param_items())
+    fm = rng.normal(size=(7, 14))
+    y = lstm_forward(loaded, fm)
+    assert y.dtype == np.float64 and y.tobytes() == lstm_forward(model, fm).tobytes()
+    assert predict_weights(loaded, fm).tobytes() == predict_weights(model, fm).tobytes()
 
 
 def test_checkpoint_version_guard(tmp_path):
@@ -404,18 +446,23 @@ def test_variable_length_sequences():
         assert np.all(np.isfinite(y))
 
 
+@pytest.mark.bitwise
 def test_forward_with_saturated_gates_warns_nothing():
-    # gate pre-activations of -800 overflow exp inside the sigmoid; the
-    # gates must come out exactly 0 without a RuntimeWarning
-    model = LstmModel.init(4, 8, np.random.default_rng(0))
-    for layer in range(model.n_layers):
-        model.W[layer][:] = 0.0
-        model.U[layer][:] = 0.0
-        model.b[layer][:] = -800.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        y = lstm_forward(model, np.ones((3, 4)))
-    assert np.array_equal(y, np.full(3, model.head_b))
+    # gate pre-activations of -800 overflow exp inside the sigmoid, and in
+    # float32 so do those of -100; the gates must come out exactly 0
+    # without a RuntimeWarning
+    for float32, bias in ((False, -800.0), (True, -800.0), (True, -100.0)):
+        model = LstmModel.init(4, 8, np.random.default_rng(0))
+        if float32:
+            model = _float32(model)
+        for layer in range(model.n_layers):
+            model.W[layer][:] = 0.0
+            model.U[layer][:] = 0.0
+            model.b[layer][:] = bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = lstm_forward(model, np.ones((3, 4)))
+        assert np.array_equal(y, np.full(3, model.head_b)), (float32, bias)
 
 
 # lengths 1..17 in shuffled order, with ties (5, 5, 5 and 17, 17)
@@ -473,6 +520,29 @@ def test_packed_forward_matches_naive_per_sequence(hidden):
         assert np.max(np.abs(y[seg] - _naive_forward(model, fm[seg]))) < 1e-12
 
 
+@pytest.mark.parametrize("hidden", [3, 8, 64])
+def test_float32_copy_matches_float64_within_tolerance(hidden):
+    """A float32 copy of a model gives the float64 model's outputs, loss and
+    gradients up to float32 rounding, each relative to the largest
+    magnitude of its array. Over 40 seeds at hidden 3, 8, 16 and 64 on this
+    packing the worst gaps were 1.5e-7 (outputs), 3.1e-8 (loss) and 1.0e-6
+    (gradients); the bounds leave ten times that."""
+    rng = np.random.default_rng(600 + hidden)
+    model = LstmModel.init(6, hidden, rng)
+    model.head_b = 0.3
+    fm, labels = _packed_problem(rng, _LENGTHS, 6)
+    m32 = _float32(model)
+    y = lstm_forward(m32, fm, _LENGTHS)
+    assert y.dtype == np.float32
+    _assert_rel(y, lstm_forward(model, fm, _LENGTHS), tol=1.5e-6)
+    sse, grads = lstm_backward(m32, fm, labels, lengths=_LENGTHS)
+    ref_sse, ref = lstm_backward(model, fm, labels, lengths=_LENGTHS)
+    assert sse == pytest.approx(ref_sse, rel=3e-7)
+    for k in ref:
+        assert grads[k].dtype == np.float32, k
+        _assert_rel(grads[k], ref[k], tol=1e-5)
+
+
 def test_padding_never_reaches_another_sample():
     rng = np.random.default_rng(31)
     model = LstmModel.init(6, 8, rng)
@@ -518,8 +588,8 @@ def _alloc_forward(model, fm, lengths, keep):
     from gnssweight.nn import _layout
 
     active, order = _layout(fm.shape[0], lengths)
-    H = model.hidden
-    layer_in = fm[order]
+    H, dt = model.hidden, model.head_w.dtype
+    layer_in = fm[order].astype(dt)
     caches = []
     with np.errstate(over="ignore"):
         for layer in range(model.n_layers):
@@ -528,11 +598,11 @@ def _alloc_forward(model, fm, lengths, keep):
             xp += b
             xp = xp.reshape(-1, 4, H)
             UT = np.ascontiguousarray(U.T)
-            hs = np.empty((len(order), H))
+            hs = np.empty((len(order), H), dt)
             if keep:
-                gates = np.empty((len(order), 4, H))
-                cells = np.empty((len(order), H))
-            h = c = np.zeros((active[0] if active else 0, H))
+                gates = np.empty((len(order), 4, H), dt)
+                cells = np.empty((len(order), H), dt)
+            h = c = np.zeros((active[0] if active else 0, H), dt)
             s = 0
             for n in active:
                 z = xp[s : s + n] + (h[:n] @ UT).reshape(n, 4, H)
@@ -548,16 +618,16 @@ def _alloc_forward(model, fm, lengths, keep):
             if keep:
                 caches.append((layer_in, hs, gates, cells))
             layer_in = hs
-    outputs = np.empty(fm.shape[0])
+    outputs = np.empty(fm.shape[0], dt)
     outputs[order] = layer_in @ model.head_w + model.head_b
     return outputs, active, order, caches
 
 
 def _alloc_backward(model, fm, labels, lengths=None):
     outputs, active, order, caches = _alloc_forward(model, fm, lengths, keep=True)
-    H = model.hidden
-    err = outputs - labels
-    sse = float(np.sum(err * err))
+    H, dt = model.hidden, model.head_w.dtype
+    err = outputs - labels.astype(dt)
+    sse = float(np.sum(err * err, dtype=float))
     dy = 2.0 * err[order]
     grads = {name: None for name, _ in model.param_items()}
     grads["head_w"] = caches[-1][1].T @ dy
@@ -578,8 +648,8 @@ def _alloc_backward(model, fm, labels, lengths=None):
         dz[:, 2] = i * (1.0 - g * g)
         dz[:, 3] *= tc
         U = model.U[layer]
-        dh_next = np.zeros((first, H))
-        dc_next = np.zeros((first, H))
+        dh_next = np.zeros((first, H), dt)
+        dc_next = np.zeros((first, H), dt)
         s = len(order)
         for n in reversed(active):
             s -= n
@@ -600,11 +670,11 @@ def _alloc_backward(model, fm, labels, lengths=None):
 
 
 class _AllocAdam:
-    def __init__(self, shapes, lr):
+    def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
 
     def step(self, params, grads):
         from gnssweight.nn import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
@@ -639,10 +709,11 @@ def _alloc_train(train_samples, val_samples, cfg, init_model=None):
 
     input_dim = train_samples[0][0].shape[1]
     rng = np.random.default_rng(cfg.seed)
-    model = init_model.copy() if init_model is not None else LstmModel.init(input_dim, cfg.hidden, rng)
+    model = init_model if init_model is not None else LstmModel.init(input_dim, cfg.hidden, rng)
+    model = _float32(model)  # as train binds its parameters
     params = dict(model.param_items())
-    head_b = np.array(model.head_b)
-    opt = _AllocAdam({**{k: v.shape for k, v in params.items()}, "head_b": ()}, cfg.learning_rate)
+    head_b = np.array(model.head_b, np.float32)
+    opt = _AllocAdam({**params, "head_b": head_b}, cfg.learning_rate)
     report = TrainReport()
     best_model = model.copy()
     bad_evals = 0
@@ -693,22 +764,24 @@ _BITWISE_CASES = [("tied", _LENGTHS), ("one", [11]), ("single", None)]
 def test_forward_matches_allocating_reference(hidden, case, lengths):
     """The forward pass, with and without the caches kept, has the bytes of
     the allocating reference: outputs, inputs, hidden states, gates and
-    cells, and its kept tanh(c) is np.tanh of the cells."""
+    cells, and its kept tanh(c) is np.tanh of the cells; for a float64
+    model and its float32 copy, each in its own dtype."""
     from gnssweight.nn import _forward
 
     rng = np.random.default_rng(300 + hidden)
     model = LstmModel.init(6, hidden, rng)
     model.head_b = 0.1
     fm, _ = _packed_problem(rng, lengths or [11], 6)
-    want, want_active, want_order, want_caches = _alloc_forward(model, fm, lengths, keep=True)
-    for keep in (False, True):
-        got, active, order, caches = _forward(model, fm, lengths, keep)
-        assert got.tobytes() == want.tobytes()
-        assert active == want_active and order.tobytes() == want_order.tobytes()
-        assert len(caches) == (model.n_layers if keep else 0)
-        for cache, ref in zip(caches, want_caches):
-            assert [a.tobytes() for a in cache[:4]] == [a.tobytes() for a in ref]
-            assert cache[4].tobytes() == np.tanh(ref[3]).tobytes()
+    for model in (model, _float32(model)):
+        want, want_active, want_order, want_caches = _alloc_forward(model, fm, lengths, keep=True)
+        for keep in (False, True):
+            got, active, order, caches = _forward(model, fm, lengths, keep)
+            assert got.dtype == model.head_w.dtype and got.tobytes() == want.tobytes()
+            assert active == want_active and order.tobytes() == want_order.tobytes()
+            assert len(caches) == (model.n_layers if keep else 0)
+            for cache, ref in zip(caches, want_caches):
+                assert [a.tobytes() for a in cache[:4]] == [a.tobytes() for a in ref]
+                assert cache[4].tobytes() == np.tanh(ref[3]).tobytes()
 
 
 @pytest.mark.bitwise
@@ -717,29 +790,32 @@ def test_forward_matches_allocating_reference(hidden, case, lengths):
 @pytest.mark.parametrize("case, lengths", _BITWISE_CASES, ids=[c for c, _ in _BITWISE_CASES])
 def test_backward_matches_allocating_reference(hidden, masked, case, lengths):
     """BPTT has the reference's bytes: the loss and every gradient, with
-    and without rows of zero error (``masked``)."""
+    and without rows of zero error (``masked``); for a float64 model and
+    its float32 copy, the gradients in the model's dtype."""
     rng = np.random.default_rng(400 + hidden)
     model = LstmModel.init(6, hidden, rng)
     model.head_b = -0.3
     fm, labels = _packed_problem(rng, lengths or [11], 6)
-    if masked:
-        labels = _zero_error_rows(rng, model, fm, labels, lengths)
-    sse, grads = lstm_backward(model, fm, labels, lengths=lengths)
-    ref_sse, ref = _alloc_backward(model, fm, labels, lengths=lengths)
-    assert np.float64(sse).tobytes() == np.float64(ref_sse).tobytes()
-    assert list(grads) == list(ref)
-    for k in ref:
-        assert grads[k].shape == ref[k].shape and grads[k].tobytes() == ref[k].tobytes(), k
+    for model in (model, _float32(model)):
+        dtype = model.head_w.dtype
+        lab = _zero_error_rows(rng, model, fm, labels, lengths) if masked else labels
+        sse, grads = lstm_backward(model, fm, lab, lengths=lengths)
+        ref_sse, ref = _alloc_backward(model, fm, lab, lengths=lengths)
+        assert np.float64(sse).tobytes() == np.float64(ref_sse).tobytes(), dtype
+        assert list(grads) == list(ref)
+        for k in ref:
+            assert grads[k].dtype == dtype, k
+            assert grads[k].shape == ref[k].shape and grads[k].tobytes() == ref[k].tobytes(), (dtype, k)
 
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("hidden", [3, 16, 64])
 def test_train_matches_allocating_reference(hidden, monkeypatch):
-    """Three epochs of ``train`` from a fresh model and from an initial one
-    have the reference's bytes: every parameter and each train and
-    validation loss. ``train`` leaves the initial model as it was, and the
-    model it returns owns its arrays: none is a view of the flat vector
-    training ran on."""
+    """Three epochs of ``train`` from a fresh model and from an initial one,
+    float64 or float32, have the reference's bytes: every parameter, in
+    float32, and each train and validation loss. ``train`` leaves the
+    initial model as it was, and the model it returns owns its arrays:
+    none is a view of the flat vector training ran on."""
     from gnssweight import nn
 
     rng = np.random.default_rng(500 + hidden)
@@ -753,9 +829,11 @@ def test_train_matches_allocating_reference(hidden, monkeypatch):
     flats = []
     bind = nn._bind_flat
     monkeypatch.setattr(nn, "_bind_flat", lambda m: flats.append(bind(m)) or flats[-1])
-    for start in (None, init):
+    for start in (None, init, _float32(init)):
         model, report = train(train_s, val_s, cfg, init_model=start)
         ref_model, ref_report = _alloc_train(train_s, val_s, cfg, init_model=start)
+        assert flats[-1].dtype == np.float32
+        assert all(a.dtype == np.float32 for _, a in model.param_items())
         assert _model_bytes(model) == _model_bytes(ref_model)
         assert np.array(report.train_losses).tobytes() == np.array(ref_report.train_losses).tobytes()
         assert np.array(report.val_losses).tobytes() == np.array(ref_report.val_losses).tobytes()
@@ -763,4 +841,4 @@ def test_train_matches_allocating_reference(hidden, monkeypatch):
         for _, a in model.param_items():
             assert a.flags.owndata and not np.shares_memory(a, flats[-1])
     assert _model_bytes(init) == init_bytes
-    assert len(flats) == 2
+    assert len(flats) == 3

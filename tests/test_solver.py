@@ -609,6 +609,42 @@ def test_normal_equations_add_in_order():
             assert cost[r].tobytes() == np.float64(cost_r).tobytes(), (b, n, n_const, r)
 
 
+@pytest.mark.bitwise
+def test_predicted_pseudoranges_add_squares_as_a_reduction(monkeypatch):
+    """``predicted_pseudoranges`` has the bits of ``np.linalg.norm``'s
+    arithmetic, ``np.add.reduce`` over the squares' last axis, on the
+    states ``row_report`` (one state) and ``build_residual_matrix`` (a
+    stack of leave-one-out states) pass it, for N from 4 to 30 and one to
+    four clocks, and on stacks of 1 to N states drawn around the fix."""
+    from gnssweight import residuals
+
+    rng = np.random.default_rng(37)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS, ConstellationId.BEIDOU)
+    calls = []
+    predicted = solver.predicted_pseudoranges
+
+    def spy(epoch, x):
+        calls.append((epoch, x.copy()))
+        return predicted(epoch, x)
+
+    monkeypatch.setattr(solver, "predicted_pseudoranges", spy)
+    monkeypatch.setattr(residuals, "predicted_pseudoranges", spy)
+    for n in range(4, 31):
+        epoch, truth = make_epoch(rng, n=n, constellations=consts[: 1 + n % 4], noise_sigma=3.0)
+        solve_wls(epoch, np.ones(n))
+        if n > epoch.state_dim():
+            residuals.build_residual_matrix(epoch)
+        x = state_to_vector(epoch, truth)
+        stack = x + rng.normal(scale=100.0, size=(n, x.size))
+        calls += [(epoch, stack[0]), (epoch, stack[:1]), (epoch, stack[: n // 2]), (epoch, stack)]
+    assert {x.ndim for _, x in calls} == {1, 2}
+    for epoch, x in calls:
+        d = x[..., None, :3] - epoch.sat_array()
+        want = np.sqrt(np.add.reduce(d * d, axis=-1)) + x[..., 3 + epoch.const_index()]
+        got = predicted(epoch, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (epoch.n, x.shape)
+
+
 def _svd_singular(A):
     """The condition test of ``_reference_lm_solve``, for a stack."""
     s = np.linalg.svd(A)[1]
