@@ -4,14 +4,15 @@ This is the hot kernel. ``lm_solve_batch`` runs a stack of B solves in
 lockstep, and row b solves its own problem: every measurement array
 (satellite positions, pseudoranges and clock column indices) carries a
 leading row axis of length B. ``solver.solve_batch`` makes every batched
-call: the leave-one-out rows and fixes, and the weighted strategies, of
-many epochs. A single solve (``lm_solve``) is a stack of one. One numpy
-function, ``_normal_equations``, forms the residuals, the Jacobian, the
-normal matrix, the gradient and the cost at a stack of states; the
-solver calls it wherever it needs any of them. It takes the stack's
-measurements in the layout of ``_layout``, built once per call, with the
-row axis last and the parts that do not change between rounds (the
-clock columns of the Jacobian and their indices) precomputed.
+call: the leave-one-out rows and fixes, the weighted strategies, and
+FDE's exclusion rounds and final solves, of many epochs. A single solve
+(``lm_solve``) is a stack of one. One numpy function,
+``_normal_equations``, forms the residuals, the Jacobian, the normal
+matrix, the gradient and the cost at a stack of states; the solver calls
+it wherever it needs any of them. It takes the stack's measurements in
+the layout of ``_layout``, built once per call, with the row axis last
+and the parts that do not change between rounds (the clock columns of
+the Jacobian and their indices) precomputed.
 
 The largest arrays of a solve are the Jacobian's column-pair products,
 (N, T, B) with T = (d + 1)(d + 2) / 2 pairs for d unknowns (d + 1

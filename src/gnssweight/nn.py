@@ -44,7 +44,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import EmptySplit, MissingTruth, ShapeMismatch, VersionMismatch
-from .geo import SPEED_OF_LIGHT
 from .model import Epoch
 
 CHECKPOINT_VERSION = 1
@@ -328,12 +327,6 @@ def make_labels(epoch: Epoch) -> np.ndarray:
     """Per-row log-sigma targets: log |truth residual|, clamped below."""
     resid, _ = truth_residuals(epoch)
     return np.log(np.maximum(np.abs(resid), LABEL_EPSILON_M))
-
-
-def truth_clock_biases(epoch: Epoch) -> dict:
-    """Equal-weight clock-only fit at the true position, seconds."""
-    _, bias_m = truth_residuals(epoch)
-    return {c: float(b) / SPEED_OF_LIGHT for c, b in zip(epoch.constellations(), bias_m)}
 
 
 def quality_to_weights(quality: np.ndarray) -> np.ndarray:

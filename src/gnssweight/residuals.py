@@ -10,7 +10,7 @@ from . import _kernels
 from .errors import NotEnoughMeasurements
 from .geo import SPEED_OF_LIGHT
 from .model import Epoch
-from .solver import _start, predicted_pseudoranges, solve_batch
+from .solver import epoch_problem, predicted_pseudoranges, solve_batch
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 # Sentinel marking the deliberately excluded measurement (and rows whose
@@ -42,12 +42,10 @@ def _row_groups(epoch: Epoch) -> list:
     A row that excludes the only measurement of a constellation solves
     without that clock column, as the subset epoch would; its weight-0
     measurement is parked on column 0. Rows are grouped by the
-    constellation they drop, in ascending order with "none" first: group
-    k holds the rows excluding ``links``, solved with the clock columns
-    ``kept`` and the measurements' columns ``sub_idx``. An epoch with
-    N <= 3 + n_const has no leave-one-out rows, and no groups; any other
-    has a constellation of two links or more, so its first group drops
-    none, keeps every clock column and has ``sub_idx`` ``const_index()``.
+    constellation they drop: a group holds the rows excluding ``links``,
+    solved with the clock columns ``kept`` and the measurements' columns
+    ``sub_idx``. An epoch with N <= 3 + n_const has no leave-one-out
+    rows, and no groups.
     """
     n_const = epoch.state_dim() - 3
     const_idx = epoch.const_index()
@@ -69,8 +67,8 @@ def solve_rows(epochs) -> list:
 
     Entry e is (fix, groups) of ``epochs[e]``, for ``build_residual_matrix``.
     ``fix`` is the kernel row (x, iterations, status, cost) of the epoch's
-    all-ones problem, its equal-weight fix, which ``solver.row_report``
-    reads.
+    all-ones problem from ``solver.epoch_problem``, its equal-weight fix,
+    which ``solver.row_report`` reads.
     ``groups`` holds one (links, kept, kernel) per row group of
     ``_row_groups``, where ``kernel`` is the group's ``solver.solve_batch``
     output (x, iterations, status, cost) of the rows with weights 1 - I;
@@ -78,36 +76,26 @@ def solve_rows(epochs) -> list:
     (N <= state dimension). Every row is cold-started from
     ``solver._DEFAULT_START``, and all of them go through one
     ``solver.solve_batch`` call, so the output does not depend on how the
-    epochs are split into calls. The fix row leads its epoch's first
-    problem, whose rows keep every clock column; ``solve_batch`` gives
-    every row the bits of a stack of one, so sharing the problem moves
-    no bit.
+    epochs are split into calls.
     """
     groups = [_row_groups(epoch) for epoch in epochs]
     problems = []
     for epoch, epoch_groups in zip(epochs, groups):
-        n, sat, pr, x0 = epoch.n, epoch.sat_array(), epoch.pr_array(), _start(epoch, None)
-        # the fix, an all-ones row on every clock column, with the rows of
-        # the first group, or alone
-        parts = epoch_groups or [(np.empty(0, np.int64), np.arange(epoch.state_dim() - 3), epoch.const_index())]
-        for g, (links, kept, sub_idx) in enumerate(parts):
-            lead = g == 0  # the fix row
-            w = np.ones((lead + links.size, n))
-            w[np.arange(lead, len(w)), links] = 0.0
+        fix = epoch_problem(epoch, np.ones((1, epoch.n)))
+        problems.append(fix)
+        sat, pr, _, _, x0 = fix
+        for links, kept, sub_idx in epoch_groups:
+            w = np.ones((links.size, epoch.n))
+            w[np.arange(links.size), links] = 0.0
             # Subset solves are cold-started on purpose: row n then depends
             # only on the N-1 retained measurements, so perturbing
             # measurement n cannot move its own row even at the last ulp. A
             # warm start from the all-in-view fix would leak the excluded
             # measurement into the iteration path.
-            problems.append((sat, pr, sub_idx, w, np.repeat(x0[None, :3 + kept.size], len(w), 0)))
+            problems.append((sat, pr, sub_idx, w, np.repeat(x0[:, :3 + kept.size], links.size, 0)))
     solved = iter(solve_batch(problems))
-    out = []
-    for g in groups:
-        first = next(solved)
-        rows = [(links, kept, next(solved) if k else tuple(a[1:] for a in first))
-                for k, (links, kept, _) in enumerate(g)]
-        out.append((tuple(a[0] for a in first), rows))
-    return out
+    return [(tuple(a[0] for a in next(solved)), [(links, kept, next(solved)) for links, kept, _ in g])
+            for g in groups]
 
 
 def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:

@@ -46,7 +46,7 @@ from gnssweight.nn import (
     make_labels,
     quality_to_weights,
     train,
-    truth_clock_biases,
+    truth_residuals,
 )
 from gnssweight.residuals import GAMMA, build_residual_matrix
 from gnssweight.sim import ScenarioConfig, generate_campaign, generate_session
@@ -107,7 +107,7 @@ def pipeline():
     for session in dataset.split_sessions("train"):
         for epoch in session.epochs:
             rx_geo = ecef_to_geodetic(epoch.truth)
-            clocks = truth_clock_biases(epoch)
+            clocks = dict(zip(epoch.constellations(), truth_residuals(epoch)[1] / SPEED_OF_LIGHT))
             rng_m = np.linalg.norm(epoch.truth.as_array()[None, :] - epoch.sat_array(), axis=1)
             errs = epoch.pr_array() - rng_m - SPEED_OF_LIGHT * np.array(
                 [clocks[m.constellation] for m in epoch.measurements]
@@ -338,7 +338,7 @@ def test_criterion_06_label_weight_consistency():
     for epoch in epochs:
         labels = make_labels(epoch)
         w = quality_to_weights(labels)
-        clocks = truth_clock_biases(epoch)
+        clocks = dict(zip(epoch.constellations(), truth_residuals(epoch)[1] / SPEED_OF_LIGHT))
         rng_m = np.linalg.norm(epoch.truth.as_array()[None, :] - epoch.sat_array(), axis=1)
         errs = epoch.pr_array() - rng_m - SPEED_OF_LIGHT * np.array(
             [clocks[m.constellation] for m in epoch.measurements]

@@ -207,11 +207,11 @@ def test_truth_weight_strategy_uses_labels(rng):
 def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     # every strategy shares the epoch's equal-weight all-in-view fix, so
     # the kernel sees exactly one cold-started all-ones solve per epoch,
-    # whether as a single solve or as a row of a batch (the fix rides in
-    # the leave-one-out batch); leave-one-out subsets and FDE's later
-    # rounds solve other problems. A batch row may be padded to the call's
-    # N with zero-weight links, so it counts for the pr of its all-ones
-    # prefix.
+    # whether as a single solve or as a row of a batch (the fix is its own
+    # problem in the leave-one-out batch); leave-one-out subsets and FDE's
+    # later rounds solve other problems. A batch row may be padded to the
+    # call's N with zero-weight links, so it counts for the pr of its
+    # all-ones prefix.
     cfg = ScenarioConfig(profile="urban_canyon", seed=3, duration_s=1.0)  # N = 12
     epochs, truth = generate_session(cfg, session_id="u")
     session = Session("u", "urban_canyon", "test", epochs, truth)
@@ -242,8 +242,8 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
 
     monkeypatch.setattr(_kernels, "lm_solve", counting)
     monkeypatch.setattr(_kernels, "lm_solve_batch", counting_batch)
-    # with a learned strategy the fix is a row of the leave-one-out batch;
-    # without one, a row of the batch of fixes
+    # with a learned strategy the fix is a problem of the leave-one-out
+    # batch; without one, a problem of the batch of fixes
     for strategies in (STRATEGIES, ("equal", "fde_sota")):
         solves.clear()
         records = evaluate_session(session, strategies, models)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gnssweight.errors import EmptySplit, MissingTruth, ShapeMismatch, VersionMismatch
+from gnssweight.geo import SPEED_OF_LIGHT
 from gnssweight.nn import (
     LABEL_EPSILON_M,
     WEIGHT_CEIL,
@@ -21,7 +22,7 @@ from gnssweight.nn import (
     quality_to_weights,
     save_checkpoint,
     train,
-    truth_clock_biases,
+    truth_residuals,
 )
 from conftest import make_epoch
 
@@ -287,7 +288,7 @@ def test_labels_require_truth(rng):
 
 def test_truth_clock_biases_recovers_simulated_clock(rng):
     epoch, truth = make_epoch(rng, n=8)
-    fitted = truth_clock_biases(epoch)
+    fitted = dict(zip(epoch.constellations(), truth_residuals(epoch)[1] / SPEED_OF_LIGHT))
     for c, b in truth.clock_bias.items():
         assert fitted[c] == pytest.approx(b, abs=1e-15)
 

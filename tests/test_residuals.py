@@ -463,11 +463,16 @@ def _kernel_rows_bytes(kernel):
 def test_solve_rows_hands_the_kernel_the_reference_calls(monkeypatch):
     """``solve_rows`` on the residual corpus, all epochs at once (mixed N
     padded into calls cut at ``MAX_ROWS_PER_CALL``, rows that drop a
-    constellation) and a few epochs one at a time (calls without padding):
-    every kernel call has the reference's arguments, byte for byte, and
-    every epoch the reference's fix and groups."""
+    constellation) and a few epochs one at a time (calls without padding),
+    each time with epochs whose entry is the fix alone (N below and at the
+    state dimension): every kernel call has the reference's arguments,
+    byte for byte, and every epoch the reference's fix and groups."""
     epochs = [epoch for _k, epoch, _cap in _corpus()]
-    for batch in (epochs, *([e] for e in epochs[:12])):
+    rng = np.random.default_rng(516)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
+    fix_only = [make_epoch(rng, n=n, constellations=consts[:n_const], noise_sigma=2.0)[0]
+                for n_const in (1, 2, 3) for n in (n_const + 2, n_const + 3)]
+    for batch in ([*epochs, *fix_only], *([e] for e in [*epochs[:12], *fix_only])):
         got, calls = _kernel_calls(monkeypatch, residuals.solve_rows, batch)
         want, want_calls = _kernel_calls(monkeypatch, _reference_solve_rows, batch)
         assert calls == want_calls

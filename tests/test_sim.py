@@ -8,7 +8,7 @@ from gnssweight import sim
 from gnssweight.errors import ConfigInvalid
 from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, ecef_to_geodetic
 from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
-from gnssweight.nn import truth_clock_biases
+from gnssweight.nn import truth_residuals
 from gnssweight.sim import (
     ORBIT_PERIOD_S,
     PROFILES,
@@ -67,7 +67,7 @@ def test_noise_free_session_is_self_consistent(quiet):
     for k, epoch in enumerate(epochs):
         assert epoch.truth is not None
         assert epoch.truth.as_array() == pytest.approx(truth.positions[k].as_array())
-        clocks = truth_clock_biases(epoch)
+        clocks = dict(zip(epoch.constellations(), truth_residuals(epoch)[1] / SPEED_OF_LIGHT))
         rx = epoch.truth.as_array()
         for m in epoch.measurements:
             rng_m = np.linalg.norm(rx - m.sat_pos.as_array())
@@ -99,7 +99,7 @@ def test_fault_bookkeeping_matches_bias_construction(quiet):
     epochs, truth = generate_session(cfg)
     n_flagged = 0
     for k, epoch in enumerate(epochs):
-        clocks = truth_clock_biases(epoch)
+        clocks = dict(zip(epoch.constellations(), truth_residuals(epoch)[1] / SPEED_OF_LIGHT))
         flags = truth.fault_flags[k]
         biases = truth.fault_biases[k]
         assert len(flags) == epoch.n == len(biases)
