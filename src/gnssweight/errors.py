@@ -13,10 +13,6 @@ class ZeroRange(GnssWeightError):
     """Satellite and receiver positions coincide."""
 
 
-class MissingClockBias(GnssWeightError):
-    """NavState has no clock bias entry for the measurement's constellation."""
-
-
 class MissingTruth(GnssWeightError):
     """Operation requires a ground-truth position the epoch does not carry."""
 

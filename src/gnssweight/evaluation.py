@@ -229,7 +229,8 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
             if strategy in ws:
                 records.append(_weighted_record(epoch, strategy, ws[strategy], kernel_rows[strategy]))
             elif strategy == "fde_sota" and k in fde:
-                records.append(_record(epoch, strategy, fde[k].report.state, True, len(fde[k].excluded)))
+                rep = fde[k].report
+                records.append(_record(epoch, strategy, rep.state, rep.converged, len(fde[k].excluded)))
             else:  # a learned strategy on an epoch without features, or a failed FDE
                 records.append(_record(epoch, strategy))
     return records

@@ -6,16 +6,19 @@ an (N, 6) array, one row per link in canonical order, with the columns
 and length of the link's C/N0 window). ``featurize`` appends it to the
 leave-one-out summaries as it is.
 
-The tracker keeps one window of recent C/N0 values per link. Each epoch
-it groups the links' windows by length, stacks each group into a (k, L)
-array and takes every window's mean, and for L >= 2 its variance
-(ddof=1), in one reduction along the rows, with the arithmetic of
-``np.mean`` and ``np.var``. That keeps each link's bits: numpy sums a
-contiguous row pairwise, by a tree that depends only on the row's length
-(Higham, "The accuracy of floating point summation", SIAM J. Sci.
-Comput. 14(4), 1993), so a row of the stack is summed exactly as the
-window alone would be. Padding the windows to one common length would
-change that tree.
+The tracker keeps one window of recent C/N0 values per link. A link keeps
+its window when the tracker saw it in one of its last two epochs, so it
+may miss one epoch; after a longer gap its window starts afresh. Gaps are
+counted in the tracker's epochs, not in seconds, so the rule holds at
+every data rate. Each epoch it groups the links' windows by length,
+stacks each group into a (k, L) array and takes every window's mean, and
+for L >= 2 its variance (ddof=1), in one reduction along the rows, with
+the arithmetic of ``np.mean`` and ``np.var``. That keeps each link's
+bits: numpy sums a contiguous row pairwise, by a tree that depends only
+on the row's length (Higham, "The accuracy of floating point summation",
+SIAM J. Sci. Comput. 14(4), 1993), so a row of the stack is summed
+exactly as the window alone would be. Padding the windows to one common
+length would change that tree.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ WINDOW_CAPACITY = 10
 # Variance reported for a single-entry window ("no history yet"), chosen
 # far above any realistic C/N0 variance.
 VARIANCE_SENTINEL = 1e4
-# A link absent for longer than this loses its window (two nominal 5 Hz
-# periods); the window semantics assume consecutive epochs.
-CONTINUITY_HORIZON = 0.4
 
 PER_LINK_COLUMNS = ("elevation", "lock_time", "cn0", "cn0_mean", "cn0_var", "window_size")
 N_PER_LINK_FEATURES = len(PER_LINK_COLUMNS)
@@ -49,7 +49,8 @@ class TrackingHistory:
 
     def __init__(self):
         self._windows: dict[tuple, deque] = {}
-        self._seen: dict[tuple, float] = {}  # each link's last epoch time
+        self._seen: dict[tuple, int] = {}  # the index of each link's last epoch
+        self._epochs = 0  # epochs tracked so far
         self._last_time: float | None = None
 
     def update_and_extract(self, epoch: Epoch, rx_approx: GeodeticPosition) -> np.ndarray:
@@ -59,15 +60,16 @@ class TrackingHistory:
         if self._last_time is not None and t < self._last_time:
             raise NonMonotonicTime(f"epoch time {t} precedes last seen {self._last_time}")
         self._last_time = t
+        k = self._epochs = self._epochs + 1
 
         ms = epoch.measurements
         windows = []
         for m in ms:
             key = m.key
             win = self._windows.get(key)
-            if win is None or t - self._seen[key] > CONTINUITY_HORIZON:
+            if win is None or k - self._seen[key] > 2:  # not in the last two epochs
                 win = self._windows[key] = deque(maxlen=WINDOW_CAPACITY)
-            self._seen[key] = t
+            self._seen[key] = k
             win.append(m.cn0)
             windows.append(win)
 

@@ -132,7 +132,6 @@ class EpochFeaturizer:
 
     def __init__(self):
         self.history = TrackingHistory()
-        self.skipped = 0
         self.fix: SolveReport | None = None
 
     def featurize(self, epoch: Epoch, rows=None) -> np.ndarray | None:
@@ -144,7 +143,6 @@ class EpochFeaturizer:
             per_link = self.history.update_and_extract(epoch, ecef_to_geodetic(fix.state.position))
             if rows[1]:
                 return assemble_feature_matrix(build_residual_matrix(epoch, rows), per_link)
-        self.skipped += 1
         return None
 
 

@@ -1,15 +1,13 @@
-"""Measurement/state data model and the pseudorange observation function."""
+"""Measurement/state data model."""
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import MissingClockBias
-from .geo import SPEED_OF_LIGHT, EcefPosition
+from .geo import EcefPosition
 
 
 class ConstellationId(enum.IntEnum):
@@ -130,17 +128,3 @@ class Epoch:
         order = {c: k for k, c in enumerate(self.constellations())}
         return np.array([order[m.constellation] for m in self.measurements], dtype=np.int64)
 
-
-def observation_function(state: NavState, m: PseudorangeMeasurement) -> float:
-    """Predicted pseudorange: geometric range plus c times the clock bias."""
-    if m.constellation not in state.clock_bias:
-        raise MissingClockBias(f"no clock bias for {m.constellation.name}")
-    dx = state.position.x - m.sat_pos.x
-    dy = state.position.y - m.sat_pos.y
-    dz = state.position.z - m.sat_pos.z
-    return math.sqrt(dx * dx + dy * dy + dz * dz) + SPEED_OF_LIGHT * state.clock_bias[m.constellation]
-
-
-def residual(state: NavState, m: PseudorangeMeasurement) -> float:
-    """Measured minus predicted pseudorange."""
-    return m.pseudorange - observation_function(state, m)

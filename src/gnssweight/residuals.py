@@ -101,15 +101,15 @@ def solve_rows(epochs) -> list:
 def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     """Tabulate the residuals of each N-1 subset's equal-weight solve.
 
-    Row n is ``solver.equal_weight_fix`` on the epoch without measurement
-    n, bit for bit. ``rows`` is the epoch's entry of ``solve_rows``, whose
-    kernel outputs the matrix is assembled from; without it the epoch's
-    rows are solved here, as ``solve_rows([epoch])``. Rows whose subset
-    geometry is degenerate are filled with GAMMA and listed in
-    ``failed_rows`` so downstream consumers see a consistent sentinel
-    instead of a hard failure; a row whose solve hits the iteration cap
-    keeps its iterate, as the fix does. An epoch without leave-one-out
-    rows (no ``_row_groups``) raises NotEnoughMeasurements.
+    Row n is the cold equal-weight ``solve_wls`` of the epoch without
+    measurement n, bit for bit. ``rows`` is the epoch's entry of
+    ``solve_rows``, whose kernel outputs the matrix is assembled from;
+    without it the epoch's rows are solved here, as ``solve_rows([epoch])``.
+    Rows whose subset geometry is degenerate are filled with GAMMA and
+    listed in ``failed_rows`` so downstream consumers see a consistent
+    sentinel instead of a hard failure; a row whose solve hits the
+    iteration cap keeps its iterate, as the fix does. An epoch without
+    leave-one-out rows (no ``_row_groups``) raises NotEnoughMeasurements.
     """
     n = epoch.n
     if rows is None:

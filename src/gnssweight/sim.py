@@ -119,9 +119,6 @@ class SessionTruth:
     fault_flags: list = field(default_factory=list)  # list[bool] per epoch, canonical order
     fault_biases: list = field(default_factory=list)  # list[float] per epoch, canonical order
 
-    def epochs_with_fault(self) -> int:
-        return sum(1 for flags in self.fault_flags if any(flags))
-
 
 def nlos_probability(knots, elevation: float) -> float:
     """Piecewise-linear interpolation of an NLOS probability curve whose

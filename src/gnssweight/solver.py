@@ -250,19 +250,3 @@ def solve_batch(problems) -> list:
         first[d], r0 = a + kj, r1
     return out
 
-
-def equal_weight_fix(epoch: Epoch, active: np.ndarray | None = None) -> SolveReport:
-    """Cold-start equal-weight fix over the ``active`` measurements (all by default).
-
-    A NonConvergence report counts as the fix; NotEnoughMeasurements and
-    SingularGeometry propagate. Every other fix in the package is a
-    ``solve_batch`` row read by ``row_report``, with the same bits and
-    rule: each epoch's all-ones problem in ``residuals.solve_rows``,
-    ``evaluation``'s fixes when no learned strategy runs and FDE's rounds.
-    This single solve is the reference the tests compare them with.
-    """
-    w = np.ones(epoch.n) if active is None else np.asarray(active, dtype=float)
-    try:
-        return solve_wls(epoch, w)
-    except NonConvergence as e:
-        return e.report

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnssweight.errors import ZeroRange
+from gnssweight.errors import NonConvergence, ZeroRange
 from gnssweight.geo import (
     SPEED_OF_LIGHT,
     EcefPosition,
@@ -13,6 +13,39 @@ from gnssweight.geo import (
     geodetic_to_ecef,
 )
 from gnssweight.model import Band, ConstellationId, Epoch, NavState, PseudorangeMeasurement
+from gnssweight.solver import SolveReport, solve_wls
+
+
+def observation_function(state: NavState, m: PseudorangeMeasurement) -> float:
+    """Predicted pseudorange of one measurement: geometric range plus c times
+    the clock bias of its constellation, a KeyError when ``state`` has none.
+    The scalar reference for ``solver.predicted_pseudoranges``."""
+    dx = state.position.x - m.sat_pos.x
+    dy = state.position.y - m.sat_pos.y
+    dz = state.position.z - m.sat_pos.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz) + SPEED_OF_LIGHT * state.clock_bias[m.constellation]
+
+
+def residual(state: NavState, m: PseudorangeMeasurement) -> float:
+    """Measured minus predicted pseudorange."""
+    return m.pseudorange - observation_function(state, m)
+
+
+def reference_fix(epoch: Epoch, active=None) -> SolveReport:
+    """Cold-start equal-weight fix over the ``active`` measurements (all by
+    default), as one ``solve_wls``.
+
+    A NonConvergence report counts as the fix; NotEnoughMeasurements and
+    SingularGeometry propagate. Every fix in the package is a
+    ``solver.solve_batch`` row read by ``solver.row_report``, with the same
+    bits and rule: each epoch's all-ones problem in ``residuals.solve_rows``,
+    ``evaluation``'s fixes when no learned strategy runs and FDE's rounds.
+    """
+    w = np.ones(epoch.n) if active is None else np.asarray(active, dtype=float)
+    try:
+        return solve_wls(epoch, w)
+    except NonConvergence as e:
+        return e.report
 
 
 def reference_elevation_azimuth(sat: EcefPosition, rx: GeodeticPosition) -> tuple[float, float]:

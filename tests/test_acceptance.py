@@ -29,14 +29,7 @@ from gnssweight.geo import (
     ecef_to_geodetic,
     geodetic_to_ecef,
 )
-from gnssweight.model import (
-    Band,
-    ConstellationId,
-    Epoch,
-    NavState,
-    PseudorangeMeasurement,
-    observation_function,
-)
+from gnssweight.model import Band, ConstellationId, Epoch, NavState, PseudorangeMeasurement
 from gnssweight.nn import (
     LABEL_EPSILON_M,
     LstmModel,
@@ -51,7 +44,7 @@ from gnssweight.nn import (
 from gnssweight.residuals import GAMMA, build_residual_matrix
 from gnssweight.sim import ScenarioConfig, generate_campaign, generate_session
 from gnssweight.solver import jacobian, predicted_pseudoranges, solve_wls, state_to_vector
-from conftest import make_epoch, reference_elevation_azimuth
+from conftest import make_epoch, observation_function, reference_elevation_azimuth
 
 _CONSTS = (
     ConstellationId.GPS,
@@ -395,7 +388,7 @@ def test_criterion_07_sliding_window_properties(rng):
 
 def test_criterion_08_oracle_weight_dominance(pipeline):
     dataset = pipeline["dataset"]
-    faulted = sum(s.truth.epochs_with_fault() for s in dataset.sessions)
+    faulted = sum(any(f) for s in dataset.sessions for f in s.truth.fault_flags)
     total = sum(len(s.epochs) for s in dataset.sessions)
     assert len(dataset.sessions) == 30
     assert faulted / total >= 0.20

@@ -18,7 +18,7 @@ from gnssweight.baselines import (
 from gnssweight.cli import _calibration_samples
 from gnssweight.errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements
 from gnssweight.sim import generate_campaign
-from conftest import make_epoch
+from conftest import make_epoch, reference_fix
 
 
 def test_cn0_linear():
@@ -208,12 +208,12 @@ def _assert_same_fde(a, b):
 
 def _reference_fde(epoch, cfg, params, fix=None):
     """FDE as one epoch's own loop of single solves, each round an
-    ``equal_weight_fix`` and the final solve a ``solve_wls``: the reference
+    ``reference_fix`` and the final solve a ``solve_wls``: the reference
     that ``fde_solve_batch`` matches bit for bit."""
     from gnssweight.baselines import FdeResult
     from gnssweight.errors import NonConvergence
     from gnssweight.geo import ecef_to_geodetic, elevation_angles
-    from gnssweight.solver import equal_weight_fix, jacobian, solve_wls
+    from gnssweight.solver import jacobian, solve_wls
 
     n = epoch.n
     min_keep = max(cfg.min_retained, epoch.state_dim())
@@ -221,7 +221,7 @@ def _reference_fde(epoch, cfg, params, fix=None):
         raise NotEnoughMeasurements(f"N={n} below min retained {min_keep} + 1")
     active = np.ones(n, dtype=bool)
     excluded = []
-    rep = fix if fix is not None else equal_weight_fix(epoch)
+    rep = fix if fix is not None else reference_fix(epoch)
     while True:
         state = rep.state
         if int(active.sum()) <= min_keep or len(excluded) >= cfg.max_exclusions:
@@ -237,7 +237,7 @@ def _reference_fde(epoch, cfg, params, fix=None):
         active_idx = np.flatnonzero(active)
         excluded.append(int(active_idx[worst]))
         active[active_idx[worst]] = False
-        rep = equal_weight_fix(epoch, active)
+        rep = reference_fix(epoch, active)
 
     survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
     thetas = elevation_angles(epoch.sat_array()[active], ecef_to_geodetic(state.position))
@@ -260,7 +260,6 @@ def _one_link_constellation_epoch(rng):
     from dataclasses import replace
 
     from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
-    from gnssweight.solver import equal_weight_fix
 
     epoch, _ = make_epoch(rng, n=11, constellations=(ConstellationId.GPS,), noise_sigma=1.0)
     base = epoch.measurements[0]
@@ -268,7 +267,7 @@ def _one_link_constellation_epoch(rng):
                                  epoch.measurements[3].sat_pos, 40.0, 1.0)
     epoch = Epoch(time=0.0, measurements=[*epoch.measurements, one], truth=epoch.truth)
     link = next(i for i, m in enumerate(epoch.measurements) if m.constellation == ConstellationId.GALILEO)
-    fix = equal_weight_fix(epoch)
+    fix = reference_fix(epoch)
     r = fix.post_fit_residuals.copy()
     r[link] = 1e3
     return epoch, replace(fix, post_fit_residuals=r)
@@ -295,7 +294,6 @@ def test_lockstep_fde_matches_per_epoch_loop(rng, monkeypatch):
     from gnssweight.baselines import fde_solve_batch
     from gnssweight.errors import GnssWeightError
     from gnssweight.model import ConstellationId as C
-    from gnssweight.solver import equal_weight_fix
 
     cfg = FdeConfig(noise_sigma_m=1.0, max_exclusions=2, min_retained=5)
     skies = ((C.GPS,), (C.GPS, C.GALILEO), (C.GPS, C.GALILEO, C.GLONASS))
@@ -307,7 +305,7 @@ def test_lockstep_fde_matches_per_epoch_loop(rng, monkeypatch):
         biases = {int(i): float(rng.choice([-1.0, 1.0]) * rng.uniform(30.0, 120.0)) for i in faults}
         epoch, _ = make_epoch(rng, n=n, constellations=consts, noise_sigma=1.0, biases=biases)
         epochs.append(epoch)
-        fixes.append(equal_weight_fix(epoch) if k % 2 else None)
+        fixes.append(reference_fix(epoch) if k % 2 else None)
     epoch, fix = _one_link_constellation_epoch(rng)
     epochs.append(epoch)
     fixes.append(fix)

@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import math
 
@@ -27,7 +28,7 @@ from gnssweight.featurize import N_FEATURES, N_RESIDUAL_SUMMARY, FeatureNormaliz
 from gnssweight.geo import EcefPosition, GeodeticPosition, enu_rotation, geodetic_to_ecef
 from gnssweight.nn import LstmModel
 from gnssweight.sim import ScenarioConfig, generate_session
-from conftest import make_epoch
+from conftest import make_epoch, reference_fix
 
 
 def test_position_errors_trivials():
@@ -253,7 +254,7 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
 
 def _reference_records(session, strategies, models):
     """``evaluate_session`` with every solve its own: the shared fix from
-    ``equal_weight_fix``, one ``solve_wls`` per weighted strategy, and FDE
+    ``reference_fix``, one ``solve_wls`` per weighted strategy, and FDE
     solving each of its rounds."""
     from gnssweight.baselines import fde_solve
     from gnssweight.errors import GnssWeightError, NonConvergence, NotEnoughMeasurements, SingularGeometry
@@ -273,7 +274,7 @@ def _reference_records(session, strategies, models):
             return ErrorRecord(epoch.session_id, epoch.time, strategy, nan, nan, False, epoch.n, n_zero)
 
         try:
-            fix = solver.equal_weight_fix(epoch)
+            fix = reference_fix(epoch)
         except (NotEnoughMeasurements, SingularGeometry):
             fix = None
         fm = None
@@ -293,8 +294,8 @@ def _reference_records(session, strategies, models):
                     out.append(failed(strategy))
                     continue
                 h, v = position_errors(res.report.state, epoch.truth)
-                out.append(ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, True, epoch.n,
-                                       len(res.excluded)))
+                out.append(ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, res.report.converged,
+                                       epoch.n, len(res.excluded)))
                 continue
             if strategy == "equal":
                 w = np.ones(epoch.n)
@@ -364,6 +365,36 @@ def test_batched_records_match_per_strategy_solves():
     fde = [r for r in got if r.strategy == "fde_sota"]
     assert sum(r.n_zero_weight > 0 for r in fde) >= 4  # FDE excluded links
     assert sum(not r.converged for r in got) >= 8  # the sparse epochs fail
+
+
+def test_capped_fde_final_solve_is_recorded_unconverged(monkeypatch, tmp_path):
+    """An FDE whose final solve stops at the iteration cap keeps that
+    solve's iterate and is recorded unconverged, as a capped weighted
+    solve is: ``converged`` False in its record and 0 in ``errors.csv``."""
+    from gnssweight.baselines import fde_solve
+    from gnssweight.errors import GnssWeightError
+
+    session = Session("m", "urban_canyon", "test", _mixed_epochs(), None)
+    models = _tiny_models()
+    monkeypatch.setattr(_kernels, "MAX_ITERATIONS", 2)
+    records = evaluate_session(session, ("fde_sota",), models)
+    capped = []  # indices of the records whose final solve hit the cap
+    for k, (epoch, record) in enumerate(zip(session.epochs, records)):
+        try:
+            res = fde_solve(epoch, models.fde_cfg, models.sota)
+        except GnssWeightError:
+            assert not record.converged and math.isnan(record.h_err_m)
+            continue
+        h, _ = position_errors(res.report.state, epoch.truth)
+        assert (record.h_err_m, record.converged) == (h, res.report.converged)
+        if not res.report.converged:
+            capped.append(k)
+    assert len(capped) >= 3
+    path = tmp_path / "errors.csv"
+    write_error_csv(records, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [rows[k]["converged"] for k in capped] == ["0"] * len(capped)
 
 
 def test_cross_epoch_records_match_per_session_reference(monkeypatch):

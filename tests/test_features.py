@@ -7,7 +7,6 @@ import pytest
 
 from gnssweight.errors import NonMonotonicTime
 from gnssweight.features import (
-    CONTINUITY_HORIZON,
     N_PER_LINK_FEATURES,
     PER_LINK_COLUMNS,
     VARIANCE_SENTINEL,
@@ -91,18 +90,16 @@ def test_window_capacity_evicts_oldest(rng):
 
 
 def test_gap_resets_window(rng):
+    """A link keeps its window across one epoch of the tracker that misses
+    it and loses it after two, however far apart the epochs are."""
     epoch0, truth = make_epoch(rng, n=6, constellations=(ConstellationId.GPS,))
     ref = ecef_to_geodetic(truth.position)
     hist = TrackingHistory()
-    e1 = Epoch(time=0.0, measurements=epoch0.measurements)
-    hist.update_and_extract(e1, ref)
-    # a gap beyond the horizon drops history; one within keeps it
-    e2 = Epoch(time=CONTINUITY_HORIZON + 0.01, measurements=epoch0.measurements)
-    out = hist.update_and_extract(e2, ref)
-    assert all(out[:, WINDOW_SIZE] == 1)
-    e3 = Epoch(time=e2.time + CONTINUITY_HORIZON, measurements=epoch0.measurements)
-    out = hist.update_and_extract(e3, ref)
-    assert all(out[:, WINDOW_SIZE] == 2)
+    ms = epoch0.measurements
+    seen = [ms, ms[3:], ms, ms[3:], ms[3:], ms]  # the first three links miss one epoch, then two
+    sizes = [hist.update_and_extract(Epoch(time=10.0 * k, measurements=m), ref)[:, WINDOW_SIZE].tolist()
+             for k, m in enumerate(seen)]
+    assert sizes == [[1] * 6, [2] * 3, [2, 2, 2, 3, 3, 3], [4] * 3, [5] * 3, [1, 1, 1, 6, 6, 6]]
 
 
 def test_links_are_isolated(rng):
@@ -110,13 +107,14 @@ def test_links_are_isolated(rng):
     ref = ecef_to_geodetic(truth.position)
     hist = TrackingHistory()
     hist.update_and_extract(Epoch(time=0.0, measurements=epoch0.measurements), ref)
-    # next epoch drops half the satellites; survivors keep their windows
+    # the next two epochs drop half the satellites; survivors keep their windows
     kept = epoch0.measurements[:3]
-    out = hist.update_and_extract(Epoch(time=0.2, measurements=kept), ref)
-    assert all(out[:, WINDOW_SIZE] == 2)
-    # the dropped links return after the horizon and start fresh
-    out = hist.update_and_extract(Epoch(time=1.0, measurements=epoch0.measurements), ref)
-    assert all(out[:, WINDOW_SIZE] == 1)
+    for k in (1, 2):
+        out = hist.update_and_extract(Epoch(time=0.2 * k, measurements=kept), ref)
+        assert all(out[:, WINDOW_SIZE] == k + 1)
+    # the dropped links return after missing two epochs and start fresh
+    out = hist.update_and_extract(Epoch(time=0.6, measurements=epoch0.measurements), ref)
+    assert out[:, WINDOW_SIZE].tolist() == [4, 4, 4, 1, 1, 1]
 
 
 def test_non_monotonic_time_rejected(rng):
@@ -163,7 +161,7 @@ def test_random_replay_against_reference(rng):
     ref = ecef_to_geodetic(truth.position)
     hist = TrackingHistory()
     log = {m.key: [] for m in epoch0.measurements}
-    t = 0.0
+    t, tracked = 0.0, 0  # the time and the number of epochs the tracker has seen
     for k in range(40):
         t += rng.choice([0.2, 0.2, 0.2, 1.0])  # occasional dropouts
         present = [m for m in epoch0.measurements if rng.random() > 0.2]
@@ -184,14 +182,16 @@ def test_random_replay_against_reference(rng):
         ]
         ep = Epoch(time=t, measurements=ms)
         out = hist.update_and_extract(ep, ref)
+        tracked += 1
         for m in ep.measurements:
-            log[m.key].append((t, cn0s[m.key]))
+            log[m.key].append((tracked, cn0s[m.key]))
         for f, m in zip(out, ep.measurements):
-            # reference window: walk history backwards while consecutive
+            # reference window: walk history backwards while no two of the
+            # tracker's epochs in a row miss the link
             entries = log[m.key]
             win = [entries[-1]]
             for prev, cur in zip(reversed(entries[:-1]), reversed(entries)):
-                if cur[0] - prev[0] > CONTINUITY_HORIZON or len(win) == WINDOW_CAPACITY:
+                if cur[0] - prev[0] > 2 or len(win) == WINDOW_CAPACITY:
                     break
                 win.append(prev)
             vals = np.array([v for _, v in reversed(win)])  # oldest first, as the window holds them
@@ -215,16 +215,18 @@ class _PerLinkReference:
     record is (elevation, lock time, C/N0, mean, variance, window size)."""
 
     def __init__(self):
-        self._windows = {}
+        self._windows = {}  # each link's window of (epoch number, C/N0)
+        self._epochs = 0
 
     def update_and_extract(self, epoch, rx_approx):
         elevations = [reference_elevation_azimuth(m.sat_pos, rx_approx)[0] for m in epoch.measurements]
+        self._epochs += 1
         out = []
         for m, elev in zip(epoch.measurements, elevations):
             win = self._windows.setdefault(m.key, deque(maxlen=WINDOW_CAPACITY))
-            if win and epoch.time - win[-1][0] > CONTINUITY_HORIZON:
+            if win and self._epochs - win[-1][0] > 2:  # missed by the last two epochs
                 win.clear()
-            win.append((epoch.time, m.cn0))
+            win.append((self._epochs, m.cn0))
             values = np.array([v for _, v in win])
             var = float(values.var(ddof=1)) if len(values) >= 2 else VARIANCE_SENTINEL
             out.append((elev, m.lock_time, m.cn0, float(values.mean()), var, len(values)))
@@ -234,11 +236,11 @@ class _PerLinkReference:
 @pytest.mark.bitwise
 @pytest.mark.parametrize("seed", range(4))
 def test_window_statistics_match_per_link_reference(seed):
-    """Random replays of 18 links with dropouts and gaps past the continuity
-    horizon, so that windows of every length from 1 to WINDOW_CAPACITY
-    occur, several lengths in one epoch: every column of the block has the
-    bytes of the per-link reference's field, and every row the bytes of
-    its record."""
+    """Random replays of 18 links with dropouts, some longer than the one
+    epoch a window survives, so that windows of every length from 1 to
+    WINDOW_CAPACITY occur, several lengths in one epoch: every column of the
+    block has the bytes of the per-link reference's field, and every row
+    the bytes of its record."""
     rng = np.random.default_rng(2000 + seed)
     consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS)
     epoch0, truth = make_epoch(rng, n=18, constellations=consts)

@@ -5,7 +5,7 @@ from gnssweight import solver
 from gnssweight.dataio import Dataset, Session
 from gnssweight.errors import EmptySplit
 from gnssweight.nn import make_labels
-from gnssweight.features import TrackingHistory
+from gnssweight.features import PER_LINK_COLUMNS, VARIANCE_SENTINEL, WINDOW_CAPACITY, TrackingHistory
 from gnssweight.featurize import (
     N_FEATURES,
     N_RESIDUAL_SUMMARY,
@@ -22,7 +22,7 @@ from gnssweight.featurize import (
 from gnssweight.geo import ecef_to_geodetic
 from gnssweight.model import ConstellationId, Epoch
 from gnssweight.residuals import GAMMA, ResidualMatrix, build_residual_matrix
-from gnssweight.sim import ScenarioConfig, generate_session
+from gnssweight.sim import ScenarioConfig, generate_campaign, generate_session
 from conftest import make_epoch
 
 
@@ -100,7 +100,20 @@ def test_featurizer_skips_unusable_epochs(rng):
     small, _ = make_epoch(rng, n=5)
     fz = EpochFeaturizer()
     assert fz.featurize(small) is None
-    assert fz.skipped == 1
+
+
+@pytest.mark.parametrize("rate_hz", [1.0, 2.0])
+def test_windows_grow_at_low_data_rates(rate_hz):
+    """A link tracked from epoch to epoch grows its C/N0 window up to
+    WINDOW_CAPACITY at 1 and 2 Hz too, so the window mean and variance carry
+    its history wherever a window holds two values or more."""
+    dataset = generate_campaign(["suburban"], 3, seed=5, epochs_per_session=12, rate_hz=rate_hz)
+    featurized = featurize_sessions([s.epochs for s in dataset.sessions])
+    per_link = np.vstack([fm for fm, _ in featurized if fm is not None])[:, N_RESIDUAL_SUMMARY:]
+    size = per_link[:, PER_LINK_COLUMNS.index("window_size")]
+    var = per_link[:, PER_LINK_COLUMNS.index("cn0_var")]
+    assert size.max() == WINDOW_CAPACITY
+    assert np.array_equal(var < VARIANCE_SENTINEL, size >= 2)
 
 
 def test_fit_normalization_empty_split_is_named():
@@ -147,9 +160,10 @@ def test_dataset_samples_matches_per_epoch_featurization(monkeypatch):
             fz = EpochFeaturizer()
             for epoch in session.epochs:
                 fm = fz.featurize(epoch)
-                if fm is not None:
+                if fm is None:
+                    skipped += 1
+                else:
                     expect[session.split].append((fm, make_labels(epoch)))
-            skipped += fz.skipped
     assert skipped > 0 and len(expect["train"]) > 0
 
     monkeypatch.setattr(solver, "MAX_ROWS_PER_CALL", 7)

@@ -10,13 +10,12 @@ from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasuremen
 from gnssweight.residuals import GAMMA, build_residual_matrix
 from gnssweight.solver import (
     _DEFAULT_START,
-    equal_weight_fix,
     predicted_pseudoranges,
     row_report,
     solve_wls,
     state_to_vector,
 )
-from conftest import assert_same_fix, make_epoch
+from conftest import assert_same_fix, make_epoch, reference_fix
 
 
 def test_shape_and_diagonal(rng):
@@ -113,7 +112,7 @@ def test_too_few_links_have_a_fix_and_no_groups(rng):
     assert epoch.n == epoch.state_dim()
     fix, groups = residuals.solve_rows([epoch])[0]
     assert groups == []
-    assert_same_fix(row_report(epoch, *fix), equal_weight_fix(epoch))
+    assert_same_fix(row_report(epoch, *fix), reference_fix(epoch))
 
 
 def test_permutation_equivariance(rng):
@@ -167,7 +166,7 @@ def _subset_row(epoch, row):
         measurements=[m for i, m in enumerate(epoch.measurements) if i != row],
     )
     try:
-        rep = equal_weight_fix(sub)
+        rep = reference_fix(sub)
     except SingularGeometry:
         return None
     res = epoch.pr_array() - predicted_pseudoranges(epoch, state_to_vector(epoch, rep.state))
@@ -177,7 +176,7 @@ def _subset_row(epoch, row):
 
 def _fix_or_none(epoch):
     try:
-        return equal_weight_fix(epoch)
+        return reference_fix(epoch)
     except SingularGeometry:
         return None
 
@@ -324,13 +323,13 @@ def test_singular_subset_row_is_gamma_and_listed():
     assert np.all(M.values[4] == GAMMA)
     assert np.max(np.abs(M.values[:4][~np.eye(4, 5, dtype=bool)])) < 1e-6
     with pytest.raises(SingularGeometry):
-        equal_weight_fix(Epoch(time=0.0, measurements=ms[:4]))
+        reference_fix(Epoch(time=0.0, measurements=ms[:4]))
 
 
 def test_singular_fix_row_is_none():
     """Six satellites on one elevation cone around the cold start make the
     all-in-view fix singular, and every subset with it: the matrix then
-    has no fix and every row failed, as ``equal_weight_fix`` raises."""
+    has no fix and every row failed, as ``reference_fix`` raises."""
     rx_geo = GeodeticPosition(0.0, 0.0, 0.0)
     rx = _DEFAULT_START.as_array()
     rot = enu_rotation(rx_geo)
@@ -347,7 +346,7 @@ def test_singular_fix_row_is_none():
     rows = residuals.solve_rows([epoch])[0]
     M = build_residual_matrix(epoch, rows)
     with pytest.raises(SingularGeometry):
-        equal_weight_fix(epoch)
+        reference_fix(epoch)
     assert row_report(epoch, *rows[0]) is None
     assert M.failed_rows == list(range(6))
 

@@ -9,7 +9,7 @@ from gnssweight.errors import NonConvergence, NotEnoughMeasurements, SingularGeo
 from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, GeodeticPosition, enu_rotation, geodetic_to_ecef
 from gnssweight.model import ConstellationId, Epoch, NavState
 from gnssweight.solver import jacobian, solve_wls, state_to_vector
-from conftest import assert_same_fix, make_epoch
+from conftest import assert_same_fix, make_epoch, observation_function
 
 
 def test_noise_free_cold_start(rng):
@@ -198,9 +198,6 @@ def test_jacobian_structure(rng):
 
 
 def test_jacobian_finite_differences(rng):
-    from gnssweight.model import NavState, observation_function
-    from gnssweight.geo import EcefPosition
-
     for _ in range(20):
         epoch, truth = make_epoch(rng, n=6)
         J = jacobian(truth, epoch)
