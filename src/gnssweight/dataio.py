@@ -4,6 +4,12 @@ One JSON object per line: a header (format, version, seed, session
 table) followed by one epoch per line. Floats are written with 17
 significant digits so identical datasets serialize to identical bytes
 and round-trip exactly.
+
+On read, every numeric field but ``sv`` (pseudorange, C/N0, lock time,
+satellite and truth coordinates, epoch time) is a finite JSON int or
+float, not a bool; an int reads as the float of its value. ``sv`` is a
+JSON int. Each session in the header's table has a string profile and
+one of the splits ``train``, ``val`` and ``test``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .errors import ParseError, VersionMismatch
 from .geo import EcefPosition
@@ -19,8 +26,11 @@ from .model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 FORMAT_NAME = "gnssweight-dataset"
 FORMAT_VERSION = 1
 
+_SPLITS = ("train", "val", "test")
 _EPOCH_KEYS = {"session_id", "t", "truth", "measurements"}
 _MEAS_KEYS = {"const", "sv", "band", "pr_m", "cn0_dbhz", "lock_s", "sat_xyz_m"}
+_CONSTELLATIONS = {c.name: c for c in ConstellationId}
+_BANDS = {b.name: b for b in Band}
 
 
 @dataclass
@@ -45,34 +55,19 @@ class Dataset:
         return sum(len(s.epochs) for s in self.sessions)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _epoch_line(epoch: Epoch) -> str:
-    parts = [f'"session_id":{json.dumps(epoch.session_id)}', f'"t":{_fmt(epoch.time)}']
+    # ``:.17g`` spells an int, float or numpy scalar as format(float(x), ".17g")
+    head = f'"session_id":{json.dumps(epoch.session_id)},"t":{epoch.time:.17g}'
     if epoch.truth is not None:
         tr = epoch.truth
-        parts.append(f'"truth":[{_fmt(tr.x)},{_fmt(tr.y)},{_fmt(tr.z)}]')
-    ms = []
-    for m in epoch.measurements:
-        ms.append(
-            "{"
-            + ",".join(
-                [
-                    f'"const":"{m.constellation.name}"',
-                    f'"sv":{int(m.sv_id)}',
-                    f'"band":"{m.band.name}"',
-                    f'"pr_m":{_fmt(m.pseudorange)}',
-                    f'"cn0_dbhz":{_fmt(m.cn0)}',
-                    f'"lock_s":{_fmt(m.lock_time)}',
-                    f'"sat_xyz_m":[{_fmt(m.sat_pos.x)},{_fmt(m.sat_pos.y)},{_fmt(m.sat_pos.z)}]',
-                ]
-            )
-            + "}"
-        )
-    parts.append('"measurements":[' + ",".join(ms) + "]")
-    return "{" + ",".join(parts) + "}"
+        head += f',"truth":[{tr.x:.17g},{tr.y:.17g},{tr.z:.17g}]'
+    ms = ",".join(
+        f'{{"const":"{m.constellation.name}","sv":{int(m.sv_id)},"band":"{m.band.name}",'
+        f'"pr_m":{m.pseudorange:.17g},"cn0_dbhz":{m.cn0:.17g},"lock_s":{m.lock_time:.17g},'
+        f'"sat_xyz_m":[{m.sat_pos.x:.17g},{m.sat_pos.y:.17g},{m.sat_pos.z:.17g}]}}'
+        for m in epoch.measurements
+    )
+    return f'{{{head},"measurements":[{ms}]}}'
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -94,13 +89,17 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def _number(value, line_no: int, name: str) -> float:
-    """``value`` as a float; anything but a finite JSON number is a ParseError."""
+    """``value`` as a float; anything but a finite JSON number is a ParseError.
+
+    The readers take a finite float, the spelling every written value has,
+    as it is, and call this for anything else.
+    """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:  # an integer beyond the float range
             x = math.inf
-        if math.isfinite(x):
+        if isfinite(x):
             return x
     raise ParseError(line_no, f"{name} must be a finite number, got {value!r}")
 
@@ -108,44 +107,54 @@ def _number(value, line_no: int, name: str) -> float:
 def _position(value, line_no: int, name: str) -> EcefPosition:
     if not (isinstance(value, list) and len(value) == 3):
         raise ParseError(line_no, f"{name} must be a 3-element array")
-    return EcefPosition(*(_number(v, line_no, name) for v in value))
+    x, y, z = value
+    if type(x) is not float or not isfinite(x):
+        x = _number(x, line_no, name)
+    if type(y) is not float or not isfinite(y):
+        y = _number(y, line_no, name)
+    if type(z) is not float or not isfinite(z):
+        z = _number(z, line_no, name)
+    return EcefPosition(x, y, z)
 
 
 def _parse_measurement(obj, line_no: int) -> PseudorangeMeasurement:
     if not isinstance(obj, dict):
         raise ParseError(line_no, "a measurement must be an object")
-    unknown = set(obj) - _MEAS_KEYS
-    if unknown:
-        raise ParseError(line_no, f"unknown measurement fields {sorted(unknown)}")
-    missing = _MEAS_KEYS - set(obj)
-    if missing:
-        raise ParseError(line_no, f"missing measurement fields {sorted(missing)}")
+    if obj.keys() != _MEAS_KEYS:
+        unknown = obj.keys() - _MEAS_KEYS
+        if unknown:
+            raise ParseError(line_no, f"unknown measurement fields {sorted(unknown)}")
+        raise ParseError(line_no, f"missing measurement fields {sorted(_MEAS_KEYS - obj.keys())}")
     try:
-        const = ConstellationId[obj["const"]]
-        band = Band[obj["band"]]
+        const = _CONSTELLATIONS[obj["const"]]
+        band = _BANDS[obj["band"]]
     except (KeyError, TypeError) as e:  # TypeError: an unhashable value
         raise ParseError(line_no, f"unknown enum value {e}") from None
     sv = obj["sv"]
     if isinstance(sv, bool) or not isinstance(sv, int):
         raise ParseError(line_no, f"sv must be an integer, got {sv!r}")
-    m = PseudorangeMeasurement(
-        constellation=const,
-        sv_id=sv,
-        band=band,
-        pseudorange=_number(obj["pr_m"], line_no, "pr_m"),
-        sat_pos=_position(obj["sat_xyz_m"], line_no, "sat_xyz_m"),
-        cn0=_number(obj["cn0_dbhz"], line_no, "cn0_dbhz"),
-        lock_time=_number(obj["lock_s"], line_no, "lock_s"),
+    pr = obj["pr_m"]
+    if type(pr) is not float or not isfinite(pr):
+        pr = _number(pr, line_no, "pr_m")
+    sat_pos = _position(obj["sat_xyz_m"], line_no, "sat_xyz_m")
+    cn0 = obj["cn0_dbhz"]
+    if type(cn0) is not float or not isfinite(cn0):
+        cn0 = _number(cn0, line_no, "cn0_dbhz")
+    lock = obj["lock_s"]
+    if type(lock) is not float or not isfinite(lock):
+        lock = _number(lock, line_no, "lock_s")
+    if not 1e6 < pr < 5e7:
+        raise ParseError(line_no, f"pseudorange {pr} outside (1e6, 5e7) m")
+    if not 0.0 <= cn0 <= 60.0:
+        raise ParseError(line_no, f"cn0 {cn0} outside [0, 60] dB-Hz")
+    if sv < 1:
+        raise ParseError(line_no, f"sv id {sv} must be >= 1")
+    if lock < 0:
+        raise ParseError(line_no, f"lock time {lock} must be >= 0")
+    return PseudorangeMeasurement(
+        constellation=const, sv_id=sv, band=band, pseudorange=pr,
+        sat_pos=sat_pos, cn0=cn0, lock_time=lock,
     )
-    if not 1e6 < m.pseudorange < 5e7:
-        raise ParseError(line_no, f"pseudorange {m.pseudorange} outside (1e6, 5e7) m")
-    if not 0.0 <= m.cn0 <= 60.0:
-        raise ParseError(line_no, f"cn0 {m.cn0} outside [0, 60] dB-Hz")
-    if m.sv_id < 1:
-        raise ParseError(line_no, f"sv id {m.sv_id} must be >= 1")
-    if m.lock_time < 0:
-        raise ParseError(line_no, f"lock time {m.lock_time} must be >= 0")
-    return m
 
 
 def _check_header(header: dict) -> None:
@@ -161,6 +170,8 @@ def _check_header(header: dict) -> None:
             isinstance(info.get(key), str) for key in ("profile", "split")
         ):
             raise ParseError(1, f"session {sid!r} needs a string profile and split")
+        if info["split"] not in _SPLITS:
+            raise ParseError(1, f"session {sid!r} has split {info['split']!r}, not one of {_SPLITS}")
 
 
 def iter_epochs(path):
@@ -207,9 +218,12 @@ def iter_epochs(path):
                 raise ParseError(line_no, "measurements must be an array")
             measurements = [_parse_measurement(m, line_no) for m in obj["measurements"]]
             truth = _position(obj["truth"], line_no, "truth") if "truth" in obj else None
+            t = obj["t"]
+            if type(t) is not float or not isfinite(t):
+                t = _number(t, line_no, "t")
             try:
                 epoch = Epoch(
-                    time=_number(obj["t"], line_no, "t"),
+                    time=t,
                     measurements=measurements,
                     truth=truth,
                     session_id=obj["session_id"],

@@ -203,7 +203,8 @@ def _init_orbits(cfg: ScenarioConfig, rng: np.random.Generator) -> _Orbits:
         for sv in range(1, count + 1):
             keys.append((const, sv))
             normals.append(rng.normal(size=3))
-            phases.append(rng.uniform(0.0, 2.0 * math.pi))
+            # uniform(0, 2π) is 0.0 + 2π · next_double: the same double and draw
+            phases.append(2.0 * math.pi * rng.random())
     normals = np.array(normals).reshape(-1, 3)
     u, v = _orbit_basis(normals / _row_norms(normals))
     return _Orbits(

@@ -131,18 +131,22 @@ def test_invariant_validation_on_read(tmp_path):
     ]
     # non-numeric, null and non-finite values of every numeric field
     nan = float("nan")
-    for field, bad in (("pr_m", None), ("pr_m", "2.2e7"), ("cn0_dbhz", None),
+    for field, bad in (("pr_m", None), ("pr_m", "2.2e7"), ("pr_m", 10**400), ("cn0_dbhz", None),
                        ("lock_s", "abc"), ("lock_s", nan), ("lock_s", float("inf"))):
         cases.append(_meas(**{field: bad}))
+    # a bool is not a number, though Python's True == 1
+    for field in ("pr_m", "cn0_dbhz", "lock_s"):
+        cases += [_meas(**{field: True}), _meas(**{field: False})]
     for bad in ("abc", None, 3.5, True):
         cases.append(_meas(sv=bad))
-    for bad in (None, "x", nan, float("-inf"), 10**400):
+    for bad in (None, "x", nan, float("-inf"), 10**400, True, False):
         cases.append(_meas(sat_xyz_m=[2.6e7, bad, 0.0]))
     lines = [_epoch_line([bad]) for bad in cases]
-    for bad in ([6.4e6, 0.0, None], [6.4e6, "0", 0.0], [6.4e6, 0.0, nan]):
+    for bad in ([6.4e6, 0.0, None], [6.4e6, "0", 0.0], [6.4e6, 0.0, nan],
+                [6.4e6, True, 0.0], [6.4e6, False, 0.0]):
         lines.append(json.dumps({"session_id": "s", "t": 0.0, "truth": bad,
                                  "measurements": [_meas()]}))
-    for bad in (None, nan, "0"):
+    for bad in (None, nan, "0", True, False):
         lines.append(json.dumps({"session_id": "s", "t": bad, "measurements": [_meas()]}))
     lines += [json.dumps({"session_id": "s", "t": 0.0, "measurements": None}), "7"]
     for line in lines:
@@ -169,6 +173,45 @@ def test_invariant_validation_on_read(tmp_path):
     _write_lines(path, ["[1, 2]"])
     with pytest.raises(ParseError):
         list(iter_epochs(path))
+
+
+def test_integer_spellings_read_as_floats(tmp_path):
+    """Every float field may be spelled as a JSON int; it reads back as the
+    same float as its float spelling, of type float."""
+    path = tmp_path / "ints.jsonl"
+    ints = {"session_id": "s", "t": 2, "truth": [6400000, 0, -1],
+            "measurements": [_meas(pr_m=22000000, cn0_dbhz=45, lock_s=0, sat_xyz_m=[26000000, 0, -5])]}
+    floats = {"session_id": "s", "t": 2.0, "truth": [6.4e6, 0.0, -1.0],
+              "measurements": [_meas(pr_m=2.2e7, cn0_dbhz=45.0, lock_s=0.0, sat_xyz_m=[2.6e7, 0.0, -5.0])]}
+    epochs = []
+    for obj in (ints, floats):
+        _write_lines(path, [_valid_header(), json.dumps(obj)])
+        (_, epoch), = list(iter_epochs(path))[1:]
+        m = epoch.measurements[0]
+        values = [epoch.time, *vars(epoch.truth).values(), m.pseudorange, m.cn0, m.lock_time,
+                  *vars(m.sat_pos).values()]
+        assert all(type(v) is float for v in values), values
+        epochs.append(values)
+    assert epochs[0] == epochs[1]
+
+
+def test_unknown_split_fails_at_header(tmp_path):
+    """A session whose split is not train, val or test would be read by no
+    stage; the header check names it instead of letting it vanish."""
+    ds = generate_campaign(["urban_canyon"], sessions_per_profile=10, seed=5, epochs_per_session=2)
+    path = tmp_path / "data.jsonl"
+    write_dataset(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    renamed = sorted(sid for sid, info in header["sessions"].items() if info["split"] == "train")
+    assert renamed
+    for sid in renamed:
+        header["sessions"][sid]["split"] = "Train"
+    _write_lines(path, [json.dumps(header)] + lines[1:])
+    for read in (lambda: list(iter_epochs(path)), lambda: read_dataset(path)):
+        with pytest.raises(ParseError, match=f"{renamed[0]!r} has split 'Train'") as e:
+            read()
+        assert e.value.line == 1
 
 
 def test_epoch_of_session_missing_from_table_fails_at_header(tmp_path):
