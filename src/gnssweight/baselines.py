@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySplit, GnssWeightError, HorizonSingularity, NotEnoughMeasurements, SingularGeometry
+from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, SingularGeometry
 from .geo import ecef_to_geodetic, elevation_angles
 from .model import Epoch
-from .solver import SolveReport, epoch_problem, jacobian, row_report, solve_batch
+from .solver import SolveReport, jacobian, solve_runs
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 DEFAULT_ELEVATION_MASK = math.radians(5.0)
@@ -133,50 +133,27 @@ def fde_solve(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: Solve
     worst offender while it exceeds the threshold. Survivors are finally
     solved with ``sota_weights`` from the parametric model. ``fix`` is the
     epoch's equal-weight fix, or None to solve it here as the first round.
-    This is ``fde_solve_batch`` of one epoch; it raises NotEnoughMeasurements
-    below ``min_retained`` + 1 links, SingularGeometry for a singular solve.
+    This is ``fde_run`` driven by ``solver.solve_runs``; it raises
+    NotEnoughMeasurements below ``min_retained`` + 1 links, SingularGeometry
+    for a singular solve.
     """
-    res = fde_solve_batch([epoch], cfg, params, [fix])[0]
-    if isinstance(res, GnssWeightError):
-        raise res
-    return res
+    return solve_runs([epoch], [fde_run(epoch, cfg, params, fix)])[0]
 
 
-def fde_solve_batch(epochs, cfg: FdeConfig, params: SotaWeightParams, fixes) -> list:
-    """``fde_solve`` of every epoch in lockstep: entry k is epoch k's
-    FdeResult or error; ``fixes[k]`` is its fix, or None to solve it here.
-    Each pass, every running epoch decides its next problem (``_fde_run``):
-    an exclusion round or its final solve. One ``solver.solve_batch`` then
-    solves every such problem, so final solves share kernel calls with
-    other epochs' rounds; each row has the bits of its own solve.
-    """
-    runs = [_fde_run(epoch, cfg, params, fix) for epoch, fix in zip(epochs, fixes, strict=True)]
-    out: list = [None] * len(epochs)
-    sends = dict.fromkeys(range(len(epochs)))  # epoch -> the fix its run is sent next
-    while sends:
-        asks = {}  # epoch -> the (weights, start) its run waits on
-        for k, rep in sends.items():
-            try:
-                asks[k] = runs[k].send(rep)
-            except StopIteration as stop:
-                out[k] = stop.value
-            except GnssWeightError as e:
-                out[k] = e
-        solved = solve_batch([epoch_problem(epochs[k], w[None], start) for k, (w, start) in asks.items()])
-        sends = {}
-        for k, row in zip(asks, solved):
-            rep = row_report(epochs[k], *(a[0] for a in row))
-            if rep is None:  # each problem has state_dim positive weights: it is singular
-                out[k] = SingularGeometry("weighted normal matrix condition number above limit")
-            else:
-                sends[k] = rep
-    return out
+def _solve(w: np.ndarray, start):
+    """One solve of ``fde_run``, as a ``solver.solve_runs`` run: the report
+    of the weights ``w`` from ``start``, or SingularGeometry for a row
+    without a solution."""
+    rep, = yield w[None], start
+    if rep is None:  # every FDE problem has at least state_dim positive weights: it is singular
+        raise SingularGeometry("weighted normal matrix condition number above limit")
+    return rep
 
 
-def _fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveReport | None):
-    """``fde_solve`` on one epoch as a generator: it yields each problem it
-    needs solved, (weights, start) with start None for an equal-weight
-    round, is sent that problem's fix, and returns the FdeResult."""
+def fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveReport | None):
+    """``fde_solve`` on one epoch as a ``solver.solve_runs`` run: it yields
+    each problem it needs solved, an exclusion round (from the cold start)
+    or its final solve, and returns the FdeResult."""
     n = epoch.n
     min_keep = max(cfg.min_retained, epoch.state_dim())
     if n < min_keep + 1:
@@ -184,7 +161,7 @@ def _fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveR
 
     active = np.ones(n, dtype=bool)
     excluded: list[int] = []
-    rep = fix if fix is not None else (yield active.astype(float), None)
+    rep = fix if fix is not None else (yield from _solve(active.astype(float), None))
     while int(active.sum()) > min_keep and len(excluded) < cfg.max_exclusions:
         # leverage of each active row in the equal-weight linear model
         H = jacobian(rep.state, epoch)[active]
@@ -198,7 +175,7 @@ def _fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveR
         active_idx = np.flatnonzero(active)
         excluded.append(int(active_idx[worst]))
         active[active_idx[worst]] = False
-        rep = yield active.astype(float), None
+        rep = yield from _solve(active.astype(float), None)
 
     # parametric weights on the survivors
     survivors = [epoch.measurements[i] for i in np.flatnonzero(active)]
@@ -209,5 +186,5 @@ def _fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveR
         w = active.astype(float)  # degenerate masking: fall back to equal weights
     # warm start from the survivor fix: anisotropic weights converge in
     # a few steps from there where a cold start can creep for dozens
-    final = yield w, rep.state
+    final = yield from _solve(w, rep.state)
     return FdeResult(report=final, excluded=sorted(excluded))

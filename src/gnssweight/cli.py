@@ -56,9 +56,7 @@ def _cmd_featurize(args) -> int:
     for split, samples in splits.items():
         ids = []
         for fm, labels in samples:
-            arrays[f"fm_{i}"] = fm
-            if labels is not None:
-                arrays[f"lab_{i}"] = labels
+            arrays[f"fm_{i}"], arrays[f"lab_{i}"] = fm, labels
             ids.append(i)
             i += 1
         index[split] = ids
@@ -114,10 +112,10 @@ def _load_feature_cache(path):
             samples = []
             for i in ids:
                 fm = data[f"fm_{i}"].copy()
-                lab = data[f"lab_{i}"].copy() if f"lab_{i}" in data else None
+                lab = data[f"lab_{i}"].copy()
                 if fm.ndim != 2 or fm.shape[1] != N_FEATURES:
                     raise invalid(f"matrix {i} has shape {fm.shape}, not (N, {N_FEATURES})")
-                if lab is not None and lab.shape != (fm.shape[0],):
+                if lab.shape != (fm.shape[0],):
                     raise invalid(f"labels {i} have shape {lab.shape} for {fm.shape[0]} rows")
                 samples.append((fm, lab))
             splits[split] = samples
@@ -138,8 +136,6 @@ def _cmd_train(args) -> int:
         splits = _read_npz(_load_feature_cache, args.features, "feature cache")
     else:
         splits = dataset_samples(read_dataset(args.data))
-    for split in ("train", "val"):
-        splits[split] = [s for s in splits[split] if s[1] is not None]
 
     init_model = None
     if args.resume:

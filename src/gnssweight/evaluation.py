@@ -8,14 +8,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .baselines import FdeConfig, FdeResult, SotaWeightParams, fde_solve_batch
+from .baselines import FdeConfig, SotaWeightParams, fde_run
 from .baselines import fde_solve  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
-from .errors import ConfigInvalid, EmptySamples, ParseError
+from .errors import ConfigInvalid, EmptySamples, GnssWeightError, ParseError
 from .featurize import feature_columns, featurize_sessions
 from .geo import EcefPosition, ecef_to_enu, ecef_to_geodetic
 from .model import Epoch, NavState
 from .nn import make_labels, predict_weights, quality_to_weights
-from .solver import epoch_problem, row_report, solve_batch
+from .solver import SolveReport, solve_runs
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 CSV_COLUMNS = ["session_id", "t", "strategy", "h_err_m", "v_err_m", "converged", "n_sv", "n_zero_weight"]
@@ -89,22 +89,13 @@ class StrategyModels:
     fde_cfg: FdeConfig = field(default_factory=FdeConfig)
 
 
-def _record(epoch: Epoch, strategy: str, state: NavState | None = None, converged: bool = False,
-            n_zero: int = 0) -> ErrorRecord:
-    """``strategy``'s record of ``state``, or of a failed solve (NaN errors) without one."""
+def _record(epoch: Epoch, strategy: str, report: SolveReport | None = None, n_zero: int = 0) -> ErrorRecord:
+    """``strategy``'s record of ``report``, or of a failed solve (NaN errors) without one."""
     h = v = float("nan")
-    if state is not None:
-        h, v = position_errors(state, epoch.truth)
-    return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, converged, epoch.n, n_zero)
-
-
-def _weighted_record(epoch: Epoch, strategy: str, w: np.ndarray, row) -> ErrorRecord:
-    """``strategy``'s record of its solve with weights ``w``, from its kernel row."""
-    n_zero = int(np.sum(w <= ZERO_WEIGHT_CUTOFF))
-    report = row_report(epoch, *row)
-    if report is None:
-        return _record(epoch, strategy, n_zero=n_zero)
-    return _record(epoch, strategy, report.state, report.converged, n_zero)
+    if report is not None:
+        h, v = position_errors(report.state, epoch.truth)
+    return ErrorRecord(epoch.session_id, epoch.time, strategy, h, v, report is not None and report.converged,
+                       epoch.n, n_zero)
 
 
 def _check_strategies(strategies, models: StrategyModels) -> None:
@@ -123,8 +114,8 @@ def _check_strategies(strategies, models: StrategyModels) -> None:
 
 def evaluate_session(session, strategies, models: StrategyModels):
     """Error records for every (epoch, strategy) of one session, in order:
-    ``compare_strategies``'s phases (``_evaluate_group``) on this session
-    alone."""
+    ``compare_strategies``'s lockstep runs (``_evaluate_group``) on this
+    session alone."""
     return _evaluate_group([session], strategies, models)
 
 
@@ -134,7 +125,7 @@ def compare_strategies(dataset, strategies, models: StrategyModels, jobs: int = 
     The strategies and models are checked first (ValueError). The
     sessions, sorted by id, are then split into ``min(jobs, sessions)``
     contiguous groups (``session_groups``), one worker process each when
-    there are several, and each group is evaluated in cross-epoch phases
+    there are several, and each group's epochs are evaluated in lockstep
     (``_evaluate_group``). Each kernel row has the bits of its own solve
     and sessions featurize independently, so the output is identical for
     any job count. ``jobs`` below 1 raises ConfigInvalid.
@@ -170,70 +161,71 @@ def session_groups(sessions, jobs: int) -> list:
 
 def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
     """The records of every scored epoch (one with a truth position) of
-    ``sessions``, in (session, epoch, strategy) order, in phases:
+    ``sessions``, in (session, epoch, strategy) order.
 
-    0. the strategies and models are checked
-    1. each epoch's equal-weight fix, shared by every strategy: when a
-       learned strategy runs, ``featurize.featurize_sessions`` solves
-       every epoch's fix and leave-one-out rows at once; else one
-       ``solver.solve_batch`` of the fixes alone. Either way a fix is an
-       all-ones problem read by ``solver.row_report``
-    2. when a learned strategy runs, ``featurize_sessions`` then
-       featurizes each session in order from those rows, and the network
-       predicts each epoch's weights
-    3. the weighted strategies (all but ``fde_sota``) of every epoch, as
-       one ``solver.solve_batch``, each row warm-started from its epoch's
-       fix: strongly anisotropic weights (spreads of 1e7 and more) make
-       cold-start damped iteration creep, while the weighted problem
-       converges in a few steps from the fix
-    4. FDE in lockstep from every epoch's fix, None included
-       (``baselines.fde_solve_batch``): without a fix, FDE's first round
-       is that same failing all-ones solve, and FDE fails
+    The strategies and models are checked first. When a learned strategy
+    runs, ``featurize.featurize_sessions`` then solves every epoch's
+    equal-weight fix and leave-one-out rows at once and featurizes each
+    session in order. Each epoch then becomes one ``_epoch_run``, and
+    ``solver.solve_runs`` drives them all in lockstep, so each pass solves
+    the same step of every epoch in a few kernel calls.
     """
     _check_strategies(strategies, models)
     scored = [[e for e in s.epochs if e.truth is not None] for s in sessions]
     epochs = [e for s in scored for e in s]
+    featurized = [None] * len(epochs)
     if any(s in LEARNED for s in strategies):
         featurized = featurize_sessions(scored)  # (fm, fix) per epoch
+    runs = [_epoch_run(e, strategies, models, f) for e, f in zip(epochs, featurized)]
+    return [r for records in solve_runs(epochs, runs) for r in records]
+
+
+def _epoch_run(epoch: Epoch, strategies, models: StrategyModels, featurized):
+    """The records of one epoch, in strategy order, as a ``solver.solve_runs`` run.
+
+    ``featurized`` is the epoch's (feature matrix, fix) from
+    ``featurize_sessions``, or None when no learned strategy runs. The run
+    then solves the fix first, as the epoch's all-ones problem. The fix is
+    shared by every strategy:
+    - The weighted strategies (all but ``fde_sota``) are one problem, each
+      row warm-started from the fix: strongly anisotropic weights (spreads
+      of 1e7 and more) make cold-start damped iteration creep, while the
+      weighted problem converges in a few steps from the fix.
+    - FDE (``baselines.fde_run``) starts from the fix.
+
+    Without a fix, ``equal``'s problem would be the fix's own, and FDE's
+    first round too: both are recorded as failed without solving it again.
+    """
+    if featurized is not None:
+        fm, fix = featurized
     else:
-        solved = solve_batch([epoch_problem(e, np.ones((1, e.n))) for e in epochs])
-        featurized = [(None, row_report(e, *(a[0] for a in row))) for e, row in zip(epochs, solved)]
-
-    weights = []  # per epoch, strategy -> weights of its weighted strategies
-    for epoch, (fm, _) in zip(epochs, featurized):
-        ws = {}
-        for strategy in strategies:
-            if strategy == "equal":
-                ws[strategy] = np.ones(epoch.n)
-            elif strategy == "truth":
-                ws[strategy] = quality_to_weights(make_labels(epoch))
-            elif strategy in LEARNED and fm is not None:
-                model, norm = getattr(models, strategy)
-                mode = "full" if strategy == "nn_full" else "residual"
-                ws[strategy] = predict_weights(model, norm.apply(fm[:, feature_columns(mode)]))
-        weights.append(ws)
-    solved = solve_batch([
-        epoch_problem(e, np.reshape(list(ws.values()), (len(ws), e.n)), fix.state if fix is not None else None)
-        for e, ws, (_, fix) in zip(epochs, weights, featurized)
-    ])
-
-    fde = {}  # epoch index -> FdeResult, for each epoch whose FDE succeeded
-    if "fde_sota" in strategies:
-        results = fde_solve_batch(epochs, models.fde_cfg, models.sota, [fix for _, fix in featurized])
-        fde = {k: res for k, res in enumerate(results) if isinstance(res, FdeResult)}
-
-    records = []
-    for k, (epoch, ws, kernel) in enumerate(zip(epochs, weights, solved)):
-        kernel_rows = dict(zip(ws, zip(*kernel)))
-        for strategy in strategies:
-            if strategy in ws:
-                records.append(_weighted_record(epoch, strategy, ws[strategy], kernel_rows[strategy]))
-            elif strategy == "fde_sota" and k in fde:
-                rep = fde[k].report
-                records.append(_record(epoch, strategy, rep.state, rep.converged, len(fde[k].excluded)))
-            else:  # a learned strategy on an epoch without features, or a failed FDE
-                records.append(_record(epoch, strategy))
-    return records
+        fm = None
+        fix, = yield np.ones((1, epoch.n)), None
+    ws = {}  # strategy -> weights, for the weighted strategies this epoch solves
+    for strategy in strategies:
+        if strategy == "equal" and fix is not None:
+            ws[strategy] = np.ones(epoch.n)
+        elif strategy == "truth":
+            ws[strategy] = quality_to_weights(make_labels(epoch))
+        elif strategy in LEARNED and fm is not None:
+            model, norm = getattr(models, strategy)
+            mode = "full" if strategy == "nn_full" else "residual"
+            ws[strategy] = predict_weights(model, norm.apply(fm[:, feature_columns(mode)]))
+    records = {}
+    if ws:
+        reports = yield np.array(list(ws.values())), fix.state if fix is not None else None
+        for (strategy, w), rep in zip(ws.items(), reports):
+            records[strategy] = _record(epoch, strategy, rep, int(np.sum(w <= ZERO_WEIGHT_CUTOFF)))
+    if "fde_sota" in strategies and fix is not None:
+        try:
+            res = yield from fde_run(epoch, models.fde_cfg, models.sota, fix)
+        except GnssWeightError:
+            pass  # a failed record, below
+        else:
+            records["fde_sota"] = _record(epoch, "fde_sota", res.report, len(res.excluded))
+    # a failed record for each strategy not solved: a learned one without
+    # features, `equal` without a fix, a failed FDE
+    return [records.get(s) or _record(epoch, s) for s in strategies]
 
 
 def write_error_csv(records, path) -> None:

@@ -171,18 +171,18 @@ def featurize_sessions(sessions) -> list:
 def dataset_samples(dataset):
     """Raw samples of the fitting splits: {'train': [...], 'val': [...]}.
 
-    A sample is (feature_matrix, labels) of a featurized epoch, in order,
-    from ``featurize_sessions``; ``labels`` is None for an epoch without a
-    truth position. Test sessions are skipped: ``evaluation`` featurizes
-    them itself, sharing each epoch's equal-weight fix with the strategies
-    it runs.
+    A sample is (feature_matrix, labels) of a featurized epoch with a
+    truth position, in order, from ``featurize_sessions``; an epoch without
+    one still advances its session's C/N0 tracker. Test sessions are
+    skipped: ``evaluation`` featurizes them itself, sharing each epoch's
+    equal-weight fix with the strategies it runs.
     """
     splits = {"train": [], "val": []}
     sessions = [s for s in dataset.sessions if s.split in splits]
     epochs = [(s.split, e) for s in sessions for e in s.epochs]
     for (split, epoch), (fm, _) in zip(epochs, featurize_sessions([s.epochs for s in sessions])):
-        if fm is not None:
-            splits[split].append((fm, make_labels(epoch) if epoch.truth is not None else None))
+        if fm is not None and epoch.truth is not None:
+            splits[split].append((fm, make_labels(epoch)))
     return splits
 
 

@@ -250,3 +250,28 @@ def solve_batch(problems) -> list:
         first[d], r0 = a + kj, r1
     return out
 
+
+
+def solve_runs(epochs, runs) -> list:
+    """Drive ``runs`` in lockstep; entry k is run k's return value.
+
+    Run k is a generator on ``epochs[k]``. It yields each problem it needs
+    solved, (weights (rows, N), start), with its rows started as
+    ``solve_wls(epochs[k], w, start)`` starts them, and is sent the
+    problem's ``row_report`` per row, as a list. Each pass, one
+    ``solve_batch`` solves every run's pending problem, so runs share
+    kernel calls and each row has the bits of its own solve. An exception
+    that a run raises ends the drive.
+    """
+    out = [None] * len(runs)
+    sends = dict.fromkeys(range(len(runs)))  # run -> what it is sent next
+    while sends:
+        asks = {}  # run -> the (weights, start) it waits on
+        for k, sent in sends.items():
+            try:
+                asks[k] = runs[k].send(sent)
+            except StopIteration as stop:
+                out[k] = stop.value
+        solved = solve_batch([epoch_problem(epochs[k], w, start) for k, (w, start) in asks.items()])
+        sends = {k: [row_report(epochs[k], *row) for row in zip(*kernel)] for k, kernel in zip(asks, solved)}
+    return out

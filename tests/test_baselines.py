@@ -209,7 +209,7 @@ def _assert_same_fde(a, b):
 def _reference_fde(epoch, cfg, params, fix=None):
     """FDE as one epoch's own loop of single solves, each round an
     ``reference_fix`` and the final solve a ``solve_wls``: the reference
-    that ``fde_solve_batch`` matches bit for bit."""
+    that ``fde_run`` matches bit for bit."""
     from gnssweight.baselines import FdeResult
     from gnssweight.errors import NonConvergence
     from gnssweight.geo import ecef_to_geodetic, elevation_angles
@@ -283,17 +283,27 @@ def test_fde_one_link_constellation_round_is_solved(rng):
         fde_solve(epoch, FdeConfig(noise_sigma_m=1.0), _bland_params(), fix=fix)
 
 
+@pytest.mark.bitwise
 def test_lockstep_fde_matches_per_epoch_loop(rng, monkeypatch):
-    """``fde_solve_batch`` gives every epoch of one mixed batch the bits,
-    or the error, of its own loop of single solves (``_reference_fde``):
+    """``fde_run``, driven by ``solver.solve_runs`` over one mixed batch,
+    gives every epoch the bits, or the error, of its own loop of single
+    solves (``_reference_fde``):
     N from d + 1 to 20 over 1-3 constellations with 0-3 faults, fixes given
     and not, the exclusion cap and the retention floor reached, too few
     links, a singular round, and (under a lowered iteration cap) capped
     final solves."""
     from gnssweight import _kernels
-    from gnssweight.baselines import fde_solve_batch
+    from gnssweight.baselines import fde_run
     from gnssweight.errors import GnssWeightError
     from gnssweight.model import ConstellationId as C
+    from gnssweight.solver import solve_runs
+
+    def caught(run):
+        """``run``, returning the GnssWeightError it raises instead of ending the drive."""
+        try:
+            return (yield from run)
+        except GnssWeightError as e:
+            return e
 
     cfg = FdeConfig(noise_sigma_m=1.0, max_exclusions=2, min_retained=5)
     skies = ((C.GPS,), (C.GPS, C.GALILEO), (C.GPS, C.GALILEO, C.GLONASS))
@@ -313,7 +323,8 @@ def test_lockstep_fde_matches_per_epoch_loop(rng, monkeypatch):
     for cap in (_kernels.MAX_ITERATIONS, 2):
         monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
         seen = Counter()
-        for epoch, fix, got in zip(epochs, fixes, fde_solve_batch(epochs, cfg, _bland_params(), fixes)):
+        runs = [caught(fde_run(epoch, cfg, _bland_params(), fix)) for epoch, fix in zip(epochs, fixes)]
+        for epoch, fix, got in zip(epochs, fixes, solve_runs(epochs, runs)):
             try:
                 want = _reference_fde(epoch, cfg, _bland_params(), fix)
             except GnssWeightError as e:

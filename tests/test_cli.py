@@ -178,6 +178,39 @@ def test_epochs_without_measurements_are_skipped(tiny_config, tiny_dataset, tmp_
         assert s["count"] + s["failures"] == n_test
 
 
+def test_truthless_train_epoch_is_left_out_of_the_cache(tiny_config, tiny_dataset, tmp_path):
+    """A train epoch without a truth position has no labels: featurize
+    leaves it out of the cache, every cached matrix has its labels, and
+    train runs on the cache. The epoch still advances its session's C/N0
+    tracker, so every other matrix keeps the bits it has with the truth."""
+    from gnssweight.dataio import read_dataset
+    from gnssweight.featurize import featurize_sessions
+
+    header, *lines = Path(tiny_dataset).read_text(encoding="utf-8").splitlines()
+    session = next(s for s in read_dataset(tiny_dataset).sessions if s.split == "train")
+    epochs = [json.loads(line) for line in lines]
+    k = [i for i, e in enumerate(epochs) if e["session_id"] == session.session_id][1]
+    del epochs[k]["truth"]
+    data = tmp_path / "campaign.jsonl"
+    data.write_text("\n".join([header, *map(json.dumps, epochs)]) + "\n", encoding="utf-8")
+    removed = featurize_sessions([session.epochs])[1][0]
+    assert removed is not None
+
+    cached = []  # the train matrices of each cache, as bytes
+    for name, campaign in (("all.npz", tiny_dataset), ("truthless.npz", data)):
+        cache = tmp_path / name
+        assert main(["featurize", "--config", tiny_config, "--data", str(campaign), "--out", str(cache)]) == 0
+        with np.load(cache) as z:
+            splits = json.loads(bytes(z["meta"]))["splits"]
+            assert all(f"lab_{i}" in z.files for ids in splits.values() for i in ids)
+            cached.append([z[f"fm_{i}"].tobytes() for i in splits["train"]])
+    full, truthless = cached
+    assert truthless == [b for b in full if b != removed.tobytes()] and len(truthless) == len(full) - 1
+    for mode in ("full", "residual"):
+        assert main(["train", "--config", tiny_config, "--features", str(tmp_path / "truthless.npz"),
+                     "--out", str(tmp_path / f"{mode}.npz"), "--mode", mode]) == 0
+
+
 def test_resume_continues_from_checkpoint(tiny_config, tiny_dataset, tmp_path):
     first = tmp_path / "first.npz"
     assert main(["train", "--config", tiny_config, "--data", tiny_dataset, "--out", str(first), "--mode", "residual"]) == 0

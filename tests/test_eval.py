@@ -210,12 +210,15 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     # the kernel sees exactly one cold-started all-ones solve per epoch,
     # whether as a single solve or as a row of a batch (the fix is its own
     # problem in the leave-one-out batch); leave-one-out subsets and FDE's
-    # later rounds solve other problems. A batch row may be padded to the
-    # call's N with zero-weight links, so it counts for the pr of its
-    # all-ones prefix.
+    # later rounds solve other problems. An epoch whose fix fails is not
+    # solved again by `equal` or FDE, and one with N < d never reaches the
+    # kernel (solve_batch does not solve a row with fewer positive weights
+    # than unknowns). A batch row may be padded to the call's N with
+    # zero-weight links, so it counts for the pr of its all-ones prefix.
     cfg = ScenarioConfig(profile="urban_canyon", seed=3, duration_s=1.0)  # N = 12
     epochs, truth = generate_session(cfg, session_id="u")
-    session = Session("u", "urban_canyon", "test", epochs, truth)
+    urban = Session("u", "urban_canyon", "test", epochs, truth)
+    mixed = Session("m", "urban_canyon", "test", _mixed_epochs(), None)  # its last fix is singular
     models = _tiny_models()
     cold = solver._DEFAULT_START.as_array()
     solves = collections.Counter()
@@ -245,11 +248,13 @@ def test_one_cold_equal_weight_fix_per_epoch(monkeypatch):
     monkeypatch.setattr(_kernels, "lm_solve_batch", counting_batch)
     # with a learned strategy the fix is a problem of the leave-one-out
     # batch; without one, a problem of the batch of fixes
-    for strategies in (STRATEGIES, ("equal", "fde_sota")):
-        solves.clear()
-        records = evaluate_session(session, strategies, models)
-        assert len(records) == len(strategies) * len(epochs)
-        assert [solves[e.pr_array().tobytes()] for e in epochs] == [1] * len(epochs)
+    for session in (urban, mixed):
+        for strategies in (STRATEGIES, ("equal", "fde_sota")):
+            solves.clear()
+            records = evaluate_session(session, strategies, models)
+            assert len(records) == len(strategies) * len(session.epochs)
+            assert [solves[e.pr_array().tobytes()] for e in session.epochs] == \
+                [int(e.n >= e.state_dim()) for e in session.epochs]
 
 
 def _reference_records(session, strategies, models):
@@ -352,6 +357,7 @@ def _mixed_epochs():
     return epochs
 
 
+@pytest.mark.bitwise
 def test_batched_records_match_per_strategy_solves():
     """The batched weighted solves, the fix taken from the leave-one-out
     batch and FDE's first round taken from it give every record the bits
@@ -397,24 +403,26 @@ def test_capped_fde_final_solve_is_recorded_unconverged(monkeypatch, tmp_path):
     assert [rows[k]["converged"] for k in capped] == ["0"] * len(capped)
 
 
+@pytest.mark.bitwise
 def test_cross_epoch_records_match_per_session_reference(monkeypatch):
     """``compare_strategies`` solves the rows of all sessions' epochs
     together, with kernel calls of at most 7 rows that split sessions,
     epochs and strategies; each session's records keep the bits of
     solving every epoch on its own, with and without a learned strategy.
-    FDE is handed every epoch's fix, the singular epoch's None too."""
+    FDE starts from every epoch's fix, and the singular epoch, which has
+    none, gets its failed record without an FDE run."""
     from gnssweight.model import Epoch
 
     epochs = _mixed_epochs()
     cuts = ((0, 7), (7, 15), (15, 25))
-    no_fix = []  # N of each epoch handed to FDE without a fix
-    fde_solve_batch = evaluation.fde_solve_batch
+    fde_runs = []  # (N, fix given) of each FDE run
+    fde_run = evaluation.fde_run
 
-    def recording(epochs, cfg, params, fixes):
-        no_fix.extend(e.n for e, fix in zip(epochs, fixes) if fix is None)
-        return fde_solve_batch(epochs, cfg, params, fixes)
+    def recording(epoch, cfg, params, fix):
+        fde_runs.append((epoch.n, fix is not None))
+        return fde_run(epoch, cfg, params, fix)
 
-    monkeypatch.setattr(evaluation, "fde_solve_batch", recording)
+    monkeypatch.setattr(evaluation, "fde_run", recording)
     sessions = [
         Session(f"m{k}", "urban_canyon", "test",
                 [Epoch(time=e.time, measurements=e.measurements, truth=e.truth, session_id=f"m{k}")
@@ -427,5 +435,6 @@ def test_cross_epoch_records_match_per_session_reference(monkeypatch):
         got, _ = compare_strategies(Dataset(seed=0, sessions=sessions), strategies, models)
         expect = [r for s in sessions for r in _reference_records(s, strategies, models)]
         assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in expect]
-        assert max(no_fix) >= 7, no_fix
-        no_fix.clear()
+        ran = [n for n, _ in fde_runs]
+        assert all(given for _, given in fde_runs) and 8 not in ran and {5, 12, 13} <= set(ran), fde_runs
+        fde_runs.clear()
