@@ -48,12 +48,21 @@ which for this symmetric positive semi-definite matrix are its singular
 values. Its decision can differ from an SVD-based test's only for a
 condition number within about 1e-3 relative of ``COND_LIMIT``. Most
 matrices skip eigvalsh: a matrix whose determinant and trace satisfy
-det > 0 and tr^d < det * COND_LIMIT * 1e-3 has a condition number below
-1e9, where eigvalsh says "not singular" too, so the decisions are
-eigvalsh's; only the other rows run eigvalsh (see ``_ill_conditioned``).
-Each round in which some row starts an iteration tests the whole working
-set: a row in the middle of an iteration holds the matrix that already
-passed, and each row's decision does not depend on the rest of the stack.
+|tr|^d < det * COND_LIMIT * 1e-3 (one comparison, which a row with
+det <= 0 fails) has a condition number below 1e9, where eigvalsh says
+"not singular" too, so the decisions are eigvalsh's; only the other rows
+run eigvalsh (see ``_ill_conditioned``). Each round in which some row
+starts an iteration tests the whole working set: a row in the middle of
+an iteration holds the matrix that already passed, and each row's
+decision does not depend on the rest of the stack.
+
+A round costs numpy calls, not arithmetic, at the sizes the benchmark's
+online fixes run (B = 1 to about 20 rows, N about 18, d = 7), so a round
+makes only the calls its rows can need: a round in which every trial
+lowered its cost tests only the iteration cap, since no row of it can be
+at the rounding floor or saturate its damping; a round in which none
+did tests only those two; and a row that leaves is handed its status as
+one code where all leaving rows share it.
 
 Kernel state layout: [x, y, z, b_0 .. b_{K-1}] with clock terms in
 meters (c * delta). Parameterizing clocks in meters keeps the normal
@@ -183,7 +192,7 @@ def _normal_equations(x, meas, pairs, buf):
     (J * w).take(jj, axis=1, out=P, mode="clip")
     J.take(kk, axis=1, out=Q, mode="clip")
     P *= Q
-    S = P.sum(axis=0, initial=0.0).T
+    S = np.add.reduce(P, axis=0, initial=0.0).T
     # A takes each (j, k) and (k, j) from one product, so it is exactly
     # symmetric.
     return S.take(sym, axis=1), S[:, gi], S[:, -1]
@@ -203,15 +212,18 @@ def _ill_conditioned(A):
     eigvalsh runs only on the rows that a cheaper certificate leaves open.
     For positive semi-definite A of dimension d with det > 0, the largest
     eigenvalue is at most tr = trace(A) and the smallest at least
-    det / tr^(d-1), so cond(A) <= tr^d / det. A row with det > 0 and
-    tr^d < det * COND_LIMIT * 1e-3 therefore has a condition number of
-    about 1e9 at most, far from COND_LIMIT: the factor 1e-3 covers the
-    rounding of the LU determinant, which is that of det(A + E) for |E|
-    about n eps |A| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 9). eigvalsh finds such a row's smallest
-    eigenvalue positive and to about 1e-6 relative (Golub & Van Loan
-    8.1), so it would not flag the row either. Every other row goes
-    through the eigenvalue test: det <= 0, a NaN, a det or tr^d that
+    det / tr^(d-1), so cond(A) <= tr^d / det. The certificate is the one
+    comparison |tr|^d < det * COND_LIMIT * 1e-3: |tr|^d is not negative,
+    so a row passes only with det > 0 (a NaN passes no comparison), and
+    for the kernel's normal matrices, whose diagonals are sums of
+    nonnegative terms, |tr| is tr. A row that passes therefore has a
+    condition number of about 1e9 at most, far from COND_LIMIT: the
+    factor 1e-3 covers the rounding of the LU determinant, which is that
+    of det(A + E) for |E| about n eps |A| (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 9). eigvalsh finds such a row's
+    smallest eigenvalue positive and to about 1e-6 relative (Golub & Van
+    Loan 8.1), so it would not flag the row either. Every other row goes
+    through the eigenvalue test: det <= 0, a NaN, a det or |tr|^d that
     overflows or underflows (numpy warns of the overflow), or a bound too
     loose to decide. Each decision is therefore eigvalsh's, and the claim
     above about the SVD test still holds. The bound assumes A positive
@@ -220,9 +232,7 @@ def _ill_conditioned(A):
     above rounding could pass it.
     """
     d = A.shape[-1]
-    tr = A.trace(axis1=1, axis2=2)
-    det = np.linalg.det(A)
-    flag = ~((det > 0.0) & (tr**d < det * (COND_LIMIT * 1e-3)))
+    flag = ~(np.abs(A.trace(axis1=1, axis2=2)) ** d < np.linalg.det(A) * (COND_LIMIT * 1e-3))
     if np.count_nonzero(flag):
         rows = flag.nonzero()[0]
         flag[rows] = _eigen_ill_conditioned(A[rows])
@@ -238,7 +248,7 @@ def _eigen_ill_conditioned(A):
 
 def _sum_sq(v):
     """sum_j v[b, j]^2 added in index order (np.sum would add pairwise)."""
-    return np.cumsum(v * v, axis=1)[:, -1]
+    return (v * v).cumsum(axis=1)[:, -1]
 
 
 def _solve(A, g):
@@ -315,40 +325,41 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
     buf = (np.empty(size), np.empty(size))
     x_out = np.array(x0, dtype=float)
     A_out, g_out, cost_out = _normal_equations(x_out, meas_out, pairs, buf)
-    it_out = np.zeros(nb, dtype=np.int64)
-    status_out = np.full(nb, STATUS_MAX_ITER)
+    # every row leaves the loop through leave(), which writes both
+    it_out, status_out = np.empty(nb, dtype=np.int64), np.empty(nb, dtype=np.int64)
 
     # The working set: rows still in the damped loop and their state.
     rows = np.arange(nb)
     x, A, g, cost, meas = x_out, A_out, g_out, cost_out, meas_out
     lam = np.full(rows.size, INITIAL_DAMPING)
     iters = np.ones(rows.size, dtype=np.int64)  # the iteration each row is in
-    fresh = np.ones(rows.size, dtype=bool)  # at the start of an iteration
+    fresh = True  # some row is at the start of an iteration
 
     def leave(stop, status):
-        """Retire the rows flagged in ``stop`` with their ``status``; returns
-        the indices of the rows that stay."""
-        nonlocal rows, x, A, g, cost, meas, lam, iters, fresh
+        """Retire the rows flagged in ``stop`` with ``status``, one code for
+        them all or an array over the working set; returns the indices of
+        the rows that stay."""
+        nonlocal rows, x, A, g, cost, meas, lam, iters
         # take() by index is a few times cheaper than a boolean mask on
         # these small stacks; a row's measurements leave with it
         gone, keep = stop.nonzero()[0], (~stop).nonzero()[0]
         out = rows[gone]
-        x_out[out], A_out[out], g_out[out], cost_out[out], it_out[out], status_out[out] = (
-            a.take(gone, axis=0) for a in (x, A, g, cost, iters, status))
+        x_out[out], A_out[out], g_out[out], cost_out[out], it_out[out] = (
+            a.take(gone, axis=0) for a in (x, A, g, cost, iters))
+        status_out[out] = status if isinstance(status, int) else status.take(gone)
         if not keep.size:  # the last rows: the loop ends
             rows = keep
             return keep
-        rows, x, A, g, cost, lam, iters, fresh = (
-            a.take(keep, axis=0) for a in (rows, x, A, g, cost, lam, iters, fresh))
+        rows, x, A, g, cost, lam, iters = (a.take(keep, axis=0) for a in (rows, x, A, g, cost, lam, iters))
         meas = _take(meas, keep)
         return keep
 
     while rows.size:
         # the whole working set, whenever some row is fresh (module docstring)
-        if np.count_nonzero(fresh):
+        if fresh:
             bad = _ill_conditioned(A)
             if np.count_nonzero(bad):
-                leave(bad, np.full(rows.size, STATUS_SINGULAR))
+                leave(bad, STATUS_SINGULAR)
                 if not rows.size:
                     break
 
@@ -360,7 +371,7 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
         # is, unevaluated (see the docstring).
         short = np.sqrt(_sum_sq(dx)) < STEP_TOLERANCE
         if np.count_nonzero(short):
-            dx = dx.take(leave(short, np.full(rows.size, STATUS_CONVERGED)), axis=0)
+            dx = dx.take(leave(short, STATUS_CONVERGED), axis=0)
             if not rows.size:
                 break
         xc = x + dx
@@ -369,35 +380,49 @@ def lm_solve_batch(sat_pos, pr, w, const_idx, n_const, x0):
         # is lost in rounding: accepting it lets the iterate wander along
         # the flat floor with steps above STEP_TOLERANCE and never stop.
         better = cost_c < cost
-        # Stagnation at the rounding floor.
-        converged = cost_c == cost
-        # The cases below give every row the bits of the all-rows form of
-        # the middle one; a round whose trials all pass, or all fail,
-        # skips the numpy calls it does not need.
+        # Each case below gives every row the bits of the all-rows form of
+        # the middle one, without the numpy calls its rows cannot need.
         n_better = np.count_nonzero(better)
         if n_better == rows.size:
+            # Every trial lowered its cost, so no row is at the rounding
+            # floor or has saturated damping: only the cap stops a row.
             x, A, g, cost = xc, A_c, g_c, cost_c
             lam = np.maximum(lam * DAMPING_DOWN, 1e-12)
+            stop = iters == MAX_ITERATIONS
+            if np.count_nonzero(stop):
+                leave(stop, STATUS_MAX_ITER)
+            iters += 1
+            fresh = True
         elif n_better:
+            # Stagnation at the rounding floor.
+            converged = cost_c == cost
             x = np.where(better[:, None], xc, x)
             A = np.where(better[:, None, None], A_c, A)
             g = np.where(better[:, None], g_c, g)
             cost = np.where(better, cost_c, cost)
             lam = np.where(better, np.maximum(lam * DAMPING_DOWN, 1e-12), lam * DAMPING_UP)
+            # Saturated damping: no trial lowers the cost, and the iterate
+            # is a numerical stationary point. A row enters the round with
+            # damping at most 1e14 and an accepted trial lowers it, so only
+            # a rejected trial gets here.
+            converged |= lam > 1e14
+            stop = converged | better & (iters == MAX_ITERATIONS)
+            if np.count_nonzero(stop):
+                better = better.take(leave(stop, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITER)))
+                if not rows.size:
+                    break
+            iters += better
+            fresh = bool(np.count_nonzero(better))
         else:
+            # No trial lowered its cost: each row stops at the floor or at
+            # saturated damping, or retries, and none starts an iteration.
             lam = lam * DAMPING_UP
-        # Saturated damping: no trial lowers the cost, and the iterate is a
-        # numerical stationary point. A row enters the round with damping
-        # at most 1e14 and an accepted trial lowers it, so only a rejected
-        # trial gets here.
-        converged |= lam > 1e14
-        stop = converged | better & (iters == MAX_ITERATIONS)
-        fresh = better
-        if np.count_nonzero(stop):
-            leave(stop, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITER))
-        iters += fresh
+            stop = (cost_c == cost) | (lam > 1e14)
+            if np.count_nonzero(stop):
+                leave(stop, STATUS_CONVERGED)
+            fresh = False
 
-    _polish(x_out, cost_out, np.flatnonzero(status_out == STATUS_CONVERGED), A_out, g_out,
+    _polish(x_out, cost_out, (status_out == STATUS_CONVERGED).nonzero()[0], A_out, g_out,
             meas_out, pairs, buf)
     return x_out, it_out, status_out, cost_out
 
@@ -419,13 +444,13 @@ def _polish(x_out, cost_out, rows, A, g, meas, pairs, buf):
     """
     if rows.size < x_out.shape[0]:
         A, g, meas = A[rows], g[rows], _take(meas, rows)
-    prev2 = np.full(rows.size, 1e300)
+    prev2 = 1.0  # squared bound on a step: 1 m for the first, then the last step taken
     for _p in range(10):
         if not rows.size:
             break
         dx = _solve(A, g)
         step2 = _sum_sq(dx)
-        go = ~((step2 > 1.0) | (step2 > prev2) | (step2 < POLISH_TOLERANCE**2))
+        go = ~((step2 > prev2) | (step2 < POLISH_TOLERANCE**2))
         if np.count_nonzero(go) < rows.size:
             keep = go.nonzero()[0]
             if not keep.size:

@@ -249,7 +249,8 @@ def write_error_csv(records, path) -> None:
 
 def read_error_csv(path):
     """The records of an ``errors.csv``; ParseError, with the 1-based line
-    number, for a missing column or a malformed value."""
+    number, for a missing column or a malformed value: ``converged`` other
+    than 0 or 1, or a negative ``n_sv`` or ``n_zero_weight``, among them."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -258,6 +259,11 @@ def read_error_csv(path):
             raise ParseError(1, f"{path} lacks the columns {', '.join(missing)}")
         for row in reader:
             try:
+                converged, n_sv, n_zero = (int(row[c]) for c in ("converged", "n_sv", "n_zero_weight"))
+                if converged not in (0, 1):
+                    raise ValueError(f"converged is {converged}, not 0 or 1")
+                if n_sv < 0 or n_zero < 0:
+                    raise ValueError(f"negative count: n_sv {n_sv}, n_zero_weight {n_zero}")
                 records.append(
                     ErrorRecord(
                         session_id=row["session_id"],
@@ -265,9 +271,9 @@ def read_error_csv(path):
                         strategy=row["strategy"],
                         h_err_m=float(row["h_err_m"]),
                         v_err_m=float(row["v_err_m"]),
-                        converged=bool(int(row["converged"])),
-                        n_sv=int(row["n_sv"]),
-                        n_zero_weight=int(row["n_zero_weight"]),
+                        converged=bool(converged),
+                        n_sv=n_sv,
+                        n_zero_weight=n_zero,
                     )
                 )
             except (TypeError, ValueError) as e:

@@ -24,6 +24,7 @@ length would change that tree.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class TrackingHistory:
 
         ms = epoch.measurements
         windows = []
-        for m in ms:
-            key = m.key
+        for key, m in zip(epoch.measurement_keys(), ms):
             win = self._windows.get(key)
             if win is None or k - self._seen[key] > 2:  # not in the last two epochs
                 win = self._windows[key] = deque(maxlen=WINDOW_CAPACITY)
@@ -83,7 +83,10 @@ class TrackingHistory:
         # the windows of each length as the rows of one stack (module docstring)
         for size in set(sizes):
             rows = [i for i, s in enumerate(sizes) if s == size]
-            values = np.array([windows[i] for i in rows])
+            # one flat pass over the windows: np.array(windows) reads each
+            # deque as a generic sequence, several times slower
+            values = np.fromiter(chain.from_iterable(windows[i] for i in rows), float,
+                                 len(rows) * size).reshape(-1, size)
             mean = np.add.reduce(values, axis=1) / size
             block[rows, 3] = mean
             if size >= 2:

@@ -78,8 +78,9 @@ class Epoch:
     rows and weight vectors line up deterministically. An epoch is
     immutable: ``measurements`` is a tuple and no field can be assigned
     after construction. Its arrays (``sat_array``, ``pr_array``,
-    ``const_index``), its constellations and its state dimension are
-    therefore built once, at the first call, and every later call returns
+    ``const_index``), its measurement keys, its constellations and its
+    state dimension are therefore built once, at the first call (the keys
+    at construction, which sorts by them), and every later call returns
     the same object; the arrays are read-only, so no caller can alter the
     shared copy.
     """
@@ -95,6 +96,8 @@ class Epoch:
             raise ValueError("duplicate (constellation, sv_id, band) in epoch")
         order = sorted(range(len(keys)), key=keys.__getitem__)
         object.__setattr__(self, "measurements", tuple(self.measurements[i] for i in order))
+        # the value ``measurement_keys`` would build at its first call
+        self.__dict__["_measurement_keys"] = tuple(keys[i] for i in order)
 
     def __getstate__(self):
         # the fields only: an unpickled epoch rebuilds its arrays, read-only
@@ -103,6 +106,11 @@ class Epoch:
     @property
     def n(self) -> int:
         return len(self.measurements)
+
+    @_built_once
+    def measurement_keys(self) -> tuple[tuple[int, int, int], ...]:
+        """Each measurement's ``key``, in canonical order (sorted)."""
+        return tuple(m.key for m in self.measurements)
 
     @_built_once
     def constellations(self) -> tuple[ConstellationId, ...]:

@@ -55,10 +55,10 @@ def _row_groups(epoch: Epoch) -> list:
     drops = np.where(members[const_idx] == 1, const_idx, -1)
     groups = []
     for drop in sorted(set(drops.tolist())):
-        kept = np.flatnonzero(np.arange(n_const) != drop)
-        sub_idx = np.searchsorted(kept, const_idx)
+        kept = (np.arange(n_const) != drop).nonzero()[0]
+        sub_idx = kept.searchsorted(const_idx)
         sub_idx[const_idx == drop] = 0
-        groups.append((np.flatnonzero(drops == drop), kept, sub_idx))
+        groups.append(((drops == drop).nonzero()[0], kept, sub_idx))
     return groups
 
 
@@ -92,7 +92,7 @@ def solve_rows(epochs) -> list:
             # measurement n cannot move its own row even at the last ulp. A
             # warm start from the all-in-view fix would leak the excluded
             # measurement into the iteration path.
-            problems.append((sat, pr, sub_idx, w, np.repeat(x0[:, :3 + kept.size], links.size, 0)))
+            problems.append((sat, pr, sub_idx, w, x0[:, :3 + kept.size].repeat(links.size, 0)))
     solved = iter(solve_batch(problems))
     return [(tuple(a[0] for a in next(solved)), [(links, kept, next(solved)) for links, kept, _ in g])
             for g in groups]
@@ -121,10 +121,10 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     values = np.full((n, n), GAMMA)
     failed: list[int] = []
     for links, kept, (x, _, status, _) in rows[1]:
-        ok = status != _kernels.STATUS_SINGULAR
-        if not ok.all():
-            failed.extend(links[~ok].tolist())
-            links, x = links[ok], x[ok]
+        bad = status == _kernels.STATUS_SINGULAR
+        if np.count_nonzero(bad):
+            failed.extend(links[bad].tolist())
+            links, x = links[~bad], x[~bad]
         # The epoch-layout state of each row, clocks through the same
         # meters -> seconds -> meters round trip as a NavState; a dropped
         # constellation's clock is 0.

@@ -15,6 +15,7 @@ from .model import Epoch, NavState
 # Cold-start iterate: a point on the ellipsoid surface, zero clock biases.
 # Single-epoch operation cannot assume any warm start.
 _DEFAULT_START = geodetic_to_ecef(GeodeticPosition(0.0, 0.0, 0.0))
+_COLD_START = NavState(_DEFAULT_START)
 
 
 @dataclass
@@ -28,14 +29,9 @@ class SolveReport:
 
 def state_to_vector(epoch: Epoch, state: NavState) -> np.ndarray:
     """[x, y, z, c*delta_k ...] with clock columns in epoch constellation order."""
-    consts = epoch.constellations()
-    v = np.zeros(3 + len(consts))
-    v[0] = state.position.x
-    v[1] = state.position.y
-    v[2] = state.position.z
-    for k, c in enumerate(consts):
-        v[3 + k] = SPEED_OF_LIGHT * state.clock_bias.get(c, 0.0)
-    return v
+    p, bias = state.position, state.clock_bias
+    return np.array([p.x, p.y, p.z, *(SPEED_OF_LIGHT * bias.get(c, 0.0) for c in epoch.constellations())],
+                    dtype=float)
 
 
 def vector_to_state(epoch: Epoch, v: np.ndarray) -> NavState:
@@ -87,20 +83,18 @@ def _check_inputs(weights, sat, pr, starts) -> None:
 
     The kernel would otherwise fail inside LAPACK on such a row, for every
     row of its call."""
-    if not np.isfinite(weights).all() or (weights < 0.0).any():
+    # count_nonzero costs about half of all() or any() on these small arrays
+    if np.count_nonzero(np.isfinite(weights)) < weights.size or np.count_nonzero(weights < 0.0):
         raise ValueError("weights must be finite and nonnegative")
     for name, a in (("satellite positions", sat), ("pseudoranges", pr), ("starts", starts)):
-        if not np.isfinite(a).all():
+        if np.count_nonzero(np.isfinite(a)) < a.size:
             raise ValueError(f"{name} must be finite")
 
 
 def _start(epoch: Epoch, init: NavState | None) -> np.ndarray:
-    """Kernel-layout start: ``init``, or the cold start ``_DEFAULT_START``."""
-    if init is not None:
-        return state_to_vector(epoch, init)
-    x0 = np.zeros(epoch.state_dim())
-    x0[:3] = _DEFAULT_START.as_array()
-    return x0
+    """Kernel-layout start: ``init``, or the cold start ``_DEFAULT_START``
+    with zero clocks."""
+    return state_to_vector(epoch, _COLD_START if init is None else init)
 
 
 def row_report(epoch: Epoch, x, iterations, status, cost) -> SolveReport | None:
@@ -178,7 +172,7 @@ def epoch_problem(epoch: Epoch, weights, init: NavState | None = None) -> tuple:
     """The ``solve_batch`` problem of the rows ``weights`` (k, N) on
     ``epoch``, each started as ``solve_wls(epoch, w, init)`` starts it."""
     w = np.asarray(weights, dtype=float)
-    return epoch.sat_array(), epoch.pr_array(), epoch.const_index(), w, np.repeat(_start(epoch, init)[None], len(w), 0)
+    return epoch.sat_array(), epoch.pr_array(), epoch.const_index(), w, _start(epoch, init)[None].repeat(len(w), 0)
 
 
 def solve_batch(problems) -> list:
@@ -218,20 +212,21 @@ def solve_batch(problems) -> list:
     _check_inputs(flat_w, sat, pr, np.concatenate(x0, axis=None))
     # Row r has row_n[r] links from meas0[r] on in the concatenated
     # measurements, and the weights flat_w[w0[r]:w0[r] + row_n[r]].
-    row_n, row_dim, meas0 = np.repeat([n, dims, [*accumulate(n, initial=0)][:-1]], k, axis=1)
-    w_end = np.cumsum(row_n)
+    row_n, row_dim, meas0 = np.array([n, dims, [*accumulate(n, initial=0)][:-1]]).repeat(k, axis=1)
+    w_end = row_n.cumsum()
     w0 = w_end - row_n
-    positive = np.concatenate([[0], np.cumsum(flat_w > 0.0)])
+    positive = np.zeros(flat_w.size + 1, dtype=np.intp)  # positive weights before each
+    (flat_w > 0.0).cumsum(out=positive[1:])
     solvable = positive[w_end] - positive[w0] >= row_dim
     iterations = np.zeros(row_n.size, dtype=np.int64)
     status = np.full(row_n.size, STATUS_NOT_ENOUGH)
     cost = np.full(row_n.size, np.nan)
     states = {}  # the states of the rows with d unknowns, in problem order
     for d in sorted(set(dims)):
-        rows = np.flatnonzero(row_dim == d)
+        rows = (row_dim == d).nonzero()[0]
         x = np.concatenate([a for a in x0 if a.shape[1] == d])
-        todo = np.flatnonzero(solvable[rows])
-        todo = todo[np.argsort(row_n[rows[todo]], kind="stable")]
+        todo = solvable[rows].nonzero()[0]
+        todo = todo[row_n[rows[todo]].argsort(kind="stable")]
         for lo in range(0, todo.size, MAX_ROWS_PER_CALL):
             b = todo[lo:lo + MAX_ROWS_PER_CALL]
             r = rows[b]

@@ -9,7 +9,7 @@ import pytest
 from gnssweight import _kernels, evaluation, sim, solver
 from gnssweight.baselines import SotaWeightParams
 from gnssweight.dataio import Dataset, Session
-from gnssweight.errors import ConfigInvalid, EmptySamples
+from gnssweight.errors import ConfigInvalid, EmptySamples, ParseError
 from gnssweight.evaluation import (
     STRATEGIES,
     CdfSummary,
@@ -179,6 +179,30 @@ def test_error_csv_round_trip(tmp_path):
     assert not back[1].converged
     assert math.isnan(back[1].h_err_m)
     assert back[1].n_zero_weight == 2
+
+
+@pytest.mark.parametrize("column, value", [
+    ("converged", "2"), ("converged", "-1"), ("n_sv", "-1"), ("n_zero_weight", "-3"),
+])
+def test_error_csv_rejects_flags_and_counts_out_of_range(tmp_path, column, value):
+    """``converged`` other than 0/1 and a negative count fail with the line
+    of the offending record; the file's other records are well formed."""
+    recs = [
+        ErrorRecord("a", 0.2, "equal", 1.25, 0.5, True, 9, 0),
+        ErrorRecord("a", 0.4, "truth", 2.5, 0.75, False, 9, 2),
+    ]
+    path = tmp_path / "errors.csv"
+    write_error_csv(recs, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[1][column] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(ParseError, match=column) as e:
+        read_error_csv(path)
+    assert e.value.line == 3  # the header, then the two records
 
 
 def test_summary_dict_shape():

@@ -111,11 +111,16 @@ def test_epoch_arrays_cannot_go_stale(rng):
             a[0] = a[1]
     assert epoch.constellations() is epoch.constellations()
     assert epoch.sat_array().shape == (7, 3)
+    # the keys kept at construction are each measurement's, in canonical order
+    keys = epoch.measurement_keys()
+    assert keys is epoch.measurement_keys()
+    assert keys == tuple(m.key for m in epoch.measurements) == tuple(sorted(keys))
     # an unpickled epoch (as a worker process gets it) builds its own arrays, read-only too
     again = pickle.loads(pickle.dumps(epoch))
     assert again == epoch
     assert again.sat_array().tobytes() == epoch.sat_array().tobytes()
     assert not again.sat_array().flags.writeable
+    assert again.measurement_keys() == keys
 
 
 def test_epoch_without_measurements_has_empty_arrays():

@@ -5,7 +5,7 @@ import pytest
 
 from gnssweight import _kernels, residuals, solver
 from gnssweight.errors import NotEnoughMeasurements, SingularGeometry
-from gnssweight.geo import EcefPosition, GeodeticPosition, enu_rotation
+from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, GeodeticPosition, enu_rotation
 from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 from gnssweight.residuals import GAMMA, build_residual_matrix
 from gnssweight.solver import (
@@ -519,3 +519,70 @@ def test_solve_batch_hands_the_kernel_the_reference_calls(monkeypatch, cap):
     assert len(calls) >= 4  # one per clock count, or more
     # some call is cut at the cap (the corpus test above cuts at 512)
     assert cap > 7 or any(call[0][1][0] == cap for call in calls)
+
+
+def _dense_sky_epochs():
+    """16 open-sky epochs with four constellations (GPS, Galileo, GLONASS
+    and BeiDou, at least three links each), N from 15 to 22 and d = 7:
+    the sky of an online receiver's fixes. Three noise levels, and every
+    third epoch has three links biased by 20-80 m, as NLOS links are."""
+    rng = np.random.default_rng(1515)
+    consts = (ConstellationId.GPS, ConstellationId.GALILEO, ConstellationId.GLONASS, ConstellationId.BEIDOU)
+    for k in range(16):
+        n = 15 + k % 8
+        biases = ({int(i): float(rng.uniform(20.0, 80.0)) for i in rng.choice(n, 3, replace=False)}
+                  if k % 3 == 0 else None)
+        epoch, _ = make_epoch(rng, n=n, constellations=consts, noise_sigma=(0.5, 2.0, 8.0)[k % 3],
+                              biases=biases, time=0.2 * k)
+        yield epoch, rng.uniform(0.2, 3.0, n)
+
+
+@pytest.mark.bitwise
+def test_dense_sky_fixes_match_reference_loop(monkeypatch):
+    """On four-constellation epochs with N 15-22 (d = 7), the regime of the
+    benchmark's online fixes: ``solve_rows`` hands the kernel the
+    reference's calls, byte for byte, all epochs at once and one at a
+    time; every fix and leave-one-out row has the bits of the one-problem
+    loop ``test_solver._reference_lm_solve``; and so has ``solve_wls``,
+    cold with equal weights and warm-started from the fix with other
+    weights."""
+    from test_solver import _reference_lm_solve
+
+    cases = list(_dense_sky_epochs())
+    epochs = [epoch for epoch, _ in cases]
+    assert {epoch.state_dim() for epoch in epochs} == {7}
+    assert {epoch.n for epoch in epochs} == set(range(15, 23))
+    assert min(np.bincount(epoch.const_index()).min() for epoch in epochs) >= 3
+    for batch in (epochs, *([e] for e in epochs)):
+        got, calls = _kernel_calls(monkeypatch, residuals.solve_rows, batch)
+        want, want_calls = _kernel_calls(monkeypatch, _reference_solve_rows, batch)
+        assert calls == want_calls
+        assert [[_kernel_rows_bytes(f), [_kernel_rows_bytes(g[2]) for g in gs]] for f, gs in got] == \
+            [[_kernel_rows_bytes(f), [_kernel_rows_bytes(g[2]) for g in gs]] for f, gs in want]
+
+    cold = _DEFAULT_START.as_array()
+    rows_checked = 0
+    for (epoch, w), (fix, groups) in zip(cases, residuals.solve_rows(epochs)):
+        sat, pr, idx, n = epoch.sat_array(), epoch.pr_array(), epoch.const_index(), epoch.n
+        # (weights, clock columns, clocks, kernel row) of the fix and of each leave-one-out row
+        rows = [(np.ones(n), idx, 4, fix)]
+        for (links, kept, kernel), (_, _, sub_idx) in zip(groups, _reference_row_groups(epoch), strict=True):
+            rows += [(np.where(np.arange(n) == link, 0.0, 1.0), sub_idx, kept.size, [a[j] for a in kernel])
+                     for j, link in enumerate(links.tolist())]
+        for weights, clock, n_clk, (x, iterations, status, cost) in rows:
+            want = _reference_lm_solve(sat, pr, weights, clock, n_clk, np.r_[cold, np.zeros(n_clk)])
+            assert x.tobytes() == want[0].tobytes(), epoch.n
+            assert (iterations, status, cost.tobytes()) == (want[1], want[2], want[3].tobytes()), epoch.n
+            rows_checked += 1
+
+        for weights, init in ((np.ones(n), None), (w, row_report(epoch, *fix).state)):
+            rep = solve_wls(epoch, weights, init)
+            start = np.r_[cold, np.zeros(4)] if init is None else state_to_vector(epoch, init)
+            want = _reference_lm_solve(sat, pr, weights, idx, 4, start)
+            assert want[2] == _kernels.STATUS_CONVERGED
+            assert rep.state.position.as_array().tobytes() == want[0][:3].tobytes()
+            clocks = [rep.state.clock_bias[c] for c in epoch.constellations()]
+            assert np.array(clocks).tobytes() == (want[0][3:] / SPEED_OF_LIGHT).tobytes()
+            assert (rep.iterations, rep.converged) == (want[1], True)
+            assert np.float64(rep.final_cost).tobytes() == want[3].tobytes()
+    assert rows_checked == sum(epoch.n + 1 for epoch in epochs)
