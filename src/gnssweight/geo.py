@@ -23,11 +23,25 @@ SPEED_OF_LIGHT = 299792458.0
 
 @dataclass(frozen=True)
 class EcefPosition:
-    """Earth-centered Earth-fixed position, meters."""
+    """Earth-centered Earth-fixed position, meters.
+
+    The simulator builds one per satellite link, so ``__init__`` is written
+    out: it stores the fields straight into the instance ``__dict__``,
+    where the generated one makes an ``object.__setattr__`` call per field.
+    The record stays a frozen dataclass: assigning a field raises
+    ``FrozenInstanceError``, and ``fields``, ``replace``, eq, hash, repr and
+    pickling are the generated ones.
+    """
 
     x: float
     y: float
     z: float
+
+    def __init__(self, x: float, y: float, z: float):
+        d = self.__dict__
+        d["x"] = x
+        d["y"] = y
+        d["z"] = z
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -135,14 +149,16 @@ def elevation_angles(sats, rx: GeodeticPosition) -> list[float]:
     ``sats`` is a (K, 3) array of ECEF positions. The ENU vectors come
     from one stacked matmul, which has the bits of ``enu_rotation(rx) @ d``
     for each row (a plain ``rot @ d.T`` does not); range and arcsine are
-    taken per row with ``math``, whose bits numpy's ufuncs do not share.
+    taken per row with Python floats and ``math``, whose bits numpy's
+    ufuncs do not share. The squares stay ``x**2`` (libm ``pow``): ``x*x``
+    and ``np.square`` round differently for about one value in a thousand.
+    A zero range shows up as the division by it.
     """
     d = np.asarray(sats, dtype=float).reshape(-1, 3) - geodetic_to_ecef(rx).as_array()
     enu = np.matmul(enu_rotation(rx)[None], d[:, :, None])
-    elevations = []
-    for e, n, u in enu.reshape(-1, 3).tolist():
-        rng = math.sqrt(e**2 + n**2 + u**2)
-        if rng == 0.0:
-            raise ZeroRange("satellite coincides with receiver")
-        elevations.append(math.asin(max(-1.0, min(1.0, u / rng))))
-    return elevations
+    sqrt, asin = math.sqrt, math.asin
+    try:
+        sines = [u / sqrt(e**2 + n**2 + u**2) for e, n, u in zip(*enu.reshape(-1, 3).T.tolist())]
+    except ZeroDivisionError:
+        raise ZeroRange("satellite coincides with receiver") from None
+    return [asin(s) if -1.0 <= s <= 1.0 else asin(max(-1.0, min(1.0, s))) for s in sines]

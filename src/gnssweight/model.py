@@ -29,6 +29,13 @@ class PseudorangeMeasurement:
 
     Ephemeris-derived corrections (SV clock, iono, tropo, Sagnac) are
     assumed already applied to ``pseudorange``.
+
+    One is built per link, by the simulator and by ``dataio`` when it
+    reads a campaign, so ``__init__`` is written out as
+    ``geo.EcefPosition``'s: it stores the fields straight into the instance
+    ``__dict__`` instead of one ``object.__setattr__`` call per field. The
+    record stays a frozen dataclass (``FrozenInstanceError`` on assignment;
+    the generated ``fields``, ``replace``, eq, hash, repr and pickling).
     """
 
     constellation: ConstellationId
@@ -38,6 +45,17 @@ class PseudorangeMeasurement:
     sat_pos: EcefPosition
     cn0: float
     lock_time: float
+
+    def __init__(self, constellation: ConstellationId, sv_id: int, band: Band, pseudorange: float,
+                 sat_pos: EcefPosition, cn0: float, lock_time: float):
+        d = self.__dict__
+        d["constellation"] = constellation
+        d["sv_id"] = sv_id
+        d["band"] = band
+        d["pseudorange"] = pseudorange
+        d["sat_pos"] = sat_pos
+        d["cn0"] = cn0
+        d["lock_time"] = lock_time
 
     @property
     def key(self) -> tuple[int, int, int]:

@@ -5,6 +5,13 @@ follows piecewise-linear waypoint trajectories, and pseudoranges carry
 per-constellation clock bias, elevation-dependent Gaussian noise and
 positive NLOS excess-path biases. Everything is deterministic under the
 configured seed.
+
+Each epoch's satellite geometry (positions, elevations, ranges) is one
+numpy stack. Everything per link stays scalar Python: the NLOS, noise and
+C/N0 draws, one after another in canonical order, so that the random
+stream is fixed by the seed alone, and the arithmetic around them, which
+has the same bits on Python floats and costs less there than as per-epoch
+numpy on multi-epoch sessions. The trajectory is scalar too.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ _DEFAULT_WAYPOINTS = [
     GeodeticPosition(math.radians(45.20), math.radians(5.77), 228.0),
 ]
 
+_CONSTELLATIONS = frozenset(ConstellationId)  # an int key is found by value
+
 
 def _is_int(v):
     """An int that is not a bool (True would pass for 1 satellite or GLONASS)."""
@@ -92,16 +101,18 @@ class ScenarioConfig:
     waypoints: tuple = tuple(_DEFAULT_WAYPOINTS)
 
     def validate(self):
-        if self.rate_hz <= 0:
-            raise ConfigInvalid("rate_hz must be > 0")
-        if self.duration_s <= 0:
-            raise ConfigInvalid("duration_s must be > 0")
+        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise ConfigInvalid(f"rate_hz must be finite and > 0, got {self.rate_hz!r}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigInvalid(f"duration_s must be finite and > 0, got {self.duration_s!r}")
         if self.profile not in PROFILES:
             raise ConfigInvalid(f"profile must be one of {PROFILES}")
-        if self.noise_sigma_m < 0 or self.nlos_bias_mean_m < 0:
-            raise ConfigInvalid("noise/bias magnitudes must be nonnegative")
+        for name in ("noise_sigma_m", "nlos_bias_mean_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigInvalid(f"{name} must be finite and nonnegative, got {value!r}")
         for const, count in self.sv_counts.items():
-            if not _is_int(const) or const not in tuple(ConstellationId):
+            if not _is_int(const) or const not in _CONSTELLATIONS:
                 raise ConfigInvalid(f"sv_counts key {const!r} is not a ConstellationId")
             if not _is_int(count) or count < 0:
                 raise ConfigInvalid(f"sv_counts[{const!r}] = {count!r} is not a nonnegative integer")
@@ -123,25 +134,32 @@ class SessionTruth:
 def nlos_probability(knots, elevation: float) -> float:
     """Piecewise-linear interpolation of an NLOS probability curve whose
     (elevation, probability) ``knots`` are in ascending elevation."""
-    if elevation <= knots[0][0]:
-        return knots[0][1]
-    for (e0, p0), (e1, p1) in zip(knots, knots[1:]):
+    e0, p0 = knots[0]
+    if elevation <= e0:
+        return p0
+    for e1, p1 in knots:  # the first knot is passed over: elevation > e0
         if elevation <= e1:
             f = (elevation - e0) / (e1 - e0)
             return p0 + f * (p1 - p0)
-    return knots[-1][1]
+        e0, p0 = e1, p1
+    return p0
 
 
-def _trajectory(cfg: ScenarioConfig, times: np.ndarray):
-    """Piecewise-linear ECEF positions along the waypoints."""
-    pts = np.array([geodetic_to_ecef(w).as_array() for w in cfg.waypoints])
-    n_seg = len(pts) - 1
+def _trajectory(cfg: ScenarioConfig, times):
+    """Piecewise-linear ECEF positions along the waypoints, an (x, y, z)
+    tuple per time, in Python floats: the bits of numpy's elementwise
+    arithmetic, without per-epoch numpy calls, and cheaper than one
+    vectorized pass on a session of a few epochs."""
+    pts = [geodetic_to_ecef(w) for w in cfg.waypoints]
+    legs = [(a.x, a.y, a.z, b.x - a.x, b.y - a.y, b.z - a.z) for a, b in zip(pts, pts[1:])]
+    n_seg = len(legs)
     seg_T = cfg.duration_s / n_seg
-    positions = np.empty((len(times), 3))
-    for k, t in enumerate(times):
+    positions = []
+    for t in times:
         s = min(int(t / seg_T), n_seg - 1)
         f = (t - s * seg_T) / seg_T
-        positions[k] = pts[s] + f * (pts[s + 1] - pts[s])
+        x, y, z, dx, dy, dz = legs[s]
+        positions.append((x + f * dx, y + f * dy, z + f * dz))
     return positions
 
 
@@ -154,11 +172,14 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]))[:, :, 0]
 
 
+_NEXT = np.array([1, 2, 0])  # column k + 1, cyclic
+_PREV = np.array([2, 0, 1])  # column k - 1, cyclic
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b with np.cross's arithmetic, without its per-call axis handling."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=1)
+    """Row-wise a x b with np.cross's arithmetic (column k is
+    a[k+1] * b[k-1] - a[k-1] * b[k+1]), without its per-call axis handling."""
+    return a.take(_NEXT, axis=1) * b.take(_PREV, axis=1) - a.take(_PREV, axis=1) * b.take(_NEXT, axis=1)
 
 
 def _orbit_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +189,7 @@ def _orbit_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the normal lies within about 26 degrees of the x axis.
     """
     near_x = np.abs(normals[:, 0]) > 0.9
-    refs = np.zeros_like(normals)
-    refs[~near_x, 0] = 1.0
-    refs[near_x, 1] = 1.0
+    refs = np.where(near_x[:, None], (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
     u = _cross(normals, refs)
     u /= _row_norms(u)
     return u, _cross(normals, u)
@@ -191,104 +210,97 @@ class _Orbits:
         """ECEF positions (K, 3) of every satellite at time ``t``."""
         w = 2.0 * math.pi * t
         psi = [phase + w / period for phase, period in zip(self.phases, self.periods)]
-        cos = np.array([math.cos(p) for p in psi])[:, None]
-        sin = np.array([math.sin(p) for p in psi])[:, None]
-        return self.radii * (cos * self.u + sin * self.v)
+        cos, sin = math.cos, math.sin
+        return self.radii * (np.array([cos(p) for p in psi])[:, None] * self.u
+                             + np.array([sin(p) for p in psi])[:, None] * self.v)
 
 
 def _init_orbits(cfg: ScenarioConfig, rng: np.random.Generator) -> _Orbits:
     """Random circular orbit (plane normal, then phase) per satellite."""
-    keys, normals, phases = [], [], []
+    normal, random = rng.normal, rng.random
+    two_pi = 2.0 * math.pi
+    keys, normals, phases, radii, periods = [], [], [], [], []
     for const, count in sorted(cfg.sv_counts.items()):
         for sv in range(1, count + 1):
             keys.append((const, sv))
-            normals.append(rng.normal(size=3))
+            normals.append(normal(size=3))
             # uniform(0, 2π) is 0.0 + 2π · next_double: the same double and draw
-            phases.append(2.0 * math.pi * rng.random())
+            phases.append(two_pi * random())
+        radii += [SHELL_RADIUS_M[const]] * count
+        periods += [ORBIT_PERIOD_S[const]] * count
     normals = np.array(normals).reshape(-1, 3)
     u, v = _orbit_basis(normals / _row_norms(normals))
-    return _Orbits(
-        keys=keys,
-        radii=np.array([SHELL_RADIUS_M[c] for c, _ in keys]).reshape(-1, 1),
-        periods=[ORBIT_PERIOD_S[c] for c, _ in keys],
-        phases=phases,
-        u=u,
-        v=v,
-    )
+    return _Orbits(keys=keys, radii=np.array(radii).reshape(-1, 1), periods=periods, phases=phases, u=u, v=v)
 
 
 def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
     """Generate one session: (epochs with truth, SessionTruth).
 
-    Geometry is computed for all satellites of an epoch at once; the
-    NLOS, noise and C/N0 draws are scalar, one link after another in
-    canonical order, so the random stream is fixed by the seed alone.
+    Geometry is computed for all satellites of an epoch at once. The NLOS,
+    noise and C/N0 draws are scalar, one link after another in canonical
+    order, so the random stream is fixed by the seed alone; the arithmetic
+    of each link stays on Python floats beside them, because per-epoch numpy
+    arrays cost more than they save on multi-epoch sessions (same bits
+    either way).
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     dt = 1.0 / cfg.rate_hz
-    n_epochs = int(round(cfg.duration_s * cfg.rate_hz))
-    times = np.arange(n_epochs) * dt
+    # k * dt as np.arange(n) * dt would compute it
+    times = [k * dt for k in range(int(round(cfg.duration_s * cfg.rate_hz)))]
     positions = _trajectory(cfg, times)
     orbits = _init_orbits(cfg, rng)
 
+    normal, random, exponential = rng.normal, rng.random, rng.exponential
     consts = sorted(cfg.sv_counts.keys())
-    clock = {c: float(rng.uniform(-CLOCK_INIT_SPAN_S, CLOCK_INIT_SPAN_S)) for c in consts}
+    clock = {c: rng.uniform(-CLOCK_INIT_SPAN_S, CLOCK_INIT_SPAN_S) for c in consts}
 
     knots = sorted(_NLOS_CURVES[cfg.profile])
-    sin_mask = math.sin(ELEVATION_MASK)
+    noise_sigma, bias_mean = cfg.noise_sigma_m, cfg.nlos_bias_mean_m
+    mask, sin_mask = ELEVATION_MASK, math.sin(ELEVATION_MASK)
+    walk_sigma = CLOCK_WALK_SIGMA_S
+    cn0_base, cn0_loss, nlos_penalty = CN0_BASE_DBHZ, CN0_ELEV_LOSS_DB, NLOS_CN0_PENALTY_DB
     cn0_sigma2 = CN0_NOISE_SIGMA_DB**2
     if cfg.profile == "urban_canyon":
         cn0_sigma2 += MP_CN0_VAR_INFLATION_DB2
     cn0_sigma = math.sqrt(cn0_sigma2)
+    sin, c_light, l1 = math.sin, SPEED_OF_LIGHT, Band.L1
 
     lock_time: dict = {}
     epochs = []
     truth = SessionTruth()
-    for k, t in enumerate(times.tolist()):
-        rx = EcefPosition.from_array(positions[k])
+    for t, p in zip(times, positions):
+        rx = EcefPosition(*p)
         for c in consts:
-            clock[c] += float(rng.normal(0.0, CLOCK_WALK_SIGMA_S))
+            clock[c] += normal(0.0, walk_sigma)
 
         sats = orbits.positions(t)
         elevations = elevation_angles(sats, ecef_to_geodetic(rx))
-        ranges = _row_norms(positions[k] - sats)[:, 0].tolist()
+        ranges = _row_norms(np.subtract(p, sats))[:, 0].tolist()
         measurements, flags, biases = [], [], []
-        for key, elev, rng_m, sat in zip(orbits.keys, elevations, ranges, sats.tolist()):
-            if elev < ELEVATION_MASK:
+        for key, elev, rng_m, x, y, z in zip(orbits.keys, elevations, ranges, *sats.T.tolist()):
+            if elev < mask:
                 lock_time.pop(key, None)
                 continue
-            lt = lock_time.get(key, -dt) + dt
-            lock_time[key] = lt
+            lt = lock_time[key] = lock_time.get(key, -dt) + dt
 
-            is_nlos = bool(rng.random() < nlos_probability(knots, elev))
-            bias = float(rng.exponential(cfg.nlos_bias_mean_m)) if is_nlos else 0.0
+            is_nlos = random() < nlos_probability(knots, elev)
+            bias = exponential(bias_mean) if is_nlos else 0.0
 
-            sin_elev = math.sin(elev)
-            sigma = cfg.noise_sigma_m / max(sin_elev, sin_mask)
-            noise = float(rng.normal(0.0, sigma)) if cfg.noise_sigma_m > 0 else 0.0
+            sin_elev = sin(elev)
+            noise = normal(0.0, noise_sigma / max(sin_elev, sin_mask)) if noise_sigma > 0 else 0.0
             const, sv = key
-            pr = rng_m + SPEED_OF_LIGHT * clock[const] + noise + bias
+            pr = rng_m + c_light * clock[const] + noise + bias
 
             cn0 = (
-                CN0_BASE_DBHZ
-                - CN0_ELEV_LOSS_DB * (1.0 - sin_elev)
-                - (NLOS_CN0_PENALTY_DB if is_nlos else 0.0)
-                + (float(rng.normal(0.0, cn0_sigma)) if cn0_sigma2 > 0 else 0.0)
+                cn0_base
+                - cn0_loss * (1.0 - sin_elev)
+                - (nlos_penalty if is_nlos else 0.0)
+                + (normal(0.0, cn0_sigma) if cn0_sigma2 > 0 else 0.0)
             )
             # np.clip's arithmetic, signed zero included
             cn0 = min(cn0, 60.0) if cn0 > 0.0 else 0.0
-            measurements.append(
-                PseudorangeMeasurement(
-                    constellation=const,
-                    sv_id=sv,
-                    band=Band.L1,
-                    pseudorange=pr,
-                    sat_pos=EcefPosition(*sat),
-                    cn0=cn0,
-                    lock_time=lt,
-                )
-            )
+            measurements.append(PseudorangeMeasurement(const, sv, l1, pr, EcefPosition(x, y, z), cn0, lt))
             flags.append(is_nlos)
             biases.append(bias)
         # the orbits are in canonical order, so flags and biases line up

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -129,3 +130,48 @@ def test_epoch_without_measurements_has_empty_arrays():
     assert epoch.pr_array().shape == epoch.const_index().shape == (0,)
     assert epoch.constellations() == ()
     assert epoch.state_dim() == 3
+
+
+def _generated_twin(cls):
+    """A frozen dataclass with ``cls``'s name and fields and every method generated."""
+    return dataclasses.make_dataclass(cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True)
+
+
+_RECORDS = [
+    (EcefPosition, (1.5, -0.0, 2e7)),
+    (PseudorangeMeasurement, (ConstellationId.GALILEO, 7, Band.L1, 2.1e7, EcefPosition(1.0, 2.0, 3.0), 41.25, 0.4)),
+]
+
+
+@pytest.mark.parametrize("cls, values", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_hand_written_constructors_keep_the_frozen_dataclass_contract(cls, values):
+    # the records built per link write their fields straight into the
+    # instance dict; everything else is what @dataclass(frozen=True) generates
+    twin_cls = _generated_twin(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    rec, twin = cls(*values), twin_cls(*values)
+    assert dataclasses.is_dataclass(rec) and cls.__dataclass_params__.frozen
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] == \
+        [(f.name, f.type, f.default) for f in dataclasses.fields(twin_cls)]
+    assert cls.__match_args__ == tuple(names)
+    # keywords build the same record, and the instance dict is the generated one, in field order
+    assert cls(**dict(zip(names, values))) == rec
+    assert list(rec.__dict__.items()) == list(twin.__dict__.items())
+    assert repr(rec) == repr(twin)
+    assert hash(rec) == hash(twin) == hash(tuple(values))
+    assert rec == cls(*values) and rec != twin and not rec != cls(*values)
+    assert rec != cls(*values[:-1], values[-1] + 1.0)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, name)
+    changed = dataclasses.replace(rec, **{names[-1]: values[-1] + 1.0})
+    assert type(changed) is cls and changed == cls(*values[:-1], values[-1] + 1.0)
+    assert dataclasses.astuple(rec) == dataclasses.astuple(twin)
+    for again in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec), copy.copy(rec)):
+        assert type(again) is cls and again == rec and repr(again) == repr(rec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(again, names[0], values[0])

@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_elevation_azimuth
 from gnssweight import sim
 from gnssweight.errors import ConfigInvalid
-from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, ecef_to_geodetic
+from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, ecef_to_geodetic, geodetic_to_ecef
 from gnssweight.model import Band, ConstellationId, Epoch, PseudorangeMeasurement
 from gnssweight.nn import truth_residuals
 from gnssweight.sim import (
@@ -58,6 +58,27 @@ def test_config_validation():
         _quiet_cfg(profile="indoor").validate()
     with pytest.raises(ConfigInvalid):
         _quiet_cfg(sv_counts={ConstellationId.GPS: 4}).validate()
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("rate_hz", math.nan),
+    ("rate_hz", math.inf),
+    ("duration_s", math.nan),
+    ("duration_s", math.inf),
+    ("noise_sigma_m", math.nan),
+    ("noise_sigma_m", math.inf),
+    ("nlos_bias_mean_m", math.nan),
+    ("nlos_bias_mean_m", math.inf),
+])
+def test_non_finite_settings_are_rejected(setting, value):
+    # a NaN noise used to give the noise-free campaign (every "> 0" test is
+    # False), an infinite one or bias wrote inf tokens that read_dataset
+    # rejects, and a NaN rate or duration failed with a bare ValueError
+    with pytest.raises(ConfigInvalid, match=setting):
+        _quiet_cfg(**{setting: value}).validate()
+    if setting != "duration_s":  # generate_campaign derives the duration
+        with pytest.raises(ConfigInvalid, match=setting):
+            generate_campaign(["open_sky"], 3, 1, epochs_per_session=2, **{setting: value})
 
 
 def test_noise_free_session_is_self_consistent(quiet):
@@ -248,6 +269,7 @@ def _reference_orbit_basis(normal):
     return u, np.cross(normal, u)
 
 
+@pytest.mark.bitwise
 def test_orbit_basis_is_bitwise_np_cross():
     # the stacked bases reproduce the per-normal np.cross and np.linalg.norm
     # bit for bit, signed zeros included, for normals on either reference axis
@@ -265,14 +287,23 @@ def test_orbit_basis_is_bitwise_np_cross():
     assert 1000 <= refs < 4000
 
 
+def _reference_position(cfg: ScenarioConfig, t):
+    """The receiver at time ``t``: piecewise linear between the waypoints in
+    ECEF, one segment per equal share of the session, as numpy arrays."""
+    pts = [geodetic_to_ecef(w).as_array() for w in cfg.waypoints]
+    seg_T = cfg.duration_s / (len(pts) - 1)
+    s = min(int(t / seg_T), len(pts) - 2)
+    return pts[s] + (t - s * seg_T) / seg_T * (pts[s + 1] - pts[s])
+
+
 def _reference_generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
     """Reference simulator: one orbit, position, look angle and range per
-    satellite, where ``generate_session`` computes each as a stack."""
+    satellite, where ``generate_session`` computes each as a stack, and its
+    own receiver trajectory."""
     rng = np.random.default_rng(cfg.seed)
     dt = 1.0 / cfg.rate_hz
     n_epochs = int(round(cfg.duration_s * cfg.rate_hz))
     times = np.arange(n_epochs) * dt
-    positions = sim._trajectory(cfg, times)
     orbits = []
     for const, count in sorted(cfg.sv_counts.items()):
         for sv in range(1, count + 1):
@@ -286,8 +317,8 @@ def _reference_generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
     lock_time: dict = {}
     epochs = []
     truth = SessionTruth()
-    for k, t in enumerate(times):
-        rx = EcefPosition.from_array(positions[k])
+    for t in times:
+        rx = EcefPosition.from_array(_reference_position(cfg, t))
         rx_geo = ecef_to_geodetic(rx)
         for c in consts:
             clock[c] += float(rng.normal(0.0, sim.CLOCK_WALK_SIGMA_S))
@@ -345,6 +376,13 @@ _DENSE_SKY = {  # the dense_sky_fix benchmark's sky, BeiDou included
 }
 
 
+# one session of the dense_sky_fix benchmark's stream (open sky, two epochs)
+# and one of urban_pipeline's campaign (urban canyon, one epoch), each on
+# generate_campaign's jittered waypoints
+_JITTERED = sim._jitter_waypoints(sim._DEFAULT_WAYPOINTS, np.random.default_rng(602))
+
+
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -355,8 +393,11 @@ _DENSE_SKY = {  # the dense_sky_fix benchmark's sky, BeiDou included
         ScenarioConfig(profile="suburban", seed=32, duration_s=10.0, noise_sigma_m=0.0),
         # crosses the elevation mask, so lock times reset
         ScenarioConfig(profile="open_sky", seed=13, duration_s=240.0, rate_hz=1.0),
+        ScenarioConfig(profile="open_sky", seed=603, duration_s=0.4, sv_counts=_DENSE_SKY, waypoints=_JITTERED),
+        ScenarioConfig(profile="urban_canyon", seed=604, duration_s=0.2, waypoints=_JITTERED),
     ],
-    ids=["open_sky", "suburban", "urban_canyon", "dense_sky", "noise_free", "mask_crossing"],
+    ids=["open_sky", "suburban", "urban_canyon", "dense_sky", "noise_free", "mask_crossing",
+         "dense_stream_2_epochs", "urban_1_epoch"],
 )
 def test_session_matches_per_satellite_reference(cfg):
     epochs, truth = generate_session(cfg, "s1")
