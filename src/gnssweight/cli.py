@@ -32,16 +32,7 @@ from .sim import generate_campaign
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, _seed_override(args))
-    sim = cfg["simulate"]
-    dataset = generate_campaign(
-        profiles=sim["profiles"],
-        sessions_per_profile=sim["sessions_per_profile"],
-        seed=cfg["seed"],
-        epochs_per_session=sim["epochs_per_session"],
-        rate_hz=sim["rate_hz"],
-        noise_sigma_m=sim["noise_sigma_m"],
-        nlos_bias_mean_m=sim["nlos_bias_mean_m"],
-    )
+    dataset = generate_campaign(seed=cfg["seed"], **cfg["simulate"])  # the keys are its parameters
     write_dataset(dataset, args.out)
     print(f"wrote {dataset.n_epochs} epochs over {len(dataset.sessions)} sessions to {args.out}")
     return 0
@@ -50,16 +41,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_featurize(args) -> int:
     cfg = load_config(args.config, _seed_override(args))
     splits = dataset_samples(read_dataset(args.data))
-    arrays = {}
-    index = {}
-    i = 0
+    arrays, index, i = {}, {}, 0
     for split, samples in splits.items():
-        ids = []
+        index[split] = list(range(i, i + len(samples)))
         for fm, labels in samples:
             arrays[f"fm_{i}"], arrays[f"lab_{i}"] = fm, labels
-            ids.append(i)
             i += 1
-        index[split] = ids
     meta = {"version": 1, "seed": cfg["seed"], "splits": index}
     # an open file, so that numpy writes to --out as given, without adding ".npz"
     with open(args.out, "wb") as fh:
@@ -99,17 +86,22 @@ def _load_model(path, mode: str):
 
 def _load_feature_cache(path):
     """{split: [(fm, labels)]} of a ``featurize`` cache, failing with a
-    GnssWeightError that names ``path`` when a fitting split is missing,
-    a matrix does not have ``N_FEATURES`` columns or a label vector does
-    not have one entry per row."""
+    GnssWeightError that names ``path`` when the metadata or its
+    ``splits`` is not an object, a split's ids are not integers, a
+    fitting split is missing, a matrix does not have ``N_FEATURES``
+    columns or a label vector does not have one entry per row."""
     def invalid(why):
         return GnssWeightError(f"{path} is not a valid feature cache: {why}")
 
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
+        if not (isinstance(meta, dict) and isinstance(meta["splits"], dict)):
+            raise invalid("the metadata and its 'splits' must be objects")
         splits = {}
         for split, ids in meta["splits"].items():
-            samples = []
+            if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+                raise invalid(f"split {split!r} is not a list of integer ids")
+            splits[split] = samples = []
             for i in ids:
                 fm = data[f"fm_{i}"].copy()
                 lab = data[f"lab_{i}"].copy()
@@ -118,7 +110,6 @@ def _load_feature_cache(path):
                 if lab.shape != (fm.shape[0],):
                     raise invalid(f"labels {i} have shape {lab.shape} for {fm.shape[0]} rows")
                 samples.append((fm, lab))
-            splits[split] = samples
     missing = [s for s in ("train", "val") if s not in splits]
     if missing:
         raise invalid(f"no {' or '.join(missing)} split")

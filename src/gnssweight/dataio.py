@@ -72,18 +72,16 @@ def _epoch_line(epoch: Epoch) -> str:
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Canonical byte-deterministic serialization of a campaign."""
+    sessions = sorted(dataset.sessions, key=lambda s: s.session_id)
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "seed": dataset.seed,
-        "sessions": {
-            s.session_id: {"profile": s.profile, "split": s.split}
-            for s in sorted(dataset.sessions, key=lambda s: s.session_id)
-        },
+        "sessions": {s.session_id: {"profile": s.profile, "split": s.split} for s in sessions},
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for session in sorted(dataset.sessions, key=lambda s: s.session_id):
+        for session in sessions:
             for epoch in session.epochs:
                 fh.write(_epoch_line(epoch) + "\n")
 

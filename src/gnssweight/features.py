@@ -12,13 +12,12 @@ may miss one epoch; after a longer gap its window starts afresh. Gaps are
 counted in the tracker's epochs, not in seconds, so the rule holds at
 every data rate. Each epoch it groups the links' windows by length,
 stacks each group into a (k, L) array and takes every window's mean, and
-for L >= 2 its variance (ddof=1), in one reduction along the rows, with
-the arithmetic of ``np.mean`` and ``np.var``. That keeps each link's
-bits: numpy sums a contiguous row pairwise, by a tree that depends only
-on the row's length (Higham, "The accuracy of floating point summation",
-SIAM J. Sci. Comput. 14(4), 1993), so a row of the stack is summed
-exactly as the window alone would be. Padding the windows to one common
-length would change that tree.
+for L >= 2 its variance (ddof=1), by one ``mean`` and one ``var`` call
+along the rows. That keeps each link's bits: numpy sums a contiguous row
+pairwise, by a tree that depends only on the row's length (Higham, "The
+accuracy of floating point summation", SIAM J. Sci. Comput. 14(4), 1993),
+so a row of the stack is summed exactly as the window alone would be.
+Padding the windows to one common length would change that tree.
 """
 
 from __future__ import annotations
@@ -87,9 +86,7 @@ class TrackingHistory:
             # deque as a generic sequence, several times slower
             values = np.fromiter(chain.from_iterable(windows[i] for i in rows), float,
                                  len(rows) * size).reshape(-1, size)
-            mean = np.add.reduce(values, axis=1) / size
-            block[rows, 3] = mean
+            block[rows, 3] = values.mean(axis=1)
             if size >= 2:
-                dev = values - mean[:, None]
-                block[rows, 4] = np.add.reduce(dev * dev, axis=1) / (size - 1)
+                block[rows, 4] = values.var(axis=1, ddof=1)
         return block

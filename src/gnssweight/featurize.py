@@ -55,10 +55,11 @@ def assemble_feature_matrix(rmat: ResidualMatrix, per_link: np.ndarray) -> np.nd
     """N x 14 features: every row of ``rmat`` folded as ``fold_residual_row``
     folds it, then the (N, 6) per-link block of ``TrackingHistory``.
 
-    The rows are folded at once, by the ufunc reductions along the rows
-    that ``mean``, ``std``, ``min``, ``max`` and ``median`` make, without
-    their Python wrappers: each statistic keeps those functions' bits,
-    including ``median``'s partition and its NaN for a row holding one.
+    The rows are folded at once: ``mean``, ``std``, ``min`` and ``max`` by
+    the ufunc reductions along the rows that those functions make, without
+    their Python wrappers, and the median by ``np.median`` along the rows,
+    so each statistic keeps the bits of its one-row call, including
+    ``median``'s NaN for a row holding one.
     """
     n = rmat.n
     m = n - 1  # entries per row
@@ -76,15 +77,7 @@ def assemble_feature_matrix(rmat: ResidualMatrix, per_link: np.ndarray) -> np.nd
     fm[:, 5] = np.add.reduce(a, axis=1) / m
     fm[:, 6] = np.add.reduce(a > 5.0, axis=1)
     fm[:, 7] = np.add.reduce(a > 20.0, axis=1)
-    # median: the middle entry, or the mean of the two middle ones, of
-    # np.median's partition, which also moves a NaN to the end of its row
-    h = m // 2
-    kth = [h, -1] if m % 2 else [h - 1, h, -1]
-    off.partition(kth, axis=1)
-    fm[:, 4] = np.add.reduce(off[:, kth[0]:h + 1], axis=1) / (h + 1 - kth[0])
-    nan = np.isnan(off[:, -1])
-    if nan.any():
-        fm[nan, 4] = off[nan, -1]
+    fm[:, 4] = np.median(off, axis=1, overwrite_input=True)  # last: it reorders each row
     fm[:, N_RESIDUAL_SUMMARY:] = per_link
     return fm
 

@@ -46,10 +46,6 @@ class EcefPosition:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @staticmethod
-    def from_array(a) -> "EcefPosition":
-        return EcefPosition(float(a[0]), float(a[1]), float(a[2]))
-
 
 @dataclass(frozen=True)
 class GeodeticPosition:

@@ -43,10 +43,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import EmptySplit, MissingTruth, ShapeMismatch, VersionMismatch
+from .errors import EmptySplit, GnssWeightError, MissingTruth, ShapeMismatch, VersionMismatch
 from .model import Epoch
 
 CHECKPOINT_VERSION = 1
+# the type of each metadata entry that load_checkpoint reads, in the order it checks them
+_META_TYPES = {"n_layers": int, "input_dim": int, "hidden": int, "head_b": (int, float), "config": dict}
 
 # LSTM layers of a new model; a checkpoint stores its own count.
 N_LAYERS = 2
@@ -513,11 +515,20 @@ def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfi
 
 
 def load_checkpoint(path):
-    """Returns (model, norm_mean, norm_std, cfg); bit-exact reload."""
+    """Returns (model, norm_mean, norm_std, cfg); bit-exact reload.
+
+    Metadata that is not an object, or whose entries do not have the types
+    of ``_META_TYPES``, raises a GnssWeightError naming ``path``.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
+        if not isinstance(meta, dict):
+            raise GnssWeightError(f"{path} is not a valid checkpoint: its metadata is not an object")
         if meta["version"] != CHECKPOINT_VERSION:
             raise VersionMismatch(f"checkpoint version {meta['version']} unsupported")
+        for key, t in _META_TYPES.items():
+            if not isinstance(meta[key], t) or isinstance(meta[key], bool):  # True is an int to isinstance
+                raise GnssWeightError(f"{path} is not a valid checkpoint: '{key}' is {meta[key]!r}")
         n_layers = meta["n_layers"]
         model = LstmModel(
             input_dim=meta["input_dim"],

@@ -98,13 +98,12 @@ def solve_rows(epochs) -> list:
             for g in groups]
 
 
-def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
+def build_residual_matrix(epoch: Epoch, rows) -> ResidualMatrix:
     """Tabulate the residuals of each N-1 subset's equal-weight solve.
 
     Row n is the cold equal-weight ``solve_wls`` of the epoch without
     measurement n, bit for bit. ``rows`` is the epoch's entry of
-    ``solve_rows``, whose kernel outputs the matrix is assembled from;
-    without it the epoch's rows are solved here, as ``solve_rows([epoch])``.
+    ``solve_rows``, whose kernel outputs the matrix is assembled from.
     Rows whose subset geometry is degenerate are filled with GAMMA and
     listed in ``failed_rows`` so downstream consumers see a consistent
     sentinel instead of a hard failure; a row whose solve hits the
@@ -112,8 +111,6 @@ def build_residual_matrix(epoch: Epoch, rows=None) -> ResidualMatrix:
     leave-one-out rows (no ``_row_groups``) raises NotEnoughMeasurements.
     """
     n = epoch.n
-    if rows is None:
-        rows = solve_rows([epoch])[0]
     if not rows[1]:
         raise NotEnoughMeasurements(f"N={n} leaves unsolvable subsets for state dim {epoch.state_dim()}")
     n_const = epoch.state_dim() - 3

@@ -124,9 +124,9 @@ class ScenarioConfig:
 
 @dataclass
 class SessionTruth:
-    """Per-epoch ground truth and fault bookkeeping, aligned 1:1 with epochs."""
+    """Per-epoch fault bookkeeping, aligned 1:1 with epochs (each epoch
+    carries its own truth position)."""
 
-    positions: list = field(default_factory=list)  # EcefPosition
     fault_flags: list = field(default_factory=list)  # list[bool] per epoch, canonical order
     fault_biases: list = field(default_factory=list)  # list[float] per epoch, canonical order
 
@@ -306,7 +306,6 @@ def generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
         # the orbits are in canonical order, so flags and biases line up
         # with the epoch's measurements
         epochs.append(Epoch(time=t, measurements=measurements, truth=rx, session_id=session_id))
-        truth.positions.append(rx)
         truth.fault_flags.append(flags)
         truth.fault_biases.append(biases)
     return epochs, truth

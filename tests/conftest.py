@@ -96,7 +96,7 @@ def make_epoch(
             ]
         )
         los_ecef = rot.T @ los_enu
-        sat = EcefPosition.from_array(rx.as_array() + 2.2e7 * los_ecef)
+        sat = EcefPosition(*(rx.as_array() + 2.2e7 * los_ecef).tolist())
         # same arithmetic as the observation function, so noise-free
         # residuals at truth vanish to the last ulp
         dxyz = rx.as_array() - sat.as_array()

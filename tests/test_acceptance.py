@@ -41,7 +41,7 @@ from gnssweight.nn import (
     train,
     truth_residuals,
 )
-from gnssweight.residuals import GAMMA, build_residual_matrix
+from gnssweight.residuals import GAMMA, build_residual_matrix, solve_rows
 from gnssweight.sim import ScenarioConfig, generate_campaign, generate_session
 from gnssweight.solver import jacobian, predicted_pseudoranges, solve_wls, state_to_vector
 from conftest import make_epoch, observation_function, reference_elevation_azimuth
@@ -197,7 +197,7 @@ def test_criterion_03_residual_matrix_equivalence(rng):
     for case in range(100):
         n = int(rng.integers(8, 13))
         epoch, _ = make_epoch(rng, n=n, noise_sigma=2.0)
-        M = build_residual_matrix(epoch)
+        M = build_residual_matrix(epoch, solve_rows([epoch])[0])
         assert np.all(np.diag(M.values) == GAMMA)
         for row in range(n):
             sub = Epoch(
@@ -226,7 +226,8 @@ def test_criterion_03_residual_matrix_equivalence(rng):
                     )
                     for i, m in enumerate(epoch.measurements)
                 ]
-                M2 = build_residual_matrix(Epoch(time=epoch.time, measurements=ms))
+                shifted = Epoch(time=epoch.time, measurements=ms)
+                M2 = build_residual_matrix(shifted, solve_rows([shifted])[0])
                 mask = np.arange(n) != target
                 worst_inv = max(
                     worst_inv,
@@ -473,7 +474,7 @@ def test_criterion_11_unit_examples():
     from gnssweight.geo import enu_rotation
 
     rot = enu_rotation(ref)
-    est = EcefPosition.from_array(truth.as_array() + 3.0 * rot[0] + 4.0 * rot[1])
+    est = EcefPosition(*(truth.as_array() + 3.0 * rot[0] + 4.0 * rot[1]).tolist())
     h, v = position_errors(est, truth)
     assert h == pytest.approx(5.0, abs=1e-6)
     assert v == pytest.approx(0.0, abs=1e-6)

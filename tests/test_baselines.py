@@ -101,6 +101,9 @@ def test_calibration_is_outlier_robust():
 def test_calibration_rejects_empty_input():
     with pytest.raises(EmptySplit):
         calibrate_sota([], [], [])
+    # samples, but no bin holding the five a variance needs
+    with pytest.raises(EmptySplit, match="populated bins"):
+        calibrate_sota([0.5] * 4, [40.0] * 4, [1.0] * 4)
 
 
 # Calibration-shaped systems: rows [1, mean 1/cn0] scaled by sqrt(count).

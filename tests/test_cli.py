@@ -9,9 +9,12 @@ import pytest
 
 import gnssweight
 from gnssweight.cli import build_parser, main
+from gnssweight.config import DEFAULTS
+from gnssweight.dataio import write_dataset
 from gnssweight.errors import ConfigInvalid
 from gnssweight.evaluation import read_error_csv
 from gnssweight.featurize import N_FEATURES
+from gnssweight.sim import generate_campaign
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,22 @@ def test_simulate_is_deterministic(tiny_config, tiny_dataset, tmp_path):
         assert a.read() != b.read()
 
 
+def test_simulate_passes_every_setting_to_generate_campaign(tmp_path):
+    """``simulate`` with every ``simulate`` setting off its default writes
+    the bytes that ``write_dataset(generate_campaign(...))`` writes for
+    those values."""
+    settings = {"profiles": ["open_sky", "urban_canyon"], "sessions_per_profile": 4, "epochs_per_session": 3,
+                "rate_hz": 2.0, "noise_sigma_m": 1.5, "nlos_bias_mean_m": 25.0}
+    assert settings.keys() == DEFAULTS["simulate"].keys()
+    assert all(v != DEFAULTS["simulate"][k] for k, v in settings.items())
+    cfg, out, ref = tmp_path / "run.yaml", tmp_path / "cli.jsonl", tmp_path / "ref.jsonl"
+    cfg.write_text(json.dumps({"seed": 5, "simulate": settings}), encoding="utf-8")  # JSON is YAML
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    write_dataset(generate_campaign(["open_sky", "urban_canyon"], 4, 5, epochs_per_session=3, rate_hz=2.0,
+                                    noise_sigma_m=1.5, nlos_bias_mean_m=25.0), ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_featurize_train_evaluate_report(tiny_config, tiny_dataset, tmp_path, capsys):
     cache = tmp_path / "features.npz"
     assert main(["featurize", "--config", tiny_config, "--data", tiny_dataset, "--out", str(cache)]) == 0
@@ -94,10 +113,13 @@ def test_featurize_train_evaluate_report(tiny_config, tiny_dataset, tmp_path, ca
         assert summary["strategies"][s]["count"] > 0
 
     capsys.readouterr()
-    assert main(["report", "--errors", str(out_dir / "errors.csv")]) == 0
+    report = tmp_path / "report.json"
+    assert main(["report", "--errors", str(out_dir / "errors.csv"), "--out", str(report)]) == 0
     table = capsys.readouterr().out
     for s in strategies:
         assert s in table
+    # the report's summaries are evaluate's, without its seed and split
+    assert json.loads(report.read_text()) == {"strategies": summary["strategies"]}
 
 
 def test_cache_and_checkpoint_are_written_to_out_as_given(tiny_config, tiny_dataset, tmp_path, capsys):
@@ -409,6 +431,48 @@ def test_invalid_feature_cache_fails_with_path(splits, expect, tiny_config, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(cache) in err and "feature cache" in err and expect in err, err
+    assert not out.exists()
+
+
+def _with_meta(src, dst, edit):
+    """A copy at ``dst`` of the npz ``src`` whose ``meta`` entry holds
+    ``edit(meta)``, as JSON, or as it is when ``edit`` returns bytes."""
+    with np.load(src) as data:
+        arrays = dict(data)
+    meta = edit(json.loads(bytes(arrays["meta"])))
+    raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+    np.savez(dst, **{**arrays, "meta": np.frombuffer(raw, dtype=np.uint8)})
+
+
+@pytest.mark.parametrize("kind, edit, expect", [
+    ("cache", lambda meta: [meta], "valid feature cache: the metadata and its 'splits' must be objects"),
+    ("cache", lambda meta: {**meta, "splits": list(meta["splits"].values())},
+     "metadata and its 'splits' must be objects"),
+    ("cache", lambda meta: {**meta, "splits": {"train": ["0"], "val": [1]}}, "split 'train' is not a list"),
+    ("cache", lambda meta: b"{not json", "not a readable feature cache: Expecting property name"),
+    ("checkpoint", lambda meta: [meta], "valid checkpoint: its metadata is not an object"),
+    ("checkpoint", lambda meta: {**meta, "n_layers": "2"}, "'n_layers' is '2'"),
+    ("checkpoint", lambda meta: {**meta, "head_b": [0.5]}, "'head_b' is [0.5]"),
+    ("checkpoint", lambda meta: {**meta, "config": []}, "'config' is []"),
+], ids=["cache-meta-list", "splits-list", "string-ids", "meta-not-json",
+        "checkpoint-meta-list", "string-n-layers", "list-head-b", "list-config"])
+def test_metadata_of_wrong_type_fails_with_path(kind, edit, expect, tiny_config, residual_model, tmp_path, capsys):
+    """A feature cache or checkpoint whose JSON metadata is not JSON, not an
+    object, or holds a value of the wrong type fails with one
+    ``error: ...`` line naming the file instead of a traceback."""
+    cache, bad, out = tmp_path / "features.npz", tmp_path / "bad.npz", tmp_path / "m.npz"
+    _write_feature_cache(cache, {"train": [_SAMPLE], "val": [_SAMPLE]})
+    argv = ["train", "--config", tiny_config, "--features", str(cache), "--out", str(out), "--mode", "residual"]
+    if kind == "cache":
+        _with_meta(cache, bad, edit)
+        argv[4] = str(bad)
+    else:
+        _with_meta(residual_model, bad, edit)
+        argv += ["--resume", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{bad} is not a" in err and expect in err, err
     assert not out.exists()
 
 

@@ -52,6 +52,14 @@ def test_value_validation():
     # out-of-range values
     for overrides, key in (
         ({"seed": -1}, "seed"),
+        ({"simulate": {"sessions_per_profile": 2}}, "simulate.sessions_per_profile"),
+        ({"simulate": {"epochs_per_session": 0}}, "simulate.epochs_per_session"),
+        ({"simulate": {"noise_sigma_m": -0.5}}, "simulate.noise_sigma_m"),
+        ({"simulate": {"nlos_bias_mean_m": -1}}, "simulate.nlos_bias_mean_m"),
+        ({"train": {"batch_size": 0}}, "train"),
+        ({"train": {"patience": -1}}, "train.patience"),
+        ({"train": {"learning_rate": 0.0}}, "train.learning_rate"),
+        ({"evaluate": {"fde": {"threshold": -3.0}}}, "evaluate.fde.threshold"),
         ({"evaluate": {"fde": {"noise_sigma_m": 0}}}, "evaluate.fde.noise_sigma_m"),
         ({"evaluate": {"fde": {"max_exclusions": -1}}}, "evaluate.fde.max_exclusions"),
         ({"evaluate": {"fde": {"min_retained": -5}}}, "evaluate.fde.min_retained"),

@@ -37,7 +37,7 @@ def test_position_errors_trivials():
     rot = enu_rotation(ref)  # rows e, n, u
     # 3-4 horizontal offset plus 12 up: classic 3-4-5 in the plane
     offset = 3.0 * rot[0] + 4.0 * rot[1] + 12.0 * rot[2]
-    est = EcefPosition.from_array(truth.as_array() + offset)
+    est = EcefPosition(*(truth.as_array() + offset).tolist())
     h, v = position_errors(est, truth)
     # offsets are applied at ECEF scale, so ulps of 6.4e6 m (~1e-9) remain
     assert h == pytest.approx(5.0, abs=1e-6)
@@ -292,7 +292,7 @@ def _reference_records(session, strategies, models):
     from gnssweight.featurize import assemble_feature_matrix, feature_columns
     from gnssweight.geo import ecef_to_geodetic
     from gnssweight.nn import make_labels, predict_weights, quality_to_weights
-    from gnssweight.residuals import build_residual_matrix
+    from gnssweight.residuals import build_residual_matrix, solve_rows
 
     history = TrackingHistory()
     out = []
@@ -310,7 +310,7 @@ def _reference_records(session, strategies, models):
         if fix is not None:
             per_link = history.update_and_extract(epoch, ecef_to_geodetic(fix.state.position))
             try:
-                fm = assemble_feature_matrix(build_residual_matrix(epoch), per_link)
+                fm = assemble_feature_matrix(build_residual_matrix(epoch, solve_rows([epoch])[0]), per_link)
             except NotEnoughMeasurements:
                 pass
         for strategy in strategies:
@@ -371,7 +371,7 @@ def _mixed_epochs():
             sat = base.sat_pos.as_array() + rng.normal(0.0, 1e6, size=3)
             ms.append(PseudorangeMeasurement(
                 ConstellationId.BEIDOU, 40, base.band, base.pseudorange + rng.normal(0.0, 50.0),
-                EcefPosition.from_array(sat), 40.0, 1.0,
+                EcefPosition(*sat.tolist()), 40.0, 1.0,
             ))
         epochs.append(Epoch(time=ep.time, measurements=ms, truth=ep.truth, session_id="m"))
     ep, _ = make_epoch(rng, n=8, noise_sigma=1.0, time=0.2 * 24)

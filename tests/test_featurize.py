@@ -21,7 +21,7 @@ from gnssweight.featurize import (
 )
 from gnssweight.geo import ecef_to_geodetic
 from gnssweight.model import ConstellationId, Epoch
-from gnssweight.residuals import GAMMA, ResidualMatrix, build_residual_matrix
+from gnssweight.residuals import GAMMA, ResidualMatrix, build_residual_matrix, solve_rows
 from gnssweight.sim import ScenarioConfig, generate_campaign, generate_session
 from conftest import make_epoch
 
@@ -53,7 +53,7 @@ def test_feature_matrix_layout(rng):
     fz = EpochFeaturizer()
     fm = fz.featurize(epoch)
     assert fm.shape == (8, N_FEATURES)
-    rmat = build_residual_matrix(epoch)
+    rmat = build_residual_matrix(epoch, solve_rows([epoch])[0])
     for row in range(8):
         assert np.array_equal(fm[row, :N_RESIDUAL_SUMMARY], fold_residual_row(rmat.values[row], row))
     # per-link block: elevation in col 8, cn0 in col 10, window size in col 13

@@ -68,7 +68,7 @@ def test_near_geocenter_rejected():
 def test_enu_trivials():
     ref = GeodeticPosition(math.radians(45.0), math.radians(5.0), 200.0)
     up = enu_rotation(ref)[2]
-    p = EcefPosition.from_array(geodetic_to_ecef(ref).as_array() + 10.0 * up)
+    p = EcefPosition(*(geodetic_to_ecef(ref).as_array() + 10.0 * up).tolist())
     v = ecef_to_enu(p, ref)
     assert v.east == pytest.approx(0.0, abs=1e-9)
     assert v.north == pytest.approx(0.0, abs=1e-9)
@@ -101,7 +101,7 @@ def test_elevation_azimuth_trivials():
 
     north = origin + 1e6 * rot[1]
     (elev,) = elevation_angles([north], ref)
-    _, az = reference_elevation_azimuth(EcefPosition.from_array(north), ref)
+    _, az = reference_elevation_azimuth(EcefPosition(*north.tolist()), ref)
     assert elev == pytest.approx(0.0, abs=1e-9)
     assert az == pytest.approx(0.0, abs=1e-9)
 

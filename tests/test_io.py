@@ -141,6 +141,7 @@ def test_invariant_validation_on_read(tmp_path):
         cases.append(_meas(sv=bad))
     for bad in (None, "x", nan, float("-inf"), 10**400, True, False):
         cases.append(_meas(sat_xyz_m=[2.6e7, bad, 0.0]))
+    cases += [[_meas()], "pr_m", None]  # a measurement that is not an object
     lines = [_epoch_line([bad]) for bad in cases]
     for bad in ([6.4e6, 0.0, None], [6.4e6, "0", 0.0], [6.4e6, 0.0, nan],
                 [6.4e6, True, 0.0], [6.4e6, False, 0.0]):
@@ -149,6 +150,10 @@ def test_invariant_validation_on_read(tmp_path):
     for bad in (None, nan, "0", True, False):
         lines.append(json.dumps({"session_id": "s", "t": bad, "measurements": [_meas()]}))
     lines += [json.dumps({"session_id": "s", "t": 0.0, "measurements": None}), "7"]
+    # an unknown epoch field, and each required one missing
+    good = {"session_id": "s", "t": 0.0, "measurements": [_meas()]}
+    lines.append(json.dumps({**good, "clock": 1.0}))
+    lines += [json.dumps({k: v for k, v in good.items() if k != key}) for key in good]
     for line in lines:
         _write_lines(path, [_valid_header(), _epoch_line([_meas(sv=2)]), line])
         with pytest.raises(ParseError) as e:
@@ -170,9 +175,12 @@ def test_invariant_validation_on_read(tmp_path):
             with pytest.raises(ParseError) as e:
                 read()
             assert e.value.line == 1, fields
-    _write_lines(path, ["[1, 2]"])
-    with pytest.raises(ParseError):
-        list(iter_epochs(path))
+    # a header that is not an object, or not JSON
+    for header in ("[1, 2]", "{not json"):
+        _write_lines(path, [header])
+        with pytest.raises(ParseError) as e:
+            list(iter_epochs(path))
+        assert e.value.line == 1, header
 
 
 def test_integer_spellings_read_as_floats(tmp_path):

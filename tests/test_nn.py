@@ -187,9 +187,16 @@ def test_forward_matches_naive_recurrence():
 
 
 def test_forward_shape_guard():
+    """Features of another width than the model's, and labels that do not
+    have one entry per row, are refused."""
     model = LstmModel.init(6, 4, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         lstm_forward(model, np.zeros((3, 5)))
+    with pytest.raises(ShapeMismatch, match="labels"):
+        lstm_backward(model, np.zeros((3, 6)), np.zeros(2))
+    samples = [(np.zeros((3, 5)), np.zeros(3))]
+    with pytest.raises(ShapeMismatch, match="input width"):
+        train(samples, samples, TrainConfig(hidden=4), init_model=model)
 
 
 def test_gradients_match_finite_differences():

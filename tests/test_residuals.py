@@ -20,7 +20,7 @@ from conftest import assert_same_fix, make_epoch, reference_fix
 
 def test_shape_and_diagonal(rng):
     epoch, _ = make_epoch(rng, n=9, noise_sigma=1.0)
-    M = build_residual_matrix(epoch)
+    M = build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
     assert M.values.shape == (9, 9)
     assert M.failed_rows == []
     assert np.all(np.diag(M.values) == GAMMA)
@@ -28,7 +28,7 @@ def test_shape_and_diagonal(rng):
 
 def test_noise_free_rows_vanish(rng):
     epoch, _ = make_epoch(rng, n=8)
-    M = build_residual_matrix(epoch)
+    M = build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
     off = M.values[~np.eye(8, dtype=bool)]
     assert np.max(np.abs(off)) < 1e-6
 
@@ -36,7 +36,7 @@ def test_noise_free_rows_vanish(rng):
 def test_matches_brute_force_subset_solves(rng):
     """Row n must equal residuals against an independent solve without n."""
     epoch, _ = make_epoch(rng, n=9, noise_sigma=2.0)
-    M = build_residual_matrix(epoch)
+    M = build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
     for row in range(epoch.n):
         sub = Epoch(
             time=epoch.time,
@@ -55,7 +55,7 @@ def test_faulted_measurement_signature(rng):
     bias = 120.0
     epoch, _ = make_epoch(rng, n=9, biases={4: bias})
     idx = next(i for i, m in enumerate(epoch.measurements) if m.sv_id == 5)
-    M = build_residual_matrix(epoch)
+    M = build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
     # sv 5's own column shows most of the bias; its row is otherwise clean
     col = np.abs(np.delete(M.values[:, idx], idx))
     others = np.delete(M.values[idx], idx)
@@ -73,7 +73,7 @@ def test_row_perturbation_isolation(rng):
     from gnssweight.model import PseudorangeMeasurement
 
     epoch, _ = make_epoch(rng, n=9, noise_sigma=1.0)
-    M0 = build_residual_matrix(epoch)
+    M0 = build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
     target = 3
     for shift in (100.0, -100.0):
         ms = []
@@ -90,7 +90,8 @@ def test_row_perturbation_isolation(rng):
                     lock_time=m.lock_time,
                 )
             )
-        M1 = build_residual_matrix(Epoch(time=epoch.time, measurements=ms))
+        shifted = Epoch(time=epoch.time, measurements=ms)
+        M1 = build_residual_matrix(shifted, residuals.solve_rows([shifted])[0])
         mask = np.arange(9) != target
         assert np.max(np.abs(M1.values[target, mask] - M0.values[target, mask])) < 1e-9
         # in its own column the shift appears in full
@@ -102,7 +103,7 @@ def test_row_perturbation_isolation(rng):
 def test_minimum_count_enforced(rng):
     epoch, _ = make_epoch(rng, n=5)
     with pytest.raises(NotEnoughMeasurements):
-        build_residual_matrix(epoch)
+        build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
 
 
 def test_too_few_links_have_a_fix_and_no_groups(rng):
@@ -117,13 +118,13 @@ def test_too_few_links_have_a_fix_and_no_groups(rng):
 
 def test_permutation_equivariance(rng):
     epoch, _ = make_epoch(rng, n=8, noise_sigma=2.0)
-    M = build_residual_matrix(epoch)
+    M = build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
     perm = rng.permutation(8)
     shuffled = Epoch(
         time=epoch.time, measurements=[epoch.measurements[i] for i in perm]
     )
     # canonical sorting restores the original order, so the matrix matches
-    M2 = build_residual_matrix(shuffled)
+    M2 = build_residual_matrix(shuffled, residuals.solve_rows([shuffled])[0])
     assert np.array_equal(M.values, M2.values)
 
 
@@ -152,7 +153,7 @@ def test_single_member_constellation_row(rng):
         i for i, m in enumerate(mixed.measurements)
         if m.constellation == ConstellationId.GALILEO
     )
-    M = build_residual_matrix(mixed)
+    M = build_residual_matrix(mixed, residuals.solve_rows([mixed])[0])
     assert M.failed_rows == []
     assert M.values[idx, idx] == GAMMA
     mask = np.arange(mixed.n) != idx
@@ -202,7 +203,7 @@ def _corpus():
             sat = base.sat_pos.as_array() + rng.normal(0.0, 1e6, size=3)
             one = PseudorangeMeasurement(
                 ConstellationId.BEIDOU, 40, base.band, base.pseudorange + rng.normal(0.0, 50.0),
-                EcefPosition.from_array(sat), 40.0, 1.0,
+                EcefPosition(*sat.tolist()), 40.0, 1.0,
             )
             epoch = Epoch(time=epoch.time, measurements=[*epoch.measurements, one])
         if k % 10 == 5:
@@ -294,7 +295,7 @@ def test_rows_across_epochs_match_per_epoch_calls(monkeypatch):
                 assert [a.tobytes() for a in g] == [a.tobytes() for a in e]
                 statuses += np.bincount(g[2], minlength=3)
             M = build_residual_matrix(epoch, (got_fix, got))
-            assert M.values.tobytes() == build_residual_matrix(epoch).values.tobytes()
+            assert M.values.tobytes() == build_residual_matrix(epoch, (expect_fix, expect)).values.tobytes()
     assert np.all(statuses > 0), statuses
     assert sum(padded) > 0
 
@@ -315,10 +316,10 @@ def test_singular_subset_row_is_gamma_and_listed():
         sat = rx + 2.2e7 * los
         ms.append(PseudorangeMeasurement(
             ConstellationId.GPS, sv, Band.L1, float(np.linalg.norm(sat - rx)),
-            EcefPosition.from_array(sat), 45.0, 10.0,
+            EcefPosition(*sat.tolist()), 45.0, 10.0,
         ))
     epoch = Epoch(time=0.0, measurements=ms)
-    M = build_residual_matrix(epoch)
+    M = build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
     assert M.failed_rows == [4]
     assert np.all(M.values[4] == GAMMA)
     assert np.max(np.abs(M.values[:4][~np.eye(4, 5, dtype=bool)])) < 1e-6
@@ -340,7 +341,7 @@ def test_singular_fix_row_is_none():
         sat = rx + 2.2e7 * (rot.T @ np.array(enu))
         ms.append(PseudorangeMeasurement(
             ConstellationId.GPS, sv, Band.L1, float(np.linalg.norm(sat - rx)),
-            EcefPosition.from_array(sat), 45.0, 10.0,
+            EcefPosition(*sat.tolist()), 45.0, 10.0,
         ))
     epoch = Epoch(time=0.0, measurements=ms)
     rows = residuals.solve_rows([epoch])[0]

@@ -58,6 +58,8 @@ def test_config_validation():
         _quiet_cfg(profile="indoor").validate()
     with pytest.raises(ConfigInvalid):
         _quiet_cfg(sv_counts={ConstellationId.GPS: 4}).validate()
+    with pytest.raises(ConfigInvalid, match="waypoints"):
+        _quiet_cfg(waypoints=[(0.0, 0.0, 0.0)]).validate()
 
 
 @pytest.mark.parametrize("setting, value", [
@@ -87,7 +89,6 @@ def test_noise_free_session_is_self_consistent(quiet):
     assert len(epochs) == 20
     for k, epoch in enumerate(epochs):
         assert epoch.truth is not None
-        assert epoch.truth.as_array() == pytest.approx(truth.positions[k].as_array())
         clocks = dict(zip(epoch.constellations(), truth_residuals(epoch)[1] / SPEED_OF_LIGHT))
         rx = epoch.truth.as_array()
         for m in epoch.measurements:
@@ -106,10 +107,10 @@ def test_satellites_on_their_shells(quiet):
 
 def test_visible_satellites_above_mask(quiet):
     cfg = _quiet_cfg(seed=2)
-    epochs, truth = generate_session(cfg)
-    for k, epoch in enumerate(epochs):
+    epochs, _ = generate_session(cfg)
+    for epoch in epochs:
         assert epoch.n >= 6
-        ref = ecef_to_geodetic(truth.positions[k])
+        ref = ecef_to_geodetic(epoch.truth)
         for m in epoch.measurements:
             elev, _ = reference_elevation_azimuth(m.sat_pos, ref)
             assert elev >= sim.ELEVATION_MASK - 1e-9
@@ -318,7 +319,7 @@ def _reference_generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
     epochs = []
     truth = SessionTruth()
     for t in times:
-        rx = EcefPosition.from_array(_reference_position(cfg, t))
+        rx = EcefPosition(*_reference_position(cfg, t).tolist())
         rx_geo = ecef_to_geodetic(rx)
         for c in consts:
             clock[c] += float(rng.normal(0.0, sim.CLOCK_WALK_SIGMA_S))
@@ -326,7 +327,7 @@ def _reference_generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
         for const, sv, u, v, phase in orbits:
             psi = phase + 2.0 * math.pi * float(t) / ORBIT_PERIOD_S[const]
             sat_arr = SHELL_RADIUS_M[const] * (math.cos(psi) * u + math.sin(psi) * v)
-            sat = EcefPosition.from_array(sat_arr)
+            sat = EcefPosition(*sat_arr.tolist())
             elev, _ = reference_elevation_azimuth(sat, rx_geo)
             key = (const, sv)
             if elev < sim.ELEVATION_MASK:
@@ -362,7 +363,6 @@ def _reference_generate_session(cfg: ScenarioConfig, session_id: str = "s000"):
         epochs.append(
             Epoch(time=float(t), measurements=[m for m, _, _ in raw], truth=rx, session_id=session_id)
         )
-        truth.positions.append(rx)
         truth.fault_flags.append([f for _, f, _ in raw])
         truth.fault_biases.append([b for _, _, b in raw])
     return epochs, truth
@@ -407,7 +407,6 @@ def test_session_matches_per_satellite_reference(cfg):
     for k, (e, r) in enumerate(zip(epochs, ref_epochs)):
         assert (e.time, e.session_id, repr(e.truth)) == (r.time, r.session_id, repr(r.truth)), k
         assert [repr(m) for m in e.measurements] == [repr(m) for m in r.measurements], k
-    assert repr(truth.positions) == repr(ref_truth.positions)
     assert truth.fault_flags == ref_truth.fault_flags
     assert repr(truth.fault_biases) == repr(ref_truth.fault_biases)
     if cfg.duration_s == 240.0:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gnssweight import _kernels, solver
-from gnssweight.errors import NonConvergence, NotEnoughMeasurements, SingularGeometry
+from gnssweight.errors import NonConvergence, NotEnoughMeasurements, SingularGeometry, ZeroRange
 from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, GeodeticPosition, enu_rotation, geodetic_to_ecef
 from gnssweight.model import ConstellationId, Epoch, NavState
 from gnssweight.solver import jacobian, solve_wls, state_to_vector
@@ -195,6 +195,9 @@ def test_jacobian_structure(rng):
         los = (truth.position.as_array() - m.sat_pos.as_array())
         los /= np.linalg.norm(los)
         assert np.allclose(J[i, :3], los, atol=1e-12)
+    # a receiver on a satellite has no line of sight to it
+    with pytest.raises(ZeroRange):
+        jacobian(NavState(epoch.measurements[3].sat_pos, truth.clock_bias), epoch)
 
 
 def test_jacobian_finite_differences(rng):
@@ -450,6 +453,37 @@ def test_kernel_matches_reference_loop(monkeypatch):
 
 
 @pytest.mark.bitwise
+def test_rounds_that_stop_rows_without_progress_match_reference_loop(monkeypatch):
+    """The two exits of the damped loop that retire rows whose last trial
+    did not lower the cost, which ``_reference_corpus`` never takes: a
+    near-degenerate cone (``_cone_case`` at 50 degrees, its two off-cone
+    links weighted 1e-8) stalls in the flat direction of the cone.
+    Started warm, row A evaluates a trial in each of its 18 rounds and
+    stops at the last, rejected one, so alone it ends in a round in which
+    no trial lowered its cost. Row B, the same problem started 10 km away,
+    lowers its cost in its 18th round at its 14th iteration, so with the
+    cap at 14 that round retires both rows at once, one of them improving.
+    Each row has the bits of the one-problem loop."""
+    sat, pr, idx, n_const, _, X0 = _cone_case(np.random.default_rng(48), math.radians(50.0))
+    w = np.ones(9)
+    w[:2] = 1e-8
+    starts = np.stack([X0[5], X0[5] + [0.0, 1e4, 0.0, 0.0]])
+    for cap, rows in ((_kernels.MAX_ITERATIONS, [0]), (14, [0, 1])):
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
+        b = len(rows)
+        X, its, status, cost = _kernels.lm_solve_batch(
+            np.broadcast_to(sat, (b, 9, 3)), np.broadcast_to(pr, (b, 9)), np.tile(w, (b, 1)),
+            np.broadcast_to(idx, (b, 9)), n_const, starts[rows])
+        for row in rows:
+            x, it, st, c, trials, (rounds, _, _) = _reference_lm_solve(sat, pr, w, idx, n_const, starts[row], cap)
+            # every round evaluates a trial, and the last one ends the loop
+            assert len(trials) == len(rounds) == 18 and "singular" not in rounds, (cap, row)
+            assert st == (_kernels.STATUS_MAX_ITER if row else _kernels.STATUS_CONVERGED), (cap, row)
+            assert (X[row].tobytes(), its[row], status[row]) == (x.tobytes(), it, st), (cap, row)
+            assert np.float64(cost[row]).tobytes() == c.tobytes(), (cap, row)
+
+
+@pytest.mark.bitwise
 def test_floor_stop_moves_fixes_by_nanometres():
     """Stopping at a rejected trial shorter than the step floor, as well as
     at an accepted one, only cuts trials at the rounding floor: on
@@ -630,7 +664,7 @@ def test_predicted_pseudoranges_add_squares_as_a_reduction(monkeypatch):
         epoch, truth = make_epoch(rng, n=n, constellations=consts[: 1 + n % 4], noise_sigma=3.0)
         solve_wls(epoch, np.ones(n))
         if n > epoch.state_dim():
-            residuals.build_residual_matrix(epoch)
+            residuals.build_residual_matrix(epoch, residuals.solve_rows([epoch])[0])
         x = state_to_vector(epoch, truth)
         stack = x + rng.normal(scale=100.0, size=(n, x.size))
         calls += [(epoch, stack[0]), (epoch, stack[:1]), (epoch, stack[: n // 2]), (epoch, stack)]
@@ -864,12 +898,15 @@ def _problem_arrays(rng, n):
     (1, (0,), np.nan, "pseudoranges"),
     (4, (1, 0), np.inf, "starts"),
     (4, (2, 4), np.nan, "starts"),
-], ids=["sat-nan", "sat-minus-inf", "pr-inf", "pr-nan", "start-inf", "start-nan"])
+    (3, (0, 5), np.nan, "weights"),
+    (3, (2, 8), -1.0, "weights"),
+], ids=["sat-nan", "sat-minus-inf", "pr-inf", "pr-nan", "start-inf", "start-nan", "weight-nan", "weight-negative"])
 def test_non_finite_measurements_and_starts_raise_value_error(field, at, bad, name):
     """A NaN or infinity in one problem's satellite positions, pseudoranges
-    or starts fails the call with a ValueError naming the input, before any
-    row is solved, whichever of the two problems holds it; ``solve_wls``
-    rejects the same inputs."""
+    or starts, or a NaN or negative weight, fails the call with a
+    ValueError naming the input, before any row is solved, whichever of the
+    two problems holds it; ``solve_wls`` rejects the same inputs, and a
+    weight vector of the wrong length."""
     rng = np.random.default_rng(61)
     for which in (0, 1):
         problems = [list(_problem_arrays(rng, 9)), list(_problem_arrays(rng, 11))]
@@ -885,6 +922,13 @@ def test_non_finite_measurements_and_starts_raise_value_error(field, at, bad, na
 
     epoch, truth = make_epoch(rng, n=9)
     ms = epoch.measurements
+    if field == 3:
+        w = np.ones(9)
+        w[at[1]] = bad
+        for weights, match in ((w, name), (np.ones(8), "length")):
+            with pytest.raises(ValueError, match=match):
+                solve_wls(epoch, weights)
+        return
     if field == 4:
         init = NavState(EcefPosition(bad, 0.0, 0.0), truth.clock_bias)
         with pytest.raises(ValueError, match=name):
