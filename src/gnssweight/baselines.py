@@ -11,7 +11,7 @@ import numpy as np
 from .errors import EmptySplit, HorizonSingularity, NotEnoughMeasurements, SingularGeometry
 from .geo import ecef_to_geodetic, elevation_angles
 from .model import Epoch
-from .solver import SolveReport, jacobian, solve_runs
+from .solver import SolveReport, jacobian, predicted_pseudoranges, solve_runs
 from .solver import solve_wls  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
 
 DEFAULT_ELEVATION_MASK = math.radians(5.0)
@@ -167,7 +167,7 @@ def fde_run(epoch: Epoch, cfg: FdeConfig, params: SotaWeightParams, fix: SolveRe
         H = jacobian(rep.state, epoch)[active]
         hat = H @ np.linalg.solve(H.T @ H, H.T)
         lev = np.clip(np.diag(hat), 0.0, 1.0 - 1e-6)
-        r = rep.post_fit_residuals[active]
+        r = (epoch.pr_array() - predicted_pseudoranges(epoch, rep.x))[active]
         std = r / (cfg.noise_sigma_m * np.sqrt(1.0 - lev))
         worst = int(np.argmax(np.abs(std)))
         if abs(std[worst]) <= cfg.threshold:

@@ -10,9 +10,9 @@ import yaml
 
 from .baselines import FdeConfig
 from .errors import ConfigInvalid
-from .evaluation import STRATEGIES
+from .evaluation import STRATEGIES, check_strategy_names
 from .nn import TrainConfig
-from .sim import EPOCHS_PER_SESSION, ScenarioConfig, check_profiles
+from .sim import EPOCHS_PER_SESSION, ScenarioConfig, check_campaign
 
 CONFIG_VERSION = 1
 
@@ -75,18 +75,7 @@ def _validate(cfg: dict) -> None:
         raise ConfigInvalid(f"config version {cfg['version']} unsupported (want {CONFIG_VERSION})")
     if cfg["seed"] < 0:
         raise ConfigInvalid("'seed' must be >= 0")
-    sim = cfg["simulate"]
-    if sim["sessions_per_profile"] < 3:
-        raise ConfigInvalid("'simulate.sessions_per_profile' must be >= 3")
-    if sim["rate_hz"] <= 0:
-        raise ConfigInvalid("'simulate.rate_hz' must be > 0")
-    if sim["epochs_per_session"] < 1:
-        raise ConfigInvalid("'simulate.epochs_per_session' must be >= 1")
-    if sim["noise_sigma_m"] < 0:
-        raise ConfigInvalid("'simulate.noise_sigma_m' must be >= 0")
-    if sim["nlos_bias_mean_m"] < 0:
-        raise ConfigInvalid("'simulate.nlos_bias_mean_m' must be >= 0")
-    check_profiles(sim["profiles"])
+    check_campaign(**cfg["simulate"])
     tr = cfg["train"]
     if tr["feature_mode"] not in ("full", "residual"):
         raise ConfigInvalid("'train.feature_mode' must be 'full' or 'residual'")
@@ -96,13 +85,8 @@ def _validate(cfg: dict) -> None:
         raise ConfigInvalid("'train.patience' must be >= 0")
     if tr["learning_rate"] <= 0:
         raise ConfigInvalid("'train.learning_rate' must be > 0")
-    ev = cfg["evaluate"]
-    for i, s in enumerate(ev["strategies"]):
-        if s not in STRATEGIES:
-            raise ConfigInvalid(f"'evaluate.strategies' entry {s!r} not one of {STRATEGIES}")
-        if s in ev["strategies"][:i]:
-            raise ConfigInvalid(f"'evaluate.strategies' repeats {s!r}")
-    fde = ev["fde"]
+    check_strategy_names(cfg["evaluate"]["strategies"])
+    fde = cfg["evaluate"]["fde"]
     if fde["threshold"] <= 0:
         raise ConfigInvalid("'evaluate.fde.threshold' must be > 0")
     if fde["noise_sigma_m"] <= 0:

@@ -98,37 +98,47 @@ def _record(epoch: Epoch, strategy: str, report: SolveReport | None = None, n_ze
                        epoch.n, n_zero)
 
 
-def _check_strategies(strategies, models: StrategyModels) -> None:
-    """Raise ValueError for an unknown or repeated strategy, or one whose
-    model or calibrated parameters are missing."""
+def check_strategy_names(strategies) -> None:
+    """ConfigInvalid, naming the config key ``evaluate.strategies``, for an
+    unknown or repeated strategy (a repeated one would write each of its
+    records twice)."""
     for i, strategy in enumerate(strategies):
+        if strategy not in STRATEGIES:
+            raise ConfigInvalid(f"'evaluate.strategies' entry {strategy!r} not one of {STRATEGIES}")
+        if strategy in strategies[:i]:
+            raise ConfigInvalid(f"'evaluate.strategies' repeats {strategy!r}")
+
+
+def _check_strategies(strategies, models: StrategyModels) -> None:
+    """``check_strategy_names``, then ValueError for a strategy whose model
+    or calibrated parameters are missing."""
+    check_strategy_names(strategies)
+    for strategy in strategies:
         if strategy in LEARNED and getattr(models, strategy) is None:
             raise ValueError(f"strategy {strategy} requires a trained model")
         if strategy == "fde_sota" and models.sota is None:
             raise ValueError("strategy fde_sota requires calibrated parameters")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if strategy in strategies[:i]:
-            raise ValueError(f"strategy {strategy!r} listed twice")
 
 
 def evaluate_session(session, strategies, models: StrategyModels):
     """Error records for every (epoch, strategy) of one session, in order:
-    ``compare_strategies``'s lockstep runs (``_evaluate_group``) on this
-    session alone."""
+    ``compare_strategies``'s check and lockstep runs on this session alone."""
+    _check_strategies(strategies, models)
     return _evaluate_group([session], strategies, models)
 
 
 def compare_strategies(dataset, strategies, models: StrategyModels, jobs: int = 1):
     """Run every strategy over the test split; returns (records, summaries).
 
-    The strategies and models are checked first (ValueError). The
-    sessions, sorted by id, are then split into ``min(jobs, sessions)``
-    contiguous groups (``session_groups``), one worker process each when
-    there are several, and each group's epochs are evaluated in lockstep
-    (``_evaluate_group``). Each kernel row has the bits of its own solve
-    and sessions featurize independently, so the output is identical for
-    any job count. ``jobs`` below 1 raises ConfigInvalid.
+    The strategies and models are checked first, once: an unknown or
+    repeated strategy raises ConfigInvalid (``check_strategy_names``), a
+    missing model or calibration ValueError. The sessions, sorted by id,
+    are then split into ``min(jobs, sessions)`` contiguous groups
+    (``session_groups``), one worker process each when there are several,
+    and each group's epochs are evaluated in lockstep (``_evaluate_group``).
+    Each kernel row has the bits of its own solve and sessions featurize
+    independently, so the output is identical for any job count. ``jobs``
+    below 1 raises ConfigInvalid.
     """
     _check_strategies(strategies, models)
     sessions = sorted(dataset.split_sessions("test"), key=lambda s: s.session_id)
@@ -163,14 +173,14 @@ def _evaluate_group(sessions, strategies, models: StrategyModels) -> list:
     """The records of every scored epoch (one with a truth position) of
     ``sessions``, in (session, epoch, strategy) order.
 
-    The strategies and models are checked first. When a learned strategy
-    runs, ``featurize.featurize_sessions`` then solves every epoch's
+    The caller has checked the strategies and models
+    (``_check_strategies``). When a learned strategy runs,
+    ``featurize.featurize_sessions`` solves every epoch's
     equal-weight fix and leave-one-out rows at once and featurizes each
     session in order. Each epoch then becomes one ``_epoch_run``, and
     ``solver.solve_runs`` drives them all in lockstep, so each pass solves
     the same step of every epoch in a few kernel calls.
     """
-    _check_strategies(strategies, models)
     scored = [[e for e in s.epochs if e.truth is not None] for s in sessions]
     epochs = [e for s in scored for e in s]
     featurized = [None] * len(epochs)

@@ -102,7 +102,7 @@ class ScenarioConfig:
 
     def validate(self):
         if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
-            raise ConfigInvalid(f"rate_hz must be finite and > 0, got {self.rate_hz!r}")
+            raise ConfigInvalid(f"'simulate.rate_hz' must be finite and > 0, got {self.rate_hz!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ConfigInvalid(f"duration_s must be finite and > 0, got {self.duration_s!r}")
         if self.profile not in PROFILES:
@@ -110,7 +110,7 @@ class ScenarioConfig:
         for name in ("noise_sigma_m", "nlos_bias_mean_m"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise ConfigInvalid(f"{name} must be finite and nonnegative, got {value!r}")
+                raise ConfigInvalid(f"'simulate.{name}' must be finite and >= 0, got {value!r}")
         for const, count in self.sv_counts.items():
             if not _is_int(const) or const not in _CONSTELLATIONS:
                 raise ConfigInvalid(f"sv_counts key {const!r} is not a ConstellationId")
@@ -321,12 +321,17 @@ def _jitter_waypoints(base, rng: np.random.Generator):
     )
 
 
-def check_profiles(profiles) -> None:
-    """A campaign's profiles: at least one, each known, none repeated.
-
-    Session ids are ``<profile>-<index>``, so a repeated profile would
-    write two sessions under each of its ids.
-    """
+def check_campaign(profiles, sessions_per_profile, epochs_per_session, rate_hz, **overrides) -> None:
+    """ConfigInvalid, naming the ``simulate`` key, for ``generate_campaign``
+    settings it cannot draw: fewer than 3 sessions per profile (no
+    60/20/20 split), no epochs, no profile or an unknown or repeated one
+    (session ids are ``<profile>-<index>``, so a repeated profile would
+    write two sessions under each of its ids), and what
+    ``ScenarioConfig.validate`` refuses of the rate and the ``overrides``."""
+    if sessions_per_profile < 3:
+        raise ConfigInvalid("'simulate.sessions_per_profile' must be >= 3 to split 60/20/20")
+    if epochs_per_session < 1:
+        raise ConfigInvalid("'simulate.epochs_per_session' must be >= 1")
     seen = set()
     for p in profiles:
         if p not in PROFILES:
@@ -336,6 +341,7 @@ def check_profiles(profiles) -> None:
         seen.add(p)
     if not seen:
         raise ConfigInvalid("'simulate.profiles' must name at least one profile")
+    ScenarioConfig(rate_hz=rate_hz, **overrides).validate()
 
 
 # Epochs per campaign session, the default of ``generate_campaign`` and of
@@ -355,13 +361,11 @@ def generate_campaign(
 
     Returns a Dataset (see dataio). Sessions within each profile are
     assigned to train/val/test disjointly, so no session leaks across
-    splits.
+    splits. The settings are checked first, by ``check_campaign``.
     """
     from .dataio import Dataset, Session
 
-    if sessions_per_profile < 3:
-        raise ConfigInvalid("need >= 3 sessions per profile to split 60/20/20")
-    check_profiles(profiles)
+    check_campaign(profiles, sessions_per_profile, epochs_per_session, rate_hz, **overrides)
     master = np.random.default_rng(seed)
     duration = epochs_per_session / rate_hz
     sessions = []

@@ -24,7 +24,7 @@ class SolveReport:
     iterations: int
     converged: bool
     final_cost: float
-    post_fit_residuals: np.ndarray
+    x: np.ndarray  # the kernel's solution row, clocks in m (``state``'s, in s, do not round-trip)
 
 
 def state_to_vector(epoch: Epoch, state: NavState) -> np.ndarray:
@@ -101,10 +101,10 @@ def row_report(epoch: Epoch, x, iterations, status, cost) -> SolveReport | None:
     """The SolveReport of one kernel row, or None for a row without a solution.
 
     ``(x, iterations, status, cost)`` is one entry of a problem's
-    ``solve_batch`` arrays (or the ``lm_solve`` tuple) for the full epoch.
-    A row stopped at ``_kernels.MAX_ITERATIONS`` keeps its iterate, with
-    ``converged`` False; a row ``solve_batch`` did not solve
-    (``STATUS_NOT_ENOUGH``) or a singular one gives None.
+    ``solve_batch`` arrays (or the ``lm_solve`` tuple) for the full epoch,
+    whose ``x`` the report keeps. A row stopped at ``_kernels.MAX_ITERATIONS``
+    keeps its iterate, with ``converged`` False; a row ``solve_batch`` did
+    not solve (``STATUS_NOT_ENOUGH``) or a singular one gives None.
     """
     if status in (STATUS_NOT_ENOUGH, _kernels.STATUS_SINGULAR):
         return None
@@ -113,7 +113,7 @@ def row_report(epoch: Epoch, x, iterations, status, cost) -> SolveReport | None:
         iterations=int(iterations),
         converged=status == _kernels.STATUS_CONVERGED,
         final_cost=float(cost),
-        post_fit_residuals=epoch.pr_array() - predicted_pseudoranges(epoch, x),
+        x=x,
     )
 
 

@@ -206,7 +206,7 @@ def _assert_same_fde(a, b):
     assert ra.state.position.as_array().tobytes() == rb.state.position.as_array().tobytes()
     assert ra.state.clock_bias == rb.state.clock_bias
     assert (ra.iterations, ra.converged, ra.final_cost) == (rb.iterations, rb.converged, rb.final_cost)
-    assert ra.post_fit_residuals.tobytes() == rb.post_fit_residuals.tobytes()
+    assert ra.x.tobytes() == rb.x.tobytes()
 
 
 def _reference_fde(epoch, cfg, params, fix=None):
@@ -216,7 +216,7 @@ def _reference_fde(epoch, cfg, params, fix=None):
     from gnssweight.baselines import FdeResult
     from gnssweight.errors import NonConvergence
     from gnssweight.geo import ecef_to_geodetic, elevation_angles
-    from gnssweight.solver import jacobian, solve_wls
+    from gnssweight.solver import jacobian, predicted_pseudoranges, solve_wls
 
     n = epoch.n
     min_keep = max(cfg.min_retained, epoch.state_dim())
@@ -232,7 +232,7 @@ def _reference_fde(epoch, cfg, params, fix=None):
         H = jacobian(state, epoch)[active]
         hat = H @ np.linalg.solve(H.T @ H, H.T)
         lev = np.clip(np.diag(hat), 0.0, 1.0 - 1e-6)
-        r = rep.post_fit_residuals[active]
+        r = (epoch.pr_array() - predicted_pseudoranges(epoch, rep.x))[active]
         std = r / (cfg.noise_sigma_m * np.sqrt(1.0 - lev))
         worst = int(np.argmax(np.abs(std)))
         if abs(std[worst]) <= cfg.threshold:
@@ -256,10 +256,11 @@ def _reference_fde(epoch, cfg, params, fix=None):
 
 
 def _one_link_constellation_epoch(rng):
-    """A GPS epoch plus one Galileo link, and a fix whose large residual
-    on that link makes FDE exclude it first. The link's own clock absorbs
-    its residual, so no real fix would; without the link that clock has
-    no measurement, and the round's normal matrix is singular."""
+    """A GPS epoch plus one Galileo link, and a fix whose Galileo clock,
+    shifted by 1 km, leaves a large residual on that link and makes FDE
+    exclude it first. The link's own clock absorbs its residual, so no
+    real fix would; without the link that clock has no measurement, and
+    the round's normal matrix is singular."""
     from dataclasses import replace
 
     from gnssweight.model import ConstellationId, Epoch, PseudorangeMeasurement
@@ -271,9 +272,9 @@ def _one_link_constellation_epoch(rng):
     epoch = Epoch(time=0.0, measurements=[*epoch.measurements, one], truth=epoch.truth)
     link = next(i for i, m in enumerate(epoch.measurements) if m.constellation == ConstellationId.GALILEO)
     fix = reference_fix(epoch)
-    r = fix.post_fit_residuals.copy()
-    r[link] = 1e3
-    return epoch, replace(fix, post_fit_residuals=r)
+    x = fix.x.copy()
+    x[3 + epoch.const_index()[link]] -= 1e3
+    return epoch, replace(fix, x=x)
 
 
 def test_fde_one_link_constellation_round_is_solved(rng):

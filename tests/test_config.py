@@ -1,7 +1,10 @@
 import pytest
 
 from gnssweight.config import DEFAULTS, load_config
+from gnssweight.dataio import Dataset
 from gnssweight.errors import ConfigInvalid
+from gnssweight.evaluation import StrategyModels, compare_strategies
+from gnssweight.sim import generate_campaign
 
 
 def test_defaults_load_and_validate():
@@ -29,12 +32,8 @@ def test_unknown_key_is_named(tmp_path):
 
 
 def test_value_validation():
-    with pytest.raises(ConfigInvalid, match="rate_hz"):
-        load_config(None, {"simulate": {"rate_hz": 0.0}})
     with pytest.raises(ConfigInvalid, match="feature_mode"):
         load_config(None, {"train": {"feature_mode": "everything"}})
-    with pytest.raises(ConfigInvalid, match="strategies"):
-        load_config(None, {"evaluate": {"strategies": ["magic"]}})
     with pytest.raises(ConfigInvalid, match="version"):
         load_config(None, {"version": 2})
     # wrong-typed leaves name their dotted key
@@ -52,10 +51,6 @@ def test_value_validation():
     # out-of-range values
     for overrides, key in (
         ({"seed": -1}, "seed"),
-        ({"simulate": {"sessions_per_profile": 2}}, "simulate.sessions_per_profile"),
-        ({"simulate": {"epochs_per_session": 0}}, "simulate.epochs_per_session"),
-        ({"simulate": {"noise_sigma_m": -0.5}}, "simulate.noise_sigma_m"),
-        ({"simulate": {"nlos_bias_mean_m": -1}}, "simulate.nlos_bias_mean_m"),
         ({"train": {"batch_size": 0}}, "train"),
         ({"train": {"patience": -1}}, "train.patience"),
         ({"train": {"learning_rate": 0.0}}, "train.learning_rate"),
@@ -63,18 +58,53 @@ def test_value_validation():
         ({"evaluate": {"fde": {"noise_sigma_m": 0}}}, "evaluate.fde.noise_sigma_m"),
         ({"evaluate": {"fde": {"max_exclusions": -1}}}, "evaluate.fde.max_exclusions"),
         ({"evaluate": {"fde": {"min_retained": -5}}}, "evaluate.fde.min_retained"),
-        # a repeated strategy would write each of its records twice
-        ({"evaluate": {"strategies": ["equal", "equal"]}}, "evaluate.strategies"),
-        ({"evaluate": {"strategies": ["truth", "fde_sota", "truth"]}}, "evaluate.strategies"),
     ):
         with pytest.raises(ConfigInvalid, match=f"'{key}'"):
             load_config(None, overrides)
-    # no profile, or one twice (its sessions would share ids), is refused
-    for profiles in ([], ["open_sky", "open_sky"], ["urban_canyon", "suburban", "urban_canyon"]):
-        with pytest.raises(ConfigInvalid, match="'simulate.profiles'"):
-            load_config(None, {"simulate": {"profiles": profiles}})
     # an int where a float is expected is fine
     assert load_config(None, {"simulate": {"rate_hz": 2}})["simulate"]["rate_hz"] == 2
+
+
+@pytest.mark.parametrize("simulate, key", [
+    ({"sessions_per_profile": 2}, "sessions_per_profile"),
+    ({"epochs_per_session": 0}, "epochs_per_session"),
+    ({"rate_hz": 0.0}, "rate_hz"),
+    ({"rate_hz": -1.0}, "rate_hz"),
+    ({"noise_sigma_m": -0.5}, "noise_sigma_m"),
+    ({"nlos_bias_mean_m": -1}, "nlos_bias_mean_m"),
+    # no profile, or one twice (its sessions would share ids)
+    ({"profiles": []}, "profiles"),
+    ({"profiles": ["open_sky", "open_sky"]}, "profiles"),
+    ({"profiles": ["urban_canyon", "suburban", "urban_canyon"]}, "profiles"),
+    ({"profiles": ["indoor"]}, "profiles"),
+])
+def test_simulate_rules_are_one_for_config_and_simulator(simulate, key):
+    """A ``simulate`` setting out of range fails with one ConfigInvalid
+    message, naming its key, from a run configuration and from a
+    ``generate_campaign`` call (which once divided by a zero rate, and
+    refused zero epochs as ``duration_s``)."""
+    with pytest.raises(ConfigInvalid, match=f"'simulate.{key}'") as from_config:
+        load_config(None, {"simulate": simulate})
+    with pytest.raises(ConfigInvalid) as from_call:
+        generate_campaign(seed=0, **{**DEFAULTS["simulate"], "epochs_per_session": 1, **simulate})
+    assert str(from_call.value) == str(from_config.value)
+
+
+@pytest.mark.parametrize("strategies, message", [
+    (["magic"], "'evaluate.strategies' entry 'magic' not one of"),
+    # a repeated strategy would write each of its records twice
+    (["equal", "equal"], "'evaluate.strategies' repeats 'equal'"),
+    (["truth", "fde_sota", "truth"], "'evaluate.strategies' repeats 'truth'"),
+])
+def test_strategy_rules_are_one_for_config_and_library(strategies, message):
+    """An unknown or repeated strategy fails with one ConfigInvalid
+    message from a run configuration and from ``compare_strategies``,
+    before the missing models are."""
+    with pytest.raises(ConfigInvalid, match=message) as from_config:
+        load_config(None, {"evaluate": {"strategies": strategies}})
+    with pytest.raises(ConfigInvalid) as from_call:
+        compare_strategies(Dataset(seed=0, sessions=[]), strategies, StrategyModels())
+    assert str(from_call.value) == str(from_config.value)
 
 
 def test_non_mapping_rejected(tmp_path):

@@ -111,9 +111,9 @@ def test_missing_model_raises(monkeypatch):
         evaluate_session(session, ("nn_full",), StrategyModels())
     with pytest.raises(ValueError, match="fde_sota"):
         evaluate_session(session, ("fde_sota",), StrategyModels())
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(ConfigInvalid, match="'evaluate.strategies' entry 'bogus' not one of"):
         evaluate_session(session, ("bogus",), StrategyModels())
-    with pytest.raises(ValueError, match="'equal' listed twice"):
+    with pytest.raises(ConfigInvalid, match="'evaluate.strategies' repeats 'equal'"):
         evaluate_session(session, ("equal", "truth", "equal"), StrategyModels())
     # checked before any solve: also with nothing to score
     unscored = Session("none", "open_sky", "test", [], None)
@@ -124,6 +124,22 @@ def test_missing_model_raises(monkeypatch):
                            StrategyModels(nn_full=_tiny_models().nn_full))
     with pytest.raises(ValueError, match="nn_full"):
         compare_strategies(Dataset(seed=0, sessions=[]), ("nn_full", "fde_sota"), StrategyModels(), jobs=2)
+
+
+def test_strategies_are_checked_once_per_call(monkeypatch):
+    """``compare_strategies`` checks its strategies and models once, not
+    again for each group of sessions; ``evaluate_session`` once too."""
+    check = evaluation._check_strategies
+    calls = []
+    monkeypatch.setattr(evaluation, "_check_strategies", lambda *args: calls.append(args) or check(*args))
+    sessions = []
+    for k in range(3):
+        epochs, truth = generate_session(ScenarioConfig(profile="suburban", seed=k, duration_s=0.4), f"s{k}")
+        sessions.append(Session(f"s{k}", "suburban", "test", epochs, truth))
+    records, _ = compare_strategies(Dataset(seed=0, sessions=sessions), ("equal",), StrategyModels(), jobs=1)
+    assert len(records) == 6 and len(calls) == 1
+    evaluate_session(sessions[0], ("equal",), StrategyModels())
+    assert len(calls) == 2
 
 
 def test_compare_strategies_deterministic_across_jobs():

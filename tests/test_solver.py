@@ -9,7 +9,7 @@ from gnssweight.errors import NonConvergence, NotEnoughMeasurements, SingularGeo
 from gnssweight.geo import SPEED_OF_LIGHT, EcefPosition, GeodeticPosition, enu_rotation, geodetic_to_ecef
 from gnssweight.model import ConstellationId, Epoch, NavState
 from gnssweight.solver import jacobian, solve_wls, state_to_vector
-from conftest import assert_same_fix, make_epoch, observation_function
+from conftest import assert_same_fix, make_epoch, observation_function, residual
 
 
 def test_noise_free_cold_start(rng):
@@ -104,7 +104,8 @@ def test_cost_and_residuals(rng):
     w = np.ones(epoch.n)
     rep = solve_wls(epoch, w)
     assert rep.final_cost >= 0.0
-    assert rep.final_cost == pytest.approx(float(np.sum(rep.post_fit_residuals**2)), rel=1e-9)
+    r = np.array([residual(rep.state, m) for m in epoch.measurements])
+    assert rep.final_cost == pytest.approx(float(np.sum(r**2)), rel=1e-9)
 
 
 def test_not_enough_measurements(rng):
