@@ -14,7 +14,7 @@ import numpy as np
 from .baselines import FdeConfig, calibrate_sota
 from .config import load_config
 from .dataio import read_dataset, write_dataset
-from .errors import ConfigInvalid, GnssWeightError, ShapeMismatch
+from .errors import ConfigInvalid, GnssWeightError, ShapeMismatch, VersionMismatch
 from .evaluation import (
     StrategyModels,
     compare_strategies,
@@ -29,6 +29,9 @@ from .geo import ecef_to_geodetic, elevation_angles
 from .nn import TrainConfig, load_checkpoint, save_checkpoint, train, truth_residuals
 from .sim import generate_campaign
 
+# the layout of a ``featurize`` cache; version 2 holds one block per split
+CACHE_VERSION = 2
+
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, _seed_override(args))
@@ -39,19 +42,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    """Cache the fitting splits' samples, one block per non-empty split
+    (train is block 0, val block 1): ``fm_{i}`` holds the split's matrices
+    back to back, ``lab_{i}`` their labels and ``len_{i}`` each matrix's
+    row count, so that ``train`` reads a few large entries rather than
+    parsing two per epoch."""
     cfg = load_config(args.config, _seed_override(args))
     splits = dataset_samples(read_dataset(args.data))
-    arrays, index, i = {}, {}, 0
-    for split, samples in splits.items():
-        index[split] = list(range(i, i + len(samples)))
-        for fm, labels in samples:
-            arrays[f"fm_{i}"], arrays[f"lab_{i}"] = fm, labels
-            i += 1
-    meta = {"version": 1, "seed": cfg["seed"], "splits": index}
+    arrays, index = {}, {}
+    for i, (split, samples) in enumerate(splits.items()):
+        index[split] = [i] if samples else []
+        if samples:
+            arrays[f"fm_{i}"] = np.concatenate([fm for fm, _ in samples])
+            arrays[f"lab_{i}"] = np.concatenate([labels for _, labels in samples])
+            arrays[f"len_{i}"] = np.array([len(fm) for fm, _ in samples], dtype=np.int64)
+    meta = {"version": CACHE_VERSION, "seed": cfg["seed"], "splits": index}
     # an open file, so that numpy writes to --out as given, without adding ".npz"
     with open(args.out, "wb") as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-    print(f"cached {i} feature matrices to {args.out}")
+    print(f"cached {sum(map(len, splits.values()))} feature matrices to {args.out}")
     return 0
 
 
@@ -85,11 +94,14 @@ def _load_model(path, mode: str):
 
 
 def _load_feature_cache(path):
-    """{split: [(fm, labels)]} of a ``featurize`` cache, failing with a
-    GnssWeightError that names ``path`` when the metadata or its
-    ``splits`` is not an object, a split's ids are not integers, a
-    fitting split is missing, a matrix does not have ``N_FEATURES``
-    columns or a label vector does not have one entry per row."""
+    """{split: [(fm, labels)]} of a ``featurize`` cache, each sample a view
+    of its split's block, failing with a GnssWeightError that names
+    ``path`` when the metadata or its ``splits`` is not an object, the
+    cache is not version ``CACHE_VERSION`` (one written before blocks;
+    ``featurize`` rebuilds it), a split's ids are not integers, a fitting
+    split is missing, a block's matrix does not have ``N_FEATURES``
+    columns, its labels do not have one entry per row or its row counts
+    are not positive integers summing to its rows."""
     def invalid(why):
         return GnssWeightError(f"{path} is not a valid feature cache: {why}")
 
@@ -97,19 +109,25 @@ def _load_feature_cache(path):
         meta = json.loads(bytes(data["meta"]))
         if not (isinstance(meta, dict) and isinstance(meta["splits"], dict)):
             raise invalid("the metadata and its 'splits' must be objects")
+        if meta["version"] != CACHE_VERSION:
+            raise VersionMismatch(f"{path} is a version {meta['version']!r} feature cache, not version "
+                                  f"{CACHE_VERSION}: run featurize again to rebuild it")
         splits = {}
         for split, ids in meta["splits"].items():
             if not isinstance(ids, list) or any(type(i) is not int for i in ids):
                 raise invalid(f"split {split!r} is not a list of integer ids")
             splits[split] = samples = []
             for i in ids:
-                fm = data[f"fm_{i}"].copy()
-                lab = data[f"lab_{i}"].copy()
+                fm, lab, lengths = data[f"fm_{i}"], data[f"lab_{i}"], data[f"len_{i}"]
                 if fm.ndim != 2 or fm.shape[1] != N_FEATURES:
                     raise invalid(f"matrix {i} has shape {fm.shape}, not (N, {N_FEATURES})")
                 if lab.shape != (fm.shape[0],):
                     raise invalid(f"labels {i} have shape {lab.shape} for {fm.shape[0]} rows")
-                samples.append((fm, lab))
+                if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size or (lengths < 1).any()
+                        or lengths.sum() != fm.shape[0]):
+                    raise invalid(f"row counts {i} are not positive integers summing to {fm.shape[0]} rows")
+                cuts = np.cumsum(lengths[:-1])
+                samples.extend(zip(np.split(fm, cuts), np.split(lab, cuts)))
     missing = [s for s in ("train", "val") if s not in splits]
     if missing:
         raise invalid(f"no {' or '.join(missing)} split")

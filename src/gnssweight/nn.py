@@ -517,18 +517,23 @@ def save_checkpoint(path, model: LstmModel, norm_mean, norm_std, cfg: TrainConfi
 def load_checkpoint(path):
     """Returns (model, norm_mean, norm_std, cfg); bit-exact reload.
 
-    Metadata that is not an object, or whose entries do not have the types
-    of ``_META_TYPES``, raises a GnssWeightError naming ``path``.
+    Metadata that is not an object, whose entries do not have the types
+    of ``_META_TYPES`` or whose version is not ``CHECKPOINT_VERSION``,
+    raises a GnssWeightError naming ``path``.
     """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
         if not isinstance(meta, dict):
             raise GnssWeightError(f"{path} is not a valid checkpoint: its metadata is not an object")
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise VersionMismatch(f"checkpoint version {meta['version']} unsupported")
         for key, t in _META_TYPES.items():
             if not isinstance(meta[key], t) or isinstance(meta[key], bool):  # True is an int to isinstance
                 raise GnssWeightError(f"{path} is not a valid checkpoint: '{key}' is {meta[key]!r}")
+        # after the entries, so that another npz with a version, such as a
+        # feature cache, is reported by the checkpoint entry it lacks
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise VersionMismatch(
+                f"{path} is a version {meta['version']!r} checkpoint, not version {CHECKPOINT_VERSION}"
+            )
         n_layers = meta["n_layers"]
         model = LstmModel(
             input_dim=meta["input_dim"],

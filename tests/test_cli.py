@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import gnssweight
-from gnssweight.cli import build_parser, main
+from gnssweight.cli import _load_feature_cache, build_parser, main
 from gnssweight.config import DEFAULTS
-from gnssweight.dataio import write_dataset
+from gnssweight.dataio import read_dataset, write_dataset
 from gnssweight.errors import ConfigInvalid
 from gnssweight.evaluation import read_error_csv
-from gnssweight.featurize import N_FEATURES
+from gnssweight.featurize import N_FEATURES, dataset_samples
 from gnssweight.sim import generate_campaign
 
 
@@ -200,12 +200,49 @@ def test_epochs_without_measurements_are_skipped(tiny_config, tiny_dataset, tmp_
         assert s["count"] + s["failures"] == n_test
 
 
+@pytest.mark.parametrize("sessions, truthless_val", [(3, False), (7, False), (3, True)],
+                         ids=["3-sessions", "7-sessions", "no-val-labels"])
+def test_cache_holds_one_block_per_split_with_every_sample(sessions, truthless_val, tmp_path, capsys):
+    """A ``featurize`` cache holds its metadata and one matrix, label and
+    row-count entry per non-empty fitting split, whatever the session
+    count (a split with no labelled epoch lists no block), and
+    ``_load_feature_cache`` returns every sample ``dataset_samples`` gives,
+    bit for bit and in order."""
+    cfg, data, cache = tmp_path / "run.yaml", tmp_path / "campaign.jsonl", tmp_path / "features.npz"
+    simulate = {"profiles": ["suburban"], "sessions_per_profile": sessions, "epochs_per_session": 4}
+    cfg.write_text(json.dumps({"seed": 11, "simulate": simulate}), encoding="utf-8")  # JSON is YAML
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    if truthless_val:
+        header, *epochs = data.read_text(encoding="utf-8").splitlines()
+        split = {sid: info["split"] for sid, info in json.loads(header)["sessions"].items()}
+        epochs = [json.loads(line) for line in epochs]
+        for e in epochs:
+            if split[e["session_id"]] == "val":
+                del e["truth"]
+        data.write_text("\n".join([header, *map(json.dumps, epochs)]) + "\n", encoding="utf-8")
+    assert main(["featurize", "--config", str(cfg), "--data", str(data), "--out", str(cache)]) == 0
+    expected = dataset_samples(read_dataset(str(data)))
+    n_samples = len(expected["train"]) + len(expected["val"])
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"cached {n_samples} feature matrices")
+    blocks = {"train": [0], "val": [] if truthless_val else [1]}
+    with np.load(cache) as z:
+        assert json.loads(bytes(z["meta"])) == {"version": 2, "seed": 11, "splits": blocks}
+        assert sorted(z.files) == sorted(["meta", *(f"{k}_{i}" for ids in blocks.values() for i in ids
+                                                    for k in ("fm", "lab", "len"))])
+    loaded = _load_feature_cache(str(cache))
+    assert loaded.keys() == expected.keys() and expected["train"]
+    for split, samples in expected.items():
+        assert len(loaded[split]) == len(samples)
+        for got, want in zip(loaded[split], samples):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_truthless_train_epoch_is_left_out_of_the_cache(tiny_config, tiny_dataset, tmp_path):
     """A train epoch without a truth position has no labels: featurize
     leaves it out of the cache, every cached matrix has its labels, and
     train runs on the cache. The epoch still advances its session's C/N0
     tracker, so every other matrix keeps the bits it has with the truth."""
-    from gnssweight.dataio import read_dataset
     from gnssweight.featurize import featurize_sessions
 
     header, *lines = Path(tiny_dataset).read_text(encoding="utf-8").splitlines()
@@ -222,10 +259,9 @@ def test_truthless_train_epoch_is_left_out_of_the_cache(tiny_config, tiny_datase
     for name, campaign in (("all.npz", tiny_dataset), ("truthless.npz", data)):
         cache = tmp_path / name
         assert main(["featurize", "--config", tiny_config, "--data", str(campaign), "--out", str(cache)]) == 0
-        with np.load(cache) as z:
-            splits = json.loads(bytes(z["meta"]))["splits"]
-            assert all(f"lab_{i}" in z.files for ids in splits.values() for i in ids)
-            cached.append([z[f"fm_{i}"].tobytes() for i in splits["train"]])
+        splits = _load_feature_cache(str(cache))
+        assert all(lab.shape == (fm.shape[0],) for samples in splits.values() for fm, lab in samples)
+        cached.append([fm.tobytes() for fm, _ in splits["train"]])
     full, truthless = cached
     assert truthless == [b for b in full if b != removed.tobytes()] and len(truthless) == len(full) - 1
     for mode in ("full", "residual"):
@@ -398,8 +434,25 @@ def test_npz_of_other_kind_names_missing_entry(tiny_config, tiny_dataset, residu
     assert not out.exists()
 
 
-def _write_feature_cache(path, splits):
-    """An npz in the layout ``featurize`` writes, holding ``splits``."""
+def _write_feature_cache(path, splits, **entries):
+    """An npz in the layout ``featurize`` writes, holding ``splits``: one
+    block per non-empty split, numbered in order. ``entries`` replace its
+    arrays, and one given as None is left out."""
+    arrays, index = {}, {}
+    for i, (split, samples) in enumerate(splits.items()):
+        index[split] = [i] if samples else []
+        if samples:
+            arrays[f"fm_{i}"] = np.concatenate([fm for fm, _ in samples])
+            arrays[f"lab_{i}"] = np.concatenate([labels for _, labels in samples])
+            arrays[f"len_{i}"] = np.array([len(fm) for fm, _ in samples], dtype=np.int64)
+    arrays = {k: v for k, v in {**arrays, **entries}.items() if v is not None}
+    meta = {"version": 2, "seed": 0, "splits": index}
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def _write_version_1_feature_cache(path, splits):
+    """An npz in the layout ``featurize`` wrote before version 2: one
+    matrix and one label entry per sample."""
     arrays, index, i = {}, {}, 0
     for split, samples in splits.items():
         index[split] = list(range(i, i + len(samples)))
@@ -418,7 +471,7 @@ _SAMPLE = (np.ones((5, N_FEATURES)), np.zeros(5))
     ({"val": [_SAMPLE]}, "no train split"),
     ({"train": [(np.ones((5, 3)), np.zeros(5))], "val": [_SAMPLE]}, "shape (5, 3)"),
     ({"train": [_SAMPLE], "val": [(np.ones(5), np.zeros(5))]}, "shape (5,)"),
-    ({"train": [_SAMPLE, (np.ones((5, N_FEATURES)), np.zeros(4))], "val": [_SAMPLE]}, "for 5 rows"),
+    ({"train": [_SAMPLE, (np.ones((5, N_FEATURES)), np.zeros(4))], "val": [_SAMPLE]}, "shape (9,) for 10 rows"),
 ], ids=["no-val", "no-train", "three-columns", "one-dimensional", "short-labels"])
 def test_invalid_feature_cache_fails_with_path(splits, expect, tiny_config, tmp_path, capsys):
     """A cache without both fitting splits, with a matrix that is not
@@ -431,6 +484,33 @@ def test_invalid_feature_cache_fails_with_path(splits, expect, tiny_config, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(cache) in err and "feature cache" in err and expect in err, err
+    assert not out.exists()
+
+
+_TWO_TRAIN = {"train": [_SAMPLE, _SAMPLE], "val": [_SAMPLE]}
+_BAD_COUNTS = "row counts 0 are not positive integers summing to 10 rows"
+
+
+@pytest.mark.parametrize("write, expect", [
+    (lambda p: _write_feature_cache(p, _TWO_TRAIN, len_0=np.array([5, 4])), _BAD_COUNTS),
+    (lambda p: _write_feature_cache(p, _TWO_TRAIN, len_0=np.array([5.0, 5.0])), _BAD_COUNTS),
+    (lambda p: _write_feature_cache(p, _TWO_TRAIN, len_0=np.array([[5, 5]])), _BAD_COUNTS),
+    (lambda p: _write_feature_cache(p, _TWO_TRAIN, len_0=np.array([0, 5, 5])), _BAD_COUNTS),
+    (lambda p: _write_feature_cache(p, _TWO_TRAIN, len_0=None), "not a readable feature cache: no entry 'len_0'"),
+    (lambda p: _write_version_1_feature_cache(p, _TWO_TRAIN),
+     "is a version 1 feature cache, not version 2: run featurize again"),
+], ids=["wrong-total", "float-counts", "two-dimensional-counts", "zero-count", "no-counts", "version-1"])
+def test_cache_with_bad_row_counts_or_old_layout_fails_with_path(write, expect, tiny_config, tmp_path, capsys):
+    """A cache whose row counts are not a vector of positive integers
+    summing to its block's rows, that has none, or that ``featurize``
+    wrote in the per-sample layout before version 2 fails before training
+    with one ``error: ...`` line naming the file."""
+    cache, out = tmp_path / "features.npz", tmp_path / "m.npz"
+    write(cache)
+    assert main(["train", "--config", tiny_config, "--features", str(cache), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{cache} " in err and expect in err, err
     assert not out.exists()
 
 

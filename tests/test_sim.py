@@ -221,21 +221,6 @@ def test_campaign_split_arithmetic():
     assert a.epochs[0].measurements[0].pseudorange != b.epochs[0].measurements[0].pseudorange
 
 
-def test_campaign_minimum_sessions():
-    with pytest.raises(ConfigInvalid):
-        generate_campaign(PROFILES, sessions_per_profile=2, seed=0)
-
-
-def test_campaign_profiles_must_be_distinct_and_nonempty():
-    # a repeated profile would write two sessions under each of its ids
-    with pytest.raises(ConfigInvalid, match="simulate.profiles"):
-        generate_campaign(["open_sky", "open_sky"], sessions_per_profile=3, seed=0, epochs_per_session=2)
-    with pytest.raises(ConfigInvalid, match="simulate.profiles"):
-        generate_campaign([], sessions_per_profile=3, seed=0, epochs_per_session=2)
-    with pytest.raises(ConfigInvalid, match="simulate.profiles"):
-        generate_campaign(["indoor"], sessions_per_profile=3, seed=0, epochs_per_session=2)
-
-
 @pytest.mark.parametrize("sv_counts, match", [
     ({"GPS": 20}, "key 'GPS'"),
     ({ConstellationId.GPS: 20, 7: 4}, "key 7"),
